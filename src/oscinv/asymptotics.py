@@ -26,6 +26,7 @@ import numpy as np
 
 from .basis import EigenBasis, SeparableAmplitude
 from .forward import SpaceTimeField, duhamel_coefficient, _coerce_amplitude
+from .quadrature import duhamel_batch
 from .sources import FastProfile, OscillatorySource, corner_values, rho0, rho1, split_source
 from .traces import TimeTrace
 
@@ -41,6 +42,12 @@ def lambda_profile(r0, lam, grid):
     Lambda(t) = lam^{-1/2} int_0^t r0(s) sin(sqrt(lam)(t-s)) ds.
     """
     return duhamel_coefficient(r0, lam, grid)
+
+
+def _slow_response(fm_traces, r0v, lams, grid):
+    """u0 mode coefficients: every mode driven by f_m(t) r0(t), zero data."""
+    return duhamel_batch(np.array([tr.values for tr in fm_traces]), lams, grid,
+                         [(0.0, 1.0, r0v)])
 
 
 def expansion_coefficients(fm_traces, corners):
@@ -81,10 +88,8 @@ class AsymptoticExpansion:
         if hit is not None:
             return hit
         fm = self.amplitude.mode_traces(self.basis, tgrid)
-        r0v = self.source.r0.sample(tgrid)
-        out = np.vstack([
-            duhamel_coefficient(fm[m].values * r0v, lam, tgrid).values
-            for m, lam in enumerate(self.basis.eigenvalues)])
+        out = _slow_response(fm, self.source.r0.sample(tgrid),
+                             self.basis.eigenvalues, tgrid)
         self._cache[key] = out
         return out
 
@@ -138,10 +143,7 @@ def build_expansion(basis, f, r, grid, n_tau=256):
     corners = corner_values(src.r1)
     fm = amp.mode_traces(basis, grid)
     coeffs = expansion_coefficients(fm, corners)
-    r0v = src.r0.values
-    u0 = np.vstack([
-        duhamel_coefficient(fm[m].values * r0v, lam, grid).values
-        for m, lam in enumerate(basis.eigenvalues)])
+    u0 = _slow_response(fm, src.r0.values, basis.eigenvalues, grid)
     return AsymptoticExpansion(
         basis=basis, amplitude=amp, source=src, rho0_profile=p0,
         corners=corners, b1=coeffs["b1"], d=coeffs["d"], b2=coeffs["b2"],

@@ -182,8 +182,8 @@ def config_from_dict(d):
     if np.ndim(omegas) == 0:
         omegas = [omegas]
     omegas = tuple(float(w) for w in omegas)
-    if any(w <= 0 for w in omegas):
-        raise ConfigError("omega values must be positive")
+    if not all(math.isfinite(w) and w > 0 for w in omegas):
+        raise ConfigError("omega values must be positive and finite")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ConfigError("omega values must be strictly increasing")
     tol = dict(DEFAULT_TOLERANCES)
@@ -191,12 +191,17 @@ def config_from_dict(d):
     study = d.get("study", "order")
     if study not in ("order", "roundtrip1", "roundtrip2", "roundtrip3"):
         raise ConfigError(f"unknown study kind {study!r}")
+    grid = GridConfig.from_dict(d.get("grid", {}))
+    observation = ObservationConfig.from_dict(d.get("observation", {}))
+    t0 = observation.t0
+    if study in ("roundtrip2", "roundtrip3") and t0 is not None \
+            and not t0 <= grid.T:
+        raise ConfigError(f"observation t0={t0:g} lies past the final time "
+                          f"T={grid.T:g}")
     return ExperimentConfig(
         basis=BasisConfig.from_dict(d.get("basis", {})),
         source=SourceConfig.from_dict(d.get("source", {})),
-        omegas=omegas,
-        grid=GridConfig.from_dict(d.get("grid", {})),
-        observation=ObservationConfig.from_dict(d.get("observation", {})),
+        omegas=omegas, grid=grid, observation=observation,
         output=OutputConfig.from_dict(d.get("output", {})),
         tolerances=tol, study=study, seed=int(d.get("seed", 0)))
 

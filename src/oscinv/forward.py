@@ -2,20 +2,22 @@
 
 Each mode coefficient obeys a_m'' + lam_m a_m = F_m(t) with zero (or given)
 initial data, solved in closed form through Duhamel integrals.  The integrals
-are evaluated with the cumulative oscillatory product rule, one pass per
-phase-rate component of the drive (the slow mean plus k*omega sidebands per
-harmonic), so accuracy is set by envelope smoothness, not by omega.
+are evaluated with the cumulative oscillatory product rule at the phase rate
+of each drive component (the slow mean plus k*omega sidebands per harmonic),
+all modes and components in one batched kernel, so accuracy is set by
+envelope smoothness, not by omega.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import sympy
 
 from .basis import EigenBasis, SeparableAmplitude, SpatialField
-from .quadrature import cumulative_oscillatory
+from .quadrature import duhamel_batch
 from .sources import OscillatorySource, split_source
 from .traces import TimeTrace, uniform_grid
 
@@ -100,16 +102,14 @@ def duhamel_coefficient(F, lam, grid):
     imaginary part of e^{i sqrt(lam) t} times the running oscillatory integral
     of F against e^{-i sqrt(lam) s}.
     """
-    lam = float(lam)
-    if lam <= 0:
-        raise ValueError("mode eigenvalue must be positive")
     grid = np.asarray(grid, dtype=float)
-    root = np.sqrt(lam)
-    env = F.sample(grid) if isinstance(F, TimeTrace) else np.asarray(F, dtype=float)
-    h = grid[1] - grid[0]
-    Q = cumulative_oscillatory(env, h, -root, t0=grid[0])
-    vals = np.imag(np.exp(1j * root * grid) * Q) / root
-    return TimeTrace(grid, vals)
+    return TimeTrace(grid, duhamel_batch(_envelope(F, grid), [lam], grid)[0])
+
+
+def _envelope(F, grid):
+    if isinstance(F, TimeTrace):
+        return F.sample(grid)
+    return np.asarray(F, dtype=float)
 
 
 def _coerce_amplitude(f):
@@ -130,23 +130,16 @@ def solve_with_initial_data(basis, phi, psi, F, grid):
     phic = basis.project(phi) if phi is not None else np.zeros(basis.M)
     psic = basis.project(psi) if psi is not None else np.zeros(basis.M)
 
-    if F is None:
-        fm = None
-    elif isinstance(F, (SeparableAmplitude, SpatialField, str, sympy.Expr)):
-        fm = _coerce_amplitude(F).mode_traces(basis, grid)
-    else:
-        fm = list(F)
+    roots = np.sqrt(basis.eigenvalues)[:, None]
+    coeffs = phic[:, None] * np.cos(roots * grid) \
+        + psic[:, None] / roots * np.sin(roots * grid)
+    if F is not None:
+        if isinstance(F, (SeparableAmplitude, SpatialField, str, sympy.Expr)):
+            F = _coerce_amplitude(F).mode_traces(basis, grid)
+        fm = [_envelope(tr, grid) for tr in F]
         if len(fm) != basis.M:
             raise ValueError("need one forcing trace per mode")
-
-    roots = np.sqrt(basis.eigenvalues)
-    coeffs = np.empty((basis.M, grid.size))
-    for m in range(basis.M):
-        a = phic[m] * np.cos(roots[m] * grid) \
-            + psic[m] / roots[m] * np.sin(roots[m] * grid)
-        if fm is not None:
-            a = a + duhamel_coefficient(fm[m], basis.eigenvalues[m], grid).values
-        coeffs[m] = a
+        coeffs = coeffs + duhamel_batch(np.array(fm), basis.eigenvalues, grid)
     return SpaceTimeField(basis, grid, coeffs)
 
 
@@ -156,12 +149,13 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
 
     The drive is split into its slow mean and fast harmonics; every harmonic k
     contributes sideband components at phase rates +-k*omega - sqrt(lam_m),
-    each integrated with the oscillatory product rule.  The grid must resolve
-    the fast period (at least MIN_POINTS_PER_PERIOD nodes per period).
+    all integrated with the oscillatory product rule in one batched pass.
+    The grid must resolve the fast period (at least MIN_POINTS_PER_PERIOD
+    nodes per period).
     """
     omega = float(omega)
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not math.isfinite(omega) or omega <= 0:
+        raise ValueError("omega must be positive and finite")
     if grid is None:
         if T is None:
             raise ValueError("give either T or an explicit grid")
@@ -176,25 +170,14 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
                                                      rtol=0, atol=1e-13):
         src = src.resample(grid)
     fm = amp.mode_traces(basis, grid)
-    r0_vals = src.r0.values
-    harm = [(k, kind, c.values) for k, kind, c in src.r1.terms]
-
-    h = grid[1] - grid[0]
-    roots = np.sqrt(basis.eigenvalues)
-    coeffs = np.empty((basis.M, grid.size))
-    for m in range(basis.M):
-        fmv = fm[m].values
-        root = roots[m]
-        Q = cumulative_oscillatory(fmv * r0_vals, h, -root)
-        for k, kind, cvals in harm:
-            env = fmv * cvals
-            plus = cumulative_oscillatory(env, h, k * omega - root)
-            minus = cumulative_oscillatory(env, h, -k * omega - root)
-            if kind == "cos":
-                Q = Q + 0.5 * (plus + minus)
-            else:
-                Q = Q + (plus - minus) / 2j
-        coeffs[m] = np.imag(np.exp(1j * root * grid) * Q) / root
+    # cos = (e^{+} + e^{-})/2, sin = (e^{+} - e^{-})/2i
+    drive = [(0.0, 1.0, src.r0.values)]
+    for k, kind, c in src.r1.terms:
+        a = 0.5 if kind == "cos" else -0.5j
+        drive += [(k * omega, a, c.values),
+                  (-k * omega, a.conjugate(), c.values)]
+    coeffs = duhamel_batch(np.array([tr.values for tr in fm]),
+                           basis.eigenvalues, grid, drive)
 
     fmax = np.array([tr.max_abs for tr in fm])
     tail = float(fmax[-1] / fmax.max()) if fmax.max() > 0 else 0.0

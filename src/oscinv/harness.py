@@ -16,12 +16,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .asymptotics import build_expansion, lambda_profile, residual_norm
+from .asymptotics import build_expansion, residual_norm
 from .basis import SpatialField
 from .config import ExperimentConfig, make_basis, make_source
 from .forward import make_time_grid, solve_direct
 from .inverse import (ObservationData, check_admissibility, ip1_build_targets,
                       ip1_recover, ip2_recover, ip3_recover)
+from .quadrature import duhamel_batch
 from .sources import OscillatorySource, rho0
 from .traces import TimeTrace, uniform_grid
 
@@ -218,8 +219,7 @@ def run_roundtrip(config: ExperimentConfig, which):
 
     elif which == 2:
         i_obs = int(round(t_obs / (dgrid[1] - dgrid[0])))
-        lamv = np.array([lambda_profile(src.r0.values, lam, dgrid).values[i_obs]
-                         for lam in basis.eigenvalues])
+        lamv = duhamel_batch(src.r0.values, basis.eigenvalues, dgrid)[:, i_obs]
         psi = SpatialField(coeffs=fm_flat * lamv, basis=basis)
         t0c = time.perf_counter()
         fld = ip2_recover(psi, src.r0, t_obs, basis)
@@ -237,8 +237,7 @@ def run_roundtrip(config: ExperimentConfig, which):
 
     else:
         i_obs = int(round(t_obs / (dgrid[1] - dgrid[0])))
-        lam_traces = np.vstack([lambda_profile(src.r0.values, lam, dgrid).values
-                                for lam in basis.eigenvalues])
+        lam_traces = duhamel_batch(src.r0.values, basis.eigenvalues, dgrid)
         psi = SpatialField(coeffs=fm_flat * lam_traces[:, i_obs], basis=basis)
         w = _point_weights(basis, obs_cfg.x0)
         phi0 = TimeTrace(dgrid, (fm_flat * w) @ lam_traces)
@@ -279,9 +278,8 @@ def run_roundtrip(config: ExperimentConfig, which):
                              n_tau=config.grid.n_tau)
             runtimes[f"forward_omega_{omega:g}"] = time.perf_counter() - t0c
             fine = u.grid
-            lam_fine = np.vstack([
-                lambda_profile(src.r0.sample(fine), lam, fine).values
-                for lam in basis.eigenvalues])
+            lam_fine = duhamel_batch(src.r0.sample(fine), basis.eigenvalues,
+                                     fine)
             phi0_fine = (fld.coeffs * w) @ lam_fine
             chi_fine = data.chi.resample(fine)
             composite = (phi0_fine + phi1.sample(fine) / omega

@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy
 
-from .asymptotics import expansion_coefficients, lambda_profile
+from .asymptotics import expansion_coefficients
 from .basis import (EigenBasis, SeparableAmplitude, SpatialField,
                     check_boundary_traces)
 from .expressions import T
 from .forward import _coerce_amplitude
+from .quadrature import duhamel_batch
 from .sources import (FastProfile, OscillatorySource, corner_values_from_rho0,
                       rho0, rho1)
 from .traces import TimeTrace, uniform_grid
@@ -108,12 +109,16 @@ class AdmissibilityReport:
         return out
 
 
-def _lambda_values(r0, lams, t0, n_grid=4096):
-    """Lambda_m(t0) for every mode, on a shared fine slow grid."""
-    grid = uniform_grid(float(t0), n_grid)
+def _lambda_profiles(r0, lams, grid):
+    """Lambda_m(t) of every mode on the grid, shape (M, N)."""
     r0v = r0.sample(grid) if isinstance(r0, TimeTrace) else \
         TimeTrace.from_expr(r0, grid).values
-    return np.array([lambda_profile(r0v, lam, grid).values[-1] for lam in lams])
+    return duhamel_batch(r0v, lams, grid)
+
+
+def _lambda_values(r0, lams, t0, n_grid=4096):
+    """Lambda_m(t0) for every mode, on a shared fine slow grid."""
+    return _lambda_profiles(r0, lams, uniform_grid(float(t0), n_grid))[:, -1]
 
 
 def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None,
@@ -260,10 +265,7 @@ def ip3_recover(data, r0, basis, n_grid=4096):
 
     grid = data.phi0.grid if data.phi0 is not None \
         else uniform_grid(float(data.t0), n_grid)
-    r0v = r0.sample(grid) if isinstance(r0, TimeTrace) \
-        else TimeTrace.from_expr(r0, grid).values
-    lam_traces = np.vstack([
-        lambda_profile(r0v, lam, grid).values for lam in basis.eigenvalues])
+    lam_traces = _lambda_profiles(r0, basis.eigenvalues, grid)
     phi0_derived = TimeTrace(grid, (fld.coeffs * w) @ lam_traces)
     fld.meta["phi0_derived"] = phi0_derived
     if data.phi0 is not None:

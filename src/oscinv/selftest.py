@@ -19,7 +19,7 @@ from .basis import (SeparableAmplitude, SpatialField,
                     build_sturm_liouville_basis, check_boundary_traces)
 from .forward import duhamel_coefficient, solve_direct, solve_with_initial_data
 from .inverse import ObservationData, ip1_recover, ip2_recover
-from .quadrature import cumulative_oscillatory
+from .quadrature import cumulative_oscillatory, duhamel_batch
 from .sources import (FastProfile, OscillatorySource, corner_values, rho0,
                       rho1, split_source, tau_mean)
 from .traces import TimeTrace, fd_derivative, uniform_grid
@@ -205,8 +205,7 @@ def _check_ip2_identity():
     grid = uniform_grid(3.0, 3000)
     r0 = TimeTrace.from_expr("1 + t", grid)
     fm = np.array([1.0, 0.0, 0.3, 0.0, 0.05, 0.0])
-    lamv = np.array([lambda_profile(r0, lam, grid).values[-1]
-                     for lam in basis.eigenvalues])
+    lamv = duhamel_batch(r0.values, basis.eigenvalues, grid)[:, -1]
     psi = SpatialField(coeffs=fm * lamv, basis=basis)
     fld = ip2_recover(psi, r0, 3.0, basis)
     return float(np.max(np.abs(fld.coeffs - fm))), 1e-10

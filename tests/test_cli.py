@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import oscinv
 from oscinv.asymptotics import build_expansion, lambda_profile
 from oscinv.cli import main
 from oscinv.basis import build_dirichlet_interval_basis
@@ -75,6 +77,36 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
 def test_missing_config_exits_2(tmp_path):
     assert main(["study", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def _roundtrip_config(tmp_path, study, **overrides):
+    d = dict(basis={"domain": "interval", "lengths": [PI], "M": 4},
+             source={"f": "sin(x) + 0.3*sin(3*x)", "r0": "1 + t"},
+             grid={"T": 3.0, "trace_h": 1e-3},
+             observation={"x0": PI / 2, "t0": 3.0}, study=study)
+    d.update(overrides)
+    return _write_config(tmp_path, name=f"{study}.json", **d)
+
+
+@pytest.mark.parametrize("command, study", [("forward", "order"),
+                                            ("study", "roundtrip2")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_omega_exits_2(tmp_path, capsys, command, study, bad):
+    cfg = _roundtrip_config(tmp_path, study, omega=[bad])
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("study", ["roundtrip2", "roundtrip3"])
+def test_observation_after_final_time_exits_2(tmp_path, capsys, study):
+    cfg = _roundtrip_config(tmp_path, study,
+                            observation={"x0": PI / 2, "t0": 5.0})
+    assert main(["study", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t0=5" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_output_dir_override(tmp_path):
@@ -195,8 +227,13 @@ def test_selftest_subset(capsys):
 
 
 def test_console_script_runs():
+    # the child finds the package under test even from an uninstalled checkout
+    pkg_root = os.path.dirname(os.path.dirname(oscinv.__file__))
+    path = os.pathsep.join(filter(None, [pkg_root,
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "oscinv.cli", "selftest", "--only",
          "corner_values_example"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0

@@ -60,6 +60,21 @@ def test_omega_must_be_positive():
         config_from_dict(dict(GOOD, omega=[-10.0, 50.0]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_omega_must_be_finite(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        config_from_dict(dict(GOOD, omega=[50.0, bad]))
+
+
+@pytest.mark.parametrize("study", ["roundtrip2", "roundtrip3"])
+def test_observation_time_within_horizon(study):
+    late = {"x0": PI / 2, "t0": 3.5}
+    with pytest.raises(ConfigError, match="final time"):
+        config_from_dict(dict(GOOD, study=study, observation=late))
+    cfg = config_from_dict(dict(GOOD, study=study))
+    assert cfg.observation.t0 == cfg.grid.T
+
+
 def test_scalar_omega_promoted():
     cfg = config_from_dict(dict(GOOD, omega=100.0))
     assert cfg.omegas == (100.0,)

@@ -74,6 +74,12 @@ def test_solve_direct_rejects_coarse_explicit_grid(single_mode_basis):
         solve_direct(single_mode_basis, "sin(x)", "cos(tau)", 500.0, grid=grid)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_solve_direct_rejects_bad_omega(single_mode_basis, bad):
+    with pytest.raises(ValueError, match="finite"):
+        solve_direct(single_mode_basis, "sin(x)", "cos(tau)", bad, T=1.0)
+
+
 # -- free oscillation and zero data ------------------------------------------
 
 
