@@ -3,11 +3,9 @@ equations driven by rapidly oscillating sources."""
 
 from .basis import (EigenBasis, SeparableAmplitude, SpatialField,
                     build_dirichlet_interval_basis, build_rectangle_basis,
-                    build_sturm_liouville_basis, check_boundary_traces,
-                    project, synthesize)
+                    build_sturm_liouville_basis, check_boundary_traces)
 from .asymptotics import (AsymptoticExpansion, build_expansion,
-                          evaluate_expansion, expansion_coefficients,
-                          lambda_profile, residual_norm)
+                          expansion_coefficients, residual_norm)
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      load_config, load_observation, make_basis, make_source)
 from .forward import (SpaceTimeField, UnderResolvedError, duhamel_coefficient,
@@ -29,10 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "EigenBasis", "SeparableAmplitude", "SpatialField",
     "build_dirichlet_interval_basis", "build_rectangle_basis",
-    "build_sturm_liouville_basis", "check_boundary_traces", "project",
-    "synthesize",
-    "AsymptoticExpansion", "build_expansion", "evaluate_expansion",
-    "expansion_coefficients", "lambda_profile", "residual_norm",
+    "build_sturm_liouville_basis", "check_boundary_traces",
+    "AsymptoticExpansion", "build_expansion", "expansion_coefficients",
+    "residual_norm",
     "ConfigError", "ExperimentConfig", "config_from_dict", "load_config",
     "load_observation", "make_basis", "make_source",
     "SpaceTimeField", "UnderResolvedError", "duhamel_coefficient",

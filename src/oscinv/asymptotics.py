@@ -25,23 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EigenBasis, SeparableAmplitude
-from .forward import SpaceTimeField, duhamel_coefficient, _coerce_amplitude
+from .forward import SpaceTimeField, _coerce_amplitude
 from .quadrature import duhamel_batch
-from .sources import FastProfile, OscillatorySource, corner_values, rho0, rho1, split_source
+from .sources import FastProfile, OscillatorySource, corner_values, rho0, split_source
 from .traces import TimeTrace
 
 __all__ = [
-    "AsymptoticExpansion", "lambda_profile", "expansion_coefficients",
-    "build_expansion", "evaluate_expansion", "residual_norm",
+    "AsymptoticExpansion", "expansion_coefficients", "build_expansion",
+    "residual_norm",
 ]
-
-
-def lambda_profile(r0, lam, grid):
-    """Mode response Lambda(t) to the slow drive: a'' + lam a = r0, zero data.
-
-    Lambda(t) = lam^{-1/2} int_0^t r0(s) sin(sqrt(lam)(t-s)) ds.
-    """
-    return duhamel_coefficient(r0, lam, grid)
 
 
 def _slow_response(fm_traces, r0v, lams, grid):
@@ -121,9 +113,7 @@ class AsymptoticExpansion:
 
     def trace_components(self, x0, tgrid):
         """(phi0, phi1, phi2, chi) of the expansion at a fixed spatial point."""
-        x0a = np.atleast_1d(np.asarray(x0, dtype=float))
-        pts = x0a.reshape(1, -1) if self.basis.dim > 1 else x0a[:1]
-        modes = self.basis.eval_modes(pts).ravel()
+        modes = self.basis.point_weights(x0)
         tgrid = np.asarray(tgrid, dtype=float)
         phi0 = TimeTrace(tgrid, self.u0_on(tgrid).T @ modes)
         c1, c2 = self.correction_coeffs(tgrid)
@@ -148,11 +138,6 @@ def build_expansion(basis, f, r, grid, n_tau=256):
         basis=basis, amplitude=amp, source=src, rho0_profile=p0,
         corners=corners, b1=coeffs["b1"], d=coeffs["d"], b2=coeffs["b2"],
         grid=grid, u0_coeffs=u0)
-
-
-def evaluate_expansion(expansion, omega, points, tgrid, order=2):
-    """Module-level convenience wrapper around AsymptoticExpansion.evaluate."""
-    return expansion.evaluate(omega, points, tgrid, order=order)
 
 
 def residual_norm(u_field, expansion, omega, order=2, n_space=64,

@@ -19,16 +19,27 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
 from . import expressions
-from .expressions import SPACE_SYMBOLS, T, X, X1, X2
+from .expressions import SPACE_SYMBOLS, X
 from .quadrature import gauss_panel_rule
 from .traces import TimeTrace
 
 __all__ = [
     "EigenBasis", "SpatialField", "SeparableAmplitude", "BoundaryTraceReport",
     "build_dirichlet_interval_basis", "build_rectangle_basis",
-    "build_sturm_liouville_basis", "project", "synthesize",
-    "check_boundary_traces",
+    "build_sturm_liouville_basis", "check_boundary_traces",
 ]
+
+
+def _observation_points(x0, dim):
+    """x0 as the point array eval_modes takes; ValueError unless x0 is dim
+    finite numbers."""
+    if x0 is None:
+        raise ValueError("no observation point x0 given")
+    x0a = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0a.shape != (dim,) or not np.all(np.isfinite(x0a)):
+        raise ValueError(f"observation point x0 must be {dim} finite "
+                         f"number(s), got {x0!r}")
+    return x0a.reshape(1, -1) if dim > 1 else x0a
 
 
 def _as_space_expr(obj):
@@ -66,10 +77,6 @@ class EigenBasis:
     def dim(self):
         return len(self.lengths)
 
-    @property
-    def space_names(self):
-        return ("x",) if self.dim == 1 else ("x1", "x2", "x3")[: self.dim]
-
     # -- eigenfunction evaluation --------------------------------------
 
     def _sl_splines(self):
@@ -102,6 +109,14 @@ class EigenBasis:
             return out
         splines = self._sl_splines()
         return np.vstack([sp(pts) for sp in splines])
+
+    def point_weights(self, x0):
+        """Eigenfunction values y_m(x0) at one observation point, shape (M,).
+
+        Raises ValueError when x0 is None, non-finite, or of a length other
+        than the basis dimension.
+        """
+        return self.eval_modes(_observation_points(x0, self.dim)).ravel()
 
     def modes_at_nodes(self):
         mat = self._cache.get("modes_at_nodes")
@@ -313,16 +328,6 @@ class SpatialField:
         return self.evaluate(points)
 
 
-def project(obj, basis):
-    """Mode coefficients of a field (SpatialField, callable, or node values)."""
-    return basis.project(obj)
-
-
-def synthesize(coeffs, basis, points):
-    """Evaluate a coefficient vector as a function at the given points."""
-    return basis.synthesize(coeffs, points)
-
-
 @dataclass(eq=False)
 class SeparableAmplitude:
     """Space-time amplitude written as a sum of g_i(t) * X_i(x) terms."""
@@ -358,9 +363,12 @@ class SeparableAmplitude:
         return out
 
     def at_point(self, x0, grid):
-        """Trace of the amplitude at a fixed spatial point."""
-        x0a = np.atleast_1d(np.asarray(x0, dtype=float))
-        pts = x0a.reshape(1, -1) if x0a.size > 1 else x0a
+        """Trace of the amplitude at a fixed spatial point.
+
+        x0 is checked as in EigenBasis.point_weights, with the dimension
+        taken from its own length.
+        """
+        pts = _observation_points(x0, np.size(x0))
         e = sympy.Integer(0)
         for g, xf in self.terms:
             e = e + sympy.Float(float(np.asarray(xf.evaluate(pts)).ravel()[0])) * g

@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .basis import SpatialField
-from .config import (ConfigError, load_config, load_observation, make_basis,
-                     make_source)
+from .config import (ConfigError, _parse_x0, load_config, load_observation,
+                     make_basis, make_source)
 from .expressions import ExpressionError
 from .forward import UnderResolvedError, make_time_grid, solve_direct
-from .harness import (emit_report, format_float, json_bytes, run_order_study,
-                      run_roundtrip)
+from .harness import (_write_bytes, _write_csv, emit_report, json_bytes,
+                      run_order_study, run_roundtrip)
 from .inverse import (AdmissibilityError, check_admissibility, ip1_recover,
                       ip2_recover, ip3_recover)
 from .selftest import run_selftest
@@ -31,24 +32,15 @@ _USAGE_ERRORS = (ConfigError, AdmissibilityError, UnderResolvedError,
                  ExpressionError, FileNotFoundError)
 
 
-def _write_bytes(path, payload):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-    return path
-
-
-def _write_table(path, columns, arrays):
-    rows = np.column_stack(arrays)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    return _write_bytes(path, ("\n".join(lines) + "\n").encode())
-
-
 def _out_path(cfg, stem, ext):
     return os.path.join(cfg.output.dir, f"{cfg.output.prefix}_{stem}.{ext}")
+
+
+def _write_recovered_r1(cfg, r1):
+    cols = ["t"] + [f"{kind}{k}" for k, kind, _ in r1.terms]
+    arrays = [r1.grid] + [tr.values for _, _, tr in r1.terms]
+    _write_csv(_out_path(cfg, "recovered_r1", "csv"), cols,
+               np.column_stack(arrays))
 
 
 def _point_label(p):
@@ -68,27 +60,14 @@ def _cmd_forward(cfg):
                          n_tau=cfg.grid.n_tau)
         coarse = u.subsample(cfg.grid.n_out)
         pts = basis.interior_sample_points(9)
-        pt_list = list(pts) if basis.dim == 1 else [tuple(p) for p in pts]
         vals = coarse.evaluate(pts)
-        columns = ["t"] + [_point_label(p) for p in pt_list]
+        columns = ["t"] + [_point_label(p) for p in pts]
         arrays = [coarse.grid] + [vals[:, j] for j in range(vals.shape[1])]
         path = _out_path(cfg, f"forward_omega{omega:g}", "csv")
-        _write_table(path, columns, arrays)
+        _write_csv(path, columns, np.column_stack(arrays))
         print(f"wrote {path} (mode tail ratio "
               f"{u.meta['mode_tail_ratio']:.2e})")
     return 0
-
-
-def _cmd_order_study(cfg):
-    report = run_order_study(cfg)
-    csv_path = emit_report(report, _out_path(cfg, "order_study", "csv"))
-    json_path = emit_report(report, _out_path(cfg, "order_study", "json"))
-    for crit in report.criteria:
-        status = "PASS" if crit.passed else "FAIL"
-        print(f"{status} {crit.name}: {crit.value:.6g} "
-              f"(threshold {crit.threshold:.6g}, {crit.op})")
-    print(f"wrote {csv_path} and {json_path}")
-    return 0 if report.passed else 1
 
 
 def _cmd_invert(cfg, which, data_path):
@@ -98,20 +77,23 @@ def _cmd_invert(cfg, which, data_path):
     probe = uniform_grid(cfg.grid.T, 64)
     amp, src = make_source(cfg.source, probe, n_tau=cfg.grid.n_tau)
     data = load_observation(data_path, basis=basis)
-    t0 = data.t0 if data.t0 is not None else cfg.observation.t0
-    x0 = data.x0 if data.x0 is not None else cfg.observation.x0
+    if data.t0 is None:
+        data.t0 = cfg.observation.t0
+    if data.x0 is None:
+        data.x0 = _parse_x0(cfg.observation.x0, basis.dim)
+    t0, x0 = data.t0, data.x0
+    for name, value, needed_by in (("x0", x0, (1, 3)), ("t0", t0, (2, 3))):
+        if value is None and which in needed_by:
+            raise ConfigError(f"invert{which} needs {name} in --data or in "
+                              f"the config's observation")
 
     if which == 1:
         if data.phi0 is None:
             raise ConfigError("invert1 data needs phi0")
-        rec = ip1_recover(
-            type(data)(phi0=data.phi0, chi=data.chi, psi=data.psi,
-                       x0=x0, t0=t0), amp, basis)
-        _write_table(_out_path(cfg, "recovered_r0", "csv"),
-                     ["t", "r0"], [rec.r0.grid, rec.r0.values])
-        cols = ["t"] + [f"{kind}{k}" for k, kind, _ in rec.r1.terms]
-        arrays = [rec.r1.grid] + [tr.values for _, _, tr in rec.r1.terms]
-        _write_table(_out_path(cfg, "recovered_r1", "csv"), cols, arrays)
+        rec = ip1_recover(data, amp, basis)
+        _write_csv(_out_path(cfg, "recovered_r0", "csv"), ["t", "r0"],
+                   np.column_stack([rec.r0.grid, rec.r0.values]))
+        _write_recovered_r1(cfg, rec.r1)
         rep = check_admissibility(r0=rec.r0, t0=t0 or rec.r0.t_end,
                                   basis=basis, f=amp, x0=x0)
         _write_bytes(_out_path(cfg, "admissibility", "json"),
@@ -120,21 +102,23 @@ def _cmd_invert(cfg, which, data_path):
               f"{len(rec.r1.terms)} fast term(s)")
         return 0
 
-    grid = uniform_grid(float(t0), 4096)
+    grid = uniform_grid(t0, 4096)
     _, src_t = make_source(cfg.source, grid, n_tau=cfg.grid.n_tau)
     r0 = src_t.r0
     if which == 2:
         if data.psi is None:
             raise ConfigError("invert2 data needs psi")
-        fld = ip2_recover(data.psi, r0, float(t0), basis)
-        idx = [str(i) for i in basis.mode_index]
-        _write_table(_out_path(cfg, "recovered_f", "csv"),
-                     ["mode", "lambda", "coeff"],
-                     [np.arange(1, basis.M + 1), basis.eigenvalues,
-                      fld.coeffs])
-        rep = check_admissibility(r0=r0, t0=float(t0), basis=basis,
-                                  f=SpatialField(coeffs=fld.coeffs,
-                                                 basis=basis), x0=x0)
+        fld = ip2_recover(data.psi, r0, t0, basis)
+    else:
+        fld, r1 = ip3_recover(data, r0, basis)
+        _write_recovered_r1(cfg, r1)
+    _write_csv(_out_path(cfg, "recovered_f", "csv"),
+               ["mode", "lambda", "coeff"], np.column_stack(
+                   [np.arange(1, basis.M + 1), basis.eigenvalues, fld.coeffs]))
+    rep = check_admissibility(r0=r0, t0=t0, basis=basis,
+                              f=SpatialField(coeffs=fld.coeffs, basis=basis),
+                              x0=x0)
+    if which == 2:
         breport = fld.meta["boundary_report"]
         _write_bytes(_out_path(cfg, "admissibility", "json"), json_bytes({
             "admissibility": rep.to_dict(),
@@ -142,22 +126,10 @@ def _cmd_invert(cfg, which, data_path):
                 "orders": list(breport.orders),
                 "sup_boundary": list(breport.sup_boundary),
                 "passed": breport.passed},
-            "mode_index": idx}))
+            "mode_index": [str(i) for i in basis.mode_index]}))
         print(f"recovered {basis.M} amplitude coefficients")
         return 0
 
-    fld, r1 = ip3_recover(
-        type(data)(phi0=data.phi0, chi=data.chi, psi=data.psi,
-                   x0=x0, t0=float(t0)), r0, basis)
-    _write_table(_out_path(cfg, "recovered_f", "csv"),
-                 ["mode", "lambda", "coeff"],
-                 [np.arange(1, basis.M + 1), basis.eigenvalues, fld.coeffs])
-    cols = ["t"] + [f"{kind}{k}" for k, kind, _ in r1.terms]
-    arrays = [r1.grid] + [tr.values for _, _, tr in r1.terms]
-    _write_table(_out_path(cfg, "recovered_r1", "csv"), cols, arrays)
-    rep = check_admissibility(r0=r0, t0=float(t0), basis=basis,
-                              f=SpatialField(coeffs=fld.coeffs, basis=basis),
-                              x0=x0)
     payload = {"admissibility": rep.to_dict()}
     if "phi0_consistency" in fld.meta:
         payload["phi0_consistency"] = fld.meta["phi0_consistency"]
@@ -167,17 +139,18 @@ def _cmd_invert(cfg, which, data_path):
     return 0
 
 
-def _cmd_study(cfg):
-    if cfg.study == "order":
-        return _cmd_order_study(cfg)
-    which = int(cfg.study[-1])
-    report = run_roundtrip(cfg, which)
-    emit_report(report, _out_path(cfg, cfg.study, "csv"))
-    emit_report(report, _out_path(cfg, cfg.study, "json"))
+def _cmd_study(cfg, study):
+    if study == "order":
+        report, stem = run_order_study(cfg), "order_study"
+    else:
+        report, stem = run_roundtrip(cfg, int(study[-1])), study
+    csv_path = emit_report(report, _out_path(cfg, stem, "csv"))
+    json_path = emit_report(report, _out_path(cfg, stem, "json"))
     for crit in report.criteria:
         status = "PASS" if crit.passed else "FAIL"
         print(f"{status} {crit.name}: {crit.value:.6g} "
               f"(threshold {crit.threshold:.6g}, {crit.op})")
+    print(f"wrote {csv_path} and {json_path}")
     return 0 if report.passed else 1
 
 
@@ -213,14 +186,13 @@ def main(argv=None):
             return _cmd_selftest(args.only)
         cfg = load_config(args.config)
         if args.output_dir is not None:
-            from dataclasses import replace
             cfg = replace(cfg, output=replace(cfg.output, dir=args.output_dir))
         if args.command == "forward":
             return _cmd_forward(cfg)
         if args.command == "asymptotics":
-            return _cmd_order_study(cfg)
+            return _cmd_study(cfg, "order")
         if args.command == "study":
-            return _cmd_study(cfg)
+            return _cmd_study(cfg, cfg.study)
         return _cmd_invert(cfg, int(args.command[-1]), args.data)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

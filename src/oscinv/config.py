@@ -8,6 +8,7 @@ runs fail before any numerics start.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -28,7 +29,6 @@ __all__ = ["ConfigError", "BasisConfig", "SourceConfig", "GridConfig",
            "load_observation"]
 
 DEFAULT_TOLERANCES = {
-    "forward_rel": 1e-6,
     "slope_order2_max": -2.5,
     "slope_order0_max": -0.9,
     "scaled_residual_decreasing": True,
@@ -49,6 +49,34 @@ def _take(d, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {sorted(extra)}")
 
 
+@contextlib.contextmanager
+def _bad_data(what):
+    """Report a failure to convert outside data as a one-line ConfigError;
+    also a decorator for functions whose whole job is that conversion."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"bad {what}: {detail}") from None
+
+
+def _parse_x0(x0, dim):
+    """An observation point as a float, or a tuple of floats when given as a
+    list; None when absent.  dim is the domain dimension, None if unknown."""
+    if x0 is None:
+        return None
+    listed = isinstance(x0, (list, tuple))
+    pts = tuple(float(v) for v in (x0 if listed else [x0]))
+    if not pts or not all(map(math.isfinite, pts)) \
+            or dim not in (None, len(pts)):
+        raise ConfigError(f"observation point x0={x0!r} must be "
+                          f"{dim or 'one or more'} finite number(s)")
+    return pts if listed else pts[0]
+
+
 @dataclass(frozen=True)
 class BasisConfig:
     domain: str = "interval"
@@ -65,8 +93,8 @@ class BasisConfig:
         if domain not in ("interval", "rectangle", "sturm_liouville"):
             raise ConfigError(f"unknown domain {domain!r}")
         lengths = tuple(float(v) for v in d.get("lengths", (math.pi,)))
-        if any(v <= 0 for v in lengths):
-            raise ConfigError("domain lengths must be positive")
+        if not lengths or not all(math.isfinite(v) and v > 0 for v in lengths):
+            raise ConfigError("domain lengths must be positive and finite")
         M = int(d.get("M", 8))
         if M < 1:
             raise ConfigError("M must be at least 1")
@@ -120,8 +148,8 @@ class GridConfig:
               "grid")
         T = float(d.get("T", 3.0))
         ppp = int(d.get("points_per_period", 32))
-        if T <= 0:
-            raise ConfigError("T must be positive")
+        if not (math.isfinite(T) and T > 0):
+            raise ConfigError("T must be positive and finite")
         if ppp < MIN_POINTS_PER_PERIOD:
             raise ConfigError(
                 f"points_per_period={ppp} makes the time step exceed "
@@ -138,28 +166,20 @@ class ObservationConfig:
     @classmethod
     def from_dict(cls, d):
         _take(d, ("x0", "t0"), "observation")
-        x0 = d.get("x0")
-        if isinstance(x0, (list, tuple)):
-            x0 = tuple(float(v) for v in x0)
-        elif x0 is not None:
-            x0 = float(x0)
         t0 = d.get("t0")
-        return cls(x0, None if t0 is None else float(t0))
+        return cls(_parse_x0(d.get("x0"), None),
+                   None if t0 is None else float(t0))
 
 
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str = "."
     prefix: str = "run"
-    fmt: str = "csv"
 
     @classmethod
     def from_dict(cls, d):
-        _take(d, ("dir", "prefix", "format"), "output")
-        fmt = d.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {fmt!r}")
-        return cls(str(d.get("dir", ".")), str(d.get("prefix", "run")), fmt)
+        _take(d, ("dir", "prefix"), "output")
+        return cls(str(d.get("dir", ".")), str(d.get("prefix", "run")))
 
 
 @dataclass(frozen=True)
@@ -172,38 +192,45 @@ class ExperimentConfig:
     output: OutputConfig = dc_field(default_factory=OutputConfig)
     tolerances: dict = dc_field(default_factory=dict)
     study: str = "order"
-    seed: int = 0          # reserved; every pipeline is deterministic
 
 
+@_bad_data("config")
 def config_from_dict(d):
     _take(d, ("basis", "source", "omega", "grid", "observation", "output",
-              "tolerances", "study", "seed"), "config")
+              "tolerances", "study"), "config")
     omegas = d.get("omega", [100.0])
     if np.ndim(omegas) == 0:
         omegas = [omegas]
     omegas = tuple(float(w) for w in omegas)
-    if not all(math.isfinite(w) and w > 0 for w in omegas):
+    if not omegas or not all(math.isfinite(w) and w > 0 for w in omegas):
         raise ConfigError("omega values must be positive and finite")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ConfigError("omega values must be strictly increasing")
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(d.get("tolerances", {}))
+    tol = d.get("tolerances", {})
+    _take(tol, DEFAULT_TOLERANCES, "tolerances")
+    bad = sorted(k for k, v in tol.items() if not isinstance(v, (int, float)))
+    if bad:
+        raise ConfigError(f"tolerance(s) {bad} must be numbers")
     study = d.get("study", "order")
     if study not in ("order", "roundtrip1", "roundtrip2", "roundtrip3"):
         raise ConfigError(f"unknown study kind {study!r}")
+    basis = BasisConfig.from_dict(d.get("basis", {}))
     grid = GridConfig.from_dict(d.get("grid", {}))
     observation = ObservationConfig.from_dict(d.get("observation", {}))
+    if study in ("roundtrip1", "roundtrip3") and observation.x0 is None:
+        raise ConfigError(f"{study} needs observation.x0")
+    if study != "order":
+        _parse_x0(observation.x0, 2 if basis.domain == "rectangle" else 1)
     t0 = observation.t0
     if study in ("roundtrip2", "roundtrip3") and t0 is not None \
             and not t0 <= grid.T:
         raise ConfigError(f"observation t0={t0:g} lies past the final time "
                           f"T={grid.T:g}")
     return ExperimentConfig(
-        basis=BasisConfig.from_dict(d.get("basis", {})),
-        source=SourceConfig.from_dict(d.get("source", {})),
+        basis=basis, source=SourceConfig.from_dict(d.get("source", {})),
         omegas=omegas, grid=grid, observation=observation,
         output=OutputConfig.from_dict(d.get("output", {})),
-        tolerances=tol, study=study, seed=int(d.get("seed", 0)))
+        tolerances=dict(DEFAULT_TOLERANCES, **tol), study=study)
 
 
 def load_config(path):
@@ -217,6 +244,7 @@ def load_config(path):
     return config_from_dict(raw)
 
 
+@_bad_data("basis")
 def make_basis(cfg: BasisConfig):
     if cfg.domain == "interval":
         return build_dirichlet_interval_basis(cfg.lengths[0], cfg.M)
@@ -230,22 +258,19 @@ def make_basis(cfg: BasisConfig):
 
 def make_source(cfg: SourceConfig, grid, n_tau=256):
     """Realize (amplitude, drive) on the given time grid."""
-    try:
+    with _bad_data("amplitude"):
         amp = SeparableAmplitude.from_expr(cfg.f)
-    except ValueError as exc:
-        raise ConfigError(f"bad amplitude: {exc}") from None
-    try:
+    with _bad_data("drive"):
         if cfg.r is not None:
             src = split_source(cfg.r, grid, n_tau=n_tau)
         else:
             r0 = TimeTrace.from_expr(cfg.r0, grid)
             r1 = FastProfile.from_specs(cfg.r1, grid)
             src = OscillatorySource(r0, r1)
-    except ValueError as exc:
-        raise ConfigError(f"bad drive: {exc}") from None
     return amp, src
 
 
+@_bad_data("observation data")
 def load_observation(obj, basis=None):
     """Observation data from a dict or JSON path.
 
@@ -261,11 +286,7 @@ def load_observation(obj, basis=None):
             raise ConfigError(f"cannot read data file: {exc}") from None
     _take(obj, ("x0", "t0", "phi0", "chi", "psi", "chi_grid"), "data")
 
-    x0 = obj.get("x0")
-    if isinstance(x0, (list, tuple)):
-        x0 = tuple(float(v) for v in x0)
-    elif x0 is not None:
-        x0 = float(x0)
+    x0 = _parse_x0(obj.get("x0"), basis.dim if basis is not None else None)
     t0 = obj.get("t0")
     t0 = None if t0 is None else float(t0)
 

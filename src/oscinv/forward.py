@@ -18,7 +18,7 @@ import sympy
 
 from .basis import EigenBasis, SeparableAmplitude, SpatialField
 from .quadrature import duhamel_batch
-from .sources import OscillatorySource, split_source
+from .sources import split_source
 from .traces import TimeTrace, uniform_grid
 
 __all__ = [
@@ -79,10 +79,7 @@ class SpaceTimeField:
         return self.coeffs.T @ self.basis.eval_modes(points)
 
     def trace_at(self, x0):
-        x0a = np.atleast_1d(np.asarray(x0, dtype=float))
-        pts = x0a.reshape(1, -1) if self.basis.dim > 1 else x0a[:1]
-        vals = (self.coeffs.T @ self.basis.eval_modes(pts)).ravel()
-        return TimeTrace(self.grid, vals)
+        return TimeTrace(self.grid, self.coeffs.T @ self.basis.point_weights(x0))
 
     def field_at_end(self):
         return SpatialField(coeffs=self.coeffs[:, -1].copy(), basis=self.basis)

@@ -8,7 +8,6 @@ with 17 significant digits).
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import time
@@ -18,7 +17,7 @@ import numpy as np
 
 from .asymptotics import build_expansion, residual_norm
 from .basis import SpatialField
-from .config import ExperimentConfig, make_basis, make_source
+from .config import ConfigError, ExperimentConfig, make_basis, make_source
 from .forward import make_time_grid, solve_direct
 from .inverse import (ObservationData, check_admissibility, ip1_build_targets,
                       ip1_recover, ip2_recover, ip3_recover)
@@ -73,8 +72,10 @@ class StudyReport:
     def passed(self):
         return all(c.passed for c in self.criteria)
 
-    def to_dict(self, include_runtimes=False):
-        out = {
+    def to_dict(self):
+        # wall-clock runtimes stay out, keeping emitted bytes identical
+        # across reruns of the same configuration
+        return {
             "kind": self.kind,
             "columns": list(self.columns),
             "rows": [list(r) for r in self.rows],
@@ -82,11 +83,6 @@ class StudyReport:
             "passed": bool(self.passed),
             "meta": self.meta,
         }
-        # wall-clock numbers are reported on demand only, keeping emitted
-        # bytes identical across reruns of the same configuration
-        if include_runtimes:
-            out["runtimes"] = self.runtimes
-        return out
 
 
 def _cmp(name, value, threshold, op):
@@ -129,7 +125,7 @@ def run_order_study(config: ExperimentConfig):
 
     tol = config.tolerances
     criteria = []
-    slope0 = slope2 = None
+    slope0 = slope2 = float("nan")
     if len(config.omegas) >= 3:
         slope0 = fit_slope(config.omegas, res0)
         slope2 = fit_slope(config.omegas, res2)
@@ -142,10 +138,7 @@ def run_order_study(config: ExperimentConfig):
         drops = np.diff(scaled)
         criteria.append(_cmp("omega2_residual_max_increase",
                              float(drops.max()), 0.0, "<"))
-    full_rows = tuple(
-        (w, a, b, slope0 if slope0 is not None else float("nan"),
-         slope2 if slope2 is not None else float("nan"))
-        for (w, a, b) in rows)
+    full_rows = tuple((w, a, b, slope0, slope2) for (w, a, b) in rows)
     return StudyReport(
         kind="order",
         columns=("omega", "residual_order0", "residual_order2",
@@ -154,20 +147,17 @@ def run_order_study(config: ExperimentConfig):
         meta={"M": basis.M, "T": config.grid.T})
 
 
-def _point_weights(basis, x0):
-    x0a = np.atleast_1d(np.asarray(x0, dtype=float))
-    pts = x0a.reshape(1, -1) if basis.dim > 1 else x0a[:1]
-    return basis.eval_modes(pts).ravel()
+def _r1_coeff_error(rec, truth):
+    """Sup error over every fast coefficient present in either profile."""
+    keys = {(k, kind) for k, kind, _ in truth.terms} \
+        | {(k, kind) for k, kind, _ in rec.terms}
+    return max(((rec.coefficient(k, kind) - truth.coefficient(k, kind)).max_abs
+                for k, kind in sorted(keys)), default=0.0)
 
 
-def _synthesize_ip1_data(basis, amp, src, obs, grid):
-    """phi0 = u0(x0, .) and chi = f(x0, .) * rho0 on the data grid."""
-    expansion = build_expansion(basis, amp, src, grid)
-    w = _point_weights(basis, obs.x0)
-    phi0 = TimeTrace(grid, expansion.u0_on(grid).T @ w)
-    f_x0 = amp.at_point(obs.x0, grid)
-    chi = rho0(src.r1).resample(grid).scaled(f_x0)
-    return phi0, chi
+def _fm_rel_error(coeffs, fm_flat):
+    scale = max(1.0, float(np.max(np.abs(fm_flat))))
+    return float(np.max(np.abs(coeffs - fm_flat))) / scale
 
 
 def run_roundtrip(config: ExperimentConfig, which):
@@ -186,16 +176,25 @@ def run_roundtrip(config: ExperimentConfig, which):
     rows = []
     meta = {"M": basis.M, "t0": t_obs}
 
-    if which in (2, 3) and not amp.time_invariant:
-        raise ValueError("amplitude recovery round trips need a "
-                         "time-invariant f")
     if which in (2, 3):
+        if not amp.time_invariant:
+            raise ConfigError("amplitude recovery round trips need a "
+                              "time-invariant f")
         fm_flat = np.array([tr.value_at_start(0)
                             for tr in amp.mode_traces(basis, dgrid)])
+        i_obs = int(round(t_obs / (dgrid[1] - dgrid[0])))
+        lam_traces = duhamel_batch(src.r0.values, basis.eigenvalues, dgrid)
+        psi = SpatialField(coeffs=fm_flat * lam_traces[:, i_obs], basis=basis)
 
     if which == 1:
         t0c = time.perf_counter()
-        phi0, chi = _synthesize_ip1_data(basis, amp, src, obs_cfg, dgrid)
+        # phi0 = u0(x0, .) and chi = f(x0, .) * rho0; the expansion is not
+        # kept, so its (M, N) arrays are freed before the Volterra march
+        w = basis.point_weights(obs_cfg.x0)
+        phi0 = TimeTrace(dgrid, build_expansion(basis, amp, src, dgrid)
+                         .u0_on(dgrid).T @ w)
+        f_x0 = amp.at_point(obs_cfg.x0, dgrid)
+        chi = rho0(src.r1).resample(dgrid).scaled(f_x0)
         data = ObservationData(phi0=phi0, chi=chi, x0=obs_cfg.x0, t0=t_obs)
         runtimes["synthesize"] = time.perf_counter() - t0c
         t0c = time.perf_counter()
@@ -203,43 +202,26 @@ def run_roundtrip(config: ExperimentConfig, which):
         runtimes["invert"] = time.perf_counter() - t0c
 
         r0_err = float(np.max(np.abs(rec.r0.values - src.r0.sample(dgrid))))
-        r1_err = 0.0
-        keys = {(k, kind) for k, kind, _ in src.r1.terms} \
-            | {(k, kind) for k, kind, _ in rec.r1.terms}
-        truth = src.r1.resample(dgrid)
-        for k, kind in sorted(keys):
-            diff = rec.r1.coefficient(k, kind) - truth.coefficient(k, kind)
-            r1_err = max(r1_err, diff.max_abs)
+        r1_err = _r1_coeff_error(rec.r1, src.r1.resample(dgrid))
         criteria.append(_cmp("r0_sup_error", r0_err, tol["r0_sup"], "<="))
         criteria.append(_cmp("r1_coeff_error", r1_err, tol["r1_coeff"], "<="))
         rows = ((r0_err, r1_err),)
         columns = ("r0_sup_error", "r1_coeff_error")
-        meta["admissibility"] = check_admissibility(
-            f=amp, x0=obs_cfg.x0, t0=t_obs).to_dict()
 
     elif which == 2:
-        i_obs = int(round(t_obs / (dgrid[1] - dgrid[0])))
-        lamv = duhamel_batch(src.r0.values, basis.eigenvalues, dgrid)[:, i_obs]
-        psi = SpatialField(coeffs=fm_flat * lamv, basis=basis)
         t0c = time.perf_counter()
         fld = ip2_recover(psi, src.r0, t_obs, basis)
         runtimes["invert"] = time.perf_counter() - t0c
-        scale = max(1.0, float(np.max(np.abs(fm_flat))))
-        fm_err = float(np.max(np.abs(fld.coeffs - fm_flat))) / scale
+        fm_err = _fm_rel_error(fld.coeffs, fm_flat)
         criteria.append(_cmp("fm_rel_error", fm_err, tol["fm_rel"], "<="))
         boundary = fld.meta["boundary_report"]
         criteria.append(_cmp("boundary_trace_sup",
                              max(boundary.sup_boundary), boundary.tol, "<="))
         rows = ((fm_err,),)
         columns = ("fm_rel_error",)
-        meta["admissibility"] = check_admissibility(
-            r0=src.r0, t0=t_obs, basis=basis, f=amp, x0=obs_cfg.x0).to_dict()
 
     else:
-        i_obs = int(round(t_obs / (dgrid[1] - dgrid[0])))
-        lam_traces = duhamel_batch(src.r0.values, basis.eigenvalues, dgrid)
-        psi = SpatialField(coeffs=fm_flat * lam_traces[:, i_obs], basis=basis)
-        w = _point_weights(basis, obs_cfg.x0)
+        w = basis.point_weights(obs_cfg.x0)
         phi0 = TimeTrace(dgrid, (fm_flat * w) @ lam_traces)
         f_x0 = float(fm_flat @ w)
         chi = rho0(src.r1).resample(dgrid).scaled(f_x0)
@@ -249,15 +231,8 @@ def run_roundtrip(config: ExperimentConfig, which):
         fld, r1_rec = ip3_recover(data, src.r0, basis)
         runtimes["invert"] = time.perf_counter() - t0c
 
-        scale = max(1.0, float(np.max(np.abs(fm_flat))))
-        fm_err = float(np.max(np.abs(fld.coeffs - fm_flat))) / scale
-        r1_err = 0.0
-        truth = src.r1.resample(dgrid)
-        keys = {(k, kind) for k, kind, _ in truth.terms} \
-            | {(k, kind) for k, kind, _ in r1_rec.terms}
-        for k, kind in sorted(keys):
-            diff = r1_rec.coefficient(k, kind) - truth.coefficient(k, kind)
-            r1_err = max(r1_err, diff.max_abs)
+        fm_err = _fm_rel_error(fld.coeffs, fm_flat)
+        r1_err = _r1_coeff_error(r1_rec, src.r1.resample(dgrid))
         criteria.append(_cmp("fm_rel_error", fm_err, tol["fm_rel"], "<="))
         criteria.append(_cmp("r1_coeff_error", r1_err, tol["r1_coeff"], "<="))
         meta["phi0_consistency"] = fld.meta.get("phi0_consistency")
@@ -267,7 +242,6 @@ def run_roundtrip(config: ExperimentConfig, which):
         rec_amp = type(amp).from_field(fld)
         rec_src = OscillatorySource(src.r0, r1_rec)
         phi1, phi2 = ip1_build_targets(data.chi, rec_amp, obs_cfg.x0, basis)
-        trace_errs = []
         psi_errs = []
         pts = basis.interior_sample_points(64)
         psi_pts = psi.evaluate(pts)
@@ -287,7 +261,6 @@ def run_roundtrip(config: ExperimentConfig, which):
                             + chi_fine.evaluate(fine, omega * fine)) / omega ** 2)
             trace = u.trace_at(obs_cfg.x0).values
             err = float(np.max(np.abs(trace - composite)))
-            trace_errs.append(err)
             scale_u = float(np.max(np.abs(trace)))
             rows += ((omega, err, scale_u),)
             psi_errs.append(float(np.max(np.abs(
@@ -295,16 +268,18 @@ def run_roundtrip(config: ExperimentConfig, which):
         columns = ("omega", "trace_error", "trace_scale")
         w_last = config.omegas[-1]
         bound = tol["trace_bound_factor"] * w_last ** -3 * max(
-            1e-30, float(np.max(np.abs(rows[-1][2]))))
-        criteria.append(_cmp("trace_expansion_error", trace_errs[-1],
+            1e-30, rows[-1][2])
+        criteria.append(_cmp("trace_expansion_error", rows[-1][1],
                              bound, "<="))
         if len(psi_errs) >= 2:
             criteria.append(_cmp("final_time_error_at_max_omega",
                                  psi_errs[-1], psi_errs[0], "<="))
         meta["psi_errors"] = psi_errs
-        meta["admissibility"] = check_admissibility(
-            r0=src.r0, t0=t_obs, basis=basis, f=amp, x0=obs_cfg.x0).to_dict()
 
+    # round trip 1 recovers r0, so only the amplitude floor applies to it
+    meta["admissibility"] = check_admissibility(
+        r0=src.r0 if which > 1 else None, t0=t_obs, basis=basis, f=amp,
+        x0=obs_cfg.x0).to_dict()
     return StudyReport(kind=f"roundtrip{which}", columns=columns,
                        rows=tuple(rows), criteria=tuple(criteria),
                        runtimes=runtimes, meta=meta)
@@ -348,21 +323,26 @@ def json_bytes(obj):
     return (_emit_json(obj, 0) + "\n").encode()
 
 
-def emit_report(report: StudyReport, path, fmt=None):
-    """Write a report as CSV or JSON (from the file suffix when fmt is None)."""
-    if fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
-    if fmt == "json":
-        payload = json_bytes(report.to_dict())
-    else:
-        buf = io.StringIO()
-        buf.write(",".join(report.columns) + "\n")
-        for row in report.rows:
-            buf.write(",".join(
-                format_float(v) if isinstance(v, (float, np.floating))
-                else str(v) for v in row) + "\n")
-        payload = buf.getvalue().encode()
+def _write_bytes(path, payload):
+    """Write payload to path, creating its directory; returns the path."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(payload)
     return path
+
+
+def _write_csv(path, columns, rows):
+    """Write a header line and one line per row, floats at 17 digits."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(
+            format_float(v) if isinstance(v, (float, np.floating))
+            else str(v) for v in row))
+    return _write_bytes(path, ("\n".join(lines) + "\n").encode())
+
+
+def emit_report(report: StudyReport, path):
+    """Write a report as JSON when path ends in .json, else as CSV."""
+    if str(path).endswith(".json"):
+        return _write_bytes(path, json_bytes(report.to_dict()))
+    return _write_csv(path, report.columns, report.rows)

@@ -19,19 +19,18 @@ and the amplitude may not vanish at the observation point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy
 
 from .asymptotics import expansion_coefficients
-from .basis import (EigenBasis, SeparableAmplitude, SpatialField,
-                    check_boundary_traces)
+from .basis import SpatialField, check_boundary_traces
 from .expressions import T
 from .forward import _coerce_amplitude
 from .quadrature import duhamel_batch
 from .sources import (FastProfile, OscillatorySource, corner_values_from_rho0,
-                      rho0, rho1)
+                      rho0)
 from .traces import TimeTrace, uniform_grid
 from .volterra import build_kernel, solve_second_kind
 
@@ -116,9 +115,30 @@ def _lambda_profiles(r0, lams, grid):
     return duhamel_batch(r0v, lams, grid)
 
 
-def _lambda_values(r0, lams, t0, n_grid=4096):
-    """Lambda_m(t0) for every mode, on a shared fine slow grid."""
-    return _lambda_profiles(r0, lams, uniform_grid(float(t0), n_grid))[:, -1]
+def _mode_responses(r0, basis, t0, n_grid):
+    """Lambda_m(t0) of every mode, on a shared fine slow grid, and the
+    1-based modes whose response sits under the division floor
+    EPS_LAMBDA_FLOOR * max(1, 1/lam_m)."""
+    lams = basis.eigenvalues
+    lamv = _lambda_profiles(r0, lams, uniform_grid(float(t0), n_grid))[:, -1]
+    floors = EPS_LAMBDA_FLOOR * np.maximum(1.0, 1.0 / lams)
+    bad = [m + 1 for m in range(basis.M) if abs(lamv[m]) < floors[m]]
+    return lamv, bad
+
+
+def _amplitude_floor(values, scale):
+    """min |f| over the values, and whether it clears the floor
+    EPS_AMPLITUDE * max(1, scale)."""
+    fmin = float(np.min(np.abs(values)))
+    return fmin, fmin >= EPS_AMPLITUDE * max(1.0, scale)
+
+
+def _amplitude_at(amp, x0, grid):
+    """f(x0, .) on the grid; AdmissibilityError when it is under the floor."""
+    f_x0 = amp.at_point(x0, grid)
+    if not _amplitude_floor(f_x0.values, f_x0.max_abs)[1]:
+        raise AdmissibilityError("amplitude vanishes at the observation point")
+    return f_x0
 
 
 def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None,
@@ -135,9 +155,7 @@ def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None,
             r0 = TimeTrace.from_expr(r0, uniform_grid(float(t0), 64))
         v0 = float(r0(0.0))
         vt = float(r0(float(t0)))
-        lamv = _lambda_values(r0, basis.eigenvalues, t0, n_grid)
-        floors = EPS_LAMBDA_FLOOR * np.maximum(1.0, 1.0 / basis.eigenvalues)
-        bad = [m + 1 for m in range(basis.M) if abs(lamv[m]) < floors[m]]
+        lamv, bad = _mode_responses(r0, basis, t0, n_grid)
         scaled = basis.eigenvalues * np.abs(lamv)
         argmin = int(np.argmin(scaled))
         rep.update(
@@ -148,13 +166,10 @@ def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None,
             c0_argmin_mode=argmin + 1,
             c0_lower_estimate=float(abs(vt) - abs(v0)))
     if f is not None and x0 is not None:
-        amp = _coerce_amplitude(f)
         horizon = float(t0) if t0 else 1.0
-        tr = amp.at_point(x0, uniform_grid(horizon, 256))
-        fmin = float(np.min(np.abs(tr.values)))
-        fmax = float(np.max(np.abs(tr.values)))
-        rep.update(f_abs_at_x0=fmin,
-                   f_floor_ok=bool(fmin >= EPS_AMPLITUDE * max(1.0, fmax)))
+        tr = _coerce_amplitude(f).at_point(x0, uniform_grid(horizon, 256))
+        fmin, ok = _amplitude_floor(tr.values, tr.max_abs)
+        rep.update(f_abs_at_x0=fmin, f_floor_ok=bool(ok))
     return AdmissibilityReport(**rep)
 
 
@@ -163,37 +178,25 @@ def _rho0_from_chi(chi, f_x0):
     return rho0(chi.tau_derivative(2)).divided_by(f_x0)
 
 
-def _point_mode_weights(basis, x0):
-    x0a = np.atleast_1d(np.asarray(x0, dtype=float))
-    pts = x0a.reshape(1, -1) if basis.dim > 1 else x0a[:1]
-    return basis.eval_modes(pts).ravel()
-
-
-def ip1_build_targets(chi, f, x0, basis, r0=None, grid=None):
+def ip1_build_targets(chi, f, x0, basis, grid=None):
     """Order-1 and order-2 trace targets implied by the fast-phase data.
 
     phi1(t) = sum_m (b1_m/sqrt(lam_m)) y_m(x0) sin(sqrt(lam_m) t) and
     phi2(t) = sum_m y_m(x0) [d_m cos(sqrt(lam_m) t)
                              + (b2_m/sqrt(lam_m)) sin(sqrt(lam_m) t)],
     with coefficients from the corner values of rho0 = chi / f(x0, .).
-    The slow part r0 is accepted for call symmetry with the recovery entry
-    points but plays no role in the fast-phase targets.
     """
-    del r0
     if grid is None:
         grid = chi.grid
     grid = np.asarray(grid, dtype=float)
     amp = _coerce_amplitude(f)
-    f_x0 = amp.at_point(x0, grid)
-    scale = max(1.0, f_x0.max_abs)
-    if float(np.min(np.abs(f_x0.values))) < EPS_AMPLITUDE * scale:
-        raise AdmissibilityError("amplitude vanishes at the observation point")
+    f_x0 = _amplitude_at(amp, x0, grid)
 
     p0 = _rho0_from_chi(chi.resample(grid), f_x0)
     corners = corner_values_from_rho0(p0)
     fm = amp.mode_traces(basis, grid)
     coeff = expansion_coefficients(fm, corners)
-    w = _point_mode_weights(basis, x0)
+    w = basis.point_weights(x0)
     roots = np.sqrt(basis.eigenvalues)
 
     e1 = sympy.Integer(0)
@@ -214,11 +217,7 @@ def ip1_recover(data, f, basis):
     data.validate()
     grid = data.phi0.grid
     amp = _coerce_amplitude(f)
-    f_x0 = amp.at_point(data.x0, grid)
-    scale = max(1.0, f_x0.max_abs)
-    if float(np.min(np.abs(f_x0.values))) < EPS_AMPLITUDE * scale:
-        raise AdmissibilityError("amplitude vanishes at the observation point")
-
+    f_x0 = _amplitude_at(amp, data.x0, grid)
     fm = amp.mode_traces(basis, grid)
     kernel = build_kernel(basis, fm, data.x0)
     g = data.phi0.derivative(2)
@@ -234,9 +233,7 @@ def ip2_recover(psi, r0, t0, basis, n_grid=4096):
     below the floor EPS_LAMBDA_FLOOR * max(1, 1/lam_m) aborts (data cannot
     determine those modes; no regularization is applied by design).
     """
-    lamv = _lambda_values(r0, basis.eigenvalues, float(t0), n_grid)
-    floors = EPS_LAMBDA_FLOOR * np.maximum(1.0, 1.0 / basis.eigenvalues)
-    bad = [m + 1 for m in range(basis.M) if abs(lamv[m]) < floors[m]]
+    lamv, bad = _mode_responses(r0, basis, t0, n_grid)
     if bad:
         raise AdmissibilityError(
             f"mode responses at t0 below the division floor for modes {bad}")
@@ -254,11 +251,11 @@ def ip3_recover(data, r0, basis, n_grid=4096):
         raise AdmissibilityError("combined recovery needs psi, chi, and t0")
     fld = ip2_recover(data.psi, r0, data.t0, basis, n_grid=n_grid)
 
-    w = _point_mode_weights(basis, data.x0)
+    w = basis.point_weights(data.x0)
     fx0 = float(fld.coeffs @ w)
     sample = basis.interior_sample_points(64)
-    fscale = max(1.0, float(np.max(np.abs(fld.evaluate(sample)))))
-    if abs(fx0) < EPS_AMPLITUDE * fscale:
+    fscale = float(np.max(np.abs(fld.evaluate(sample))))
+    if not _amplitude_floor(fx0, fscale)[1]:
         raise AdmissibilityError("recovered amplitude vanishes at the "
                                  "observation point")
     r1 = data.chi.tau_derivative(2).scaled(1.0 / fx0)

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import build_expansion, lambda_profile
 from .basis import (SeparableAmplitude, SpatialField,
                     build_dirichlet_interval_basis, build_rectangle_basis,
                     build_sturm_liouville_basis, check_boundary_traces)
 from .forward import duhamel_coefficient, solve_direct, solve_with_initial_data
 from .inverse import ObservationData, ip1_recover, ip2_recover
 from .quadrature import cumulative_oscillatory, duhamel_batch
-from .sources import (FastProfile, OscillatorySource, corner_values, rho0,
-                      rho1, split_source, tau_mean)
+from .sources import (FastProfile, corner_values, rho0, rho1, split_source,
+                      tau_mean)
 from .traces import TimeTrace, fd_derivative, uniform_grid
 from .volterra import build_kernel, solve_second_kind, volterra_residual
 
@@ -220,7 +219,7 @@ def _check_ip1_trace_consistency():
     x0 = np.pi / 2
     w = float(basis.eval_modes(np.array([x0]))[0, 0])
     f1 = float(basis.project(SpatialField.from_expr("sin(x)"))[0])
-    phi0 = TimeTrace(grid, f1 * w * lambda_profile(r0, lam1, grid).values)
+    phi0 = TimeTrace(grid, f1 * w * duhamel_coefficient(r0, lam1, grid).values)
     chi = FastProfile.from_specs([(1, "cos", -1.0)], grid)
     data = ObservationData(phi0=phi0, chi=chi, x0=x0, t0=2.0)
     rec = ip1_recover(data, amp, basis)

@@ -72,10 +72,6 @@ class FastProfile:
         return cls([], grid)
 
     @property
-    def max_harmonic(self):
-        return max((k for k, _, _ in self.terms), default=0)
-
-    @property
     def max_abs(self):
         return max((c.max_abs for _, _, c in self.terms), default=0.0)
 

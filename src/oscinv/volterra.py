@@ -33,7 +33,6 @@ class VolterraKernel:
     lams: np.ndarray            # (M,)
     mode_weights: np.ndarray    # (M,) eigenfunctions at the observation point
     fm_traces: list             # per-mode amplitude traces f_m
-    x0: object = None
 
     @property
     def M(self):
@@ -70,13 +69,11 @@ def build_kernel(basis, f, x0, grid=None, M=None):
     if M is not None:
         fm = fm[:M]
     M_eff = len(fm)
-    x0a = np.atleast_1d(np.asarray(x0, dtype=float))
-    pts = x0a.reshape(1, -1) if basis.dim > 1 else x0a[:1]
-    wts = basis.eval_modes(pts).ravel()[:M_eff]
+    wts = basis.point_weights(x0)[:M_eff]
     if np.max(np.abs(wts)) < 1e-12:
         warnings.warn("all eigenfunctions vanish at the observation point; "
                       "the kernel and data carry no information", stacklevel=2)
-    return VolterraKernel(basis.eigenvalues[:M_eff].copy(), wts, fm, x0=x0)
+    return VolterraKernel(basis.eigenvalues[:M_eff].copy(), wts, fm)
 
 
 def _multiplier_values(a, grid):
@@ -155,9 +152,8 @@ def volterra_residual(a, K, g, u):
     uv = u.values
     res = np.empty(grid.size)
     res[0] = av[0] * uv[0] - gv[0]
-    kernel = K.evaluate if isinstance(K, VolterraKernel) else K
     for i in range(1, grid.size):
-        row = np.asarray(kernel(grid[i], grid[: i + 1]), dtype=float)
+        row = np.asarray(K(grid[i], grid[: i + 1]), dtype=float)
         prod = row * uv[: i + 1]
         if i == 1:
             integ = 0.5 * h * (prod[0] + prod[1])

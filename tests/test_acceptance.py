@@ -9,10 +9,10 @@ import time
 
 import numpy as np
 
-from oscinv.asymptotics import build_expansion, lambda_profile, residual_norm
+from oscinv.asymptotics import build_expansion, residual_norm
 from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis)
-from oscinv.forward import solve_direct
+from oscinv.forward import duhamel_coefficient, solve_direct
 from oscinv.harness import fit_slope
 from oscinv.inverse import (ObservationData, check_admissibility, ip1_recover,
                             ip1_build_targets, ip2_recover, ip3_recover)
@@ -92,7 +92,7 @@ def test_ac4_amplitude_recovery_from_final_snapshot():
     fm_true = np.array([tr.value_at_start(0)
                         for tr in amp.mode_traces(basis, grid)])
     r0 = TimeTrace.from_expr("1 + t", grid)
-    lamv = np.array([lambda_profile(r0.values, lam, grid).values[-1]
+    lamv = np.array([duhamel_coefficient(r0.values, lam, grid).values[-1]
                      for lam in basis.eigenvalues])
     psi = SpatialField(coeffs=fm_true * lamv, basis=basis)
 
@@ -154,7 +154,7 @@ def test_ac7_combined_recovery_and_resimulation():
     w = basis.eval_modes(np.array([x0]))[:, 0]
 
     # shared observation set: final snapshot, point trace, fast-phase data
-    lam_traces = np.vstack([lambda_profile(r0.values, lam, grid).values
+    lam_traces = np.vstack([duhamel_coefficient(r0.values, lam, grid).values
                             for lam in basis.eigenvalues])
     psi = SpatialField(coeffs=fm_true * lam_traces[:, -1], basis=basis)
     phi0 = TimeTrace(grid, (fm_true * w) @ lam_traces)
@@ -182,7 +182,7 @@ def test_ac7_combined_recovery_and_resimulation():
                          points_per_period=32)
         fine = u.grid
         lam_fine = np.vstack([
-            lambda_profile(r0.sample(fine), lam, fine).values
+            duhamel_coefficient(r0.sample(fine), lam, fine).values
             for lam in basis.eigenvalues])
         composite = ((fld.coeffs * w) @ lam_fine
                      + phi1.sample(fine) / omega

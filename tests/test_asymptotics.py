@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oscinv.asymptotics import (build_expansion, expansion_coefficients,
-                                lambda_profile, residual_norm)
+                                residual_norm)
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
-from oscinv.forward import solve_direct
+from oscinv.forward import duhamel_coefficient, solve_direct
 from oscinv.sources import FastProfile, corner_values
 from oscinv.traces import TimeTrace, uniform_grid
 
@@ -17,25 +17,25 @@ REXPR = "1 + t + (1 + t/2)*cos(tau) + 0.4*sin(2*tau)"
 
 
 def test_lambda_profile_constant_drive(grid3):
-    prof = lambda_profile(np.ones_like(grid3), 1.0, grid3)
+    prof = duhamel_coefficient(np.ones_like(grid3), 1.0, grid3)
     np.testing.assert_allclose(prof.values, 1.0 - np.cos(grid3), atol=1e-10)
 
 
 def test_lambda_profile_linear_drive(grid3):
-    prof = lambda_profile(grid3.copy(), 1.0, grid3)
+    prof = duhamel_coefficient(grid3.copy(), 1.0, grid3)
     np.testing.assert_allclose(prof.values, grid3 - np.sin(grid3), atol=1e-10)
 
 
 def test_lambda_profile_affine_drive_endpoint(grid3):
     # r0 = 1 + t at lambda = 1, t = 3: value is 4 - cos 3 - sin 3
-    prof = lambda_profile(1.0 + grid3, 1.0, grid3)
+    prof = duhamel_coefficient(1.0 + grid3, 1.0, grid3)
     assert prof.values[-1] == pytest.approx(4.0 - np.cos(3.0) - np.sin(3.0),
                                             abs=1e-10)
 
 
 def test_lambda_profile_scales_with_eigenvalue(grid3):
     # constant drive at lambda: (1 - cos(sqrt(lam) t))/lam
-    prof = lambda_profile(np.ones_like(grid3), 9.0, grid3)
+    prof = duhamel_coefficient(np.ones_like(grid3), 9.0, grid3)
     np.testing.assert_allclose(prof.values, (1 - np.cos(3 * grid3)) / 9.0,
                                atol=1e-10)
 
@@ -85,7 +85,7 @@ def test_leading_term_solves_slow_problem(expansion):
     fm = amp.mode_traces(basis, grid)
     for m in range(basis.M):
         env = fm[m].values * (1.0 + grid)
-        direct = lambda_profile(env, basis.eigenvalues[m], grid)
+        direct = duhamel_coefficient(env, basis.eigenvalues[m], grid)
         np.testing.assert_allclose(exp.u0_coeffs[m], direct.values, atol=1e-9)
 
 

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis,
                           build_rectangle_basis, build_sturm_liouville_basis,
-                          check_boundary_traces, project, synthesize)
+                          check_boundary_traces)
 from oscinv.traces import uniform_grid
 
 PI = np.pi
@@ -128,10 +128,10 @@ def test_field_expr_accepts_x_and_x1():
 def test_project_synthesize_inverse_on_span(interval_basis):
     coeffs = np.array([1.0, -0.5, 0.25, 0.0, 0.0, 0.1, 0.0, 2.0])
     pts = np.linspace(0.2, 3.0, 40)
-    vals = synthesize(coeffs, interval_basis, pts)
+    vals = interval_basis.synthesize(coeffs, pts)
     fld = SpatialField(coeffs=coeffs, basis=interval_basis)
     np.testing.assert_allclose(fld.evaluate(pts), vals, atol=1e-13)
-    rec = project(fld, interval_basis)
+    rec = interval_basis.project(fld)
     np.testing.assert_allclose(rec, coeffs, atol=1e-12)
 
 
@@ -215,3 +215,20 @@ def test_amplitude_from_field_roundtrip(interval_basis):
     assert amp.time_invariant
     c = amp.term_coefficients(interval_basis)
     np.testing.assert_allclose(c.sum(axis=0), np.arange(1.0, 9.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("x0", [None, float("nan"), float("inf"), [1.0, 2.0],
+                                [], "mid"])
+def test_point_weights_reject_bad_points(interval_basis, x0):
+    with pytest.raises(ValueError):
+        interval_basis.point_weights(x0)
+
+
+def test_point_weights_are_modes_at_the_point(interval_basis):
+    np.testing.assert_array_equal(interval_basis.point_weights(1.0),
+                                  interval_basis.eval_modes([1.0])[:, 0])
+    rect = build_rectangle_basis((PI, 1.0), 4)
+    np.testing.assert_array_equal(rect.point_weights((1.0, 0.5)),
+                                  rect.eval_modes([[1.0, 0.5]])[:, 0])
+    with pytest.raises(ValueError):
+        rect.point_weights(1.0)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import oscinv
-from oscinv.asymptotics import build_expansion, lambda_profile
+from oscinv.asymptotics import build_expansion
 from oscinv.cli import main
 from oscinv.basis import build_dirichlet_interval_basis
+from oscinv.forward import duhamel_coefficient
 from oscinv.traces import uniform_grid
 
 PI = math.pi
@@ -109,6 +110,75 @@ def test_observation_after_final_time_exits_2(tmp_path, capsys, study):
     assert len(err.strip().splitlines()) == 1
 
 
+_DRIVE_SOURCE = {"f": "exp(-t)*sin(x)", "r0": "1 + t",
+                 "r1": [{"harmonic": 1, "kind": "cos", "coeff": 1.0}]}
+
+
+# (command, config overrides, observation data or None)
+_EXIT_2_INPUTS = {
+    "sl_grid_n_4": ("study", dict(basis={
+        "domain": "sturm_liouville", "lengths": [PI], "M": 1, "grid_n": 4}),
+        None),
+    "rectangle_one_length": ("study", dict(basis={
+        "domain": "rectangle", "lengths": [PI], "M": 2}), None),
+    "sl_nonpositive_a": ("study", dict(basis={
+        "domain": "sturm_liouville", "lengths": [PI], "M": 1, "grid_n": 64,
+        "a": "x - 1"}), None),
+    "roundtrip2_time_varying_f": ("study", dict(
+        study="roundtrip2", source={"f": "exp(-t)*sin(x)", "r0": "1 + t"},
+        observation={"x0": PI / 2, "t0": 3.0}), None),
+    "roundtrip1_without_x0": ("study", dict(
+        study="roundtrip1", source=_DRIVE_SOURCE), None),
+    "roundtrip3_without_x0": ("study", dict(
+        study="roundtrip3", source=_DRIVE_SOURCE,
+        observation={"t0": 3.0}), None),
+    "roundtrip1_x0_of_two_numbers": ("study", dict(
+        study="roundtrip1", source=_DRIVE_SOURCE,
+        observation={"x0": [PI / 2, 1.0]}), None),
+    "roundtrip1_nan_x0": ("study", dict(
+        study="roundtrip1", source=_DRIVE_SOURCE,
+        observation={"x0": math.nan}), None),
+    "invert1_without_x0": ("invert1", dict(source=_DRIVE_SOURCE),
+                           {"phi0": {"expr": "t^2", "T": 1.0},
+                            "chi": [{"harmonic": 1, "kind": "cos",
+                                     "coeff": -1.0}]}),
+    "invert3_without_x0": ("invert3", dict(source={"f": "sin(x)",
+                                                   "r0": "1 + t"}),
+                           {"t0": 3.0, "psi": {"expr": "sin(x)"},
+                            "chi": [{"harmonic": 1, "kind": "cos",
+                                     "coeff": -1.0}]}),
+    "invert2_without_t0": ("invert2", dict(source={"f": "sin(x)",
+                                                   "r0": "1 + t"}),
+                           {"psi": {"expr": "sin(x)"}}),
+    "data_x0_of_two_numbers": ("invert2", dict(source={"f": "sin(x)",
+                                                       "r0": "1 + t"}),
+                               {"x0": [1.0, 1.0], "t0": 3.0,
+                                "psi": {"expr": "sin(x)"}}),
+    "tolerance_name_typo": ("study", dict(
+        tolerances={"slope_order2_mx": -99}), None),
+    "tolerance_not_a_number": ("study", dict(
+        tolerances={"slope_order2_max": "abc"}), None),
+    "removed_output_format": ("study", dict(output={"format": "json"}), None),
+    "removed_seed": ("study", dict(seed=0), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXIT_2_INPUTS))
+def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, case):
+    command, overrides, data = _EXIT_2_INPUTS[case]
+    cfg = _write_config(tmp_path, **overrides)
+    argv = [command, "--config", str(cfg),
+            "--output-dir", str(tmp_path / "out")]
+    if data is not None:
+        dpath = tmp_path / "data.json"
+        dpath.write_text(json.dumps(data))
+        argv += ["--data", str(dpath)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_output_dir_override(tmp_path):
     cfg = _write_config(tmp_path)
     alt = tmp_path / "alt"
@@ -164,7 +234,7 @@ def ip2_files(tmp_path):
     basis = build_dirichlet_interval_basis(PI, 4)
     grid = uniform_grid(3.0, 4096)
     fm = np.array([np.sqrt(PI / 2), 0.0, 0.3 * np.sqrt(PI / 2), 0.0])
-    lamv = np.array([lambda_profile(1 + grid, lam, grid).values[-1]
+    lamv = np.array([duhamel_coefficient(1 + grid, lam, grid).values[-1]
                      for lam in basis.eigenvalues])
     data = {"x0": PI / 2, "t0": 3.0, "psi": {"coeffs": list(fm * lamv)}}
     dpath = tmp_path / "data2.json"

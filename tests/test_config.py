@@ -1,11 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oscinv.basis import build_dirichlet_interval_basis, build_rectangle_basis
 from oscinv.config import (ConfigError, DEFAULT_TOLERANCES, config_from_dict,
                            load_config, load_observation, make_basis,
                            make_source)
+from oscinv.expressions import ExpressionError
 from oscinv.traces import uniform_grid
 
 PI = np.pi
@@ -16,7 +21,7 @@ GOOD = {
     "omega": [50.0, 100.0],
     "grid": {"T": 3.0, "points_per_period": 32},
     "observation": {"x0": PI / 2, "t0": 3.0},
-    "output": {"dir": "out", "prefix": "demo", "format": "json"},
+    "output": {"dir": "out", "prefix": "demo"},
     "study": "order",
 }
 
@@ -26,7 +31,6 @@ def test_good_config_roundtrip():
     assert cfg.basis.M == 3
     assert cfg.omegas == (50.0, 100.0)
     assert cfg.observation.x0 == pytest.approx(PI / 2)
-    assert cfg.output.fmt == "json"
     assert cfg.tolerances["slope_order2_max"] == DEFAULT_TOLERANCES["slope_order2_max"]
 
 
@@ -217,3 +221,83 @@ def test_load_observation_from_file(tmp_path):
 def test_load_observation_unknown_key():
     with pytest.raises(ConfigError):
         load_observation({"x0": 1.0, "phi": {}})
+
+
+# -- exit-code fuzz -------------------------------------------------------------
+
+_NUM = st.one_of(st.floats(-4.0, 4.0),
+                 st.sampled_from([0.0, math.nan, math.inf, -math.inf]))
+_SPACE_EXPR = st.sampled_from(["1", "x - 1", "1 + x/2", "exp(x)", "sin(x)",
+                               "-1", "y", "t", "1/x", "sin(", 0, 2.0, -1.0])
+# JSON values of the wrong type for whatever key they land on
+_JUNK = st.sampled_from([None, "abc", [], {}, [1.0], 2.5, True])
+_X0 = st.one_of(st.none(), _NUM, st.lists(_NUM, max_size=3), _JUNK)
+_BASIS = st.fixed_dictionaries({}, optional={
+    "domain": st.sampled_from(["interval", "rectangle", "sturm_liouville",
+                               "disk"]),
+    "lengths": st.one_of(st.lists(_NUM, max_size=3), _JUNK),
+    "M": st.one_of(st.integers(-1, 8), _JUNK),
+    "grid_n": st.one_of(st.integers(-2, 64), _JUNK),
+    "a": st.one_of(_SPACE_EXPR, _JUNK), "c": _SPACE_EXPR})
+_CONFIG = st.fixed_dictionaries({
+    "source": st.one_of(st.just({"f": "sin(x)", "r0": "1 + t"}),
+                        st.fixed_dictionaries({"f": _JUNK, "r": _JUNK})),
+    "basis": st.one_of(_BASIS, _JUNK),
+}, optional={
+    "study": st.sampled_from(["order", "roundtrip1", "roundtrip2",
+                              "roundtrip3", "sweep"]),
+    "observation": st.fixed_dictionaries(
+        {}, optional={"x0": _X0, "t0": st.one_of(_NUM, _JUNK)}),
+    "omega": st.one_of(st.lists(_NUM, max_size=3), _JUNK),
+    "tolerances": st.dictionaries(
+        st.sampled_from(sorted(DEFAULT_TOLERANCES)
+                        + ["slope_order2_mx", "forward_rel"]),
+        st.one_of(_NUM, st.booleans(), st.just("abc")), max_size=3),
+    "grid": st.fixed_dictionaries({}, optional={
+        "T": st.one_of(_NUM, _JUNK), "points_per_period": _JUNK}),
+})
+_OBSERVATION = st.fixed_dictionaries({}, optional={
+    "x0": _X0,
+    "t0": st.one_of(_NUM, _JUNK),
+    "phi0": st.one_of(
+        st.fixed_dictionaries(
+            {"expr": st.sampled_from(["t^2", "t^2*exp(-t)", "x", "t^"])},
+            optional={"T": st.sampled_from([1.0, 2.0]),
+                      "h": st.sampled_from([0.1, 0.25])}),
+        st.fixed_dictionaries({"grid": st.lists(_NUM, max_size=4)},
+                              optional={"values": st.lists(_NUM, max_size=4)}),
+        _JUNK),
+    "chi": st.one_of(st.lists(st.fixed_dictionaries({}, optional={
+        "harmonic": st.one_of(st.integers(0, 2), _JUNK),
+        "kind": st.sampled_from(["cos", "sin", "tan"]),
+        "coeff": st.sampled_from([1.0, "1 + t/2", "x", "t^"])}), max_size=2),
+        _JUNK),
+    "chi_grid": st.fixed_dictionaries({}, optional={
+        "T": st.sampled_from([1.0, 2.0]), "h": st.sampled_from([0.1, 0.25])}),
+    "psi": st.one_of(
+        st.fixed_dictionaries({"expr": st.sampled_from(
+            ["sin(x)", "sin(x1)*sin(x2)", "q"])}),
+        st.fixed_dictionaries({"coeffs": st.lists(_NUM, max_size=8)}),
+        _JUNK),
+})
+_DOMAINS = {"interval": build_dirichlet_interval_basis(PI, 3),
+            "rectangle": build_rectangle_basis((PI, 1.0), 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=_CONFIG)
+def test_config_fuzz_raises_only_config_errors(d):
+    # small M and grid_n keep every basis that does get built tiny
+    try:
+        make_basis(config_from_dict(d).basis)
+    except (ConfigError, ExpressionError):
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=_OBSERVATION, domain=st.sampled_from(sorted(_DOMAINS) + [None]))
+def test_observation_fuzz_raises_only_config_errors(d, domain):
+    try:
+        load_observation(d, basis=_DOMAINS.get(domain))
+    except (ConfigError, ExpressionError):
+        pass

@@ -1,0 +1,121 @@
+"""Committed reports under out/ reproduce within stated tolerances.
+
+Each sample config is re-run in-process into a temporary directory and every
+number is compared with the committed report; keys, columns, criterion names
+and pass flags must match exactly.  Byte identity only holds within one
+software stack (numpy/scipy/BLAS builds sum in different orders), so the
+tolerances come from the drift measured between the stack that wrote out/
+and a later one, with headroom:
+
+- forward CSV: at most 6.3e-16 abs on values of order 1e-4..1 -> 5e-15 abs;
+- order study: at most 6.8e-12 rel -> 1e-10 rel;
+- round trips 2 and 3: errors at rounding level (about 1e-14) move by up to
+  18% relative, everything else by at most 8e-8 rel of values at or above
+  1e-8 -> 1e-12 abs floor plus 1e-10 rel;
+- round trip 1: r0_sup_error moves from 4.2750e-06 to 4.2544e-06 (0.48%),
+  because the Volterra march amplifies 7e-16 differences in phi0 -> 2e-2
+  rel for that criterion alone.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from oscinv.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# committed report -> (command, config, abs tolerance, rel tolerance)
+REPORTS = {
+    "closed_form_forward_omega100.csv":
+        ("forward", "forward_closed_form.json", 5e-15, 0.0),
+    "order_order_study.csv": ("study", "order_study.json", 0.0, 1e-10),
+    "order_order_study.json": ("study", "order_study.json", 0.0, 1e-10),
+    "drive_roundtrip1.json": ("study", "roundtrip_drive.json", 1e-12, 1e-10),
+    "amplitude_roundtrip2.json":
+        ("study", "roundtrip_amplitude.json", 1e-12, 1e-10),
+    "combined_roundtrip3.json":
+        ("study", "roundtrip_combined.json", 1e-12, 1e-10),
+}
+LOOSE_RTOL = {"r0_sup_error": 2e-2}
+
+
+def test_every_committed_report_is_covered():
+    assert sorted(p.name for p in (ROOT / "out").iterdir()) == sorted(REPORTS)
+
+
+@pytest.fixture(scope="module")
+def rerun(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    for command, config in sorted({v[:2] for v in REPORTS.values()}):
+        code = main([command, "--config", str(ROOT / "configs" / config),
+                     "--output-dir", str(out)])
+        assert code == 0, config
+    return out
+
+
+def _close(got, want, atol, rtol, where):
+    assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+    assert abs(got - want) <= max(atol, rtol * abs(want)), \
+        f"{where}: {got!r} vs committed {want!r}"
+
+
+def _compare(got, want, atol, rtol, where):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for k in want:
+            _compare(got[k], want[k], atol, rtol, f"{where}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _compare(g, w, atol, rtol, f"{where}[{i}]")
+    elif isinstance(want, (bool, str)) or want is None:
+        assert got == want, where
+    else:
+        _close(got, want, atol, rtol, where)
+
+
+def _compare_report(got, want, atol, rtol):
+    """A StudyReport dict; criterion values and row cells named in
+    LOOSE_RTOL get that relative tolerance instead."""
+    loose = {k: max(rtol, v) for k, v in LOOSE_RTOL.items()}
+    for key in ("kind", "columns", "passed"):
+        assert got[key] == want[key], key
+    assert len(got["rows"]) == len(want["rows"])
+    for i, (grow, wrow) in enumerate(zip(got["rows"], want["rows"])):
+        assert len(grow) == len(wrow)
+        for col, g, w in zip(want["columns"], grow, wrow):
+            _close(g, w, atol, loose.get(col, rtol), f"rows[{i}].{col}")
+    assert len(got["criteria"]) == len(want["criteria"])
+    for gc, wc in zip(got["criteria"], want["criteria"]):
+        assert sorted(gc) == sorted(wc)
+        for key in ("name", "op", "passed"):
+            assert gc[key] == wc[key], (wc["name"], key)
+        for key in ("value", "threshold"):
+            _close(gc[key], wc[key], atol, loose.get(wc["name"], rtol),
+                   f"{wc['name']}.{key}")
+    assert sorted(got) == sorted(want)
+    _compare(got["meta"], want["meta"], atol, rtol, "meta")
+
+
+def _read_csv(path):
+    header, *body = path.read_text().splitlines()
+    return header, np.array([[float(v) for v in ln.split(",")] for ln in body])
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_matches_committed(rerun, name):
+    _, _, atol, rtol = REPORTS[name]
+    if name.endswith(".csv"):
+        got_header, got = _read_csv(rerun / name)
+        want_header, want = _read_csv(ROOT / "out" / name)
+        assert got_header == want_header
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= np.maximum(atol,
+                                                       rtol * np.abs(want)))
+    else:
+        _compare_report(json.loads((rerun / name).read_text()),
+                        json.loads((ROOT / "out" / name).read_text()),
+                        atol, rtol)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oscinv.asymptotics import build_expansion, lambda_profile
+from oscinv.asymptotics import build_expansion
 from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis)
+from oscinv.forward import duhamel_coefficient
 from oscinv.inverse import (AdmissibilityError, ObservationData,
                             check_admissibility, ip1_build_targets,
                             ip1_recover, ip2_recover, ip3_recover)
@@ -144,7 +145,7 @@ def test_ip1_targets_single_mode_geometry(grid3):
 
 def test_ip2_identity_roundtrip(interval_basis, grid3):
     fm = np.array([1.0, -0.4, 0.3, 0.0, 0.05, 0.0, 0.0, 0.01])
-    lamv = np.array([lambda_profile(1 + grid3, lam, grid3).values[-1]
+    lamv = np.array([duhamel_coefficient(1 + grid3, lam, grid3).values[-1]
                      for lam in interval_basis.eigenvalues])
     psi = SpatialField(coeffs=fm * lamv, basis=interval_basis)
     fld = ip2_recover(psi, TimeTrace.from_expr("1 + t", grid3), 3.0,
@@ -169,7 +170,7 @@ def ip3_setup():
     r0 = TimeTrace.from_expr("1 + t", grid)
     fm = np.zeros(6)
     fm[0], fm[2] = np.sqrt(PI / 2), 0.3 * np.sqrt(PI / 2)
-    lam_traces = np.vstack([lambda_profile(r0.values, lam, grid).values
+    lam_traces = np.vstack([duhamel_coefficient(r0.values, lam, grid).values
                             for lam in basis.eigenvalues])
     psi = SpatialField(coeffs=fm * lam_traces[:, -1], basis=basis)
     w = basis.eval_modes(np.array([PI / 2]))[:, 0]
