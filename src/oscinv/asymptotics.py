@@ -36,21 +36,31 @@ __all__ = [
 ]
 
 
-def _slow_response(fm_traces, r0v, lams, grid):
+def _slow_response(fm, r0v, lams, grid):
     """u0 mode coefficients: every mode driven by f_m(t) r0(t), zero data."""
-    return duhamel_batch(np.array([tr.values for tr in fm_traces]), lams, grid,
-                         [(0.0, 1.0, r0v)])
+    return duhamel_batch(fm, lams, grid, [(0.0, 1.0, r0v)])
 
 
-def expansion_coefficients(fm_traces, corners):
+def expansion_coefficients(amp, basis, corners):
     """First- and second-order free-oscillation coefficients per mode."""
-    fm0 = np.array([tr.value_at_start(0) for tr in fm_traces])
-    fmp0 = np.array([tr.value_at_start(1) for tr in fm_traces])
+    fm0 = amp.mode_derivatives_at_start(basis, 0)
+    fmp0 = amp.mode_derivatives_at_start(basis, 1)
     return {
         "b1": -corners["rho0_tau"] * fm0,
         "d": -corners["rho0"] * fm0,
         "b2": corners["rho0"] * fmp0 + corners["rho0_t"] * fm0,
     }
+
+
+def _free_oscillations(b1, d, b2, lams, tgrid):
+    """(order-1, order-2) free-oscillation mode coefficients, each (M, N):
+    b1_m sin(sqrt(lam_m) t) / sqrt(lam_m) and
+    d_m cos(sqrt(lam_m) t) + b2_m sin(sqrt(lam_m) t) / sqrt(lam_m)."""
+    roots = np.sqrt(lams)[:, None]
+    phase = roots * np.asarray(tgrid, dtype=float)[None, :]
+    c1 = (b1[:, None] / roots) * np.sin(phase)
+    c2 = d[:, None] * np.cos(phase) + (b2[:, None] / roots) * np.sin(phase)
+    return c1, c2
 
 
 @dataclass(eq=False)
@@ -87,12 +97,8 @@ class AsymptoticExpansion:
 
     def correction_coeffs(self, tgrid):
         """(order-1, order-2) free-oscillation mode coefficients."""
-        roots = np.sqrt(self.basis.eigenvalues)[:, None]
-        phase = roots * np.asarray(tgrid, dtype=float)[None, :]
-        c1 = (self.b1[:, None] / roots) * np.sin(phase)
-        c2 = self.d[:, None] * np.cos(phase) \
-            + (self.b2[:, None] / roots) * np.sin(phase)
-        return c1, c2
+        return _free_oscillations(self.b1, self.d, self.b2,
+                                 self.basis.eigenvalues, tgrid)
 
     def evaluate(self, omega, points, tgrid, order=2):
         """Expansion values on (tgrid x points), truncated at the given order."""
@@ -132,7 +138,7 @@ def build_expansion(basis, f, r, grid, n_tau=256):
     p0 = rho0(src.r1)
     corners = corner_values(src.r1)
     fm = amp.mode_traces(basis, grid)
-    coeffs = expansion_coefficients(fm, corners)
+    coeffs = expansion_coefficients(amp, basis, corners)
     u0 = _slow_response(fm, src.r0.values, basis.eigenvalues, grid)
     return AsymptoticExpansion(
         basis=basis, amplitude=amp, source=src, rho0_profile=p0,

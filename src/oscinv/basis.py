@@ -19,7 +19,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
 from . import expressions
-from .expressions import SPACE_SYMBOLS, X
+from .expressions import SPACE_SYMBOLS, T, X
 from .quadrature import gauss_panel_rule
 from .traces import TimeTrace
 
@@ -351,16 +351,23 @@ class SeparableAmplitude:
         """Projection of each space factor, shape (n_terms, M)."""
         return np.vstack([basis.project(xf) for _, xf in self.terms])
 
+    def time_factors(self, t):
+        """Sampled time factors g_i(t), shape (n_terms,) + t.shape."""
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.broadcast_to(expressions.evaluate(g, t=t), t.shape)
+                         for g, _ in self.terms])
+
     def mode_traces(self, basis, grid):
-        """Exact descriptor traces F_m(t) = sum_i c_im g_i(t), m = 1..M."""
-        cmat = self.term_coefficients(basis)
-        out = []
-        for m in range(basis.M):
-            e = sympy.Integer(0)
-            for i, (g, _) in enumerate(self.terms):
-                e = e + sympy.Float(cmat[i, m]) * g
-            out.append(TimeTrace.from_expr(sympy.expand(e), grid))
-        return out
+        """Mode amplitudes f_m(t) = sum_i c_im g_i(t) on the grid, shape (M, N)."""
+        return self.term_coefficients(basis).T @ self.time_factors(grid)
+
+    def mode_derivatives_at_start(self, basis, order=0):
+        """d^order f_m / dt^order at t = 0, m = 1..M, shape (M,).
+
+        Only the n_terms time factors are differentiated symbolically.
+        """
+        dg = [float(sympy.diff(g, T, order).subs(T, 0)) for g, _ in self.terms]
+        return np.array(dg) @ self.term_coefficients(basis)
 
     def at_point(self, x0, grid):
         """Trace of the amplitude at a fixed spatial point.
@@ -376,14 +383,9 @@ class SeparableAmplitude:
 
     def evaluate(self, points, t_grid):
         """Values on a (time, space) grid, shape (len(t_grid), n_points)."""
-        t_grid = np.asarray(t_grid, dtype=float)
         pts = np.asarray(points, dtype=float)
-        n = pts.shape[0]
-        out = np.zeros((t_grid.size, n))
-        for g, xf in self.terms:
-            gv = expressions.evaluate(g, t=t_grid)
-            if np.ndim(gv) == 0:
-                gv = np.full(t_grid.size, float(gv))
+        out = np.zeros((np.size(t_grid), pts.shape[0]))
+        for gv, (_, xf) in zip(self.time_factors(t_grid), self.terms):
             out += np.outer(gv, xf.evaluate(pts))
         return out
 

@@ -77,6 +77,17 @@ def _parse_x0(x0, dim):
     return pts if listed else pts[0]
 
 
+def _parse_t0(t0):
+    """An observation time as a positive finite float; None when absent."""
+    if t0 is None:
+        return None
+    value = float(t0)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"observation time t0={t0!r} must be positive "
+                          "and finite")
+    return value
+
+
 @dataclass(frozen=True)
 class BasisConfig:
     domain: str = "interval"
@@ -148,14 +159,17 @@ class GridConfig:
               "grid")
         T = float(d.get("T", 3.0))
         ppp = int(d.get("points_per_period", 32))
+        trace_h = float(d.get("trace_h", 1e-3))
         if not (math.isfinite(T) and T > 0):
             raise ConfigError("T must be positive and finite")
+        if not (math.isfinite(trace_h) and trace_h > 0):
+            raise ConfigError("trace_h must be positive and finite")
         if ppp < MIN_POINTS_PER_PERIOD:
             raise ConfigError(
                 f"points_per_period={ppp} makes the time step exceed "
                 f"(2*pi/omega)/{MIN_POINTS_PER_PERIOD}")
         return cls(T, ppp, int(d.get("n_out", 513)), int(d.get("n_tau", 256)),
-                   float(d.get("trace_h", 1e-3)))
+                   trace_h)
 
 
 @dataclass(frozen=True)
@@ -166,9 +180,7 @@ class ObservationConfig:
     @classmethod
     def from_dict(cls, d):
         _take(d, ("x0", "t0"), "observation")
-        t0 = d.get("t0")
-        return cls(_parse_x0(d.get("x0"), None),
-                   None if t0 is None else float(t0))
+        return cls(_parse_x0(d.get("x0"), None), _parse_t0(d.get("t0")))
 
 
 @dataclass(frozen=True)
@@ -287,8 +299,7 @@ def load_observation(obj, basis=None):
     _take(obj, ("x0", "t0", "phi0", "chi", "psi", "chi_grid"), "data")
 
     x0 = _parse_x0(obj.get("x0"), basis.dim if basis is not None else None)
-    t0 = obj.get("t0")
-    t0 = None if t0 is None else float(t0)
+    t0 = _parse_t0(obj.get("t0"))
 
     def _grid_from(spec, where):
         T = spec.get("T", t0)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from .basis import EigenBasis, SeparableAmplitude, SpatialField
 from .quadrature import duhamel_batch
@@ -120,8 +119,8 @@ def _coerce_amplitude(f):
 def solve_with_initial_data(basis, phi, psi, F, grid):
     """Modes of u_tt = -A u + F with u(0) = phi, u_t(0) = psi.
 
-    F may be None, a SeparableAmplitude (pure space-time forcing), or a list
-    of per-mode TimeTrace envelopes.
+    F is None or an amplitude (pure space-time forcing): a
+    SeparableAmplitude, a SpatialField or an expression.
     """
     grid = np.asarray(grid, dtype=float)
     phic = basis.project(phi) if phi is not None else np.zeros(basis.M)
@@ -131,12 +130,8 @@ def solve_with_initial_data(basis, phi, psi, F, grid):
     coeffs = phic[:, None] * np.cos(roots * grid) \
         + psic[:, None] / roots * np.sin(roots * grid)
     if F is not None:
-        if isinstance(F, (SeparableAmplitude, SpatialField, str, sympy.Expr)):
-            F = _coerce_amplitude(F).mode_traces(basis, grid)
-        fm = [_envelope(tr, grid) for tr in F]
-        if len(fm) != basis.M:
-            raise ValueError("need one forcing trace per mode")
-        coeffs = coeffs + duhamel_batch(np.array(fm), basis.eigenvalues, grid)
+        fm = _coerce_amplitude(F).mode_traces(basis, grid)
+        coeffs = coeffs + duhamel_batch(fm, basis.eigenvalues, grid)
     return SpaceTimeField(basis, grid, coeffs)
 
 
@@ -173,10 +168,9 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
         a = 0.5 if kind == "cos" else -0.5j
         drive += [(k * omega, a, c.values),
                   (-k * omega, a.conjugate(), c.values)]
-    coeffs = duhamel_batch(np.array([tr.values for tr in fm]),
-                           basis.eigenvalues, grid, drive)
+    coeffs = duhamel_batch(fm, basis.eigenvalues, grid, drive)
 
-    fmax = np.array([tr.max_abs for tr in fm])
+    fmax = np.abs(fm).max(axis=1)
     tail = float(fmax[-1] / fmax.max()) if fmax.max() > 0 else 0.0
     meta = {"omega": omega, "points_per_period": points_per_period,
             "mode_tail_ratio": tail}

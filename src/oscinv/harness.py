@@ -180,8 +180,7 @@ def run_roundtrip(config: ExperimentConfig, which):
         if not amp.time_invariant:
             raise ConfigError("amplitude recovery round trips need a "
                               "time-invariant f")
-        fm_flat = np.array([tr.value_at_start(0)
-                            for tr in amp.mode_traces(basis, dgrid)])
+        fm_flat = amp.mode_derivatives_at_start(basis)
         i_obs = int(round(t_obs / (dgrid[1] - dgrid[0])))
         lam_traces = duhamel_batch(src.r0.values, basis.eigenvalues, dgrid)
         psi = SpatialField(coeffs=fm_flat * lam_traces[:, i_obs], basis=basis)
@@ -241,7 +240,6 @@ def run_roundtrip(config: ExperimentConfig, which):
         # trace prediction at each frequency
         rec_amp = type(amp).from_field(fld)
         rec_src = OscillatorySource(src.r0, r1_rec)
-        phi1, phi2 = ip1_build_targets(data.chi, rec_amp, obs_cfg.x0, basis)
         psi_errs = []
         pts = basis.interior_sample_points(64)
         psi_pts = psi.evaluate(pts)
@@ -255,9 +253,11 @@ def run_roundtrip(config: ExperimentConfig, which):
             lam_fine = duhamel_batch(src.r0.sample(fine), basis.eigenvalues,
                                      fine)
             phi0_fine = (fld.coeffs * w) @ lam_fine
+            phi1, phi2 = ip1_build_targets(data.chi, rec_amp, obs_cfg.x0,
+                                           basis, grid=fine)
             chi_fine = data.chi.resample(fine)
-            composite = (phi0_fine + phi1.sample(fine) / omega
-                         + (phi2.sample(fine)
+            composite = (phi0_fine + phi1.values / omega
+                         + (phi2.values
                             + chi_fine.evaluate(fine, omega * fine)) / omega ** 2)
             trace = u.trace_at(obs_cfg.x0).values
             err = float(np.max(np.abs(trace - composite)))

@@ -22,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
-from .asymptotics import expansion_coefficients
+from .asymptotics import _free_oscillations, expansion_coefficients
 from .basis import SpatialField, check_boundary_traces
-from .expressions import T
 from .forward import _coerce_amplitude
 from .quadrature import duhamel_batch
 from .sources import (FastProfile, OscillatorySource, corner_values_from_rho0,
@@ -193,21 +191,10 @@ def ip1_build_targets(chi, f, x0, basis, grid=None):
     f_x0 = _amplitude_at(amp, x0, grid)
 
     p0 = _rho0_from_chi(chi.resample(grid), f_x0)
-    corners = corner_values_from_rho0(p0)
-    fm = amp.mode_traces(basis, grid)
-    coeff = expansion_coefficients(fm, corners)
+    coeff = expansion_coefficients(amp, basis, corner_values_from_rho0(p0))
+    c1, c2 = _free_oscillations(**coeff, lams=basis.eigenvalues, tgrid=grid)
     w = basis.point_weights(x0)
-    roots = np.sqrt(basis.eigenvalues)
-
-    e1 = sympy.Integer(0)
-    e2 = sympy.Integer(0)
-    for m in range(basis.M):
-        s = sympy.sin(sympy.Float(roots[m]) * T)
-        c = sympy.cos(sympy.Float(roots[m]) * T)
-        e1 = e1 + sympy.Float(coeff["b1"][m] / roots[m] * w[m]) * s
-        e2 = e2 + sympy.Float(w[m] * coeff["d"][m]) * c \
-            + sympy.Float(w[m] * coeff["b2"][m] / roots[m]) * s
-    return TimeTrace.from_expr(e1, grid), TimeTrace.from_expr(e2, grid)
+    return TimeTrace(grid, w @ c1), TimeTrace(grid, w @ c2)
 
 
 def ip1_recover(data, f, basis):
@@ -218,8 +205,7 @@ def ip1_recover(data, f, basis):
     grid = data.phi0.grid
     amp = _coerce_amplitude(f)
     f_x0 = _amplitude_at(amp, data.x0, grid)
-    fm = amp.mode_traces(basis, grid)
-    kernel = build_kernel(basis, fm, data.x0)
+    kernel = build_kernel(basis, amp, data.x0)
     g = data.phi0.derivative(2)
     r0_trace = solve_second_kind(f_x0, kernel, g)
     r1 = data.chi.resample(grid).tau_derivative(2).divided_by(f_x0)

@@ -107,7 +107,7 @@ def _check_mode_ode_residual():
     h = grid[1] - grid[0]
     worst = 0.0
     for m in range(basis.M):
-        force = fm[m].values * src.evaluate(grid, 60.0 * grid)
+        force = fm[m] * src.evaluate(grid, 60.0 * grid)
         acc = fd_derivative(u.coeffs[m], h, order=2)
         res = acc + basis.eigenvalues[m] * u.coeffs[m] - force
         worst = max(worst, float(np.max(np.abs(res[2:-2]))))
@@ -192,8 +192,7 @@ def _check_volterra_residual():
     basis = build_dirichlet_interval_basis(np.pi, 4)
     grid = uniform_grid(2.0, 800)
     amp = SeparableAmplitude.from_expr("exp(-t)*sin(x)")
-    fm = amp.mode_traces(basis, grid)
-    kern = build_kernel(basis, fm, np.pi / 2)
+    kern = build_kernel(basis, amp, np.pi / 2)
     g = TimeTrace.from_expr("t + t^2", grid)
     u = solve_second_kind(amp.at_point(np.pi / 2, grid), kern, g)
     return volterra_residual(amp.at_point(np.pi / 2, grid), kern, g, u), 5e-5

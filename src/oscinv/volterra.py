@@ -32,48 +32,41 @@ class VolterraKernel:
 
     lams: np.ndarray            # (M,)
     mode_weights: np.ndarray    # (M,) eigenfunctions at the observation point
-    fm_traces: list             # per-mode amplitude traces f_m
+    coeffs: np.ndarray          # (n_terms, M) projections of the space factors
+    amplitude: SeparableAmplitude   # supplies the time factors g_i
 
     @property
     def M(self):
         return int(self.lams.size)
 
+    def mode_amplitudes(self, s):
+        """f_m(s) = sum_i c_im g_i(s) on a 1-D array s, shape (M, s.size)."""
+        return self.coeffs.T @ self.amplitude.time_factors(s)
+
     def evaluate(self, t, s):
-        """K(t, s) for scalar t and array s."""
+        """K(t, s) for scalar t and a 1-D array s."""
         s = np.asarray(s, dtype=float)
         roots = np.sqrt(self.lams)
-        out = np.zeros_like(s)
-        for m in range(self.M):
-            fs = self.fm_traces[m](s)
-            out -= roots[m] * self.mode_weights[m] * fs \
-                * np.sin(roots[m] * (float(t) - s))
-        return out
+        return -(roots * self.mode_weights) @ (
+            self.mode_amplitudes(s) * np.sin(np.outer(roots, float(t) - s)))
 
     def __call__(self, t, s):
         return self.evaluate(t, s)
 
 
-def build_kernel(basis, f, x0, grid=None, M=None):
+def build_kernel(basis, f, x0, M=None):
     """Trace kernel of the slow-part equation at observation point x0.
 
-    ``f`` is a SeparableAmplitude (needs ``grid`` for its mode traces) or a
-    ready list of per-mode TimeTrace amplitudes.  A warning is issued when x0
-    sits where every eigenfunction is negligible (e.g. on the boundary).
+    ``f`` is a SeparableAmplitude; only its first M modes enter when M is
+    given.  A warning is issued when x0 sits where every eigenfunction is
+    negligible (e.g. on the boundary).
     """
-    if isinstance(f, SeparableAmplitude):
-        if grid is None:
-            raise ValueError("grid required to realize amplitude mode traces")
-        fm = f.mode_traces(basis, grid)
-    else:
-        fm = list(f)
-    if M is not None:
-        fm = fm[:M]
-    M_eff = len(fm)
-    wts = basis.point_weights(x0)[:M_eff]
+    wts = basis.point_weights(x0)[:M]
     if np.max(np.abs(wts)) < 1e-12:
         warnings.warn("all eigenfunctions vanish at the observation point; "
                       "the kernel and data carry no information", stacklevel=2)
-    return VolterraKernel(basis.eigenvalues[:M_eff].copy(), wts, fm)
+    return VolterraKernel(basis.eigenvalues[:M].copy(), wts,
+                          f.term_coefficients(basis)[:, :M], f)
 
 
 def _multiplier_values(a, grid):
@@ -116,7 +109,7 @@ def solve_second_kind(a, K, g, grid=None):
     if isinstance(K, VolterraKernel):
         roots = np.sqrt(K.lams)
         wf = roots * K.mode_weights
-        fvals = np.vstack([tr.sample(grid) for tr in K.fm_traces])
+        fvals = K.mode_amplitudes(grid)
         cos_s = np.cos(np.outer(roots, grid))
         sin_s = np.sin(np.outer(roots, grid))
         # running trapezoid sums of f_m(s) cos/sin(sqrt(lam_m) s) u(s)

@@ -89,8 +89,7 @@ def test_ac4_amplitude_recovery_from_final_snapshot():
     basis = build_dirichlet_interval_basis(PI, 8)
     grid = uniform_grid(3.0, 3000)
     amp = SeparableAmplitude.from_expr("sin(x) + 0.3*sin(3*x)")
-    fm_true = np.array([tr.value_at_start(0)
-                        for tr in amp.mode_traces(basis, grid)])
+    fm_true = amp.mode_derivatives_at_start(basis)
     r0 = TimeTrace.from_expr("1 + t", grid)
     lamv = np.array([duhamel_coefficient(r0.values, lam, grid).values[-1]
                      for lam in basis.eigenvalues])
@@ -148,8 +147,7 @@ def test_ac7_combined_recovery_and_resimulation():
     grid = uniform_grid(3.0, 3000)
     x0, t0 = PI / 2, 3.0
     amp = SeparableAmplitude.from_expr("sin(x) + 0.3*sin(3*x)")
-    fm_true = np.array([tr.value_at_start(0)
-                        for tr in amp.mode_traces(basis, grid)])
+    fm_true = amp.mode_derivatives_at_start(basis)
     r0 = TimeTrace.from_expr("1 + t", grid)
     w = basis.eval_modes(np.array([x0]))[:, 0]
 

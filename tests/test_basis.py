@@ -183,10 +183,10 @@ def test_amplitude_mode_traces_match_projection(interval_basis, grid3):
     amp = SeparableAmplitude.from_expr("exp(-t)*(sin(x) + 0.3*sin(3*x))")
     traces = amp.mode_traces(interval_basis, grid3)
     c = np.sqrt(PI / 2)
-    np.testing.assert_allclose(traces[0].values, c * np.exp(-grid3), atol=1e-12)
-    np.testing.assert_allclose(traces[2].values, 0.3 * c * np.exp(-grid3),
+    np.testing.assert_allclose(traces[0], c * np.exp(-grid3), atol=1e-12)
+    np.testing.assert_allclose(traces[2], 0.3 * c * np.exp(-grid3),
                                atol=1e-12)
-    np.testing.assert_allclose(traces[1].values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(traces[1], 0.0, atol=1e-12)
 
 
 def test_amplitude_at_point(grid3):
@@ -232,3 +232,21 @@ def test_point_weights_are_modes_at_the_point(interval_basis):
                                   rect.eval_modes([[1.0, 0.5]])[:, 0])
     with pytest.raises(ValueError):
         rect.point_weights(1.0)
+
+
+def test_mode_traces_compile_per_term_not_per_mode():
+    from oscinv import expressions
+
+    basis = build_dirichlet_interval_basis(PI, 64)
+    grid = uniform_grid(1.0, 200)
+    # time factors no other test uses, so their compiles are not cached yet
+    amp = SeparableAmplitude.from_expr(
+        "exp(-0.8125*t)*sin(x) + (1 + 0.4375*t^2)*sin(3*x)")
+    coeffs = amp.term_coefficients(basis)     # compiles the space factors
+    before = len(expressions._LAMBDIFY_CACHE)
+    fm = amp.mode_traces(basis, grid)
+    assert len(expressions._LAMBDIFY_CACHE) - before <= len(amp.terms)
+    fm1 = amp.mode_derivatives_at_start(basis, 1)
+    g = np.vstack([np.exp(-0.8125 * grid), 1 + 0.4375 * grid ** 2])
+    np.testing.assert_allclose(fm, coeffs.T @ g, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(fm1, -0.8125 * coeffs[0], rtol=0, atol=1e-14)

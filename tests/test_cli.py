@@ -112,6 +112,7 @@ def test_observation_after_final_time_exits_2(tmp_path, capsys, study):
 
 _DRIVE_SOURCE = {"f": "exp(-t)*sin(x)", "r0": "1 + t",
                  "r1": [{"harmonic": 1, "kind": "cos", "coeff": 1.0}]}
+_AMPLITUDE_SOURCE = {"f": "sin(x) + 0.3*sin(3*x)", "r0": "1 + t"}
 
 
 # (command, config overrides, observation data or None)
@@ -160,7 +161,23 @@ _EXIT_2_INPUTS = {
         tolerances={"slope_order2_max": "abc"}), None),
     "removed_output_format": ("study", dict(output={"format": "json"}), None),
     "removed_seed": ("study", dict(seed=0), None),
+    "roundtrip2_trace_h_zero": ("study", dict(
+        study="roundtrip2", source=_AMPLITUDE_SOURCE,
+        grid={"T": 3.0, "trace_h": 0}, observation={"x0": PI / 2}), None),
+    "roundtrip2_negative_t0": ("study", dict(
+        study="roundtrip2", source=_AMPLITUDE_SOURCE,
+        observation={"x0": PI / 2, "t0": -1}), None),
+    "invert2_negative_t0": ("invert2", dict(
+        source=_AMPLITUDE_SOURCE, observation={"x0": PI / 2, "t0": -1}),
+        {"psi": {"expr": "sin(x)"}}),
+    "data_nan_t0": ("invert2", dict(source=_AMPLITUDE_SOURCE),
+                    {"t0": math.nan, "psi": {"expr": "sin(x)"}}),
 }
+
+# the cases whose message must name the offending key
+_EXIT_2_NAMES = {"roundtrip2_trace_h_zero": "trace_h",
+                 "roundtrip2_negative_t0": "t0", "invert2_negative_t0": "t0",
+                 "data_nan_t0": "t0"}
 
 
 @pytest.mark.parametrize("case", sorted(_EXIT_2_INPUTS))
@@ -177,6 +194,7 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    assert _EXIT_2_NAMES.get(case, "") in err
 
 
 def test_output_dir_override(tmp_path):

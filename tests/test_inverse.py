@@ -140,6 +140,25 @@ def test_ip1_targets_single_mode_geometry(grid3):
     np.testing.assert_allclose(phi2.values, expect, atol=1e-12)
 
 
+
+def test_ip1_targets_match_expansion_multi_mode():
+    # time-varying amplitude and a drive with cos and sin harmonics, so b1,
+    # d and b2 are all nonzero in several modes
+    basis = build_dirichlet_interval_basis(PI, 6)
+    grid = uniform_grid(2.0, 2000)
+    f = "exp(-t)*(sin(x) + 0.3*sin(3*x)) + t*sin(2*x)"
+    r = "1 + t + (1 + t/2)*cos(tau) + 0.4*sin(2*tau)"
+    x0 = 1.2
+    _, phi1_ref, phi2_ref, chi = build_expansion(basis, f, r, grid) \
+        .trace_components(x0, grid)
+    phi1, phi2 = ip1_build_targets(chi, f, x0, basis)
+    assert phi1.max_abs > 0.1 and phi2.max_abs > 0.1
+    np.testing.assert_allclose(phi1.values, phi1_ref.values, rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(phi2.values, phi2_ref.values, rtol=0,
+                               atol=1e-12)
+
+
 # -- amplitude recovery (known slow drive) -------------------------------------
 
 

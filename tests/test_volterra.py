@@ -58,7 +58,7 @@ def trace_kernel():
     basis = build_dirichlet_interval_basis(PI, 4)
     grid = uniform_grid(3.0, 3000)
     amp = SeparableAmplitude.from_expr("exp(-t)*(sin(x) + 0.3*sin(3*x))")
-    K = build_kernel(basis, amp, PI / 2, grid=grid)
+    K = build_kernel(basis, amp, PI / 2)
     return K, basis, grid
 
 
@@ -108,14 +108,13 @@ def test_residual_checks_marched_solution(trace_kernel):
 
 def test_boundary_observation_warns():
     basis = build_dirichlet_interval_basis(PI, 3)
-    grid = uniform_grid(1.0, 100)
     amp = SeparableAmplitude.from_expr("sin(x)")
     with pytest.warns(UserWarning):
-        build_kernel(basis, amp, 0.0, grid=grid)
+        build_kernel(basis, amp, 0.0)
 
 
 def test_kernel_mode_truncation(trace_kernel):
     _, basis, grid = trace_kernel
     amp = SeparableAmplitude.from_expr("sin(x)")
-    K2 = build_kernel(basis, amp, PI / 2, grid=grid, M=2)
+    K2 = build_kernel(basis, amp, PI / 2, M=2)
     assert K2.M == 2
