@@ -55,9 +55,8 @@ def _cmd_forward(cfg):
     for omega in cfg.omegas:
         grid = make_time_grid(cfg.grid.T, omega=omega,
                               points_per_period=cfg.grid.points_per_period)
-        amp, src = make_source(cfg.source, grid, n_tau=cfg.grid.n_tau)
-        u = solve_direct(basis, amp, src, omega, grid=grid,
-                         n_tau=cfg.grid.n_tau)
+        amp, src = make_source(cfg.source, grid)
+        u = solve_direct(basis, amp, src, omega, grid=grid)
         coarse = u.subsample(cfg.grid.n_out)
         pts = basis.interior_sample_points(9)
         vals = coarse.evaluate(pts)
@@ -75,7 +74,7 @@ def _cmd_invert(cfg, which, data_path):
         raise ConfigError(f"invert{which} needs --data")
     basis = make_basis(cfg.basis)
     probe = uniform_grid(cfg.grid.T, 64)
-    amp, src = make_source(cfg.source, probe, n_tau=cfg.grid.n_tau)
+    amp, src = make_source(cfg.source, probe)
     data = load_observation(data_path, basis=basis)
     if data.t0 is None:
         data.t0 = cfg.observation.t0
@@ -103,7 +102,7 @@ def _cmd_invert(cfg, which, data_path):
         return 0
 
     grid = uniform_grid(t0, 4096)
-    _, src_t = make_source(cfg.source, grid, n_tau=cfg.grid.n_tau)
+    _, src_t = make_source(cfg.source, grid)
     r0 = src_t.r0
     if which == 2:
         if data.psi is None:

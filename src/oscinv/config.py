@@ -38,6 +38,10 @@ DEFAULT_TOLERANCES = {
     "trace_bound_factor": 10.0,
 }
 
+# cap on the mode-node entries (modes x time or space nodes) one run may
+# allocate; 2**26 float64 entries are 512 MB
+MAX_WORK = 2 ** 26
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -150,13 +154,11 @@ class GridConfig:
     T: float = 3.0
     points_per_period: int = 32
     n_out: int = 513
-    n_tau: int = 256
     trace_h: float = 1e-3
 
     @classmethod
     def from_dict(cls, d):
-        _take(d, ("T", "points_per_period", "n_out", "n_tau", "trace_h"),
-              "grid")
+        _take(d, ("T", "points_per_period", "n_out", "trace_h"), "grid")
         T = float(d.get("T", 3.0))
         ppp = int(d.get("points_per_period", 32))
         trace_h = float(d.get("trace_h", 1e-3))
@@ -168,8 +170,7 @@ class GridConfig:
             raise ConfigError(
                 f"points_per_period={ppp} makes the time step exceed "
                 f"(2*pi/omega)/{MIN_POINTS_PER_PERIOD}")
-        return cls(T, ppp, int(d.get("n_out", 513)), int(d.get("n_tau", 256)),
-                   trace_h)
+        return cls(T, ppp, int(d.get("n_out", 513)), trace_h)
 
 
 @dataclass(frozen=True)
@@ -233,6 +234,15 @@ def config_from_dict(d):
         raise ConfigError(f"{study} needs observation.x0")
     if study != "order":
         _parse_x0(observation.x0, 2 if basis.domain == "rectangle" else 1)
+    # preflight: forward grid at the largest omega, observation trace grid,
+    # and the Sturm-Liouville eigenvectors, all before anything is allocated
+    nodes = grid.T * omegas[-1] * grid.points_per_period / (2 * math.pi) \
+        + grid.T / grid.trace_h
+    if basis.domain == "sturm_liouville":
+        nodes += basis.grid_n
+    if basis.M * nodes > MAX_WORK:
+        raise ConfigError(f"estimated work of {basis.M * nodes:.3g} mode-node "
+                          f"entries exceeds the cap of {MAX_WORK} (2**26)")
     t0 = observation.t0
     if study in ("roundtrip2", "roundtrip3") and t0 is not None \
             and not t0 <= grid.T:
@@ -268,13 +278,13 @@ def make_basis(cfg: BasisConfig):
                                        grid_n=cfg.grid_n)
 
 
-def make_source(cfg: SourceConfig, grid, n_tau=256):
+def make_source(cfg: SourceConfig, grid):
     """Realize (amplitude, drive) on the given time grid."""
     with _bad_data("amplitude"):
         amp = SeparableAmplitude.from_expr(cfg.f)
     with _bad_data("drive"):
         if cfg.r is not None:
-            src = split_source(cfg.r, grid, n_tau=n_tau)
+            src = split_source(cfg.r, grid)
         else:
             r0 = TimeTrace.from_expr(cfg.r0, grid)
             r1 = FastProfile.from_specs(cfg.r1, grid)

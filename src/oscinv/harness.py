@@ -1,16 +1,15 @@
 """Experiment drivers: frequency sweeps and forward-then-invert round trips.
 
-Every study returns a StudyReport holding per-run rows, the named criteria
-with measured values and thresholds, and wall-clock runtimes.  Reports are
-emitted as CSV or JSON with deterministic bytes (sorted keys, floats printed
-with 17 significant digits).
+Every study returns a StudyReport holding per-run rows and the named
+criteria with measured values and thresholds.  Reports are emitted as CSV or
+JSON with deterministic bytes (sorted keys, floats printed with 17
+significant digits).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -65,7 +64,6 @@ class StudyReport:
     columns: tuple = ()
     rows: tuple = ()                  # tuples aligned with columns
     criteria: tuple = ()
-    runtimes: dict = dc_field(default_factory=dict)
     meta: dict = dc_field(default_factory=dict)
 
     @property
@@ -73,8 +71,6 @@ class StudyReport:
         return all(c.passed for c in self.criteria)
 
     def to_dict(self):
-        # wall-clock runtimes stay out, keeping emitted bytes identical
-        # across reruns of the same configuration
         return {
             "kind": self.kind,
             "columns": list(self.columns),
@@ -102,23 +98,16 @@ def run_order_study(config: ExperimentConfig):
     basis = make_basis(config.basis)
     ref_grid = make_time_grid(config.grid.T, omega=max(config.omegas),
                               points_per_period=config.grid.points_per_period)
-    amp, src = make_source(config.source, ref_grid, n_tau=config.grid.n_tau)
-    t_setup = time.perf_counter()
-    expansion = build_expansion(basis, amp, src, ref_grid,
-                                n_tau=config.grid.n_tau)
-    runtimes = {"setup": time.perf_counter() - t_setup}
+    amp, src = make_source(config.source, ref_grid)
+    expansion = build_expansion(basis, amp, src, ref_grid)
 
     rows = []
     res0, res2 = [], []
     for w in config.omegas:
-        t0 = time.perf_counter()
         u = solve_direct(basis, amp, src, w, T=config.grid.T,
-                         points_per_period=config.grid.points_per_period,
-                         n_tau=config.grid.n_tau)
+                         points_per_period=config.grid.points_per_period)
         r0n = residual_norm(u, expansion, w, order=0)
         r2n = residual_norm(u, expansion, w, order=2)
-        dt = time.perf_counter() - t0
-        runtimes[f"omega_{w:g}"] = dt
         res0.append(r0n)
         res2.append(r2n)
         rows.append((w, r0n, r2n))
@@ -143,7 +132,7 @@ def run_order_study(config: ExperimentConfig):
         kind="order",
         columns=("omega", "residual_order0", "residual_order2",
                  "slope_order0", "slope_order2"),
-        rows=full_rows, criteria=tuple(criteria), runtimes=runtimes,
+        rows=full_rows, criteria=tuple(criteria),
         meta={"M": basis.M, "T": config.grid.T})
 
 
@@ -169,9 +158,8 @@ def run_roundtrip(config: ExperimentConfig, which):
     T = config.grid.T
     t_obs = obs_cfg.t0 if obs_cfg.t0 is not None else T
     dgrid = uniform_grid(T, int(round(T / config.grid.trace_h)))
-    amp, src = make_source(config.source, dgrid, n_tau=config.grid.n_tau)
+    amp, src = make_source(config.source, dgrid)
     tol = config.tolerances
-    runtimes = {}
     criteria = []
     rows = []
     meta = {"M": basis.M, "t0": t_obs}
@@ -186,7 +174,6 @@ def run_roundtrip(config: ExperimentConfig, which):
         psi = SpatialField(coeffs=fm_flat * lam_traces[:, i_obs], basis=basis)
 
     if which == 1:
-        t0c = time.perf_counter()
         # phi0 = u0(x0, .) and chi = f(x0, .) * rho0; the expansion is not
         # kept, so its (M, N) arrays are freed before the Volterra march
         w = basis.point_weights(obs_cfg.x0)
@@ -195,10 +182,7 @@ def run_roundtrip(config: ExperimentConfig, which):
         f_x0 = amp.at_point(obs_cfg.x0, dgrid)
         chi = rho0(src.r1).resample(dgrid).scaled(f_x0)
         data = ObservationData(phi0=phi0, chi=chi, x0=obs_cfg.x0, t0=t_obs)
-        runtimes["synthesize"] = time.perf_counter() - t0c
-        t0c = time.perf_counter()
         rec = ip1_recover(data, amp, basis)
-        runtimes["invert"] = time.perf_counter() - t0c
 
         r0_err = float(np.max(np.abs(rec.r0.values - src.r0.sample(dgrid))))
         r1_err = _r1_coeff_error(rec.r1, src.r1.resample(dgrid))
@@ -208,9 +192,7 @@ def run_roundtrip(config: ExperimentConfig, which):
         columns = ("r0_sup_error", "r1_coeff_error")
 
     elif which == 2:
-        t0c = time.perf_counter()
         fld = ip2_recover(psi, src.r0, t_obs, basis)
-        runtimes["invert"] = time.perf_counter() - t0c
         fm_err = _fm_rel_error(fld.coeffs, fm_flat)
         criteria.append(_cmp("fm_rel_error", fm_err, tol["fm_rel"], "<="))
         boundary = fld.meta["boundary_report"]
@@ -226,9 +208,7 @@ def run_roundtrip(config: ExperimentConfig, which):
         chi = rho0(src.r1).resample(dgrid).scaled(f_x0)
         data = ObservationData(phi0=phi0, chi=chi, psi=psi,
                                x0=obs_cfg.x0, t0=t_obs)
-        t0c = time.perf_counter()
         fld, r1_rec = ip3_recover(data, src.r0, basis)
-        runtimes["invert"] = time.perf_counter() - t0c
 
         fm_err = _fm_rel_error(fld.coeffs, fm_flat)
         r1_err = _r1_coeff_error(r1_rec, src.r1.resample(dgrid))
@@ -244,11 +224,8 @@ def run_roundtrip(config: ExperimentConfig, which):
         pts = basis.interior_sample_points(64)
         psi_pts = psi.evaluate(pts)
         for omega in config.omegas:
-            t0c = time.perf_counter()
             u = solve_direct(basis, rec_amp, rec_src, omega, T=t_obs,
-                             points_per_period=config.grid.points_per_period,
-                             n_tau=config.grid.n_tau)
-            runtimes[f"forward_omega_{omega:g}"] = time.perf_counter() - t0c
+                             points_per_period=config.grid.points_per_period)
             fine = u.grid
             lam_fine = duhamel_batch(src.r0.sample(fine), basis.eigenvalues,
                                      fine)
@@ -282,7 +259,7 @@ def run_roundtrip(config: ExperimentConfig, which):
         x0=obs_cfg.x0).to_dict()
     return StudyReport(kind=f"roundtrip{which}", columns=columns,
                        rows=tuple(rows), criteria=tuple(criteria),
-                       runtimes=runtimes, meta=meta)
+                       meta=meta)
 
 
 # -- deterministic emission -------------------------------------------------

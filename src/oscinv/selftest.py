@@ -237,9 +237,10 @@ def _check_boundary_trace():
 
 def _check_split_fft_matches_symbolic():
     grid = uniform_grid(1.0, 64)
-    sym = split_source("1 + t + (1 + t/2)*cos(tau) + 0.4*sin(2*tau)", grid)
-    num = split_source(lambda t, tau: 1 + t + (1 + t / 2) * np.cos(tau)
-                       + 0.4 * np.sin(2 * tau), grid)
+    sym = split_source("1 + t + (1 + t/2)*cos(tau) + 0.4*sin(2*tau)"
+                       " + cos(t)*cos(tau)", grid)
+    num = split_source(lambda t, tau: 1 + t + (1 + t / 2 + np.cos(t))
+                       * np.cos(tau) + 0.4 * np.sin(2 * tau), grid)
     worst = np.max(np.abs(sym.r0.values - num.r0.values))
     for k, kind, tr in sym.r1.terms:
         worst = max(worst, (tr - num.r1.coefficient(k, kind)).max_abs)

@@ -67,10 +67,6 @@ class FastProfile:
             terms.append((int(k), kind, tr))
         return cls(terms, grid)
 
-    @classmethod
-    def zero(cls, grid):
-        return cls([], grid)
-
     @property
     def max_abs(self):
         return max((c.max_abs for _, _, c in self.terms), default=0.0)
@@ -122,10 +118,6 @@ class FastProfile:
                     nxt.append((k, "cos", c * (-1.0 / k)))
             terms = nxt
         return FastProfile(terms, self.grid)
-
-    def t_derivative(self, order=1):
-        return FastProfile([(k, kind, c.derivative(order))
-                            for k, kind, c in self.terms], self.grid)
 
     def corner(self, t_order=0):
         """d^t_order/dt^t_order of the profile at (t=grid[0], tau=0)."""
@@ -179,11 +171,81 @@ class OscillatorySource:
         return OscillatorySource(self.r0.resample(grid2), self.r1.resample(grid2))
 
 
+def _harmonic(arg):
+    """k when the phase argument is k*tau for an integer k, else None."""
+    ratio = arg / TAU
+    return int(ratio) if ratio.is_Integer else None
+
+
+def _angle_sum(fn):
+    """cos/sin(k*tau + s) with s free of tau, rewritten in cos/sin(k*tau)."""
+    rest, fast = fn.args[0].as_independent(TAU, as_Add=True)
+    if rest == 0 or _harmonic(fast) is None:
+        return fn
+    c, s = sympy.cos(fast), sympy.sin(fast)
+    if isinstance(fn, sympy.cos):
+        return c * sympy.cos(rest) - s * sympy.sin(rest)
+    return s * sympy.cos(rest) + c * sympy.sin(rest)
+
+
+def _harmonic_table(expr):
+    """Tau mean and harmonics of an expression drive, read off its expansion.
+
+    Returns (mean_expr, {(k, kind): envelope_expr}) with every envelope free
+    of tau and nonzero.  Angle sums are expanded only in phase atoms, and
+    product-to-sum (TR8) runs only on the tau factor of each term, so
+    t-dependent factors such as cos(t) stay out of the phase algebra.
+    Raises ValueError unless the drive is a trigonometric polynomial in tau.
+    """
+    e = expressions.parse(expr, allowed=(T, TAU))
+    e = sympy.expand(e.xreplace({fn: _angle_sum(fn) for fn in
+                                 e.atoms(sympy.cos, sympy.sin)
+                                 if TAU in fn.free_symbols}))
+    by_factor = {}
+    for term in sympy.Add.make_args(e):
+        env, fast = term.as_independent(TAU, as_Add=False)
+        by_factor[fast] = by_factor.get(fast, 0) + env
+    mean = by_factor.pop(sympy.Integer(1), sympy.Integer(0))
+    table = {}
+    for fast, env in by_factor.items():
+        for part in sympy.Add.make_args(sympy.expand(TR8(fast))):
+            c, trig = part.as_independent(TAU, as_Add=False)
+            if trig == 1:
+                mean += env * c
+                continue
+            k = _harmonic(trig.args[0]) if isinstance(
+                trig, (sympy.cos, sympy.sin)) else None
+            if k is None:
+                raise ValueError(f"{trig} is not cos(k*tau) or sin(k*tau) "
+                                 "with integer k; an expression drive must be "
+                                 "a trigonometric polynomial in tau")
+            key = (k, "cos" if isinstance(trig, sympy.cos) else "sin")
+            table[key] = table.get(key, 0) + env * c
+    return mean, {key: env for key, env in table.items() if env != 0}
+
+
+def _phase_samples(r, t, n_tau):
+    """r(t, tau) on n_tau equispaced phases, shape (len(t), n_tau), and
+    max(1, max |r|); one extra tau = 2*pi column checks the periodicity."""
+    taus = np.append(_TWO_PI * np.arange(n_tau) / n_tau, _TWO_PI)
+    # scalar drives run about twice as fast on Python floats as on numpy
+    # scalars, with the same IEEE arithmetic
+    ts = np.asarray(t, dtype=float).tolist()
+    samples = np.empty((len(ts), n_tau + 1))
+    for j, p in enumerate(taus.tolist()):
+        samples[:, j] = [r(tv, p) for tv in ts]
+    samples, closing = samples[:, :-1], samples[:, -1]
+    scale = max(1.0, float(np.max(np.abs(samples))))
+    if np.max(np.abs(closing - samples[:, 0])) > 1e-9 * scale:
+        raise ValueError("drive is not 2*pi-periodic in its fast argument")
+    return samples, scale
+
+
 def tau_mean(obj, t=0.0, n_tau=256):
     """Average over one fast period at fixed slow time.
 
-    FastProfile means vanish structurally; sympy expressions are integrated
-    exactly; callables are sampled on n_tau equispaced phases (exact for trig
+    FastProfile means vanish structurally; expressions give their exact tau
+    mean; callables are sampled on n_tau equispaced phases (exact for trig
     polynomials below the aliasing limit).
     """
     if isinstance(obj, FastProfile):
@@ -191,50 +253,8 @@ def tau_mean(obj, t=0.0, n_tau=256):
     if isinstance(obj, OscillatorySource):
         return float(obj.r0(t))
     if isinstance(obj, (str, sympy.Expr)):
-        e = expressions.parse(obj, allowed=(T, TAU))
-        mean = sympy.integrate(e, (TAU, 0, 2 * sympy.pi)) / (2 * sympy.pi)
-        mean = sympy.simplify(mean)
-        if mean.free_symbols:
-            return float(mean.subs(T, t))
-        return float(mean)
-    taus = _TWO_PI * np.arange(n_tau) / n_tau
-    vals = np.asarray([obj(t, tv) for tv in taus], dtype=float)
-    return float(vals.mean())
-
-
-def _extract_trig_terms(expr):
-    """Termwise (k, kind, envelope-in-t) extraction of a zero-mean trig poly."""
-    expr = sympy.expand(TR8(sympy.expand_trig(sympy.expand(expr))))
-    out = []
-    for term in sympy.Add.make_args(expr):
-        if TAU not in term.free_symbols:
-            if sympy.simplify(term) != 0:
-                raise ValueError(f"leftover tau-free term {term} in the fast part")
-            continue
-        trig = None
-        env = sympy.Integer(1)
-        for fac in sympy.Mul.make_args(term):
-            if TAU in fac.free_symbols:
-                if trig is not None:
-                    raise ValueError(f"cannot reduce {term} to a single "
-                                     "harmonic; use the structured term list")
-                trig = fac
-            else:
-                env = env * fac
-        if not isinstance(trig, (sympy.sin, sympy.cos)):
-            raise ValueError(f"fast factor {trig} is not a pure harmonic")
-        ratio = sympy.simplify(trig.args[0] / TAU)
-        if not (ratio.is_number and ratio.is_integer):
-            raise ValueError(f"non-integer harmonic in {trig}; the drive must "
-                             "be 2*pi-periodic in the fast phase")
-        k = int(ratio)
-        kind = "cos" if isinstance(trig, sympy.cos) else "sin"
-        if k < 0:
-            k = -k
-            if kind == "sin":
-                env = -env
-        out.append((k, kind, env))
-    return out
+        return float(_harmonic_table(obj)[0].subs(T, t))
+    return float(_phase_samples(obj, [t], n_tau)[0].mean())
 
 
 def split_source(r, grid, n_tau=256):
@@ -248,25 +268,15 @@ def split_source(r, grid, n_tau=256):
     if isinstance(r, OscillatorySource):
         return r
     if isinstance(r, (str, sympy.Expr)):
-        e = expressions.parse(r, allowed=(T, TAU))
-        mean = sympy.simplify(sympy.integrate(e, (TAU, 0, 2 * sympy.pi))
-                              / (2 * sympy.pi))
-        r0 = TimeTrace.from_expr(mean, grid)
-        fast = sympy.expand(e - mean)
+        mean, table = _harmonic_table(r)
         terms = [(k, kind, TimeTrace.from_expr(env, grid))
-                 for k, kind, env in _extract_trig_terms(fast)]
-        return OscillatorySource(r0, FastProfile(terms, grid))
+                 for (k, kind), env in table.items()]
+        return OscillatorySource(TimeTrace.from_expr(mean, grid),
+                                 FastProfile(terms, grid))
 
     if not callable(r):
         raise TypeError("drive must be a source, an expression, or a callable")
-    taus = _TWO_PI * np.arange(n_tau) / n_tau
-    samples = np.empty((grid.size, n_tau))
-    for j, tv in enumerate(taus):
-        samples[:, j] = [r(tv_t, tv) for tv_t in grid]
-    scale = max(1.0, float(np.max(np.abs(samples))))
-    wrap = np.asarray([r(tv_t, _TWO_PI) - r(tv_t, 0.0) for tv_t in grid])
-    if np.max(np.abs(wrap)) > 1e-9 * scale:
-        raise ValueError("drive is not 2*pi-periodic in its fast argument")
+    samples, scale = _phase_samples(r, grid, n_tau)
     F = np.fft.rfft(samples, axis=1)
     r0 = TimeTrace(grid, F[:, 0].real / n_tau)
     terms = []
@@ -302,9 +312,9 @@ def corner_values_from_rho0(p0):
     return {
         "rho0": p0.corner(),
         "rho0_tau": p0.tau_derivative().corner(),
-        "rho0_t": p0.t_derivative().corner(),
+        "rho0_t": p0.corner(1),
         "rho1": p1.corner(),
-        "rho1_t": p1.t_derivative().corner(),
+        "rho1_t": p1.corner(1),
     }
 
 

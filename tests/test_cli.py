@@ -172,12 +172,21 @@ _EXIT_2_INPUTS = {
         {"psi": {"expr": "sin(x)"}}),
     "data_nan_t0": ("invert2", dict(source=_AMPLITUDE_SOURCE),
                     {"t0": math.nan, "psi": {"expr": "sin(x)"}}),
+    "drive_exp_of_phase": ("forward", dict(
+        source={"f": "sin(x)", "r": "exp(sin(tau))"}), None),
+    "drive_fractional_power_of_phase": ("forward", dict(
+        source={"f": "sin(x)", "r": "cos(tau)^0.5"}), None),
+    "drive_rational_in_phase": ("forward", dict(
+        source={"f": "sin(x)", "r": "1/(2+cos(tau))"}), None),
+    "removed_n_tau": ("forward", dict(grid={"T": 3.0, "n_tau": 64}), None),
+    "omega_over_work_cap": ("forward", dict(omega=[1e7]), None),
 }
 
 # the cases whose message must name the offending key
 _EXIT_2_NAMES = {"roundtrip2_trace_h_zero": "trace_h",
                  "roundtrip2_negative_t0": "t0", "invert2_negative_t0": "t0",
-                 "data_nan_t0": "t0"}
+                 "data_nan_t0": "t0", "removed_n_tau": "n_tau",
+                 "omega_over_work_cap": "cap"}
 
 
 @pytest.mark.parametrize("case", sorted(_EXIT_2_INPUTS))
@@ -195,6 +204,13 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert _EXIT_2_NAMES.get(case, "") in err
+
+
+def test_forward_accepts_slow_trig_times_phase_harmonic(tmp_path):
+    cfg = _write_config(tmp_path, source={"f": "sin(x)",
+                                          "r": "cos(t)*cos(tau)"})
+    assert main(["forward", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out" / "run_forward_omega100.csv").exists()
 
 
 def test_output_dir_override(tmp_path):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscinv.basis import build_dirichlet_interval_basis, build_rectangle_basis
-from oscinv.config import (ConfigError, DEFAULT_TOLERANCES, config_from_dict,
-                           load_config, load_observation, make_basis,
-                           make_source)
+from oscinv.config import (ConfigError, DEFAULT_TOLERANCES, MAX_WORK,
+                           config_from_dict, load_config, load_observation,
+                           make_basis, make_source)
 from oscinv.expressions import ExpressionError
 from oscinv.traces import uniform_grid
 
@@ -77,6 +77,31 @@ def test_observation_time_within_horizon(study):
         config_from_dict(dict(GOOD, study=study, observation=late))
     cfg = config_from_dict(dict(GOOD, study=study))
     assert cfg.observation.t0 == cfg.grid.T
+
+
+# largest single omega that keeps M=1, T=3, 32 points per period and the
+# default trace_h (3000 trace nodes) at or under the work cap
+_OMEGA_AT_CAP = (MAX_WORK - 3000) * 2 * math.pi / (3.0 * 32)
+
+
+@pytest.mark.parametrize("factor, ok", [(0.999, True), (1.001, False)])
+def test_work_cap_counts_forward_and_trace_nodes(factor, ok):
+    d = dict(GOOD, basis={"M": 1}, omega=[_OMEGA_AT_CAP * factor])
+    if ok:
+        config_from_dict(d)
+    else:
+        with pytest.raises(ConfigError, match=f"cap of {MAX_WORK}"):
+            config_from_dict(d)
+
+
+@pytest.mark.parametrize("override", [
+    {"grid": {"T": 3.0, "trace_h": 1e-8}},
+    {"basis": {"domain": "sturm_liouville", "M": 64, "grid_n": 2 ** 20}},
+    {"basis": {"M": 10 ** 5}},
+])
+def test_work_cap_rejects_before_allocation(override):
+    with pytest.raises(ConfigError, match="estimated work of .* exceeds"):
+        config_from_dict(dict(GOOD, **override))
 
 
 def test_scalar_omega_promoted():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscinv import expressions
+from oscinv.expressions import T, TAU
 from oscinv.sources import (FastProfile, OscillatorySource, corner_values,
                             rho0, rho1, split_source, tau_mean)
 from oscinv.traces import TimeTrace, uniform_grid
@@ -167,6 +170,50 @@ def test_split_callable_matches_symbolic(grid3):
 def test_split_callable_rejects_aperiodic(grid3):
     with pytest.raises(ValueError):
         split_source(lambda t, tau: np.cos(0.5 * tau), grid3)
+
+
+def test_tau_mean_callable_rejects_aperiodic():
+    with pytest.raises(ValueError):
+        tau_mean(lambda t, tau: np.cos(0.5 * tau), t=1.0)
+
+
+# products with t-trig factors and angle sums first, then the expressions
+# split elsewhere in this file
+_SPLIT_EXPRESSIONS = [
+    "cos(t)*cos(tau)", "sin(t)*sin(2*tau)", "(1 + t)*cos(tau + t)",
+    "cos(2*t)*cos(tau)^2",
+    "1 + t + (1 + t/2)*cos(tau) + 0.4*sin(2*tau)", "cos(tau)^2",
+    "sin(tau)*cos(tau)", "exp(-t)", "2 + cos(tau)", "1 + t + cos(tau)",
+]
+
+
+@pytest.mark.parametrize("expr", _SPLIT_EXPRESSIONS)
+def test_split_expression_matches_fft_of_same_drive(expr):
+    grid = uniform_grid(3.0, 60)
+    fn = sympy.lambdify((T, TAU), expressions.parse(expr), "numpy")
+    sym = split_source(expr, grid)
+    num = split_source(lambda t, tau: float(fn(t, tau)), grid, n_tau=32)
+    assert [(k, kind) for k, kind, _ in sym.r1.terms] \
+        == [(k, kind) for k, kind, _ in num.r1.terms]
+    np.testing.assert_allclose(sym.r0.values, num.r0.values, rtol=0,
+                               atol=1e-11)
+    for (_, _, a), (_, _, b) in zip(sym.r1.terms, num.r1.terms):
+        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-11)
+
+
+def test_expression_split_uses_no_symbolic_integration(monkeypatch, grid3):
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic integrate/simplify called")
+
+    monkeypatch.setattr(sympy, "integrate", refuse)
+    monkeypatch.setattr(sympy, "simplify", refuse)
+    expr = "1 + t + cos(t)*cos(tau)^2 + sin(tau + t)"
+    src = split_source(expr, grid3)
+    np.testing.assert_allclose(src.r0.values, 1 + grid3 + np.cos(grid3) / 2,
+                               atol=1e-14)
+    assert [(k, kind) for k, kind, _ in src.r1.terms] == [
+        (1, "cos"), (1, "sin"), (2, "cos")]
+    assert tau_mean(expr, t=0.0) == pytest.approx(1.5, abs=1e-15)
 
 
 def test_tau_mean_of_source(grid3):
