@@ -162,15 +162,18 @@ class GridConfig:
         T = float(d.get("T", 3.0))
         ppp = int(d.get("points_per_period", 32))
         trace_h = float(d.get("trace_h", 1e-3))
+        n_out = int(d.get("n_out", 513))
         if not (math.isfinite(T) and T > 0):
             raise ConfigError("T must be positive and finite")
         if not (math.isfinite(trace_h) and trace_h > 0):
             raise ConfigError("trace_h must be positive and finite")
+        if n_out < 2:
+            raise ConfigError(f"n_out={n_out} must be at least 2")
         if ppp < MIN_POINTS_PER_PERIOD:
             raise ConfigError(
                 f"points_per_period={ppp} makes the time step exceed "
                 f"(2*pi/omega)/{MIN_POINTS_PER_PERIOD}")
-        return cls(T, ppp, int(d.get("n_out", 513)), trace_h)
+        return cls(T, ppp, n_out, trace_h)
 
 
 @dataclass(frozen=True)

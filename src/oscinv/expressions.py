@@ -8,6 +8,8 @@ constant ``pi``.  Everything is parsed into sympy so derivatives stay exact.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import sympy
 from sympy.parsing.sympy_parser import (
@@ -73,17 +75,29 @@ def parse(text, allowed=None):
     return expr
 
 
-_LAMBDIFY_CACHE: dict = {}
+# most recently used compiles kept; one CLI round trip makes about a dozen,
+# so an eviction never falls inside one run
+_LAMBDIFY_CAP = 256
+_LAMBDIFY_CACHE: OrderedDict = OrderedDict()
 
 
 def lambdify_cached(expr, varnames):
-    """Vectorized numpy callable for ``expr`` over the named variables."""
+    """Vectorized numpy callable for ``expr`` over the named variables.
+
+    Compiles are cached up to ``_LAMBDIFY_CAP`` entries, least recently used
+    first out, so a long process that keeps building new expressions stays
+    bounded.
+    """
     key = (expr, tuple(varnames))
     fn = _LAMBDIFY_CACHE.get(key)
-    if fn is None:
-        syms = [_LOCALS[v] for v in varnames]
-        fn = sympy.lambdify(syms, expr, modules="numpy")
-        _LAMBDIFY_CACHE[key] = fn
+    if fn is not None:
+        _LAMBDIFY_CACHE.move_to_end(key)
+        return fn
+    syms = [_LOCALS[v] for v in varnames]
+    fn = sympy.lambdify(syms, expr, modules="numpy")
+    _LAMBDIFY_CACHE[key] = fn
+    if len(_LAMBDIFY_CACHE) > _LAMBDIFY_CAP:
+        _LAMBDIFY_CACHE.popitem(last=False)
     return fn
 
 

@@ -198,6 +198,19 @@ def _check_volterra_residual():
     return volterra_residual(amp.at_point(np.pi / 2, grid), kern, g, u), 5e-5
 
 
+def _check_volterra_blocked_vs_generic():
+    # the blocked separable march against the generic per-row march
+    basis = build_dirichlet_interval_basis(np.pi, 8)
+    grid = uniform_grid(2.0, 600)
+    amp = SeparableAmplitude.from_expr("exp(-t)*sin(x) + (1 + t^2/4)*sin(2*x)")
+    kern = build_kernel(basis, amp, 1.1)
+    a = amp.at_point(1.1, grid)
+    g = TimeTrace.from_expr("t + t^2", grid)
+    fast = solve_second_kind(a, kern, g)
+    slow = solve_second_kind(a, kern.evaluate, g)
+    return float(np.max(np.abs(fast.values - slow.values))), 1e-12
+
+
 def _check_ip2_identity():
     basis = build_dirichlet_interval_basis(np.pi, 6)
     grid = uniform_grid(3.0, 3000)
@@ -276,6 +289,7 @@ ALL_CHECKS = [
     ("tau_mean_agreement", _check_tau_mean),
     ("volterra_order", _check_volterra_order),
     ("volterra_residual", _check_volterra_residual),
+    ("volterra_blocked_vs_generic", _check_volterra_blocked_vs_generic),
     ("amplitude_recovery_identity", _check_ip2_identity),
     ("drive_recovery_consistency", _check_ip1_trace_consistency),
     ("boundary_trace_classification", _check_boundary_trace),

@@ -7,8 +7,13 @@ update explicit.  Global accuracy is O(h^2) for smooth kernels.
 
 The spectral trace kernel K(t,s) = -sum_m sqrt(lam_m) f_m(s) y_m(x0)
 sin(sqrt(lam_m)(t-s)) vanishes on the diagonal and separates by the angle
-addition formula, so the marching runs in O(N*M) with per-mode running sums
-instead of the generic O(N^2).
+addition formula into K(t_i, s_j) = -(A_i . P_j - B_i . Q_j), with row
+factors A, B (sqrt(lam) y(x0) times sin, cos at t_i) and integrand factors
+P, Q (f times cos, sin at s_j).  The same rule is then marched block by block
+(Linz, Analytical and Numerical Methods for Volterra Equations, SIAM 1985):
+2M running sums carry the history, and each block of nodes costs a few
+matrix products and one lower-triangular solve, O(N*M) in all instead of the
+generic O(N^2).
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from .traces import TimeTrace
 
 __all__ = ["VolterraKernel", "build_kernel", "solve_second_kind",
            "volterra_residual"]
+
+BLOCK = 64      # nodes per block of the separable march
 
 
 @dataclass(eq=False)
@@ -107,20 +114,7 @@ def solve_second_kind(a, K, g, grid=None):
     u[0] = gv[0] / av[0]
 
     if isinstance(K, VolterraKernel):
-        roots = np.sqrt(K.lams)
-        wf = roots * K.mode_weights
-        fvals = K.mode_amplitudes(grid)
-        cos_s = np.cos(np.outer(roots, grid))
-        sin_s = np.sin(np.outer(roots, grid))
-        # running trapezoid sums of f_m(s) cos/sin(sqrt(lam_m) s) u(s)
-        Sc = 0.5 * fvals[:, 0] * cos_s[:, 0] * u[0]
-        Ss = 0.5 * fvals[:, 0] * sin_s[:, 0] * u[0]
-        for i in range(1, n):
-            # K(t_i,t_i) = 0, so the diagonal adds nothing to the multiplier
-            integ = -h * float(wf @ (sin_s[:, i] * Sc - cos_s[:, i] * Ss))
-            u[i] = (gv[i] - integ) / av[i]
-            Sc += fvals[:, i] * cos_s[:, i] * u[i]
-            Ss += fvals[:, i] * sin_s[:, i] * u[i]
+        _march_separable(av, K, gv, grid, u)
         return TimeTrace(grid, u)
 
     if not callable(K):
@@ -130,6 +124,42 @@ def solve_second_kind(a, K, g, grid=None):
         acc = h * (0.5 * row[0] * u[0] + row[1:i] @ u[1:i])
         u[i] = (gv[i] - acc) / (av[i] + 0.5 * h * row[i])
     return TimeTrace(grid, u)
+
+
+def _march_separable(av, K, gv, grid, u):
+    """Fill u[1:] by the trapezoid march for a separable kernel, in blocks.
+
+    Within a block [i, j) the unknowns couple through the in-block kernel
+    only, so each block is one lower-triangular solve; its diagonal is
+    a(t) alone because K(t, t) = 0.  Tables are built per block, so no
+    (M, N) array is held.
+    """
+    h = grid[1] - grid[0]
+    roots = np.sqrt(K.lams)
+    wf = (roots * K.mode_weights)[:, None]
+    # f_m = coeffs.T @ g as in mode_amplitudes, but the (n_terms, N) time
+    # factors are sampled once and each block projects only its own slice
+    coeffs_t = K.coeffs.T
+    tf = K.amplitude.time_factors(grid)
+    # running trapezoid sums of f_m(s) cos/sin(sqrt(lam_m) s) u(s); the
+    # first node has the half weight
+    f0 = coeffs_t @ tf[:, 0]
+    Sc = 0.5 * f0 * np.cos(roots * grid[0]) * u[0]
+    Ss = 0.5 * f0 * np.sin(roots * grid[0]) * u[0]
+    for i in range(1, grid.size, BLOCK):
+        j = min(i + BLOCK, grid.size)
+        phase = np.outer(roots, grid[i:j])
+        c, s = np.cos(phase), np.sin(phase)
+        f = coeffs_t @ tf[:, i:j]
+        P, Q = f * c, f * s
+        A, Bm = (wf * s).T, (wf * c).T
+        rhs = gv[i:j] + h * (A @ Sc - Bm @ Ss)
+        L = -h * np.tril(A @ P - Bm @ Q, -1)
+        L[np.diag_indices_from(L)] = av[i:j]
+        ub = np.linalg.solve(L, rhs)
+        u[i:j] = ub
+        Sc += P @ ub
+        Ss += Q @ ub
 
 
 def volterra_residual(a, K, g, u):

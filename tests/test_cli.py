@@ -180,13 +180,17 @@ _EXIT_2_INPUTS = {
         source={"f": "sin(x)", "r": "1/(2+cos(tau))"}), None),
     "removed_n_tau": ("forward", dict(grid={"T": 3.0, "n_tau": 64}), None),
     "omega_over_work_cap": ("forward", dict(omega=[1e7]), None),
+    "forward_n_out_zero": ("forward", dict(grid={"T": 3.0, "n_out": 0}), None),
+    "forward_n_out_negative": ("forward", dict(grid={"T": 3.0, "n_out": -3}),
+                               None),
 }
 
 # the cases whose message must name the offending key
 _EXIT_2_NAMES = {"roundtrip2_trace_h_zero": "trace_h",
                  "roundtrip2_negative_t0": "t0", "invert2_negative_t0": "t0",
                  "data_nan_t0": "t0", "removed_n_tau": "n_tau",
-                 "omega_over_work_cap": "cap"}
+                 "omega_over_work_cap": "cap", "forward_n_out_zero": "n_out",
+                 "forward_n_out_negative": "n_out"}
 
 
 @pytest.mark.parametrize("case", sorted(_EXIT_2_INPUTS))

@@ -1,9 +1,12 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 import sympy
 
-from oscinv.expressions import (ExpressionError, T, TAU, X, evaluate, parse,
-                                separable_terms)
+from oscinv import expressions
+from oscinv.expressions import (ExpressionError, T, TAU, X, evaluate,
+                                lambdify_cached, parse, separable_terms)
 
 
 def test_parse_basic_arithmetic():
@@ -94,3 +97,16 @@ def test_separable_terms_rejects_tau():
     e = parse("sin(x)*cos(tau)", allowed=("t", "x", "tau"))
     with pytest.raises(ExpressionError):
         separable_terms(e)
+
+
+def test_lambdify_cache_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(expressions, "_LAMBDIFY_CACHE", OrderedDict())
+    cap = expressions._LAMBDIFY_CAP
+    first = lambdify_cached(T + 1, ["t"])
+    for k in range(2, cap + 20):
+        lambdify_cached(T + k, ["t"])
+        # a repeated expression is a hit, and being used keeps it cached
+        assert lambdify_cached(T + 1, ["t"]) is first
+        assert len(expressions._LAMBDIFY_CACHE) <= cap
+    assert len(expressions._LAMBDIFY_CACHE) == cap
+    assert (T + 2, ("t",)) not in expressions._LAMBDIFY_CACHE

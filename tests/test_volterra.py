@@ -3,8 +3,8 @@ import pytest
 
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
 from oscinv.traces import TimeTrace, uniform_grid
-from oscinv.volterra import (VolterraKernel, build_kernel, solve_second_kind,
-                             volterra_residual)
+from oscinv.volterra import (BLOCK, VolterraKernel, build_kernel,
+                             solve_second_kind, volterra_residual)
 
 PI = np.pi
 
@@ -83,6 +83,35 @@ def test_kernel_structure(trace_kernel):
     assert K.evaluate(t, s)[0] == pytest.approx(expect, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def two_term_kernel():
+    # two time-varying terms, observed where both space factors are nonzero
+    basis = build_dirichlet_interval_basis(PI, 6)
+    amp = SeparableAmplitude.from_expr(
+        "exp(-t)*sin(x) + (1 + t^2/4)*sin(2*x)")
+    return build_kernel(basis, amp, 1.1)
+
+
+def _march_loop(a, K, g, grid):
+    """Reference: the separable trapezoid march stepped one node at a time."""
+    h = grid[1] - grid[0]
+    u = np.empty(grid.size)
+    u[0] = g[0] / a[0]
+    roots = np.sqrt(K.lams)
+    wf = roots * K.mode_weights
+    fvals = K.mode_amplitudes(grid)
+    cos_s = np.cos(np.outer(roots, grid))
+    sin_s = np.sin(np.outer(roots, grid))
+    Sc = 0.5 * fvals[:, 0] * cos_s[:, 0] * u[0]
+    Ss = 0.5 * fvals[:, 0] * sin_s[:, 0] * u[0]
+    for i in range(1, grid.size):
+        integ = -h * float(wf @ (sin_s[:, i] * Sc - cos_s[:, i] * Ss))
+        u[i] = (g[i] - integ) / a[i]
+        Sc += fvals[:, i] * cos_s[:, i] * u[i]
+        Ss += fvals[:, i] * sin_s[:, i] * u[i]
+    return u
+
+
 def test_separable_path_matches_generic(trace_kernel):
     K, basis, grid = trace_kernel
     g = TimeTrace.from_expr("1 + t/3", grid)
@@ -91,6 +120,31 @@ def test_separable_path_matches_generic(trace_kernel):
     slow = solve_second_kind(a, K.evaluate, g, grid=grid)
     # same order-2 rule, different summation path: near-identical results
     assert np.max(np.abs(fast.values - slow.values)) < 1e-10
+
+
+# node counts that put the last node before, on and after a block edge
+# (node 0 is not in a block)
+@pytest.mark.parametrize("n_nodes", [2, 3, BLOCK - 1, BLOCK, BLOCK + 1,
+                                     2 * BLOCK + 5, 401])
+def test_separable_path_matches_generic_at_block_edges(two_term_kernel,
+                                                        n_nodes):
+    K = two_term_kernel
+    grid = np.linspace(0.0, 3.0, n_nodes)
+    g = TimeTrace.from_expr("1 + t/3", grid)
+    a = 2 + np.sin(3 * grid)
+    fast = solve_second_kind(a, K, g, grid=grid)
+    slow = solve_second_kind(a, K.evaluate, g, grid=grid)
+    assert np.max(np.abs(fast.values - slow.values)) < 1e-12
+
+
+def test_blocked_march_matches_node_loop(two_term_kernel):
+    K = two_term_kernel
+    grid = uniform_grid(3.0, 3000)
+    g = 1 + grid / 3 + np.sin(2 * grid)
+    a = 2 + np.sin(3 * grid)
+    u = solve_second_kind(a, K, g, grid=grid).values
+    ref = _march_loop(a, K, g, grid)
+    assert np.max(np.abs(u - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def test_residual_checks_marched_solution(trace_kernel):
