@@ -9,7 +9,7 @@ from .asymptotics import (AsymptoticExpansion, build_expansion,
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      load_config, load_observation, make_basis, make_source)
 from .forward import (SpaceTimeField, UnderResolvedError, duhamel_coefficient,
-                      make_time_grid, solve_direct, solve_with_initial_data)
+                      make_time_grid, solve_direct)
 from .harness import (StudyReport, emit_report, fit_slope, run_order_study,
                       run_roundtrip)
 from .inverse import (AdmissibilityError, AdmissibilityReport,
@@ -33,7 +33,7 @@ __all__ = [
     "ConfigError", "ExperimentConfig", "config_from_dict", "load_config",
     "load_observation", "make_basis", "make_source",
     "SpaceTimeField", "UnderResolvedError", "duhamel_coefficient",
-    "make_time_grid", "solve_direct", "solve_with_initial_data",
+    "make_time_grid", "solve_direct",
     "StudyReport", "emit_report", "fit_slope", "run_order_study",
     "run_roundtrip",
     "AdmissibilityError", "AdmissibilityReport", "ObservationData",

@@ -35,6 +35,9 @@ __all__ = [
     "residual_norm",
 ]
 
+RESIDUAL_SPACE_POINTS = 64         # interior points residual_norm samples
+RESIDUAL_SAMPLES_PER_PERIOD = 8    # its time samples per fast period
+
 
 def _slow_response(fm, r0v, lams, grid):
     """u0 mode coefficients: every mode driven by f_m(t) r0(t), zero data."""
@@ -146,22 +149,21 @@ def build_expansion(basis, f, r, grid, n_tau=256):
         grid=grid, u0_coeffs=u0)
 
 
-def residual_norm(u_field, expansion, omega, order=2, n_space=64,
-                  samples_per_period=8):
+def residual_norm(u_field, expansion, omega, order=2):
     """Sup distance between a solved field and the truncated expansion.
 
-    Sampled on interior spatial points and a time subgrid with about
-    samples_per_period nodes per fast period (enough to see the fast phase
-    without paying for every fine node).
+    Sampled on RESIDUAL_SPACE_POINTS interior points and a time subgrid with
+    about RESIDUAL_SAMPLES_PER_PERIOD nodes per fast period (enough to see
+    the fast phase without paying for every fine node).
     """
     if not isinstance(u_field, SpaceTimeField):
         raise TypeError("u_field must be a SpaceTimeField")
     omega = float(omega)
     h = u_field.grid[1] - u_field.grid[0]
-    target = 2.0 * np.pi / (samples_per_period * omega)
+    target = 2.0 * np.pi / (RESIDUAL_SAMPLES_PER_PERIOD * omega)
     stride = max(1, int(round(target / h)))
     tgrid = u_field.grid[::stride]
-    pts = u_field.basis.interior_sample_points(n_space)
+    pts = u_field.basis.interior_sample_points(RESIDUAL_SPACE_POINTS)
     u_vals = u_field.coeffs[:, ::stride].T @ u_field.basis.eval_modes(pts)
     e_vals = expansion.evaluate(omega, pts, tgrid, order=order)
     return float(np.max(np.abs(u_vals - e_vals)))

@@ -29,6 +29,9 @@ __all__ = [
     "build_sturm_liouville_basis", "check_boundary_traces",
 ]
 
+BOUNDARY_POINTS_PER_EDGE = 9    # rectangle edge samples of boundary_points
+BOUNDARY_TOL = 1e-8             # boundary sup allowed per unit interior sup
+
 
 def _observation_points(x0, dim):
     """x0 as the point array eval_modes takes; ValueError unless x0 is dim
@@ -159,12 +162,12 @@ class EigenBasis:
 
     # -- geometry --------------------------------------------------------
 
-    def boundary_points(self, n_per_edge=9):
+    def boundary_points(self):
         if self.dim == 1:
             return np.array([0.0, self.lengths[0]])
         L1, L2 = self.lengths
-        s1 = np.linspace(0.0, L1, n_per_edge)
-        s2 = np.linspace(0.0, L2, n_per_edge)
+        s1 = np.linspace(0.0, L1, BOUNDARY_POINTS_PER_EDGE)
+        s2 = np.linspace(0.0, L2, BOUNDARY_POINTS_PER_EDGE)
         pts = []
         for v in (0.0, L2):
             pts.append(np.column_stack([s1, np.full_like(s1, v)]))
@@ -183,7 +186,7 @@ class EigenBasis:
         return np.column_stack([m.ravel() for m in mesh])
 
 
-def build_dirichlet_interval_basis(length, M, q=16):
+def build_dirichlet_interval_basis(length, M):
     """Sine basis on (0, length): lam_m = (m*pi/length)^2."""
     L = float(length)
     if L <= 0 or M < 1:
@@ -191,11 +194,11 @@ def build_dirichlet_interval_basis(length, M, q=16):
     idx = tuple(range(1, M + 1))
     lam = (np.array(idx, dtype=float) * np.pi / L) ** 2
     # panel count keeps products of the first 2M modes exact to ~1e-12
-    nodes, weights = gauss_panel_rule(0.0, L, max(4, 2 * M), q=q)
+    nodes, weights = gauss_panel_rule(0.0, L, max(4, 2 * M))
     return EigenBasis("interval", (L,), lam, idx, nodes, weights)
 
 
-def build_rectangle_basis(lengths, M, q=16):
+def build_rectangle_basis(lengths, M):
     """Tensor-product sine basis on a rectangle, first M eigenvalues."""
     lengths = tuple(float(L) for L in lengths)
     if len(lengths) != 2:
@@ -213,7 +216,7 @@ def build_rectangle_basis(lengths, M, q=16):
     lam = np.array([c[0] for c in chosen])
     idx = tuple(c[1] for c in chosen)
     bmax = [max(ix[d] for ix in idx) for d in range(2)]
-    rules = [gauss_panel_rule(0.0, lengths[d], max(4, 2 * bmax[d]), q=q)
+    rules = [gauss_panel_rule(0.0, lengths[d], max(4, 2 * bmax[d]))
              for d in range(2)]
     n1, w1 = rules[0]
     n2, w2 = rules[1]
@@ -247,8 +250,7 @@ def build_sturm_liouville_basis(a, c, length, M, grid_n=2000):
         if expr_or_fn is None:
             return np.full_like(pts, default)
         if isinstance(expr_or_fn, sympy.Expr):
-            out = expressions.evaluate(expr_or_fn, x=pts)
-            return np.full_like(pts, out) if np.ndim(out) == 0 else out
+            return expressions.evaluate(expr_or_fn, x=pts)
         return np.asarray(expr_or_fn(pts), dtype=float)
 
     a_half = _eval(a_expr if a_expr is not None else a, x_half, 1.0)
@@ -311,11 +313,7 @@ class SpatialField:
                 vals = {"x": pts, "x1": pts}
             else:
                 vals = {f"x{d + 1}": pts[:, d] for d in range(pts.shape[1])}
-            out = expressions.evaluate(self.expr, **vals)
-            n = pts.shape[0] if pts.ndim else ()
-            if np.ndim(out) == 0:
-                return float(out) if pts.ndim == 0 else np.full(n, float(out))
-            return out
+            return expressions.evaluate(self.expr, **vals)
         if self.coeffs is not None:
             b = self.basis or basis
             return b.synthesize(self.coeffs, pts)
@@ -354,8 +352,7 @@ class SeparableAmplitude:
     def time_factors(self, t):
         """Sampled time factors g_i(t), shape (n_terms,) + t.shape."""
         t = np.asarray(t, dtype=float)
-        return np.stack([np.broadcast_to(expressions.evaluate(g, t=t), t.shape)
-                         for g, _ in self.terms])
+        return np.stack([expressions.evaluate(g, t=t) for g, _ in self.terms])
 
     def mode_traces(self, basis, grid):
         """Mode amplitudes f_m(t) = sum_i c_im g_i(t) on the grid, shape (M, N)."""
@@ -420,8 +417,11 @@ def _apply_operator(expr, basis, times):
     return sympy.expand(out)
 
 
-def check_boundary_traces(fld, basis, orders=1, tol=1e-8):
+def check_boundary_traces(fld, basis, orders=1):
     """Report boundary values of A^j(field) for j = 0..orders.
+
+    Each passes when its boundary sup is at most BOUNDARY_TOL times its
+    interior sup (floored at 1).
 
     Fields in the admissible class vanish on the boundary together with their
     operator images; the report flags how well a concrete field does.
@@ -450,8 +450,8 @@ def check_boundary_traces(fld, basis, orders=1, tol=1e-8):
         sup_b.append(float(np.max(np.abs(bv))))
         scales.append(max(1.0, float(np.max(np.abs(iv)))))
         done.append(j)
-    passed = all(s <= tol * sc for s, sc in zip(sup_b, scales))
+    passed = all(s <= BOUNDARY_TOL * sc for s, sc in zip(sup_b, scales))
     note = "" if len(done) == orders + 1 else \
         f"operator powers beyond {done[-1] if done else 0} unavailable for this field"
     return BoundaryTraceReport(tuple(done), tuple(sup_b), tuple(scales),
-                               float(tol), bool(passed), note)
+                               BOUNDARY_TOL, bool(passed), note)

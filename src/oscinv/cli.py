@@ -21,8 +21,8 @@ from .expressions import ExpressionError
 from .forward import UnderResolvedError, make_time_grid, solve_direct
 from .harness import (_write_bytes, _write_csv, emit_report, json_bytes,
                       run_order_study, run_roundtrip)
-from .inverse import (AdmissibilityError, check_admissibility, ip1_recover,
-                      ip2_recover, ip3_recover)
+from .inverse import (N_GRID, AdmissibilityError, check_admissibility,
+                      ip1_recover, ip2_recover, ip3_recover)
 from .selftest import run_selftest
 from .traces import uniform_grid
 
@@ -89,6 +89,9 @@ def _cmd_invert(cfg, which, data_path):
     if which == 1:
         if data.phi0 is None:
             raise ConfigError("invert1 data needs phi0")
+        if t0 is not None and t0 > data.phi0.t_end:
+            raise ConfigError(f"observation t0={t0:g} lies past the end "
+                              f"{data.phi0.t_end:g} of phi0's grid")
         rec = ip1_recover(data, amp, basis)
         _write_csv(_out_path(cfg, "recovered_r0", "csv"), ["t", "r0"],
                    np.column_stack([rec.r0.grid, rec.r0.values]))
@@ -101,7 +104,7 @@ def _cmd_invert(cfg, which, data_path):
               f"{len(rec.r1.terms)} fast term(s)")
         return 0
 
-    grid = uniform_grid(t0, 4096)
+    grid = uniform_grid(t0, N_GRID)
     _, src_t = make_source(cfg.source, grid)
     r0 = src_t.r0
     if which == 2:

@@ -107,8 +107,16 @@ class BasisConfig:
         domain = d.get("domain", "interval")
         if domain not in ("interval", "rectangle", "sturm_liouville"):
             raise ConfigError(f"unknown domain {domain!r}")
+        sl_only = sorted({"a", "c", "grid_n"} & set(d))
+        if sl_only and domain != "sturm_liouville":
+            raise ConfigError(f"basis key(s) {sl_only} apply only to a "
+                              f"sturm_liouville domain, not {domain}")
         lengths = tuple(float(v) for v in d.get("lengths", (math.pi,)))
-        if not lengths or not all(math.isfinite(v) and v > 0 for v in lengths):
+        dim = 2 if domain == "rectangle" else 1
+        if len(lengths) != dim:
+            raise ConfigError(f"basis lengths has {len(lengths)} entries; "
+                              f"a {domain} domain needs {dim}")
+        if not all(math.isfinite(v) and v > 0 for v in lengths):
             raise ConfigError("domain lengths must be positive and finite")
         M = int(d.get("M", 8))
         if M < 1:
@@ -236,7 +244,7 @@ def config_from_dict(d):
     if study in ("roundtrip1", "roundtrip3") and observation.x0 is None:
         raise ConfigError(f"{study} needs observation.x0")
     if study != "order":
-        _parse_x0(observation.x0, 2 if basis.domain == "rectangle" else 1)
+        _parse_x0(observation.x0, len(basis.lengths))
     # preflight: forward grid at the largest omega, observation trace grid,
     # and the Sturm-Liouville eigenvectors, all before anything is allocated
     nodes = grid.T * omegas[-1] * grid.points_per_period / (2 * math.pi) \
@@ -350,10 +358,23 @@ def load_observation(obj, basis=None):
         elif "coeffs" in spec:
             if basis is None:
                 raise ConfigError("coefficient psi needs the basis")
-            psi = SpatialField(coeffs=np.asarray(spec["coeffs"], float),
-                               basis=basis)
+            coeffs = np.asarray(spec["coeffs"], float)
+            if coeffs.shape != (basis.M,):
+                raise ConfigError(f"psi.coeffs must list M={basis.M} "
+                                  "numbers")
+            psi = SpatialField(coeffs=coeffs, basis=basis)
         else:
-            psi = SpatialField(table=(np.asarray(spec["points"], float),
-                                      np.asarray(spec["values"], float)))
+            if basis is not None and basis.dim != 1:
+                raise ConfigError("a psi point table needs a one-dimensional "
+                                  "domain")
+            pts = np.asarray(spec["points"], float)
+            vals = np.asarray(spec["values"], float)
+            if pts.ndim != 1 or vals.shape != pts.shape or pts.size < 2 \
+                    or not np.all(np.isfinite(pts) & np.isfinite(vals)) \
+                    or not np.all(np.diff(pts) > 0):
+                raise ConfigError("psi points and values must be equally "
+                                  "long lists of at least two finite "
+                                  "numbers, points strictly increasing")
+            psi = SpatialField(table=(pts, vals))
 
     return ObservationData(phi0=phi0, chi=chi, psi=psi, x0=x0, t0=t0)

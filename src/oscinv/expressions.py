@@ -105,17 +105,20 @@ def evaluate(expr, **values):
     """Evaluate ``expr`` on numpy arrays keyed by variable name.
 
     Extra keys are ignored; missing ones raise.  The result is broadcast to
-    the common shape of the used arguments (a float if all are scalars).
+    the common shape of the used arguments, or of all given values when the
+    expression is constant (a float if that shape is empty).
     """
     syms = sorted(expr.free_symbols, key=lambda s: s.name)
     missing = [s.name for s in syms if s.name not in values]
     if missing:
         raise ExpressionError(f"no value supplied for {', '.join(missing)}")
-    args = [np.asarray(values[s.name], dtype=float) for s in syms]
-    out = lambdify_cached(expr, [s.name for s in syms])(*args)
-    if not args:
-        return float(expr)
-    shape = np.broadcast_shapes(*(a.shape for a in args))
+    if syms:
+        args = [np.asarray(values[s.name], dtype=float) for s in syms]
+        out = lambdify_cached(expr, [s.name for s in syms])(*args)
+        shape = np.broadcast_shapes(*(a.shape for a in args))
+    else:
+        out = float(expr)
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
     if shape == ():
         return float(out)
     out = np.asarray(out, dtype=float)

@@ -1,7 +1,7 @@
 """Spectral forward solver for u_tt = -A u + f(x,t) r(t, omega t).
 
-Each mode coefficient obeys a_m'' + lam_m a_m = F_m(t) with zero (or given)
-initial data, solved in closed form through Duhamel integrals.  The integrals
+Each mode coefficient obeys a_m'' + lam_m a_m = F_m(t) with zero initial
+data, solved in closed form through Duhamel integrals.  The integrals
 are evaluated with the cumulative oscillatory product rule at the phase rate
 of each drive component (the slow mean plus k*omega sidebands per harmonic),
 all modes and components in one batched kernel, so accuracy is set by
@@ -23,7 +23,7 @@ from .traces import TimeTrace, uniform_grid
 __all__ = [
     "UnderResolvedError", "SpaceTimeField",
     "make_time_grid", "check_resolution",
-    "duhamel_coefficient", "solve_with_initial_data", "solve_direct",
+    "duhamel_coefficient", "solve_direct",
 ]
 
 MIN_POINTS_PER_PERIOD = 16
@@ -33,12 +33,10 @@ class UnderResolvedError(ValueError):
     """Time grid too coarse for the requested fast frequency."""
 
 
-def make_time_grid(t_end, omega=None, points_per_period=32, n_slow=2048):
-    """Uniform grid on [0, t_end] resolving the fast period when omega is set."""
+def make_time_grid(t_end, omega, points_per_period=32):
+    """Uniform grid on [0, t_end] resolving the fast period 2*pi/omega."""
     if t_end <= 0:
         raise ValueError("final time must be positive")
-    if omega is None:
-        return uniform_grid(t_end, n_slow)
     if points_per_period < MIN_POINTS_PER_PERIOD:
         raise UnderResolvedError(
             f"points_per_period={points_per_period} is below the minimum "
@@ -114,25 +112,6 @@ def _coerce_amplitude(f):
     if isinstance(f, SpatialField):
         return SeparableAmplitude.from_field(f)
     return SeparableAmplitude.from_expr(f)
-
-
-def solve_with_initial_data(basis, phi, psi, F, grid):
-    """Modes of u_tt = -A u + F with u(0) = phi, u_t(0) = psi.
-
-    F is None or an amplitude (pure space-time forcing): a
-    SeparableAmplitude, a SpatialField or an expression.
-    """
-    grid = np.asarray(grid, dtype=float)
-    phic = basis.project(phi) if phi is not None else np.zeros(basis.M)
-    psic = basis.project(psi) if psi is not None else np.zeros(basis.M)
-
-    roots = np.sqrt(basis.eigenvalues)[:, None]
-    coeffs = phic[:, None] * np.cos(roots * grid) \
-        + psic[:, None] / roots * np.sin(roots * grid)
-    if F is not None:
-        fm = _coerce_amplitude(F).mode_traces(basis, grid)
-        coeffs = coeffs + duhamel_batch(fm, basis.eigenvalues, grid)
-    return SpaceTimeField(basis, grid, coeffs)
 
 
 def solve_direct(basis, f, r, omega, T=None, grid=None,

@@ -27,8 +27,7 @@ from .asymptotics import _free_oscillations, expansion_coefficients
 from .basis import SpatialField, check_boundary_traces
 from .forward import _coerce_amplitude
 from .quadrature import duhamel_batch
-from .sources import (FastProfile, OscillatorySource, corner_values_from_rho0,
-                      rho0)
+from .sources import FastProfile, OscillatorySource, corner_values_from_rho0
 from .traces import TimeTrace, uniform_grid
 from .volterra import build_kernel, solve_second_kind
 
@@ -40,6 +39,8 @@ __all__ = [
 
 EPS_LAMBDA_FLOOR = 1e-10      # mode response floor: |Lambda_m(t0)| tested
 EPS_AMPLITUDE = 1e-8          # relative floor for |f| at the observation point
+ZERO_DATA_TOL = 1e-6          # |phi0(0)|, |phi0'(0)| allowed per unit sup |phi0|
+N_GRID = 4096                 # intervals of the [0, t0] grid of Lambda_m(t)
 
 
 class AdmissibilityError(ValueError):
@@ -56,14 +57,14 @@ class ObservationData:
     x0: object = None
     t0: float | None = None
 
-    def validate(self, tol=1e-6):
+    def validate(self):
         if self.t0 is not None and self.t0 <= 0:
             raise AdmissibilityError("observation time t0 must be positive")
         if self.phi0 is not None:
             scale = max(1.0, self.phi0.max_abs)
             v0 = abs(self.phi0.value_at_start(0))
             v1 = abs(self.phi0.value_at_start(1))
-            if v0 > tol * scale or v1 > tol * scale:
+            if v0 > ZERO_DATA_TOL * scale or v1 > ZERO_DATA_TOL * scale:
                 raise AdmissibilityError(
                     "trace data incompatible with zero initial conditions: "
                     f"|phi0(0)|={v0:.2e}, |phi0'(0)|={v1:.2e}")
@@ -113,12 +114,12 @@ def _lambda_profiles(r0, lams, grid):
     return duhamel_batch(r0v, lams, grid)
 
 
-def _mode_responses(r0, basis, t0, n_grid):
+def _mode_responses(r0, basis, t0):
     """Lambda_m(t0) of every mode, on a shared fine slow grid, and the
     1-based modes whose response sits under the division floor
     EPS_LAMBDA_FLOOR * max(1, 1/lam_m)."""
     lams = basis.eigenvalues
-    lamv = _lambda_profiles(r0, lams, uniform_grid(float(t0), n_grid))[:, -1]
+    lamv = _lambda_profiles(r0, lams, uniform_grid(float(t0), N_GRID))[:, -1]
     floors = EPS_LAMBDA_FLOOR * np.maximum(1.0, 1.0 / lams)
     bad = [m + 1 for m in range(basis.M) if abs(lamv[m]) < floors[m]]
     return lamv, bad
@@ -139,8 +140,7 @@ def _amplitude_at(amp, x0, grid):
     return f_x0
 
 
-def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None,
-                        n_grid=4096):
+def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None):
     """Evaluate the reconstruction preconditions that apply to the given data.
 
     Slow-drive checks (contrast at t0, mode-response floor, empirical
@@ -153,7 +153,7 @@ def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None,
             r0 = TimeTrace.from_expr(r0, uniform_grid(float(t0), 64))
         v0 = float(r0(0.0))
         vt = float(r0(float(t0)))
-        lamv, bad = _mode_responses(r0, basis, t0, n_grid)
+        lamv, bad = _mode_responses(r0, basis, t0)
         scaled = basis.eigenvalues * np.abs(lamv)
         argmin = int(np.argmin(scaled))
         rep.update(
@@ -171,11 +171,6 @@ def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None,
     return AdmissibilityReport(**rep)
 
 
-def _rho0_from_chi(chi, f_x0):
-    """Pull rho0 out of chi = f(x0,t) rho0 via the phase antiderivative chain."""
-    return rho0(chi.tau_derivative(2)).divided_by(f_x0)
-
-
 def ip1_build_targets(chi, f, x0, basis, grid=None):
     """Order-1 and order-2 trace targets implied by the fast-phase data.
 
@@ -190,7 +185,7 @@ def ip1_build_targets(chi, f, x0, basis, grid=None):
     amp = _coerce_amplitude(f)
     f_x0 = _amplitude_at(amp, x0, grid)
 
-    p0 = _rho0_from_chi(chi.resample(grid), f_x0)
+    p0 = chi.resample(grid).divided_by(f_x0)
     coeff = expansion_coefficients(amp, basis, corner_values_from_rho0(p0))
     c1, c2 = _free_oscillations(**coeff, lams=basis.eigenvalues, tgrid=grid)
     w = basis.point_weights(x0)
@@ -212,14 +207,14 @@ def ip1_recover(data, f, basis):
     return OscillatorySource(r0_trace, r1)
 
 
-def ip2_recover(psi, r0, t0, basis, n_grid=4096):
+def ip2_recover(psi, r0, t0, basis):
     """Recover a time-invariant amplitude from the final-time snapshot.
 
     psi_m = f_m Lambda_m(t0), so f_m = psi_m / Lambda_m(t0); any mode response
     below the floor EPS_LAMBDA_FLOOR * max(1, 1/lam_m) aborts (data cannot
     determine those modes; no regularization is applied by design).
     """
-    lamv, bad = _mode_responses(r0, basis, t0, n_grid)
+    lamv, bad = _mode_responses(r0, basis, t0)
     if bad:
         raise AdmissibilityError(
             f"mode responses at t0 below the division floor for modes {bad}")
@@ -231,11 +226,11 @@ def ip2_recover(psi, r0, t0, basis, n_grid=4096):
     return fld
 
 
-def ip3_recover(data, r0, basis, n_grid=4096):
+def ip3_recover(data, r0, basis):
     """Recover amplitude and fast drive from final-time plus point data."""
     if data.psi is None or data.chi is None or data.t0 is None:
         raise AdmissibilityError("combined recovery needs psi, chi, and t0")
-    fld = ip2_recover(data.psi, r0, data.t0, basis, n_grid=n_grid)
+    fld = ip2_recover(data.psi, r0, data.t0, basis)
 
     w = basis.point_weights(data.x0)
     fx0 = float(fld.coeffs @ w)
@@ -247,7 +242,7 @@ def ip3_recover(data, r0, basis, n_grid=4096):
     r1 = data.chi.tau_derivative(2).scaled(1.0 / fx0)
 
     grid = data.phi0.grid if data.phi0 is not None \
-        else uniform_grid(float(data.t0), n_grid)
+        else uniform_grid(float(data.t0), N_GRID)
     lam_traces = _lambda_profiles(r0, basis.eigenvalues, grid)
     phi0_derived = TimeTrace(grid, (fld.coeffs * w) @ lam_traces)
     fld.meta["phi0_derived"] = phi0_derived

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "oscillatory_moments",
     "cumulative_oscillatory",
-    "cumulative_simpson",
     "duhamel_batch",
     "gauss_panel_rule",
 ]
@@ -32,6 +31,7 @@ __all__ = [
 _SERIES_SWITCH = 0.5    # |theta * length| below this takes the power series
 _SERIES_TERMS = 20      # |z| < 0.5: term 20 is below 1e-24 of the sum
 _BLOCK_NODES = 1 << 17  # modes x nodes per pass: 2 MB per complex temporary
+PANEL_NODES = 16        # Gauss-Legendre nodes per panel of gauss_panel_rule
 
 
 def oscillatory_moments(theta, length, count=3):
@@ -227,14 +227,10 @@ def duhamel_batch(fm, lams, grid, drive=((0.0, 1.0, 1.0),)):
     return out
 
 
-def cumulative_simpson(values, h):
-    """Running integrals of a slow envelope (theta = 0 product rule)."""
-    return cumulative_oscillatory(values, h, 0.0).real
-
-
-def gauss_panel_rule(a, b, n_panels, q=16):
-    """Composite Gauss-Legendre rule: q nodes on each of n_panels panels."""
-    xg, wg = np.polynomial.legendre.leggauss(q)
+def gauss_panel_rule(a, b, n_panels):
+    """Composite Gauss-Legendre rule: PANEL_NODES nodes on each of n_panels
+    panels."""
+    xg, wg = np.polynomial.legendre.leggauss(PANEL_NODES)
     edges = np.linspace(float(a), float(b), n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

@@ -16,7 +16,7 @@ import numpy as np
 from .basis import (SeparableAmplitude, SpatialField,
                     build_dirichlet_interval_basis, build_rectangle_basis,
                     build_sturm_liouville_basis, check_boundary_traces)
-from .forward import duhamel_coefficient, solve_direct, solve_with_initial_data
+from .forward import duhamel_coefficient, solve_direct
 from .inverse import ObservationData, ip1_recover, ip2_recover
 from .quadrature import cumulative_oscillatory, duhamel_batch
 from .sources import (FastProfile, corner_values, rho0, rho1, split_source,
@@ -129,9 +129,10 @@ def _check_forward_linearity():
 
 
 def _check_zero_data():
+    # zero initial data and a zero drive give exactly zero
     basis = build_dirichlet_interval_basis(np.pi, 3)
     grid = uniform_grid(1.0, 400)
-    u = solve_with_initial_data(basis, None, None, None, grid)
+    u = solve_direct(basis, "sin(x)", "0", 50.0, grid=grid)
     return float(np.max(np.abs(u.coeffs))), 0.0 + 1e-300
 
 

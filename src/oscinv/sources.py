@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+N_TAU = 256     # phase samples per period when a callable drive is resolved
 
 
 @dataclass(eq=False)
@@ -94,30 +95,22 @@ class FastProfile:
 
     # -- calculus in the fast phase --------------------------------------
 
-    def tau_derivative(self, order=1):
+    def _phase_map(self, order, factor):
+        """order steps of cos(k tau) -> -factor(k) sin(k tau) and
+        sin(k tau) -> factor(k) cos(k tau); the factor k differentiates,
+        -1/k integrates with zero mean."""
         terms = self.terms
         for _ in range(order):
-            nxt = []
-            for k, kind, c in terms:
-                if kind == "cos":
-                    nxt.append((k, "sin", c * (-float(k))))
-                else:
-                    nxt.append((k, "cos", c * float(k)))
-            terms = nxt
+            terms = [(k, "sin", c * -factor(k)) if kind == "cos"
+                     else (k, "cos", c * factor(k)) for k, kind, c in terms]
         return FastProfile(terms, self.grid)
+
+    def tau_derivative(self, order=1):
+        return self._phase_map(order, float)
 
     def tau_antiderivative_zero_mean(self, order=1):
         """Antiderivative in tau with the constant fixed by zero tau-mean."""
-        terms = self.terms
-        for _ in range(order):
-            nxt = []
-            for k, kind, c in terms:
-                if kind == "cos":
-                    nxt.append((k, "sin", c * (1.0 / k)))
-                else:
-                    nxt.append((k, "cos", c * (-1.0 / k)))
-            terms = nxt
-        return FastProfile(terms, self.grid)
+        return self._phase_map(order, lambda k: -1.0 / k)
 
     def corner(self, t_order=0):
         """d^t_order/dt^t_order of the profile at (t=grid[0], tau=0)."""
@@ -210,7 +203,7 @@ def _harmonic_table(expr):
     for fast, env in by_factor.items():
         for part in sympy.Add.make_args(sympy.expand(TR8(fast))):
             c, trig = part.as_independent(TAU, as_Add=False)
-            if trig == 1:
+            if TAU not in trig.free_symbols:      # 1, or 0 for a zero drive
                 mean += env * c
                 continue
             k = _harmonic(trig.args[0]) if isinstance(
@@ -241,11 +234,11 @@ def _phase_samples(r, t, n_tau):
     return samples, scale
 
 
-def tau_mean(obj, t=0.0, n_tau=256):
+def tau_mean(obj, t=0.0):
     """Average over one fast period at fixed slow time.
 
     FastProfile means vanish structurally; expressions give their exact tau
-    mean; callables are sampled on n_tau equispaced phases (exact for trig
+    mean; callables are sampled on N_TAU equispaced phases (exact for trig
     polynomials below the aliasing limit).
     """
     if isinstance(obj, FastProfile):
@@ -254,10 +247,10 @@ def tau_mean(obj, t=0.0, n_tau=256):
         return float(obj.r0(t))
     if isinstance(obj, (str, sympy.Expr)):
         return float(_harmonic_table(obj)[0].subs(T, t))
-    return float(_phase_samples(obj, [t], n_tau)[0].mean())
+    return float(_phase_samples(obj, [t], N_TAU)[0].mean())
 
 
-def split_source(r, grid, n_tau=256):
+def split_source(r, grid, n_tau=N_TAU):
     """Split a drive r(t, tau) into slow mean r0(t) and fast remainder r1.
 
     Accepts an OscillatorySource (returned as is), an expression in t and tau,

@@ -20,15 +20,18 @@ from .expressions import T
 
 __all__ = ["TimeTrace", "uniform_grid", "fd_weights", "fd_derivative"]
 
+FD_ACCURACY = 4     # order of accuracy of every finite-difference stencil
 
-def uniform_grid(t_end, n_intervals, start=0.0):
-    """Uniform grid with an even interval count (rounded up if needed)."""
+
+def uniform_grid(t_end, n_intervals):
+    """Uniform grid on [0, t_end] with an even interval count (rounded up if
+    needed)."""
     n = int(n_intervals)
     if n < 2:
         n = 2
     if n % 2:
         n += 1
-    return np.linspace(start, float(t_end), n + 1)
+    return np.linspace(0.0, float(t_end), n + 1)
 
 
 def fd_weights(offsets, order):
@@ -47,14 +50,14 @@ def fd_weights(offsets, order):
     return np.linalg.solve(A, b)
 
 
-def fd_derivative(values, h, order=1, acc=4):
+def fd_derivative(values, h, order=1):
     """Differentiate uniformly sampled values with one-sided edge closures."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    npc = order + acc - 1
+    npc = order + FD_ACCURACY - 1
     if npc % 2 == 0:
         npc += 1
-    npe = order + acc
+    npe = order + FD_ACCURACY
     if n < max(npc, npe):
         raise ValueError(f"need at least {max(npc, npe)} samples")
     half = npc // 2
@@ -98,13 +101,10 @@ class TimeTrace:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_expr(cls, expr, grid, allowed=(T,)):
-        expr = expressions.parse(expr, allowed=allowed)
+    def from_expr(cls, expr, grid):
+        expr = expressions.parse(expr, allowed=(T,))
         grid = np.asarray(grid, dtype=float)
-        vals = expressions.evaluate(expr, t=grid)
-        if np.ndim(vals) == 0:
-            vals = np.full_like(grid, float(vals))
-        return cls(grid, vals, expr=expr)
+        return cls(grid, expressions.evaluate(expr, t=grid), expr=expr)
 
     @classmethod
     def constant(cls, value, grid):
@@ -132,22 +132,20 @@ class TimeTrace:
         return self._spline(tq)
 
     def __call__(self, tq):
-        tq = np.asarray(tq, dtype=float)
-        if self.expr is not None:
-            out = expressions.evaluate(self.expr, t=tq)
-        else:
-            out = self._spline_eval(tq)
-        return out if tq.ndim else float(out)
+        out = self.sample(tq)
+        return out if np.ndim(tq) else float(out)
 
     def sample(self, grid2):
-        """Values on another uniform grid (exact when expression-backed)."""
+        """Values at the times grid2 (exact when expression-backed).
+
+        A purely sampled trace raises ValueError outside its grid.
+        """
         grid2 = np.asarray(grid2, dtype=float)
         if grid2.shape == self.grid.shape and np.allclose(
                 grid2, self.grid, rtol=0, atol=1e-13 * max(1.0, abs(self.t_end))):
             return self.values.copy()
         if self.expr is not None:
-            out = expressions.evaluate(self.expr, t=grid2)
-            return out * np.ones_like(grid2) if np.ndim(out) else np.full_like(grid2, out)
+            return expressions.evaluate(self.expr, t=grid2)
         lo, hi = self.grid[0], self.grid[-1]
         pad = 1e-12 * max(1.0, abs(hi))
         if grid2.min() < lo - pad or grid2.max() > hi + pad:
@@ -175,7 +173,7 @@ class TimeTrace:
             return float(d.subs(T, self.grid[0]))
         if order == 0:
             return float(self.values[0])
-        npe = order + 4
+        npe = order + FD_ACCURACY
         w = fd_weights(np.arange(npe), order) / self.h ** order
         return float(self.values[:npe] @ w)
 

@@ -61,19 +61,18 @@ class VolterraKernel:
         return self.evaluate(t, s)
 
 
-def build_kernel(basis, f, x0, M=None):
+def build_kernel(basis, f, x0):
     """Trace kernel of the slow-part equation at observation point x0.
 
-    ``f`` is a SeparableAmplitude; only its first M modes enter when M is
-    given.  A warning is issued when x0 sits where every eigenfunction is
-    negligible (e.g. on the boundary).
+    ``f`` is a SeparableAmplitude.  A warning is issued when x0 sits where
+    every eigenfunction is negligible (e.g. on the boundary).
     """
-    wts = basis.point_weights(x0)[:M]
+    wts = basis.point_weights(x0)
     if np.max(np.abs(wts)) < 1e-12:
         warnings.warn("all eigenfunctions vanish at the observation point; "
                       "the kernel and data carry no information", stacklevel=2)
-    return VolterraKernel(basis.eigenvalues[:M].copy(), wts,
-                          f.term_coefficients(basis)[:, :M], f)
+    return VolterraKernel(basis.eigenvalues.copy(), wts,
+                          f.term_coefficients(basis), f)
 
 
 def _multiplier_values(a, grid):

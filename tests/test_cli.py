@@ -183,6 +183,44 @@ _EXIT_2_INPUTS = {
     "forward_n_out_zero": ("forward", dict(grid={"T": 3.0, "n_out": 0}), None),
     "forward_n_out_negative": ("forward", dict(grid={"T": 3.0, "n_out": -3}),
                                None),
+    "data_psi_table_lengths_differ": ("invert2", dict(
+        source=_AMPLITUDE_SOURCE, observation={"t0": 3.0}),
+        {"psi": {"points": [0.5, 1.5, 2.5], "values": [1.0, 0.5]}}),
+    "data_psi_table_not_increasing": ("invert2", dict(
+        source=_AMPLITUDE_SOURCE, observation={"t0": 3.0}),
+        {"psi": {"points": [0.5, 2.5, 1.5], "values": [1.0, 0.5, 0.2]}}),
+    "data_psi_table_on_rectangle": ("invert2", dict(
+        basis={"domain": "rectangle", "lengths": [PI, 1.0], "M": 2},
+        source={"f": "sin(x1)*sin(pi*x2)", "r0": "1 + t"},
+        observation={"t0": 3.0}),
+        {"psi": {"points": [0.5, 1.5, 2.5], "values": [1.0, 0.5, 0.2]}}),
+    "data_psi_coeffs_not_m": ("invert2", dict(
+        source=_AMPLITUDE_SOURCE, observation={"t0": 3.0}),
+        {"psi": {"coeffs": [1.0, 0.5]}}),
+    "invert1_t0_past_phi0": ("invert1", dict(source=_DRIVE_SOURCE),
+                             {"x0": PI / 2, "t0": 2.0,
+                              "phi0": {"expr": "t^2", "T": 1.0},
+                              "chi": [{"harmonic": 1, "kind": "cos",
+                                       "coeff": -1.0}]}),
+    "interval_with_sl_keys": ("forward", dict(basis={
+        "domain": "interval", "lengths": [1, 7], "M": 1, "a": "5 + x",
+        "grid_n": 3}), None),
+    "interval_with_a": ("forward", dict(basis={
+        "domain": "interval", "lengths": [PI], "M": 1, "a": "5 + x"}), None),
+    "interval_with_c": ("forward", dict(basis={
+        "domain": "interval", "lengths": [PI], "M": 1, "c": "1"}), None),
+    "rectangle_with_grid_n": ("forward", dict(
+        basis={"domain": "rectangle", "lengths": [PI, 1.0], "M": 1,
+               "grid_n": 64},
+        source={"f": "sin(x1)*sin(pi*x2)", "r": "cos(tau)"}), None),
+    "interval_two_lengths": ("forward", dict(basis={
+        "domain": "interval", "lengths": [1, 7], "M": 1}), None),
+    "rectangle_three_lengths": ("forward", dict(
+        basis={"domain": "rectangle", "lengths": [PI, 1.0, 2.0], "M": 1},
+        source={"f": "sin(x1)*sin(pi*x2)", "r": "cos(tau)"}), None),
+    "sturm_liouville_two_lengths": ("forward", dict(basis={
+        "domain": "sturm_liouville", "lengths": [PI, 1.0], "M": 1,
+        "grid_n": 64}), None),
 }
 
 # the cases whose message must name the offending key
@@ -190,7 +228,18 @@ _EXIT_2_NAMES = {"roundtrip2_trace_h_zero": "trace_h",
                  "roundtrip2_negative_t0": "t0", "invert2_negative_t0": "t0",
                  "data_nan_t0": "t0", "removed_n_tau": "n_tau",
                  "omega_over_work_cap": "cap", "forward_n_out_zero": "n_out",
-                 "forward_n_out_negative": "n_out"}
+                 "forward_n_out_negative": "n_out",
+                 "data_psi_table_lengths_differ": "psi",
+                 "data_psi_table_not_increasing": "psi",
+                 "data_psi_table_on_rectangle": "psi",
+                 "data_psi_coeffs_not_m": "psi.coeffs",
+                 "invert1_t0_past_phi0": "t0",
+                 "interval_with_sl_keys": "'a', 'grid_n'",
+                 "interval_with_a": "'a'", "interval_with_c": "'c'",
+                 "rectangle_with_grid_n": "'grid_n'",
+                 "interval_two_lengths": "lengths",
+                 "rectangle_three_lengths": "lengths",
+                 "sturm_liouville_two_lengths": "lengths"}
 
 
 @pytest.mark.parametrize("case", sorted(_EXIT_2_INPUTS))

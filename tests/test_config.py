@@ -303,6 +303,10 @@ _OBSERVATION = st.fixed_dictionaries({}, optional={
         st.fixed_dictionaries({"expr": st.sampled_from(
             ["sin(x)", "sin(x1)*sin(x2)", "q"])}),
         st.fixed_dictionaries({"coeffs": st.lists(_NUM, max_size=8)}),
+        st.fixed_dictionaries(
+            {"points": st.one_of(st.lists(_NUM, max_size=4), _JUNK)},
+            optional={"values": st.one_of(st.lists(_NUM, max_size=4),
+                                          _JUNK)}),
         _JUNK),
 })
 _DOMAINS = {"interval": build_dirichlet_interval_basis(PI, 3),

@@ -58,9 +58,12 @@ def test_evaluate_broadcasts():
 
 
 def test_evaluate_constant_expression_gives_scalar():
+    # a scalar for scalar values, broadcast to the shape of array values
     e = parse("2 + 3", allowed=("t",))
-    out = evaluate(e, t=np.zeros(5))
+    out = evaluate(e, t=0.0)
     assert isinstance(out, float) and out == 5.0
+    out = evaluate(e, t=np.zeros(5))
+    assert out.shape == (5,) and np.all(out == 5.0)
 
 
 def test_separable_terms_splits_products():

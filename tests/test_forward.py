@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oscinv.basis import SpatialField, build_dirichlet_interval_basis
+from oscinv.basis import build_dirichlet_interval_basis
 from oscinv.forward import (MIN_POINTS_PER_PERIOD, UnderResolvedError,
                             check_resolution, duhamel_coefficient,
-                            make_time_grid, solve_direct,
-                            solve_with_initial_data)
+                            make_time_grid, solve_direct)
 from oscinv.sources import split_source
 from oscinv.traces import TimeTrace, uniform_grid
 
@@ -55,12 +54,6 @@ def test_make_time_grid_resolves_fast_period():
     check_resolution(grid, 100.0)
 
 
-def test_make_time_grid_slow_default():
-    grid = make_time_grid(3.0)
-    assert grid.size == 2049
-    assert grid[-1] == 3.0
-
-
 def test_under_resolved_grid_rejected():
     grid = uniform_grid(3.0, 100)
     with pytest.raises(UnderResolvedError):
@@ -80,29 +73,7 @@ def test_solve_direct_rejects_bad_omega(single_mode_basis, bad):
         solve_direct(single_mode_basis, "sin(x)", "cos(tau)", bad, T=1.0)
 
 
-# -- free oscillation and zero data ------------------------------------------
-
-
-def test_initial_displacement_oscillates(single_mode_basis, grid3):
-    u = solve_with_initial_data(single_mode_basis,
-                                SpatialField.from_expr("sin(x)"), None, None,
-                                grid3)
-    tr = u.trace_at(PI / 2)
-    np.testing.assert_allclose(tr.values, np.cos(grid3), atol=1e-12)
-
-
-def test_initial_velocity_oscillates(grid3):
-    basis = build_dirichlet_interval_basis(PI, 2)
-    u = solve_with_initial_data(basis, None,
-                                SpatialField.from_expr("sin(2*x)"), None,
-                                grid3)
-    tr = u.trace_at(PI / 4)
-    np.testing.assert_allclose(tr.values, 0.5 * np.sin(2 * grid3), atol=1e-12)
-
-
-def test_zero_data_zero_drive_is_zero(interval_basis, grid3):
-    u = solve_with_initial_data(interval_basis, None, None, None, grid3)
-    assert np.max(np.abs(u.coeffs)) == 0.0
+# -- slow drive ----------------------------------------------------------------
 
 
 def test_slow_drive_matches_duhamel(single_mode_basis, grid3):
@@ -170,9 +141,7 @@ def test_amplitude_linearity(single_mode_basis):
 
 
 def test_field_evaluate_shapes(interval_basis, grid3):
-    u = solve_with_initial_data(interval_basis,
-                                SpatialField.from_expr("sin(x)"), None, None,
-                                grid3)
+    u = solve_direct(interval_basis, "sin(x)", "1 + t", omega=1.0, grid=grid3)
     pts = np.linspace(0.1, 3.0, 5)
     vals = u.evaluate(pts)
     assert vals.shape == (grid3.size, 5)
@@ -181,9 +150,7 @@ def test_field_evaluate_shapes(interval_basis, grid3):
 
 
 def test_field_subsample(interval_basis, grid3):
-    u = solve_with_initial_data(interval_basis,
-                                SpatialField.from_expr("sin(x)"), None, None,
-                                grid3)
+    u = solve_direct(interval_basis, "sin(x)", "1 + t", omega=1.0, grid=grid3)
     small = u.subsample(11)
     assert small.grid.size == 11
     assert small.grid[0] == 0.0 and small.grid[-1] == 3.0

@@ -12,8 +12,10 @@ and a later one, with headroom:
 - round trips 2 and 3: errors at rounding level (about 1e-14) move by up to
   18% relative, everything else by at most 8e-8 rel of values at or above
   1e-8 -> 1e-12 abs floor plus 1e-10 rel;
-- round trip 1: r0_sup_error moves from 4.2750e-06 to 4.2544e-06 (0.48%),
-  because the Volterra march amplifies 7e-16 differences in phi0 -> 2e-2
+- round trip 1: r0_sup_error is now 4.1904e-06, 1.98% from the 4.2750e-06
+  in out/.  The value is the Volterra march's O(h^2) error (it falls at
+  second order with trace_h); only its excess at the last nodes, from the
+  one-sided finite-difference stencil of phi0'', moves across stacks -> 2e-2
   rel for that criterion alone.
 """
 

@@ -184,6 +184,7 @@ _SPLIT_EXPRESSIONS = [
     "cos(2*t)*cos(tau)^2",
     "1 + t + (1 + t/2)*cos(tau) + 0.4*sin(2*tau)", "cos(tau)^2",
     "sin(tau)*cos(tau)", "exp(-t)", "2 + cos(tau)", "1 + t + cos(tau)",
+    "0", "0*cos(tau)", "cos(tau) - cos(tau)",
 ]
 
 

@@ -83,6 +83,17 @@ def test_tabulated_resample_outside_support_raises():
         tr.resample(uniform_grid(2.0, 10))
 
 
+def test_tabulated_call_outside_support_raises():
+    g = uniform_grid(1.0, 10)
+    tr = TimeTrace(g, g.copy())     # no expression: spline only
+    assert tr(0.5) == pytest.approx(0.5)
+    np.testing.assert_allclose(tr(g), g, rtol=0, atol=0)
+    with pytest.raises(ValueError):
+        tr(1.5)
+    with pytest.raises(ValueError):
+        tr(np.array([0.5, -0.5]))
+
+
 def test_expr_trace_extends_exactly():
     # expression-backed traces evaluate anywhere, no extrapolation noise
     tr = TimeTrace.from_expr("t^2", uniform_grid(1.0, 10))

@@ -166,9 +166,3 @@ def test_boundary_observation_warns():
     with pytest.warns(UserWarning):
         build_kernel(basis, amp, 0.0)
 
-
-def test_kernel_mode_truncation(trace_kernel):
-    _, basis, grid = trace_kernel
-    amp = SeparableAmplitude.from_expr("sin(x)")
-    K2 = build_kernel(basis, amp, PI / 2, M=2)
-    assert K2.M == 2
