@@ -27,7 +27,8 @@ import numpy as np
 from .basis import EigenBasis, SeparableAmplitude
 from .forward import SpaceTimeField, _coerce_amplitude
 from .quadrature import duhamel_batch
-from .sources import FastProfile, OscillatorySource, corner_values, rho0, split_source
+from .sources import (N_TAU, FastProfile, OscillatorySource, corner_values,
+                      rho0, split_source)
 from .traces import TimeTrace
 
 __all__ = [
@@ -133,7 +134,7 @@ class AsymptoticExpansion:
         return phi0, phi1, phi2, chi
 
 
-def build_expansion(basis, f, r, grid, n_tau=256):
+def build_expansion(basis, f, r, grid, n_tau=N_TAU):
     """Assemble the expansion data for amplitude f and drive r on a grid."""
     grid = np.asarray(grid, dtype=float)
     amp = _coerce_amplitude(f)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
 
 from . import expressions
 from .expressions import SPACE_SYMBOLS, T, X
@@ -85,6 +83,7 @@ class EigenBasis:
     def _sl_splines(self):
         splines = self._cache.get("sl_splines")
         if splines is None:
+            from scipy.interpolate import CubicSpline
             L = self.lengths[0]
             xs = np.concatenate(([0.0], self.sl_grid, [L]))
             splines = []
@@ -262,6 +261,7 @@ def build_sturm_liouville_basis(a, c, length, M, grid_n=2000):
 
     diag = (a_half[:-1] + a_half[1:]) / h ** 2 + c_int
     off = -a_half[1:-1] / h ** 2
+    from scipy.linalg import eigh_tridiagonal
     lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, M - 1))
 
     ys = vec.T / np.sqrt(h)          # discrete L2 normalization
@@ -320,6 +320,10 @@ class SpatialField:
         xp, yp = self.table
         if pts.ndim > 1:
             raise ValueError("tabulated fields are one-dimensional")
+        if pts.size and (pts.min() < xp[0] or pts.max() > xp[-1]):
+            raise ValueError(f"tabulated field covers [{xp[0]:g}, {xp[-1]:g}]"
+                             " only; it is not extrapolated")
+        from scipy.interpolate import CubicSpline
         return CubicSpline(xp, yp)(pts)
 
     def __call__(self, points):

@@ -375,6 +375,10 @@ def load_observation(obj, basis=None):
                 raise ConfigError("psi points and values must be equally "
                                   "long lists of at least two finite "
                                   "numbers, points strictly increasing")
+            if basis is not None and not (
+                    pts[0] <= 0.0 and pts[-1] >= basis.lengths[0]):
+                raise ConfigError(f"psi points [{pts[0]:g}, {pts[-1]:g}] must "
+                                  f"span the domain [0, {basis.lengths[0]:g}]")
             psi = SpatialField(table=(pts, vals))
 
     return ObservationData(phi0=phi0, chi=chi, psi=psi, x0=x0, t0=t0)

@@ -94,7 +94,9 @@ def lambdify_cached(expr, varnames):
         _LAMBDIFY_CACHE.move_to_end(key)
         return fn
     syms = [_LOCALS[v] for v in varnames]
-    fn = sympy.lambdify(syms, expr, modules="numpy")
+    # the module, not the name "numpy": the same generated code, without a
+    # star import that loads numpy's lazy submodules in the first compile
+    fn = sympy.lambdify(syms, expr, modules=[np])
     _LAMBDIFY_CACHE[key] = fn
     if len(_LAMBDIFY_CACHE) > _LAMBDIFY_CAP:
         _LAMBDIFY_CACHE.popitem(last=False)

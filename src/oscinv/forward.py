@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import EigenBasis, SeparableAmplitude, SpatialField
 from .quadrature import duhamel_batch
-from .sources import split_source
+from .sources import N_TAU, split_source
 from .traces import TimeTrace, uniform_grid
 
 __all__ = [
@@ -115,7 +115,7 @@ def _coerce_amplitude(f):
 
 
 def solve_direct(basis, f, r, omega, T=None, grid=None,
-                 points_per_period=32, n_tau=256):
+                 points_per_period=32, n_tau=N_TAU):
     """Solve the zero-data problem driven by f(x,t) * r(t, omega t).
 
     The drive is split into its slow mean and fast harmonics; every harmonic k

@@ -20,6 +20,8 @@ single cumsum per mode.
 from __future__ import annotations
 
 import numpy as np
+# loaded with the package, so the first basis build does not pay for it
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "oscillatory_moments",
@@ -230,7 +232,7 @@ def duhamel_batch(fm, lams, grid, drive=((0.0, 1.0, 1.0),)):
 def gauss_panel_rule(a, b, n_panels):
     """Composite Gauss-Legendre rule: PANEL_NODES nodes on each of n_panels
     panels."""
-    xg, wg = np.polynomial.legendre.leggauss(PANEL_NODES)
+    xg, wg = leggauss(PANEL_NODES)
     edges = np.linspace(float(a), float(b), n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

@@ -26,6 +26,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 N_TAU = 256     # phase samples per period when a callable drive is resolved
+N_CHEB_START = 17   # first Chebyshev set of the slow-time sampler
+N_CHEB_MAX = 257    # largest Chebyshev set before the nodal fallback
 
 
 @dataclass(eq=False)
@@ -217,21 +219,104 @@ def _harmonic_table(expr):
     return mean, {key: env for key, env in table.items() if env != 0}
 
 
-def _phase_samples(r, t, n_tau):
-    """r(t, tau) on n_tau equispaced phases, shape (len(t), n_tau), and
-    max(1, max |r|); one extra tau = 2*pi column checks the periodicity."""
-    taus = np.append(_TWO_PI * np.arange(n_tau) / n_tau, _TWO_PI)
+def _phases(n_tau):
+    """n_tau equispaced phases on [0, 2*pi) and the closing phase 2*pi."""
+    return np.append(_TWO_PI * np.arange(n_tau) / n_tau, _TWO_PI)
+
+
+def _sample(r, t, taus):
+    """r(t, tau) at every pair, shape (len(t), len(taus))."""
     # scalar drives run about twice as fast on Python floats as on numpy
     # scalars, with the same IEEE arithmetic
     ts = np.asarray(t, dtype=float).tolist()
-    samples = np.empty((len(ts), n_tau + 1))
+    out = np.empty((len(ts), len(taus)))
     for j, p in enumerate(taus.tolist()):
-        samples[:, j] = [r(tv, p) for tv in ts]
-    samples, closing = samples[:, :-1], samples[:, -1]
+        out[:, j] = [r(tv, p) for tv in ts]
+    return out
+
+
+def _periodic(table):
+    """The n_tau phase columns of a table with a closing tau = 2*pi column,
+    and max(1, max |r|); ValueError unless the closing column repeats the
+    first."""
+    samples, closing = table[:, :-1], table[:, -1]
     scale = max(1.0, float(np.max(np.abs(samples))))
     if np.max(np.abs(closing - samples[:, 0])) > 1e-9 * scale:
         raise ValueError("drive is not 2*pi-periodic in its fast argument")
     return samples, scale
+
+
+def _phase_samples(r, t, n_tau):
+    """r(t, tau) on n_tau equispaced phases, shape (len(t), n_tau), and
+    max(1, max |r|); one extra tau = 2*pi column checks the periodicity."""
+    return _periodic(_sample(r, t, _phases(n_tau)))
+
+
+def _chebyshev_points(a, b, n):
+    """n Chebyshev-Lobatto points on [a, b], increasing, endpoints exact.
+
+    The sine form is exactly antisymmetric, and the points of n are every
+    other point of 2n - 1.
+    """
+    x = np.sin(0.5 * np.pi * np.arange(1 - n, n, 2) / (n - 1))
+    pts = 0.5 * (a + b) + 0.5 * (b - a) * x
+    pts[0], pts[-1] = a, b
+    return pts
+
+
+def _barycentric(nodes, y):
+    """(len(y), len(nodes)) matrix taking values at Chebyshev-Lobatto nodes
+    to their interpolant at y (second barycentric form); a y that is a node
+    gets an exact unit row."""
+    w = (-1.0) ** np.arange(nodes.size)
+    w[[0, -1]] *= 0.5
+    mat = y[:, None] - nodes[None, :]
+    exact = mat == 0.0
+    mat[exact] = 1.0
+    np.divide(w, mat, out=mat)
+    mat /= mat.sum(axis=1, keepdims=True)
+    hit = exact.any(axis=1)
+    mat[hit] = exact[hit]
+    return mat
+
+
+def _slow_table(r, grid, taus):
+    """r(t, tau) on the grid through Chebyshev interpolation in slow time.
+
+    Samples r at 17, 33, 65, ... nested Chebyshev points in t, doubling until
+    the interpolant on the coarser points predicts the fresh samples to
+    1e-14 * max(1, max |r|); then interpolates every phase column onto the
+    grid.  Returns None, with nothing interpolated, when that needs more than
+    N_CHEB_MAX points, when the grid has no more nodes than the next
+    Chebyshev set, or when the grid is not increasing.
+    """
+    n = N_CHEB_START
+    if grid.size <= 2 * n - 1 or not np.all(np.diff(grid) > 0):
+        return None
+    a, b = grid[0], grid[-1]
+    nodes = _chebyshev_points(a, b, n)
+    table = _sample(r, nodes, taus)
+    while True:
+        n = 2 * n - 1
+        if n > N_CHEB_MAX or grid.size <= n:
+            return None
+        fine = _chebyshev_points(a, b, n)
+        fresh = _sample(r, fine[1::2], taus)
+        miss = np.max(np.abs(_barycentric(nodes, fine[1::2]) @ table - fresh))
+        merged = np.empty((n, taus.size))
+        merged[0::2], merged[1::2] = table, fresh
+        nodes, table = fine, merged
+        # a finite miss means every sample so far is finite
+        if np.isfinite(miss) and \
+                miss <= 1e-14 * max(1.0, float(np.max(np.abs(table)))):
+            break
+    out = np.empty((grid.size, taus.size))
+    # row blocks keep each interpolation matrix no larger than out
+    step = max(1, out.size // n)
+    for lo in range(0, grid.size, step):
+        np.matmul(_barycentric(nodes, grid[lo:lo + step]), table,
+                  out=out[lo:lo + step])
+    return out
 
 
 def tau_mean(obj, t=0.0):
@@ -256,6 +341,9 @@ def split_source(r, grid, n_tau=N_TAU):
     Accepts an OscillatorySource (returned as is), an expression in t and tau,
     or a callable r(t, tau); callables are resolved with an n_tau-point
     discrete Fourier transform along the phase and must be 2*pi-periodic.
+    A callable is sampled on a Chebyshev grid in slow time and interpolated
+    onto the grid (``_slow_table``), or at every grid node when that
+    interpolant does not converge.
     """
     grid = np.asarray(grid, dtype=float)
     if isinstance(r, OscillatorySource):
@@ -269,7 +357,11 @@ def split_source(r, grid, n_tau=N_TAU):
 
     if not callable(r):
         raise TypeError("drive must be a source, an expression, or a callable")
-    samples, scale = _phase_samples(r, grid, n_tau)
+    taus = _phases(n_tau)
+    table = _slow_table(r, grid, taus)
+    if table is None:
+        table = _sample(r, grid, taus)
+    samples, scale = _periodic(table)
     F = np.fft.rfft(samples, axis=1)
     r0 = TimeTrace(grid, F[:, 0].real / n_tau)
     terms = []

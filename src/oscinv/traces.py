@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy
-from scipy.interpolate import CubicSpline
 
 from . import expressions
 from .expressions import T
@@ -128,6 +127,7 @@ class TimeTrace:
 
     def _spline_eval(self, tq):
         if self._spline is None:
+            from scipy.interpolate import CubicSpline
             self._spline = CubicSpline(self.grid, self.values)
         return self._spline(tq)
 

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .basis import SeparableAmplitude
 from .traces import TimeTrace
@@ -167,6 +166,7 @@ def volterra_residual(a, K, g, u):
     The running integral is re-evaluated rowwise with Simpson weights, so the
     result measures the solution, not the marching rule.
     """
+    from scipy.integrate import simpson
     grid = u.grid
     gv = g.sample(grid) if isinstance(g, TimeTrace) else np.asarray(g, float)
     av = _multiplier_values(a, grid)

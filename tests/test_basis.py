@@ -118,6 +118,15 @@ def test_field_table_evaluation():
     np.testing.assert_allclose(f.evaluate(q), np.sin(q), atol=1e-8)
 
 
+def test_field_table_refuses_extrapolation():
+    pts = np.linspace(1.0, 2.0, 11)
+    f = SpatialField(table=(pts, np.sin(pts)))
+    np.testing.assert_allclose(f.evaluate([1.0, 2.0]), np.sin([1.0, 2.0]))
+    for q in ([0.5, 1.5], [1.5, 2.5]):
+        with pytest.raises(ValueError, match="not extrapolated"):
+            f.evaluate(q)
+
+
 def test_field_expr_accepts_x_and_x1():
     f = SpatialField.from_expr("x*(3.14159 - x)")
     g = SpatialField.from_expr("x1*(3.14159 - x1)")

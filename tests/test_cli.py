@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -194,6 +195,10 @@ _EXIT_2_INPUTS = {
         source={"f": "sin(x1)*sin(pi*x2)", "r0": "1 + t"},
         observation={"t0": 3.0}),
         {"psi": {"points": [0.5, 1.5, 2.5], "values": [1.0, 0.5, 0.2]}}),
+    "data_psi_table_short_of_domain": ("invert2", dict(
+        source=_AMPLITUDE_SOURCE, observation={"t0": 3.0}),
+        {"psi": {"points": np.linspace(1.0, 2.0, 11).tolist(),
+                 "values": np.sin(np.linspace(1.0, 2.0, 11)).tolist()}}),
     "data_psi_coeffs_not_m": ("invert2", dict(
         source=_AMPLITUDE_SOURCE, observation={"t0": 3.0}),
         {"psi": {"coeffs": [1.0, 0.5]}}),
@@ -232,6 +237,7 @@ _EXIT_2_NAMES = {"roundtrip2_trace_h_zero": "trace_h",
                  "data_psi_table_lengths_differ": "psi",
                  "data_psi_table_not_increasing": "psi",
                  "data_psi_table_on_rectangle": "psi",
+                 "data_psi_table_short_of_domain": "psi",
                  "data_psi_coeffs_not_m": "psi.coeffs",
                  "invert1_t0_past_phi0": "t0",
                  "interval_with_sl_keys": "'a', 'grid_n'",
@@ -383,14 +389,42 @@ def test_selftest_subset(capsys):
     assert "2/2 checks passed" in out
 
 
-def test_console_script_runs():
+def _child_env():
     # the child finds the package under test even from an uninstalled checkout
     pkg_root = os.path.dirname(os.path.dirname(oscinv.__file__))
     path = os.pathsep.join(filter(None, [pkg_root,
                                          os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "oscinv.cli", "selftest", "--only",
          "corner_values_example"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+import oscinv
+assert not scipy_loaded(), "import oscinv loaded scipy"
+from oscinv.cli import main
+for config in sys.argv[2:]:
+    assert main(["study", "--config", config, "--output-dir", sys.argv[1]]) == 0
+    assert not scipy_loaded(), f"study {config} loaded scipy"
+"""
+
+
+def test_interval_studies_never_import_scipy(tmp_path):
+    # scipy serves only Sturm-Liouville bases, splines of sampled traces and
+    # tables, and volterra_residual; every sample config is on an interval
+    configs = sorted(str(p) for p in (pathlib.Path(__file__).resolve()
+                                      .parents[1] / "configs").glob("*.json"))
+    assert configs
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)] + configs,
+        capture_output=True, text=True, timeout=300, env=_child_env())
+    assert proc.returncode == 0, proc.stderr

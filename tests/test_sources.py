@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 
 from oscinv import expressions
 from oscinv.expressions import T, TAU
-from oscinv.sources import (FastProfile, OscillatorySource, corner_values,
-                            rho0, rho1, split_source, tau_mean)
+from oscinv.forward import make_time_grid
+from oscinv.sources import (N_TAU, FastProfile, OscillatorySource,
+                            _phase_samples, corner_values, rho0, rho1,
+                            split_source, tau_mean)
 from oscinv.traces import TimeTrace, uniform_grid
 
 TAUS = np.linspace(0.0, 2 * np.pi, 97)
@@ -226,3 +230,83 @@ def test_source_evaluate(grid3):
     src = split_source("1 + t + cos(tau)", grid3)
     out = src.evaluate(grid3, 2.0 * grid3)
     np.testing.assert_allclose(out, 1 + grid3 + np.cos(2 * grid3), atol=1e-12)
+
+
+# -- callable drives on the slow Chebyshev grid -------------------------------
+
+
+def _nodal_split(r, grid, n_tau):
+    """[((k, kind), envelope)] of the FFT of r sampled at every grid node,
+    with (0, "mean") first; the arithmetic repeats split_source's."""
+    samples, scale = _phase_samples(r, grid, n_tau)
+    F = np.fft.rfft(samples, axis=1)
+    out = [((0, "mean"), F[:, 0].real / n_tau)]
+    for k in range(1, n_tau // 2):
+        a = 2.0 * F[:, k].real / n_tau
+        b = -2.0 * F[:, k].imag / n_tau
+        if np.max(np.abs(a)) > 1e-12 * scale:
+            out.append(((k, "cos"), a))
+        if np.max(np.abs(b)) > 1e-12 * scale:
+            out.append(((k, "sin"), b))
+    return out
+
+
+def _envelopes(src):
+    return [((0, "mean"), src.r0.values)] + [
+        ((k, kind), c.values) for k, kind, c in src.r1.terms]
+
+
+_SMOOTH_DRIVES = {
+    "benchmark": lambda t, tau: 1.0 + t + (1.0 + 0.5 * t) * math.cos(tau)
+    + 0.4 * math.sin(2.0 * tau),
+    "exp_and_sin": lambda t, tau: math.exp(-t) * math.cos(tau)
+    + math.sin(3.0 * t) * math.sin(2.0 * tau),
+    "rational": lambda t, tau: math.cos(t) * math.cos(tau)
+    + math.sin(t) ** 2 * math.cos(3.0 * tau) + 1.0 / (1.0 + t * t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMOOTH_DRIVES))
+def test_callable_split_on_slow_grid_matches_nodal_split(name):
+    r = _SMOOTH_DRIVES[name]
+    grid = uniform_grid(3.0, 6112)
+    slow = _envelopes(split_source(r, grid, n_tau=64))
+    nodal = _nodal_split(r, grid, 64)
+    assert [key for key, _ in slow] == [key for key, _ in nodal]
+    for (_, a), (_, b) in zip(slow, nodal):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("r, n", [
+    (lambda t, tau: abs(t - 1.0) * math.cos(tau), 3000),   # kink in t
+    (_SMOOTH_DRIVES["benchmark"], 30),                     # 31 nodes only
+])
+def test_callable_split_falls_back_to_nodal_bitwise(r, n):
+    grid = uniform_grid(3.0, n)
+    slow = _envelopes(split_source(r, grid, n_tau=64))
+    nodal = _nodal_split(r, grid, 64)
+    assert [key for key, _ in slow] == [key for key, _ in nodal]
+    for (_, a), (_, b) in zip(slow, nodal):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("r", [lambda t, tau: (1.0 + t) * math.cos(0.5 * tau),
+                               lambda t, tau: (1.0 + t) * math.cos(32 * tau)])
+def test_callable_split_on_slow_grid_keeps_phase_checks(r):
+    # not 2*pi-periodic, and a harmonic at the n_tau = 64 Nyquist limit
+    with pytest.raises(ValueError):
+        split_source(r, uniform_grid(3.0, 6112), n_tau=64)
+
+
+@pytest.mark.parametrize("omega", [50.0, 1000.0])
+def test_callable_split_calls_do_not_grow_with_omega(omega):
+    calls = [0]
+
+    def r(t, tau):
+        calls[0] += 1
+        return 1.0 + t + (1.0 + 0.5 * t) * math.cos(tau)
+
+    grid = make_time_grid(3.0, omega)
+    split_source(r, grid)
+    assert grid.size > 33
+    assert calls[0] <= 33 * (N_TAU + 1)
