@@ -13,8 +13,8 @@ from .forward import (SpaceTimeField, UnderResolvedError, duhamel_coefficient,
 from .harness import (StudyReport, emit_report, fit_slope, run_order_study,
                       run_roundtrip)
 from .inverse import (AdmissibilityError, AdmissibilityReport,
-                      ObservationData, check_admissibility, ip1_build_targets,
-                      ip1_recover, ip2_recover, ip3_recover)
+                      ObservationData, check_admissibility, ip1_recover,
+                      ip2_recover, ip3_recover)
 from .selftest import run_selftest
 from .sources import (FastProfile, OscillatorySource, corner_values, rho0,
                       rho1, split_source, tau_mean)
@@ -37,8 +37,7 @@ __all__ = [
     "StudyReport", "emit_report", "fit_slope", "run_order_study",
     "run_roundtrip",
     "AdmissibilityError", "AdmissibilityReport", "ObservationData",
-    "check_admissibility", "ip1_build_targets", "ip1_recover", "ip2_recover",
-    "ip3_recover",
+    "check_admissibility", "ip1_recover", "ip2_recover", "ip3_recover",
     "run_selftest",
     "FastProfile", "OscillatorySource", "corner_values", "rho0", "rho1",
     "split_source", "tau_mean",

@@ -56,17 +56,6 @@ def expansion_coefficients(amp, basis, corners):
     }
 
 
-def _free_oscillations(b1, d, b2, lams, tgrid):
-    """(order-1, order-2) free-oscillation mode coefficients, each (M, N):
-    b1_m sin(sqrt(lam_m) t) / sqrt(lam_m) and
-    d_m cos(sqrt(lam_m) t) + b2_m sin(sqrt(lam_m) t) / sqrt(lam_m)."""
-    roots = np.sqrt(lams)[:, None]
-    phase = roots * np.asarray(tgrid, dtype=float)[None, :]
-    c1 = (b1[:, None] / roots) * np.sin(phase)
-    c2 = d[:, None] * np.cos(phase) + (b2[:, None] / roots) * np.sin(phase)
-    return c1, c2
-
-
 @dataclass(eq=False)
 class AsymptoticExpansion:
     """Frequency-independent data of the two-scale expansion."""
@@ -75,7 +64,6 @@ class AsymptoticExpansion:
     amplitude: SeparableAmplitude
     source: OscillatorySource
     rho0_profile: FastProfile
-    corners: dict
     b1: np.ndarray
     d: np.ndarray
     b2: np.ndarray
@@ -100,9 +88,15 @@ class AsymptoticExpansion:
         return out
 
     def correction_coeffs(self, tgrid):
-        """(order-1, order-2) free-oscillation mode coefficients."""
-        return _free_oscillations(self.b1, self.d, self.b2,
-                                 self.basis.eigenvalues, tgrid)
+        """(order-1, order-2) free-oscillation mode coefficients, each (M, N):
+        b1_m sin(sqrt(lam_m) t) / sqrt(lam_m) and
+        d_m cos(sqrt(lam_m) t) + b2_m sin(sqrt(lam_m) t) / sqrt(lam_m)."""
+        roots = np.sqrt(self.basis.eigenvalues)[:, None]
+        phase = roots * np.asarray(tgrid, dtype=float)[None, :]
+        c1 = (self.b1[:, None] / roots) * np.sin(phase)
+        c2 = self.d[:, None] * np.cos(phase) \
+            + (self.b2[:, None] / roots) * np.sin(phase)
+        return c1, c2
 
     def evaluate(self, omega, points, tgrid, order=2):
         """Expansion values on (tgrid x points), truncated at the given order."""
@@ -121,16 +115,23 @@ class AsymptoticExpansion:
         out += fvals * np.asarray(rho_vals)[:, None] / omega ** 2
         return out
 
-    def trace_components(self, x0, tgrid):
-        """(phi0, phi1, phi2, chi) of the expansion at a fixed spatial point."""
-        modes = self.basis.point_weights(x0)
+    def observed_traces(self, x0, tgrid):
+        """(phi0, chi) at a fixed spatial point: the slow trace u0(x0, .) and
+        the fast-phase data f(x0, .) * rho0 a point observation records."""
         tgrid = np.asarray(tgrid, dtype=float)
-        phi0 = TimeTrace(tgrid, self.u0_on(tgrid).T @ modes)
-        c1, c2 = self.correction_coeffs(tgrid)
-        phi1 = TimeTrace(tgrid, c1.T @ modes)
-        phi2 = TimeTrace(tgrid, c2.T @ modes)
+        w = self.basis.point_weights(x0)
+        phi0 = TimeTrace(tgrid, self.u0_on(tgrid).T @ w)
         fx0 = self.amplitude.at_point(x0, tgrid)
-        chi = self.rho0_profile.resample(tgrid).scaled(fx0)
+        return phi0, self.rho0_profile.resample(tgrid).scaled(fx0)
+
+    def trace_components(self, x0, tgrid):
+        """(phi0, phi1, phi2, chi) of the expansion at a fixed spatial point:
+        observed_traces plus the order-1 and order-2 free oscillations."""
+        # the (M, N) tables before chi: the other order raised peak RSS
+        modes = self.basis.point_weights(x0)
+        phi1, phi2 = (TimeTrace(tgrid, c.T @ modes)
+                      for c in self.correction_coeffs(tgrid))
+        phi0, chi = self.observed_traces(x0, tgrid)
         return phi0, phi1, phi2, chi
 
 
@@ -139,15 +140,13 @@ def build_expansion(basis, f, r, grid, n_tau=N_TAU):
     grid = np.asarray(grid, dtype=float)
     amp = _coerce_amplitude(f)
     src = split_source(r, grid, n_tau=n_tau)
-    p0 = rho0(src.r1)
-    corners = corner_values(src.r1)
     fm = amp.mode_traces(basis, grid)
-    coeffs = expansion_coefficients(amp, basis, corners)
+    coeffs = expansion_coefficients(amp, basis, corner_values(src.r1))
     u0 = _slow_response(fm, src.r0.values, basis.eigenvalues, grid)
     return AsymptoticExpansion(
-        basis=basis, amplitude=amp, source=src, rho0_profile=p0,
-        corners=corners, b1=coeffs["b1"], d=coeffs["d"], b2=coeffs["b2"],
-        grid=grid, u0_coeffs=u0)
+        basis=basis, amplitude=amp, source=src, rho0_profile=rho0(src.r1),
+        b1=coeffs["b1"], d=coeffs["d"], b2=coeffs["b2"], grid=grid,
+        u0_coeffs=u0)
 
 
 def residual_norm(u_field, expansion, omega, order=2):

@@ -21,8 +21,9 @@ from .expressions import ExpressionError
 from .forward import UnderResolvedError, make_time_grid, solve_direct
 from .harness import (_write_bytes, _write_csv, emit_report, json_bytes,
                       run_order_study, run_roundtrip)
-from .inverse import (N_GRID, AdmissibilityError, check_admissibility,
-                      ip1_recover, ip2_recover, ip3_recover)
+from .inverse import (N_GRID, AdmissibilityError, _admissibility,
+                      check_admissibility, ip1_recover, ip2_recover,
+                      ip3_recover)
 from .selftest import run_selftest
 from .traces import uniform_grid
 
@@ -117,9 +118,8 @@ def _cmd_invert(cfg, which, data_path):
     _write_csv(_out_path(cfg, "recovered_f", "csv"),
                ["mode", "lambda", "coeff"], np.column_stack(
                    [np.arange(1, basis.M + 1), basis.eigenvalues, fld.coeffs]))
-    rep = check_admissibility(r0=r0, t0=t0, basis=basis,
-                              f=SpatialField(coeffs=fld.coeffs, basis=basis),
-                              x0=x0)
+    rep = _admissibility(fld.meta["lambda_values"], r0, t0, basis,
+                         SpatialField(coeffs=fld.coeffs, basis=basis), x0)
     if which == 2:
         breport = fld.meta["boundary_report"]
         _write_bytes(_out_path(cfg, "admissibility", "json"), json_bytes({

@@ -78,9 +78,6 @@ class SpaceTimeField:
     def trace_at(self, x0):
         return TimeTrace(self.grid, self.coeffs.T @ self.basis.point_weights(x0))
 
-    def field_at_end(self):
-        return SpatialField(coeffs=self.coeffs[:, -1].copy(), basis=self.basis)
-
     def subsample(self, n_out):
         """Coarse copy with about n_out nodes (stride divides the grid)."""
         stride = max(1, (self.grid.size - 1) // max(1, n_out - 1))
@@ -137,9 +134,6 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
 
     amp = _coerce_amplitude(f)
     src = split_source(r, grid, n_tau=n_tau)
-    if src.grid.size != grid.size or not np.allclose(src.grid, grid,
-                                                     rtol=0, atol=1e-13):
-        src = src.resample(grid)
     fm = amp.mode_traces(basis, grid)
     # cos = (e^{+} + e^{-})/2, sin = (e^{+} - e^{-})/2i
     drive = [(0.0, 1.0, src.r0.values)]

@@ -18,11 +18,10 @@ from .asymptotics import build_expansion, residual_norm
 from .basis import SpatialField
 from .config import ConfigError, ExperimentConfig, make_basis, make_source
 from .forward import make_time_grid, solve_direct
-from .inverse import (ObservationData, check_admissibility, ip1_build_targets,
-                      ip1_recover, ip2_recover, ip3_recover)
-from .quadrature import duhamel_batch
-from .sources import OscillatorySource, rho0
-from .traces import TimeTrace, uniform_grid
+from .inverse import (ObservationData, _admissibility, ip1_recover,
+                      ip2_recover, ip3_recover)
+from .sources import OscillatorySource
+from .traces import uniform_grid
 
 __all__ = ["CriterionResult", "StudyReport", "fit_slope",
            "run_order_study", "run_roundtrip", "emit_report",
@@ -149,6 +148,21 @@ def _fm_rel_error(coeffs, fm_flat):
     return float(np.max(np.abs(coeffs - fm_flat))) / scale
 
 
+def _synthetic_data(basis, amp, src, dgrid, x0=None, t0=None):
+    """Observations of the config truth, read off its expansion on the trace
+    grid: phi0 and chi at x0 when x0 is given, psi = u0(., t0) when t0 is.
+    The expansion and its (M, N) arrays are dropped before any inversion."""
+    expansion = build_expansion(basis, amp, src, dgrid)
+    data = ObservationData(x0=x0, t0=t0)
+    if x0 is not None:
+        data.phi0, data.chi = expansion.observed_traces(x0, dgrid)
+    if t0 is not None:
+        i_obs = int(round(t0 / (dgrid[1] - dgrid[0])))
+        data.psi = SpatialField(coeffs=expansion.u0_coeffs[:, i_obs].copy(),
+                                basis=basis)
+    return data
+
+
 def run_roundtrip(config: ExperimentConfig, which):
     """Forward-simulate synthetic data from the config truth, then invert."""
     if which not in (1, 2, 3):
@@ -169,19 +183,11 @@ def run_roundtrip(config: ExperimentConfig, which):
             raise ConfigError("amplitude recovery round trips need a "
                               "time-invariant f")
         fm_flat = amp.mode_derivatives_at_start(basis)
-        i_obs = int(round(t_obs / (dgrid[1] - dgrid[0])))
-        lam_traces = duhamel_batch(src.r0.values, basis.eigenvalues, dgrid)
-        psi = SpatialField(coeffs=fm_flat * lam_traces[:, i_obs], basis=basis)
+    data = _synthetic_data(basis, amp, src, dgrid,
+                           x0=obs_cfg.x0 if which != 2 else None,
+                           t0=t_obs if which != 1 else None)
 
     if which == 1:
-        # phi0 = u0(x0, .) and chi = f(x0, .) * rho0; the expansion is not
-        # kept, so its (M, N) arrays are freed before the Volterra march
-        w = basis.point_weights(obs_cfg.x0)
-        phi0 = TimeTrace(dgrid, build_expansion(basis, amp, src, dgrid)
-                         .u0_on(dgrid).T @ w)
-        f_x0 = amp.at_point(obs_cfg.x0, dgrid)
-        chi = rho0(src.r1).resample(dgrid).scaled(f_x0)
-        data = ObservationData(phi0=phi0, chi=chi, x0=obs_cfg.x0, t0=t_obs)
         rec = ip1_recover(data, amp, basis)
 
         r0_err = float(np.max(np.abs(rec.r0.values - src.r0.sample(dgrid))))
@@ -192,7 +198,7 @@ def run_roundtrip(config: ExperimentConfig, which):
         columns = ("r0_sup_error", "r1_coeff_error")
 
     elif which == 2:
-        fld = ip2_recover(psi, src.r0, t_obs, basis)
+        fld = ip2_recover(data.psi, src.r0, t_obs, basis)
         fm_err = _fm_rel_error(fld.coeffs, fm_flat)
         criteria.append(_cmp("fm_rel_error", fm_err, tol["fm_rel"], "<="))
         boundary = fld.meta["boundary_report"]
@@ -202,12 +208,6 @@ def run_roundtrip(config: ExperimentConfig, which):
         columns = ("fm_rel_error",)
 
     else:
-        w = basis.point_weights(obs_cfg.x0)
-        phi0 = TimeTrace(dgrid, (fm_flat * w) @ lam_traces)
-        f_x0 = float(fm_flat @ w)
-        chi = rho0(src.r1).resample(dgrid).scaled(f_x0)
-        data = ObservationData(phi0=phi0, chi=chi, psi=psi,
-                               x0=obs_cfg.x0, t0=t_obs)
         fld, r1_rec = ip3_recover(data, src.r0, basis)
 
         fm_err = _fm_rel_error(fld.coeffs, fm_flat)
@@ -216,26 +216,23 @@ def run_roundtrip(config: ExperimentConfig, which):
         criteria.append(_cmp("r1_coeff_error", r1_err, tol["r1_coeff"], "<="))
         meta["phi0_consistency"] = fld.meta.get("phi0_consistency")
 
-        # re-simulate with the recovered pieces and compare the composite
-        # trace prediction at each frequency
+        # re-simulate with the recovered pieces and compare the trace with
+        # the order-2 composite the recovered expansion predicts
         rec_amp = type(amp).from_field(fld)
         rec_src = OscillatorySource(src.r0, r1_rec)
         psi_errs = []
         pts = basis.interior_sample_points(64)
-        psi_pts = psi.evaluate(pts)
+        psi_pts = data.psi.evaluate(pts)
         for omega in config.omegas:
             u = solve_direct(basis, rec_amp, rec_src, omega, T=t_obs,
                              points_per_period=config.grid.points_per_period)
             fine = u.grid
-            lam_fine = duhamel_batch(src.r0.sample(fine), basis.eigenvalues,
-                                     fine)
-            phi0_fine = (fld.coeffs * w) @ lam_fine
-            phi1, phi2 = ip1_build_targets(data.chi, rec_amp, obs_cfg.x0,
-                                           basis, grid=fine)
-            chi_fine = data.chi.resample(fine)
-            composite = (phi0_fine + phi1.values / omega
-                         + (phi2.values
-                            + chi_fine.evaluate(fine, omega * fine)) / omega ** 2)
+            phi0, phi1, phi2, chi = build_expansion(
+                basis, rec_amp, rec_src, fine).trace_components(obs_cfg.x0,
+                                                                fine)
+            composite = (phi0.values + phi1.values / omega
+                         + (phi2.values + chi.evaluate(fine, omega * fine))
+                         / omega ** 2)
             trace = u.trace_at(obs_cfg.x0).values
             err = float(np.max(np.abs(trace - composite)))
             scale_u = float(np.max(np.abs(trace)))
@@ -253,10 +250,11 @@ def run_roundtrip(config: ExperimentConfig, which):
                                  psi_errs[-1], psi_errs[0], "<="))
         meta["psi_errors"] = psi_errs
 
-    # round trip 1 recovers r0, so only the amplitude floor applies to it
-    meta["admissibility"] = check_admissibility(
-        r0=src.r0 if which > 1 else None, t0=t_obs, basis=basis, f=amp,
-        x0=obs_cfg.x0).to_dict()
+    # round trip 1 recovers r0, so only the amplitude floor applies to it;
+    # the amplitude recoveries hold Lambda_m(t0) of the true r0 already
+    lamv = fld.meta["lambda_values"] if which > 1 else None
+    meta["admissibility"] = _admissibility(lamv, src.r0, t_obs, basis, amp,
+                                           obs_cfg.x0).to_dict()
     return StudyReport(kind=f"roundtrip{which}", columns=columns,
                        rows=tuple(rows), criteria=tuple(criteria),
                        meta=meta)

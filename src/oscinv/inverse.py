@@ -23,18 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _free_oscillations, expansion_coefficients
 from .basis import SpatialField, check_boundary_traces
 from .forward import _coerce_amplitude
 from .quadrature import duhamel_batch
-from .sources import FastProfile, OscillatorySource, corner_values_from_rho0
+from .sources import FastProfile, OscillatorySource
 from .traces import TimeTrace, uniform_grid
 from .volterra import build_kernel, solve_second_kind
 
 __all__ = [
     "AdmissibilityError", "ObservationData", "AdmissibilityReport",
-    "check_admissibility", "ip1_build_targets", "ip1_recover",
-    "ip2_recover", "ip3_recover",
+    "check_admissibility", "ip1_recover", "ip2_recover", "ip3_recover",
 ]
 
 EPS_LAMBDA_FLOOR = 1e-10      # mode response floor: |Lambda_m(t0)| tested
@@ -115,14 +113,17 @@ def _lambda_profiles(r0, lams, grid):
 
 
 def _mode_responses(r0, basis, t0):
-    """Lambda_m(t0) of every mode, on a shared fine slow grid, and the
-    1-based modes whose response sits under the division floor
-    EPS_LAMBDA_FLOOR * max(1, 1/lam_m)."""
-    lams = basis.eigenvalues
-    lamv = _lambda_profiles(r0, lams, uniform_grid(float(t0), N_GRID))[:, -1]
-    floors = EPS_LAMBDA_FLOOR * np.maximum(1.0, 1.0 / lams)
-    bad = [m + 1 for m in range(basis.M) if abs(lamv[m]) < floors[m]]
-    return lamv, bad
+    """Lambda_m(t) of every mode on the [0, t0] grid of N_GRID intervals,
+    shape (M, N_GRID + 1); the last column is Lambda_m(t0)."""
+    return _lambda_profiles(r0, basis.eigenvalues,
+                            uniform_grid(float(t0), N_GRID))
+
+
+def _dead_modes(lamv, basis):
+    """1-based modes whose response Lambda_m(t0) sits under the division
+    floor EPS_LAMBDA_FLOOR * max(1, 1/lam_m)."""
+    floors = EPS_LAMBDA_FLOOR * np.maximum(1.0, 1.0 / basis.eigenvalues)
+    return [m + 1 for m in range(basis.M) if abs(lamv[m]) < floors[m]]
 
 
 def _amplitude_floor(values, scale):
@@ -132,14 +133,6 @@ def _amplitude_floor(values, scale):
     return fmin, fmin >= EPS_AMPLITUDE * max(1.0, scale)
 
 
-def _amplitude_at(amp, x0, grid):
-    """f(x0, .) on the grid; AdmissibilityError when it is under the floor."""
-    f_x0 = amp.at_point(x0, grid)
-    if not _amplitude_floor(f_x0.values, f_x0.max_abs)[1]:
-        raise AdmissibilityError("amplitude vanishes at the observation point")
-    return f_x0
-
-
 def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None):
     """Evaluate the reconstruction preconditions that apply to the given data.
 
@@ -147,13 +140,23 @@ def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None):
     c0 = min_m lam_m |Lambda_m(t0)|) run when r0, t0 and basis are present;
     the amplitude floor runs when f and x0 are present.
     """
-    rep = {}
+    lamv = None
     if r0 is not None and t0 is not None and basis is not None:
         if not isinstance(r0, TimeTrace):
             r0 = TimeTrace.from_expr(r0, uniform_grid(float(t0), 64))
+        lamv = _mode_responses(r0, basis, t0)[:, -1]
+    return _admissibility(lamv, r0, t0, basis, f, x0)
+
+
+def _admissibility(lamv, r0, t0, basis, f, x0):
+    """check_admissibility with the responses Lambda_m(t0) of the TimeTrace
+    r0 given, so that a caller holding them from an amplitude recovery does
+    not compute them again; lamv is None when no slow-drive check applies."""
+    rep = {}
+    if lamv is not None:
         v0 = float(r0(0.0))
         vt = float(r0(float(t0)))
-        lamv, bad = _mode_responses(r0, basis, t0)
+        bad = _dead_modes(lamv, basis)
         scaled = basis.eigenvalues * np.abs(lamv)
         argmin = int(np.argmin(scaled))
         rep.update(
@@ -171,27 +174,6 @@ def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None):
     return AdmissibilityReport(**rep)
 
 
-def ip1_build_targets(chi, f, x0, basis, grid=None):
-    """Order-1 and order-2 trace targets implied by the fast-phase data.
-
-    phi1(t) = sum_m (b1_m/sqrt(lam_m)) y_m(x0) sin(sqrt(lam_m) t) and
-    phi2(t) = sum_m y_m(x0) [d_m cos(sqrt(lam_m) t)
-                             + (b2_m/sqrt(lam_m)) sin(sqrt(lam_m) t)],
-    with coefficients from the corner values of rho0 = chi / f(x0, .).
-    """
-    if grid is None:
-        grid = chi.grid
-    grid = np.asarray(grid, dtype=float)
-    amp = _coerce_amplitude(f)
-    f_x0 = _amplitude_at(amp, x0, grid)
-
-    p0 = chi.resample(grid).divided_by(f_x0)
-    coeff = expansion_coefficients(amp, basis, corner_values_from_rho0(p0))
-    c1, c2 = _free_oscillations(**coeff, lams=basis.eigenvalues, tgrid=grid)
-    w = basis.point_weights(x0)
-    return TimeTrace(grid, w @ c1), TimeTrace(grid, w @ c2)
-
-
 def ip1_recover(data, f, basis):
     """Recover the full drive r0 + r1 from phi0 and chi at a known amplitude."""
     if data.phi0 is None or data.chi is None:
@@ -199,7 +181,9 @@ def ip1_recover(data, f, basis):
     data.validate()
     grid = data.phi0.grid
     amp = _coerce_amplitude(f)
-    f_x0 = _amplitude_at(amp, data.x0, grid)
+    f_x0 = amp.at_point(data.x0, grid)
+    if not _amplitude_floor(f_x0.values, f_x0.max_abs)[1]:
+        raise AdmissibilityError("amplitude vanishes at the observation point")
     kernel = build_kernel(basis, amp, data.x0)
     g = data.phi0.derivative(2)
     r0_trace = solve_second_kind(f_x0, kernel, g)
@@ -207,30 +191,37 @@ def ip1_recover(data, f, basis):
     return OscillatorySource(r0_trace, r1)
 
 
+def _divide_responses(psi, lamv, basis):
+    """f_m = psi_m / Lambda_m(t0) with the boundary-trace report; any mode
+    response below the division floor aborts."""
+    bad = _dead_modes(lamv, basis)
+    if bad:
+        raise AdmissibilityError(
+            f"mode responses at t0 below the division floor for modes {bad}")
+    fld = SpatialField(coeffs=basis.project(psi) / lamv, basis=basis)
+    fld.meta["lambda_values"] = lamv
+    fld.meta["boundary_report"] = check_boundary_traces(fld, basis, orders=1)
+    return fld
+
+
 def ip2_recover(psi, r0, t0, basis):
     """Recover a time-invariant amplitude from the final-time snapshot.
 
     psi_m = f_m Lambda_m(t0), so f_m = psi_m / Lambda_m(t0); any mode response
     below the floor EPS_LAMBDA_FLOOR * max(1, 1/lam_m) aborts (data cannot
-    determine those modes; no regularization is applied by design).
+    determine those modes; no regularization is applied by design).  The
+    responses are kept in meta["lambda_values"].
     """
-    lamv, bad = _mode_responses(r0, basis, t0)
-    if bad:
-        raise AdmissibilityError(
-            f"mode responses at t0 below the division floor for modes {bad}")
-    psic = basis.project(psi)
-    coeffs = psic / lamv
-    fld = SpatialField(coeffs=coeffs, basis=basis)
-    fld.meta["lambda_values"] = lamv
-    fld.meta["boundary_report"] = check_boundary_traces(fld, basis, orders=1)
-    return fld
+    return _divide_responses(psi, _mode_responses(r0, basis, t0)[:, -1],
+                             basis)
 
 
 def ip3_recover(data, r0, basis):
     """Recover amplitude and fast drive from final-time plus point data."""
     if data.psi is None or data.chi is None or data.t0 is None:
         raise AdmissibilityError("combined recovery needs psi, chi, and t0")
-    fld = ip2_recover(data.psi, r0, data.t0, basis)
+    profiles = _mode_responses(r0, basis, data.t0)
+    fld = _divide_responses(data.psi, profiles[:, -1], basis)
 
     w = basis.point_weights(data.x0)
     fx0 = float(fld.coeffs @ w)
@@ -241,9 +232,11 @@ def ip3_recover(data, r0, basis):
                                  "observation point")
     r1 = data.chi.tau_derivative(2).scaled(1.0 / fx0)
 
-    grid = data.phi0.grid if data.phi0 is not None \
-        else uniform_grid(float(data.t0), N_GRID)
-    lam_traces = _lambda_profiles(r0, basis.eigenvalues, grid)
+    if data.phi0 is None:
+        grid, lam_traces = uniform_grid(float(data.t0), N_GRID), profiles
+    else:
+        grid = data.phi0.grid
+        lam_traces = _lambda_profiles(r0, basis.eigenvalues, grid)
     phi0_derived = TimeTrace(grid, (fld.coeffs * w) @ lam_traces)
     fld.meta["phi0_derived"] = phi0_derived
     if data.phi0 is not None:

@@ -21,7 +21,7 @@ from .traces import TimeTrace
 __all__ = [
     "FastProfile", "OscillatorySource",
     "tau_mean", "split_source", "rho0", "rho1",
-    "corner_values", "corner_values_from_rho0",
+    "corner_values",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -73,9 +73,6 @@ class FastProfile:
     @property
     def max_abs(self):
         return max((c.max_abs for _, _, c in self.terms), default=0.0)
-
-    def is_negligible(self, rel=1e-13, scale=1.0):
-        return self.max_abs <= rel * max(scale, 1.0)
 
     # -- evaluation -----------------------------------------------------
 
@@ -338,16 +335,20 @@ def tau_mean(obj, t=0.0):
 def split_source(r, grid, n_tau=N_TAU):
     """Split a drive r(t, tau) into slow mean r0(t) and fast remainder r1.
 
-    Accepts an OscillatorySource (returned as is), an expression in t and tau,
-    or a callable r(t, tau); callables are resolved with an n_tau-point
-    discrete Fourier transform along the phase and must be 2*pi-periodic.
+    Accepts an OscillatorySource (returned as is on the same grid, else
+    resampled onto it), an expression in t and tau, or a callable r(t, tau);
+    callables are resolved with an n_tau-point discrete Fourier transform
+    along the phase and must be 2*pi-periodic.
     A callable is sampled on a Chebyshev grid in slow time and interpolated
     onto the grid (``_slow_table``), or at every grid node when that
     interpolant does not converge.
     """
     grid = np.asarray(grid, dtype=float)
     if isinstance(r, OscillatorySource):
-        return r
+        if r.grid.size == grid.size and np.allclose(r.grid, grid,
+                                                    rtol=0, atol=1e-13):
+            return r
+        return r.resample(grid)
     if isinstance(r, (str, sympy.Expr)):
         mean, table = _harmonic_table(r)
         terms = [(k, kind, TimeTrace.from_expr(env, grid))
@@ -391,8 +392,13 @@ def rho1(rho0_profile):
     return (-rho0_profile).tau_antiderivative_zero_mean(order=1)
 
 
-def corner_values_from_rho0(p0):
-    """Corner data at (t, tau) = (0, 0) given the profile rho0 itself."""
+def corner_values(r1):
+    """Corner data of rho0 and rho1 at (t, tau) = (0, 0).
+
+    Returns a dict with rho0, rho0_tau, rho0_t, rho1, rho1_t; these five
+    numbers determine the first- and second-order expansion coefficients.
+    """
+    p0 = rho0(r1)
     p1 = rho1(p0)
     return {
         "rho0": p0.corner(),
@@ -401,12 +407,3 @@ def corner_values_from_rho0(p0):
         "rho1": p1.corner(),
         "rho1_t": p1.corner(1),
     }
-
-
-def corner_values(r1):
-    """Corner data of rho0 and rho1 at (t, tau) = (0, 0).
-
-    Returns a dict with rho0, rho0_tau, rho0_t, rho1, rho1_t; these five
-    numbers determine the first- and second-order expansion coefficients.
-    """
-    return corner_values_from_rho0(rho0(r1))

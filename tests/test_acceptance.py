@@ -15,7 +15,7 @@ from oscinv.basis import (SeparableAmplitude, SpatialField,
 from oscinv.forward import duhamel_coefficient, solve_direct
 from oscinv.harness import fit_slope
 from oscinv.inverse import (ObservationData, check_admissibility, ip1_recover,
-                            ip1_build_targets, ip2_recover, ip3_recover)
+                            ip2_recover, ip3_recover)
 from oscinv.selftest import run_selftest
 from oscinv.sources import FastProfile, OscillatorySource, rho0
 from oscinv.traces import TimeTrace, uniform_grid
@@ -170,7 +170,6 @@ def test_ac7_combined_recovery_and_resimulation():
     # forward re-simulation with the recovered pieces
     rec_amp = SeparableAmplitude.from_field(fld)
     rec_src = OscillatorySource(r0, r1_rec)
-    phi1, phi2 = ip1_build_targets(chi, rec_amp, x0, basis)
     pts = basis.interior_sample_points(64)
     psi_pts = psi.evaluate(pts)
     trace_err_400 = scale_400 = None
@@ -179,13 +178,11 @@ def test_ac7_combined_recovery_and_resimulation():
         u = solve_direct(basis, rec_amp, rec_src, omega, T=t0,
                          points_per_period=32)
         fine = u.grid
-        lam_fine = np.vstack([
-            duhamel_coefficient(r0.sample(fine), lam, fine).values
-            for lam in basis.eigenvalues])
-        composite = ((fld.coeffs * w) @ lam_fine
-                     + phi1.sample(fine) / omega
-                     + (phi2.sample(fine)
-                        + chi.resample(fine).evaluate(fine, omega * fine))
+        # the order-2 composite trace of the recovered expansion
+        phi0_f, phi1, phi2, chi_f = build_expansion(
+            basis, rec_amp, rec_src, fine).trace_components(x0, fine)
+        composite = (phi0_f.values + phi1.values / omega
+                     + (phi2.values + chi_f.evaluate(fine, omega * fine))
                      / omega ** 2)
         trace = u.trace_at(x0).values
         psi_errs[omega] = float(np.max(np.abs(u.evaluate(pts)[-1] - psi_pts)))

@@ -5,7 +5,7 @@ from oscinv.asymptotics import (build_expansion, expansion_coefficients,
                                 residual_norm)
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
 from oscinv.forward import duhamel_coefficient, solve_direct
-from oscinv.sources import FastProfile, corner_values
+from oscinv.sources import FastProfile, corner_values, split_source
 from oscinv.traces import TimeTrace, uniform_grid
 
 PI = np.pi
@@ -98,6 +98,33 @@ def test_trace_components_geometry(expansion):
     fx0 = np.exp(-grid) * (np.sin(x0) + 0.3 * np.sin(3 * x0))
     np.testing.assert_allclose(chi.coefficient(1, "cos").values,
                                -(1 + grid / 2) * fx0, atol=1e-12)
+
+
+def test_observed_traces_are_first_and_last_trace_components(expansion):
+    exp, basis, grid = expansion
+    phi0, _, _, chi = exp.trace_components(1.2, grid)
+    obs_phi0, obs_chi = exp.observed_traces(1.2, grid)
+    assert np.array_equal(obs_phi0.values, phi0.values)
+    assert [(k, kind) for k, kind, _ in obs_chi.terms] \
+        == [(k, kind) for k, kind, _ in chi.terms]
+    for (_, _, a), (_, _, b) in zip(obs_chi.terms, chi.terms):
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("n_src", [3000, 2400])
+def test_build_expansion_resamples_a_presplit_source(n_src):
+    # a source split on [0, 3] with the same or another node count as the
+    # [0, 2] expansion grid must give the expansion of the expression
+    basis = build_dirichlet_interval_basis(PI, 3)
+    grid = uniform_grid(2.0, 3000)
+    src = split_source(REXPR, uniform_grid(3.0, n_src))
+    got = build_expansion(basis, FEXPR, src, grid)
+    ref = build_expansion(basis, FEXPR, REXPR, grid)
+    np.testing.assert_allclose(got.u0_coeffs, ref.u0_coeffs, rtol=0,
+                               atol=1e-12)
+    for name in ("b1", "d", "b2"):
+        np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                   rtol=0, atol=1e-12)
 
 
 def test_expansion_orders_differ_by_corrections(expansion):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oscinv
+from oscinv import inverse
 from oscinv.asymptotics import build_expansion
 from oscinv.cli import main
 from oscinv.basis import build_dirichlet_interval_basis
@@ -347,6 +348,17 @@ def test_invert2_cli_roundtrip(tmp_path, ip2_files):
     payload = json.loads(open(tmp_path / "out" / "run_admissibility.json").read())
     assert payload["admissibility"]["passed"] is True
     assert payload["boundary_trace"]["passed"] is True
+
+
+def test_invert2_computes_mode_responses_once(tmp_path, ip2_files,
+                                             monkeypatch):
+    calls = []
+    real = inverse._mode_responses
+    monkeypatch.setattr(inverse, "_mode_responses",
+                        lambda *a: calls.append(1) or real(*a))
+    cfg, dpath, _ = ip2_files
+    assert main(["invert2", "--config", str(cfg), "--data", str(dpath)]) == 0
+    assert len(calls) == 1
 
 
 def test_invert2_rejects_resonant_time(tmp_path, ip2_files):

@@ -145,8 +145,6 @@ def test_field_evaluate_shapes(interval_basis, grid3):
     pts = np.linspace(0.1, 3.0, 5)
     vals = u.evaluate(pts)
     assert vals.shape == (grid3.size, 5)
-    end = u.field_at_end()
-    np.testing.assert_allclose(end.evaluate(pts), vals[-1], atol=1e-12)
 
 
 def test_field_subsample(interval_basis, grid3):

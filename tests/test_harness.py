@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oscinv import inverse
 from oscinv.config import config_from_dict
 from oscinv.harness import (StudyReport, emit_report, fit_slope, format_float,
                             json_bytes, run_order_study, run_roundtrip)
@@ -123,6 +124,25 @@ def test_roundtrip2_driver():
     assert rep.passed
     assert {c.name for c in rep.criteria} == {"fm_rel_error",
                                               "boundary_trace_sup"}
+
+
+def test_roundtrip2_computes_mode_responses_once(monkeypatch):
+    # ip2_recover's Lambda_m(t0) also feeds the admissibility report
+    calls = []
+    real = inverse._mode_responses
+    monkeypatch.setattr(inverse, "_mode_responses",
+                        lambda *a: calls.append(1) or real(*a))
+    cfg = config_from_dict({
+        "basis": {"domain": "interval", "lengths": [PI], "M": 4},
+        "source": {"f": "sin(x) + 0.3*sin(3*x)", "r0": "1 + t"},
+        "omega": [100.0],
+        "grid": {"T": 3.0, "trace_h": 2e-3},
+        "observation": {"x0": PI / 2, "t0": 3.0},
+        "study": "roundtrip2",
+    })
+    rep = run_roundtrip(cfg, 2)
+    assert len(calls) == 1
+    assert rep.meta["admissibility"]["m0_empty"] is True
 
 
 def test_roundtrip_amplitude_must_be_time_invariant_for_2_and_3():

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from oscinv import inverse
 from oscinv.asymptotics import build_expansion
 from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis)
 from oscinv.forward import duhamel_coefficient
 from oscinv.inverse import (AdmissibilityError, ObservationData,
-                            check_admissibility, ip1_build_targets,
-                            ip1_recover, ip2_recover, ip3_recover)
+                            check_admissibility, ip1_recover, ip2_recover,
+                            ip3_recover)
 from oscinv.sources import FastProfile, rho0, split_source
 from oscinv.traces import TimeTrace, uniform_grid
 
@@ -130,33 +131,16 @@ def test_phase_data_inverts_to_chi(grid3):
 
 
 def test_ip1_targets_single_mode_geometry(grid3):
+    # the order-1 and order-2 targets of the ip1/ip3 composite trace
     basis = build_dirichlet_interval_basis(PI, 1)
-    chi = rho0(FastProfile.from_specs([(1, "cos", "1 + t/2")], grid3))
-    phi1, phi2 = ip1_build_targets(chi, "sin(x)", PI / 2, basis)
-    # chi IS rho0 here (f(x0) = 1): corners rho0(0,0) = -1, rho0_tau(0,0) = 0,
-    # rho0_t(0,0) = -0.5, with fm(0) = sqrt(pi/2), fm'(0) = 0, y1(x0) = sqrt(2/pi)
+    _, phi1, phi2, _ = build_expansion(
+        basis, "sin(x)", "(1 + t/2)*cos(tau)", grid3).trace_components(
+            PI / 2, grid3)
+    # corners rho0(0,0) = -1, rho0_tau(0,0) = 0, rho0_t(0,0) = -0.5, with
+    # fm(0) = sqrt(pi/2), fm'(0) = 0, y1(x0) = sqrt(2/pi)
     np.testing.assert_allclose(phi1.values, 0.0, atol=1e-12)
     expect = np.cos(grid3) - 0.5 * np.sin(grid3)
     np.testing.assert_allclose(phi2.values, expect, atol=1e-12)
-
-
-
-def test_ip1_targets_match_expansion_multi_mode():
-    # time-varying amplitude and a drive with cos and sin harmonics, so b1,
-    # d and b2 are all nonzero in several modes
-    basis = build_dirichlet_interval_basis(PI, 6)
-    grid = uniform_grid(2.0, 2000)
-    f = "exp(-t)*(sin(x) + 0.3*sin(3*x)) + t*sin(2*x)"
-    r = "1 + t + (1 + t/2)*cos(tau) + 0.4*sin(2*tau)"
-    x0 = 1.2
-    _, phi1_ref, phi2_ref, chi = build_expansion(basis, f, r, grid) \
-        .trace_components(x0, grid)
-    phi1, phi2 = ip1_build_targets(chi, f, x0, basis)
-    assert phi1.max_abs > 0.1 and phi2.max_abs > 0.1
-    np.testing.assert_allclose(phi1.values, phi1_ref.values, rtol=0,
-                               atol=1e-12)
-    np.testing.assert_allclose(phi2.values, phi2_ref.values, rtol=0,
-                               atol=1e-12)
 
 
 # -- amplitude recovery (known slow drive) -------------------------------------
@@ -223,6 +207,20 @@ def test_ip3_works_without_phi0(ip3_setup):
     fld, r1 = ip3_recover(trimmed, r0, basis)
     np.testing.assert_allclose(fld.coeffs, fm, atol=1e-10)
     assert "phi0_consistency" not in fld.meta
+
+
+def test_ip3_without_phi0_computes_lambda_profiles_once(ip3_setup,
+                                                        monkeypatch):
+    # the division and the derived trace share one Lambda_m(t) table
+    basis, grid, r0, fm, data = ip3_setup
+    calls = []
+    real = inverse._lambda_profiles
+    monkeypatch.setattr(inverse, "_lambda_profiles",
+                        lambda *a: calls.append(1) or real(*a))
+    trimmed = ObservationData(chi=data.chi, psi=data.psi, x0=data.x0, t0=3.0)
+    fld, _ = ip3_recover(trimmed, r0, basis)
+    assert len(calls) == 1
+    assert fld.meta["phi0_derived"].grid.size == inverse.N_GRID + 1
 
 
 def test_ip3_requires_final_time_data(ip3_setup):

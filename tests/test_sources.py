@@ -150,7 +150,7 @@ def test_split_product_of_phases(grid3):
 def test_split_pure_slow(grid3):
     src = split_source("exp(-t)", grid3)
     np.testing.assert_allclose(src.r0.values, np.exp(-grid3), atol=1e-14)
-    assert src.r1.is_negligible()
+    assert src.r1.terms == []
 
 
 def test_split_rejects_nonharmonic_phase(grid3):
