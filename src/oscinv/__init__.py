@@ -16,8 +16,7 @@ from .inverse import (AdmissibilityError, AdmissibilityReport,
                       ObservationData, check_admissibility, ip1_recover,
                       ip2_recover, ip3_recover)
 from .selftest import run_selftest
-from .sources import (FastProfile, OscillatorySource, corner_values, rho0,
-                      rho1, split_source, tau_mean)
+from .sources import FastProfile, OscillatorySource, rho0, split_source
 from .traces import TimeTrace, uniform_grid
 from .volterra import (VolterraKernel, build_kernel, solve_second_kind,
                        volterra_residual)
@@ -39,8 +38,7 @@ __all__ = [
     "AdmissibilityError", "AdmissibilityReport", "ObservationData",
     "check_admissibility", "ip1_recover", "ip2_recover", "ip3_recover",
     "run_selftest",
-    "FastProfile", "OscillatorySource", "corner_values", "rho0", "rho1",
-    "split_source", "tau_mean",
+    "FastProfile", "OscillatorySource", "rho0", "split_source",
     "TimeTrace", "uniform_grid",
     "VolterraKernel", "build_kernel", "solve_second_kind",
     "volterra_residual",

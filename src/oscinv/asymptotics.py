@@ -27,9 +27,8 @@ import numpy as np
 from .basis import EigenBasis, SeparableAmplitude
 from .forward import SpaceTimeField, _coerce_amplitude
 from .quadrature import duhamel_batch
-from .sources import (N_TAU, FastProfile, OscillatorySource, corner_values,
-                      rho0, split_source)
-from .traces import TimeTrace
+from .sources import N_TAU, FastProfile, OscillatorySource, rho0, split_source
+from .traces import TimeTrace, same_grid
 
 __all__ = [
     "AsymptoticExpansion", "expansion_coefficients", "build_expansion",
@@ -45,14 +44,16 @@ def _slow_response(fm, r0v, lams, grid):
     return duhamel_batch(fm, lams, grid, [(0.0, 1.0, r0v)])
 
 
-def expansion_coefficients(amp, basis, corners):
-    """First- and second-order free-oscillation coefficients per mode."""
+def expansion_coefficients(amp, basis, rho0_profile):
+    """First- and second-order free-oscillation coefficients per mode, from
+    the corner values rho0, rho0_tau and rho0_t at (t, tau) = (0, 0)."""
     fm0 = amp.mode_derivatives_at_start(basis, 0)
     fmp0 = amp.mode_derivatives_at_start(basis, 1)
+    corner = rho0_profile.corner()
     return {
-        "b1": -corners["rho0_tau"] * fm0,
-        "d": -corners["rho0"] * fm0,
-        "b2": corners["rho0"] * fmp0 + corners["rho0_t"] * fm0,
+        "b1": -rho0_profile.tau_derivative().corner() * fm0,
+        "d": -corner * fm0,
+        "b2": corner * fmp0 + rho0_profile.corner(1) * fm0,
     }
 
 
@@ -74,8 +75,7 @@ class AsymptoticExpansion:
     def u0_on(self, tgrid):
         """Slow-response mode coefficients on an arbitrary uniform grid."""
         tgrid = np.asarray(tgrid, dtype=float)
-        if tgrid.size == self.grid.size and np.allclose(tgrid, self.grid,
-                                                        rtol=0, atol=1e-13):
+        if same_grid(self.grid, tgrid):
             return self.u0_coeffs
         key = (tgrid.size, float(tgrid[0]), float(tgrid[-1]))
         hit = self._cache.get(key)
@@ -141,10 +141,11 @@ def build_expansion(basis, f, r, grid, n_tau=N_TAU):
     amp = _coerce_amplitude(f)
     src = split_source(r, grid, n_tau=n_tau)
     fm = amp.mode_traces(basis, grid)
-    coeffs = expansion_coefficients(amp, basis, corner_values(src.r1))
+    p0 = rho0(src.r1)
+    coeffs = expansion_coefficients(amp, basis, p0)
     u0 = _slow_response(fm, src.r0.values, basis.eigenvalues, grid)
     return AsymptoticExpansion(
-        basis=basis, amplitude=amp, source=src, rho0_profile=rho0(src.r1),
+        basis=basis, amplitude=amp, source=src, rho0_profile=p0,
         b1=coeffs["b1"], d=coeffs["d"], b2=coeffs["b2"], grid=grid,
         u0_coeffs=u0)
 

@@ -80,18 +80,17 @@ class EigenBasis:
 
     # -- eigenfunction evaluation --------------------------------------
 
-    def _sl_splines(self):
-        splines = self._cache.get("sl_splines")
-        if splines is None:
+    def _sl_spline(self):
+        """One cubic spline through every mode's samples and the zero
+        boundary values, evaluating to shape (M, n_points)."""
+        spline = self._cache.get("sl_spline")
+        if spline is None:
             from scipy.interpolate import CubicSpline
-            L = self.lengths[0]
-            xs = np.concatenate(([0.0], self.sl_grid, [L]))
-            splines = []
-            for row in self.sl_values:
-                ys = np.concatenate(([0.0], row, [0.0]))
-                splines.append(CubicSpline(xs, ys))
-            self._cache["sl_splines"] = splines
-        return splines
+            xs = np.concatenate(([0.0], self.sl_grid, [self.lengths[0]]))
+            ys = np.pad(self.sl_values, ((0, 0), (1, 1)))
+            spline = CubicSpline(xs, ys, axis=1)
+            self._cache["sl_spline"] = spline
+        return spline
 
     def eval_modes(self, points):
         """Matrix of eigenfunction values, shape (M, n_points)."""
@@ -109,8 +108,7 @@ class EigenBasis:
                 out *= np.sqrt(2.0 / L) * np.sin(
                     np.outer(idx[:, d] * np.pi / L, pts[:, d]))
             return out
-        splines = self._sl_splines()
-        return np.vstack([sp(pts) for sp in splines])
+        return self._sl_spline()(np.ravel(pts))
 
     def point_weights(self, x0):
         """Eigenfunction values y_m(x0) at one observation point, shape (M,).

@@ -21,9 +21,8 @@ from .expressions import ExpressionError
 from .forward import UnderResolvedError, make_time_grid, solve_direct
 from .harness import (_write_bytes, _write_csv, emit_report, json_bytes,
                       run_order_study, run_roundtrip)
-from .inverse import (N_GRID, AdmissibilityError, _admissibility,
-                      check_admissibility, ip1_recover, ip2_recover,
-                      ip3_recover)
+from .inverse import (AdmissibilityError, _admissibility, check_admissibility,
+                      ip1_recover, ip2_recover, ip3_recover)
 from .selftest import run_selftest
 from .traces import uniform_grid
 
@@ -105,9 +104,8 @@ def _cmd_invert(cfg, which, data_path):
               f"{len(rec.r1.terms)} fast term(s)")
         return 0
 
-    grid = uniform_grid(t0, N_GRID)
-    _, src_t = make_source(cfg.source, grid)
-    r0 = src_t.r0
+    # r0 carries its expression, so each use samples it exactly
+    r0 = src.r0
     if which == 2:
         if data.psi is None:
             raise ConfigError("invert2 data needs psi")

@@ -19,8 +19,7 @@ from .basis import (SeparableAmplitude, SpatialField,
 from .forward import duhamel_coefficient, solve_direct
 from .inverse import ObservationData, ip1_recover, ip2_recover
 from .quadrature import cumulative_oscillatory, duhamel_batch
-from .sources import (FastProfile, corner_values, rho0, rho1, split_source,
-                      tau_mean)
+from .sources import FastProfile, rho0, split_source
 from .traces import TimeTrace, fd_derivative, uniform_grid
 from .volterra import build_kernel, solve_second_kind, volterra_residual
 
@@ -141,37 +140,24 @@ def _check_rho_chain():
     r1 = FastProfile.from_specs(
         [(1, "cos", "1 + t/2"), (2, "sin", 0.4), (3, "cos", "exp(-t)")], grid)
     p0 = rho0(r1)
-    p1 = rho1(p0)
+    back = p0.tau_derivative(2)
     taus = np.linspace(0.0, 2 * np.pi, 17)[:-1]
-    ts = np.linspace(0.0, 2.0, 9)
     worst = 0.0
-    for tv in ts:
-        back = p0.tau_derivative(2)
+    for tv in np.linspace(0.0, 2.0, 9):
         worst = max(worst, np.max(np.abs(
             back.evaluate(tv, taus) - r1.evaluate(tv, taus))))
-        worst = max(worst, np.max(np.abs(
-            p1.tau_derivative().evaluate(tv, taus) + p0.evaluate(tv, taus))))
-        for p in (p0, p1):
-            mesh = p.evaluate(tv, 2 * np.pi * np.arange(64) / 64)
-            worst = max(worst, abs(float(np.mean(mesh))))
+        mesh = p0.evaluate(tv, 2 * np.pi * np.arange(64) / 64)
+        worst = max(worst, abs(float(np.mean(mesh))))
     return float(worst), 1e-12
 
 
 def _check_corner_example():
+    # rho0 of (1 + t/2) cos(tau) is -(1 + t/2) cos(tau)
     grid = uniform_grid(1.0, 100)
-    r1 = FastProfile.from_specs([(1, "cos", "1 + t/2")], grid)
-    c = corner_values(r1)
-    expected = {"rho0": -1.0, "rho0_tau": 0.0, "rho0_t": -0.5,
-                "rho1": 0.0, "rho1_t": 0.0}
-    worst = max(abs(c[k] - v) for k, v in expected.items())
+    p0 = rho0(FastProfile.from_specs([(1, "cos", "1 + t/2")], grid))
+    corners = (p0.corner(), p0.tau_derivative().corner(), p0.corner(1))
+    worst = max(abs(c - v) for c, v in zip(corners, (-1.0, 0.0, -0.5)))
     return float(worst), 1e-12
-
-
-def _check_tau_mean():
-    val = tau_mean("1 + t + cos(tau)*sin(tau) + sin(3*tau)", t=2.0)
-    num = tau_mean(lambda t, tau: 1 + t + np.cos(tau) * np.sin(tau)
-                   + np.sin(3 * tau), t=2.0)
-    return float(max(abs(val - 3.0), abs(num - 3.0))), 1e-12
 
 
 def _check_volterra_order():
@@ -287,7 +273,6 @@ ALL_CHECKS = [
     ("zero_data_zero_solution", _check_zero_data),
     ("phase_antiderivative_chain", _check_rho_chain),
     ("corner_values_example", _check_corner_example),
-    ("tau_mean_agreement", _check_tau_mean),
     ("volterra_order", _check_volterra_order),
     ("volterra_residual", _check_volterra_residual),
     ("volterra_blocked_vs_generic", _check_volterra_blocked_vs_generic),

@@ -16,13 +16,9 @@ from sympy.simplify.fu import TR8
 
 from . import expressions
 from .expressions import T, TAU
-from .traces import TimeTrace
+from .traces import TimeTrace, same_grid
 
-__all__ = [
-    "FastProfile", "OscillatorySource",
-    "tau_mean", "split_source", "rho0", "rho1",
-    "corner_values",
-]
+__all__ = ["FastProfile", "OscillatorySource", "split_source", "rho0"]
 
 _TWO_PI = 2.0 * np.pi
 N_TAU = 256     # phase samples per period when a callable drive is resolved
@@ -243,12 +239,6 @@ def _periodic(table):
     return samples, scale
 
 
-def _phase_samples(r, t, n_tau):
-    """r(t, tau) on n_tau equispaced phases, shape (len(t), n_tau), and
-    max(1, max |r|); one extra tau = 2*pi column checks the periodicity."""
-    return _periodic(_sample(r, t, _phases(n_tau)))
-
-
 def _chebyshev_points(a, b, n):
     """n Chebyshev-Lobatto points on [a, b], increasing, endpoints exact.
 
@@ -316,22 +306,6 @@ def _slow_table(r, grid, taus):
     return out
 
 
-def tau_mean(obj, t=0.0):
-    """Average over one fast period at fixed slow time.
-
-    FastProfile means vanish structurally; expressions give their exact tau
-    mean; callables are sampled on N_TAU equispaced phases (exact for trig
-    polynomials below the aliasing limit).
-    """
-    if isinstance(obj, FastProfile):
-        return 0.0
-    if isinstance(obj, OscillatorySource):
-        return float(obj.r0(t))
-    if isinstance(obj, (str, sympy.Expr)):
-        return float(_harmonic_table(obj)[0].subs(T, t))
-    return float(_phase_samples(obj, [t], N_TAU)[0].mean())
-
-
 def split_source(r, grid, n_tau=N_TAU):
     """Split a drive r(t, tau) into slow mean r0(t) and fast remainder r1.
 
@@ -345,10 +319,7 @@ def split_source(r, grid, n_tau=N_TAU):
     """
     grid = np.asarray(grid, dtype=float)
     if isinstance(r, OscillatorySource):
-        if r.grid.size == grid.size and np.allclose(r.grid, grid,
-                                                    rtol=0, atol=1e-13):
-            return r
-        return r.resample(grid)
+        return r if same_grid(r.grid, grid) else r.resample(grid)
     if isinstance(r, (str, sympy.Expr)):
         mean, table = _harmonic_table(r)
         terms = [(k, kind, TimeTrace.from_expr(env, grid))
@@ -382,28 +353,4 @@ def split_source(r, grid, n_tau=N_TAU):
 
 def rho0(r1):
     """Zero-mean second antiderivative of the fast part in the phase variable."""
-    if isinstance(r1, OscillatorySource):
-        r1 = r1.r1
     return r1.tau_antiderivative_zero_mean(order=2)
-
-
-def rho1(rho0_profile):
-    """Zero-mean profile with d(rho1)/dtau = -rho0."""
-    return (-rho0_profile).tau_antiderivative_zero_mean(order=1)
-
-
-def corner_values(r1):
-    """Corner data of rho0 and rho1 at (t, tau) = (0, 0).
-
-    Returns a dict with rho0, rho0_tau, rho0_t, rho1, rho1_t; these five
-    numbers determine the first- and second-order expansion coefficients.
-    """
-    p0 = rho0(r1)
-    p1 = rho1(p0)
-    return {
-        "rho0": p0.corner(),
-        "rho0_tau": p0.tau_derivative().corner(),
-        "rho0_t": p0.corner(1),
-        "rho1": p1.corner(),
-        "rho1_t": p1.corner(1),
-    }

@@ -17,7 +17,8 @@ import sympy
 from . import expressions
 from .expressions import T
 
-__all__ = ["TimeTrace", "uniform_grid", "fd_weights", "fd_derivative"]
+__all__ = ["TimeTrace", "uniform_grid", "same_grid", "fd_weights",
+           "fd_derivative"]
 
 FD_ACCURACY = 4     # order of accuracy of every finite-difference stencil
 
@@ -31,6 +32,15 @@ def uniform_grid(t_end, n_intervals):
     if n % 2:
         n += 1
     return np.linspace(0.0, float(t_end), n + 1)
+
+
+def same_grid(a, b):
+    """True when grid b has a's shape and matches it node by node to
+    1e-13 * max(1, |a[-1]|)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.allclose(
+        b, a, rtol=0, atol=1e-13 * max(1.0, abs(float(a[-1]))))
 
 
 def fd_weights(offsets, order):
@@ -141,8 +151,7 @@ class TimeTrace:
         A purely sampled trace raises ValueError outside its grid.
         """
         grid2 = np.asarray(grid2, dtype=float)
-        if grid2.shape == self.grid.shape and np.allclose(
-                grid2, self.grid, rtol=0, atol=1e-13 * max(1.0, abs(self.t_end))):
+        if same_grid(self.grid, grid2):
             return self.values.copy()
         if self.expr is not None:
             return expressions.evaluate(self.expr, t=grid2)
@@ -181,9 +190,7 @@ class TimeTrace:
 
     def _coerce(self, other):
         if isinstance(other, TimeTrace):
-            if other.grid.shape != self.grid.shape or not np.allclose(
-                    other.grid, self.grid, rtol=0,
-                    atol=1e-13 * max(1.0, abs(self.t_end))):
+            if not same_grid(self.grid, other.grid):
                 raise ValueError("trace grids differ")
             return other.values, other.expr
         if np.ndim(other) == 0:

@@ -5,7 +5,7 @@ from oscinv.asymptotics import (build_expansion, expansion_coefficients,
                                 residual_norm)
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
 from oscinv.forward import duhamel_coefficient, solve_direct
-from oscinv.sources import FastProfile, corner_values, split_source
+from oscinv.sources import FastProfile, rho0, split_source
 from oscinv.traces import TimeTrace, uniform_grid
 
 PI = np.pi
@@ -48,7 +48,7 @@ def test_expansion_coefficients_frozen_example(grid3):
     amp = SeparableAmplitude.from_expr(FEXPR)
     r1 = FastProfile.from_specs([(1, "cos", "1 + t/2"), (2, "sin", 0.4)],
                                 grid3)
-    co = expansion_coefficients(amp, basis, corner_values(r1))
+    co = expansion_coefficients(amp, basis, rho0(r1))
     c = np.sqrt(PI / 2)
     fm0 = np.array([c, 0.0, 0.3 * c])
     # corners: rho0 = -1, rho0_tau = -0.2, rho0_t = -0.5 and fm'(0) = -fm(0)
@@ -61,7 +61,7 @@ def test_time_invariant_amplitude_kills_b1_correction_growth(grid3):
     basis = build_dirichlet_interval_basis(PI, 2)
     amp = SeparableAmplitude.from_expr("sin(x)")
     r1 = FastProfile.from_specs([(1, "cos", 1.0)], grid3)
-    co = expansion_coefficients(amp, basis, corner_values(r1))
+    co = expansion_coefficients(amp, basis, rho0(r1))
     # cos corner: rho0_tau(0,0) = 0, rho0_t(0,0) = 0, fm'(0) = 0
     np.testing.assert_allclose(co["b1"], 0.0, atol=1e-12)
     np.testing.assert_allclose(co["b2"], 0.0, atol=1e-12)

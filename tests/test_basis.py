@@ -94,6 +94,19 @@ def test_sturm_liouville_orthonormal_modes():
     assert np.all(np.diff(basis.eigenvalues) > 0)
 
 
+def test_sturm_liouville_modes_off_nodes_match_per_mode_splines():
+    from scipy.interpolate import CubicSpline
+
+    basis = build_sturm_liouville_basis("1 + x/2", "x", 2.0, 8, grid_n=800)
+    pts = (np.arange(64) + 0.37) * (2.0 / 64)
+    xs = np.concatenate(([0.0], basis.sl_grid, [2.0]))
+    ref = np.vstack([CubicSpline(xs, np.concatenate(([0.0], row, [0.0])))(pts)
+                     for row in basis.sl_values])
+    assert not np.isin(pts, basis.sl_grid).any()
+    np.testing.assert_allclose(basis.eval_modes(pts), ref, rtol=0, atol=1e-14)
+    assert basis.eval_modes(1.1).shape == (8, 1)
+
+
 def test_sturm_liouville_rejects_degenerate_coefficient():
     with pytest.raises(ValueError):
         build_sturm_liouville_basis("x - 1", 0.0, 2.0, 3)

@@ -34,7 +34,7 @@ def _write_config(tmp_path, name="cfg.json", **overrides):
 
 
 def _read_csv(path):
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     header = lines[0].split(",")
     body = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     return header, body
@@ -319,7 +319,7 @@ def test_invert1_cli_roundtrip(tmp_path, ip1_files):
     header, r1_tab = _read_csv(tmp_path / "out" / "run_recovered_r1.csv")
     assert header == ["t", "cos1"]
     np.testing.assert_allclose(r1_tab[:, 1], 1 + r1_tab[:, 0] / 2, atol=1e-9)
-    adm = json.loads(open(tmp_path / "out" / "run_admissibility.json").read())
+    adm = json.loads((tmp_path / "out" / "run_admissibility.json").read_text())
     assert adm["passed"] is True
 
 
@@ -345,7 +345,8 @@ def test_invert2_cli_roundtrip(tmp_path, ip2_files):
     assert main(["invert2", "--config", str(cfg), "--data", str(dpath)]) == 0
     _, tab = _read_csv(tmp_path / "out" / "run_recovered_f.csv")
     np.testing.assert_allclose(tab[:, 2], fm, atol=1e-9)
-    payload = json.loads(open(tmp_path / "out" / "run_admissibility.json").read())
+    payload = json.loads(
+        (tmp_path / "out" / "run_admissibility.json").read_text())
     assert payload["admissibility"]["passed"] is True
     assert payload["boundary_trace"]["passed"] is True
 
@@ -364,7 +365,7 @@ def test_invert2_computes_mode_responses_once(tmp_path, ip2_files,
 def test_invert2_rejects_resonant_time(tmp_path, ip2_files):
     cfg, dpath, fm = ip2_files
     # constant drive observed after whole periods: every mode response is 0
-    bad_data = json.loads(open(dpath).read())
+    bad_data = json.loads(dpath.read_text())
     bad_data["t0"] = 2 * PI
     bpath = tmp_path / "bad_data.json"
     bpath.write_text(json.dumps(bad_data))
@@ -380,7 +381,7 @@ def test_invert2_rejects_resonant_time(tmp_path, ip2_files):
 def test_invert3_cli_roundtrip(tmp_path, ip2_files):
     cfg, dpath, fm = ip2_files
     # extend the psi-only data with the fast-phase observation
-    data = json.loads(open(dpath).read())
+    data = json.loads(dpath.read_text())
     fx0 = float(fm[0] * np.sqrt(2 / PI) - fm[2] * np.sqrt(2 / PI))
     data["chi"] = [{"harmonic": 1, "kind": "cos",
                     "coeff": f"-({fx0})*(1 + t/2)"}]

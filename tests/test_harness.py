@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_single_frequency_study_row(tmp_path):
     assert row[2] <= 1e-6
     assert rep.passed          # no slope criteria with fewer than 3 omegas
     path = emit_report(rep, str(tmp_path / "study.csv"))
-    text = open(path).read().splitlines()
+    text = Path(path).read_text().splitlines()
     assert text[0].startswith("omega,")
     assert text[1].startswith("100,")
 
@@ -70,13 +71,13 @@ def test_empty_report_emits_header_only(tmp_path):
     rep = StudyReport(kind="order",
                       columns=("omega", "residual_order0", "residual_order2"))
     path = emit_report(rep, str(tmp_path / "empty.csv"))
-    assert open(path).read() == "omega,residual_order0,residual_order2\n"
+    assert Path(path).read_text() == "omega,residual_order0,residual_order2\n"
 
 
 def test_json_report_suffix_dispatch(tmp_path):
     rep = run_order_study(_order_config())
     path = emit_report(rep, str(tmp_path / "study.json"))
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw.startswith(b"{")
     assert b'"kind": "order"' in raw
     assert b"runtimes" not in raw     # wall-clock excluded from stable bytes

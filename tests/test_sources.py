@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from oscinv import expressions
 from oscinv.expressions import T, TAU
 from oscinv.forward import make_time_grid
-from oscinv.sources import (N_TAU, FastProfile, OscillatorySource,
-                            _phase_samples, corner_values, rho0, rho1,
-                            split_source, tau_mean)
+from oscinv.sources import (N_TAU, FastProfile, _periodic, _phases, _sample,
+                            rho0, split_source)
 from oscinv.traces import TimeTrace, uniform_grid
 
 TAUS = np.linspace(0.0, 2 * np.pi, 97)
@@ -48,7 +47,6 @@ def test_evaluate_broadcasts_time_and_phase(standard_r1, grid3):
 def test_zero_mean_over_period(standard_r1):
     vals = standard_r1.evaluate(1.3, TAUS[:-1])
     assert abs(np.mean(vals)) < 1e-13
-    assert tau_mean(standard_r1, t=1.3) == pytest.approx(0.0, abs=1e-13)
 
 
 # -- phase antiderivatives ---------------------------------------------------
@@ -62,33 +60,23 @@ def test_rho0_term_rules(standard_r1, grid3):
                                atol=1e-15)
 
 
-def test_rho1_term_rules(standard_r1, grid3):
-    p1 = rho1(rho0(standard_r1))
-    np.testing.assert_allclose(p1.coefficient(1, "sin").values, 1 + grid3 / 2,
-                               atol=1e-14)
-    np.testing.assert_allclose(p1.coefficient(2, "cos").values, -0.05,
-                               atol=1e-15)
+def _corners(r1):
+    """rho0, rho0_tau and rho0_t of a fast profile at (t, tau) = (0, 0)."""
+    p0 = rho0(r1)
+    return p0.corner(), p0.tau_derivative().corner(), p0.corner(1)
 
 
 def test_corner_values_frozen_example(standard_r1):
-    cv = corner_values(standard_r1)
-    assert cv["rho0"] == pytest.approx(-1.0, abs=1e-13)
-    assert cv["rho0_tau"] == pytest.approx(-0.2, abs=1e-13)
-    assert cv["rho0_t"] == pytest.approx(-0.5, abs=1e-13)
-    assert cv["rho1"] == pytest.approx(-0.05, abs=1e-13)
-    assert cv["rho1_t"] == pytest.approx(0.0, abs=1e-13)
+    c0, c_tau, c_t = _corners(standard_r1)
+    assert c0 == pytest.approx(-1.0, abs=1e-13)
+    assert c_tau == pytest.approx(-0.2, abs=1e-13)
+    assert c_t == pytest.approx(-0.5, abs=1e-13)
 
 
 def test_second_phase_derivative_returns_drive(standard_r1):
     # rho0 is defined by d^2 rho0 / dtau^2 = r1 with zero mean
     back = rho0(standard_r1).tau_derivative(2)
     diff = back - standard_r1
-    assert diff.max_abs < 1e-13
-
-
-def test_rho1_phase_derivative_is_minus_rho0(standard_r1):
-    p0 = rho0(standard_r1)
-    diff = rho1(p0).tau_derivative(1) + p0
     assert diff.max_abs < 1e-13
 
 
@@ -101,9 +89,8 @@ def test_rho_chain_property(c1, c2, c3, k):
         [(k, "cos", f"{c1} + {c2}*t"), (k + 1, "sin", c3)], grid)
     p0 = rho0(r1)
     assert (p0.tau_derivative(2) - r1).max_abs < 1e-12 * (1 + abs(c1) + abs(c2) + abs(c3))
-    assert abs(tau_mean(p0)) < 1e-13
-    p1 = rho1(p0)
-    assert (p1.tau_derivative(1) + p0).max_abs < 1e-12 * (1 + abs(c1) + abs(c2) + abs(c3))
+    mesh = p0.evaluate(0.0, 2 * np.pi * np.arange(64) / 64)
+    assert abs(np.mean(mesh)) < 1e-13
 
 
 @settings(max_examples=25, deadline=None)
@@ -112,12 +99,11 @@ def test_corner_values_linear_in_drive(a, b):
     grid = uniform_grid(1.0, 20)
     u = FastProfile.from_specs([(1, "cos", "1 + t")], grid)
     v = FastProfile.from_specs([(3, "sin", "2 - t")], grid)
-    lhs = corner_values(u.scaled(TimeTrace.constant(a, grid))
-                        + v.scaled(TimeTrace.constant(b, grid)))
-    cu, cv_ = corner_values(u), corner_values(v)
-    for key in lhs:
-        assert lhs[key] == pytest.approx(a * cu[key] + b * cv_[key],
-                                         abs=1e-11 * (1 + abs(a) + abs(b)))
+    lhs = _corners(u.scaled(TimeTrace.constant(a, grid))
+                   + v.scaled(TimeTrace.constant(b, grid)))
+    for got, cu, cv in zip(lhs, _corners(u), _corners(v)):
+        assert got == pytest.approx(a * cu + b * cv,
+                                    abs=1e-11 * (1 + abs(a) + abs(b)))
 
 
 # -- splitting ---------------------------------------------------------------
@@ -176,11 +162,6 @@ def test_split_callable_rejects_aperiodic(grid3):
         split_source(lambda t, tau: np.cos(0.5 * tau), grid3)
 
 
-def test_tau_mean_callable_rejects_aperiodic():
-    with pytest.raises(ValueError):
-        tau_mean(lambda t, tau: np.cos(0.5 * tau), t=1.0)
-
-
 # products with t-trig factors and angle sums first, then the expressions
 # split elsewhere in this file
 _SPLIT_EXPRESSIONS = [
@@ -218,12 +199,6 @@ def test_expression_split_uses_no_symbolic_integration(monkeypatch, grid3):
                                atol=1e-14)
     assert [(k, kind) for k, kind, _ in src.r1.terms] == [
         (1, "cos"), (1, "sin"), (2, "cos")]
-    assert tau_mean(expr, t=0.0) == pytest.approx(1.5, abs=1e-15)
-
-
-def test_tau_mean_of_source(grid3):
-    src = split_source("2 + cos(tau)", grid3)
-    assert tau_mean(src, t=0.7) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_source_evaluate(grid3):
@@ -238,7 +213,7 @@ def test_source_evaluate(grid3):
 def _nodal_split(r, grid, n_tau):
     """[((k, kind), envelope)] of the FFT of r sampled at every grid node,
     with (0, "mean") first; the arithmetic repeats split_source's."""
-    samples, scale = _phase_samples(r, grid, n_tau)
+    samples, scale = _periodic(_sample(r, grid, _phases(n_tau)))
     F = np.fft.rfft(samples, axis=1)
     out = [((0, "mean"), F[:, 0].real / n_tau)]
     for k in range(1, n_tau // 2):
