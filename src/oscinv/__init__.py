@@ -8,8 +8,8 @@ from .asymptotics import (AsymptoticExpansion, build_expansion,
                           expansion_coefficients, residual_norm)
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      load_config, load_observation, make_basis, make_source)
-from .forward import (SpaceTimeField, UnderResolvedError, duhamel_coefficient,
-                      make_time_grid, solve_direct)
+from .forward import (SpaceTimeField, UnderResolvedError, make_time_grid,
+                      solve_direct)
 from .harness import (StudyReport, emit_report, fit_slope, run_order_study,
                       run_roundtrip)
 from .inverse import (AdmissibilityError, AdmissibilityReport,
@@ -31,8 +31,7 @@ __all__ = [
     "residual_norm",
     "ConfigError", "ExperimentConfig", "config_from_dict", "load_config",
     "load_observation", "make_basis", "make_source",
-    "SpaceTimeField", "UnderResolvedError", "duhamel_coefficient",
-    "make_time_grid", "solve_direct",
+    "SpaceTimeField", "UnderResolvedError", "make_time_grid", "solve_direct",
     "StudyReport", "emit_report", "fit_slope", "run_order_study",
     "run_roundtrip",
     "AdmissibilityError", "AdmissibilityReport", "ObservationData",

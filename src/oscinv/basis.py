@@ -371,14 +371,17 @@ class SeparableAmplitude:
     def at_point(self, x0, grid):
         """Trace of the amplitude at a fixed spatial point.
 
-        x0 is checked as in EigenBasis.point_weights, with the dimension
-        taken from its own length.
+        The values are those of evaluate at x0, sampled through the compiled
+        time factors; the expression sum_i X_i(x0) g_i(t) is attached as it
+        stands, so a new x0 compiles nothing and the trace still resamples
+        exactly.  x0 is checked as in EigenBasis.point_weights, with the
+        dimension taken from its own length.
         """
         pts = _observation_points(x0, np.size(x0))
-        e = sympy.Integer(0)
-        for g, xf in self.terms:
-            e = e + sympy.Float(float(np.asarray(xf.evaluate(pts)).ravel()[0])) * g
-        return TimeTrace.from_expr(sympy.expand(e), grid)
+        expr = sympy.Add(*(
+            sympy.Float(float(np.ravel(xf.evaluate(pts))[0])) * g
+            for g, xf in self.terms))
+        return TimeTrace(grid, self.evaluate(pts, grid)[:, 0], expr=expr)
 
     def evaluate(self, points, t_grid):
         """Values on a (time, space) grid, shape (len(t_grid), n_points)."""

@@ -326,8 +326,18 @@ def load_observation(obj, basis=None):
         T = spec.get("T", t0)
         if T is None:
             raise ConfigError(f"{where} needs T (or a top-level t0)")
-        h = float(spec.get("h", 1e-3))
-        return uniform_grid(float(T), int(round(float(T) / h)))
+        T, h = float(T), float(spec.get("h", 1e-3))
+        for key, value in (("T", T), ("h", h)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{where}.{key}={value!r} must be positive "
+                                  "and finite")
+        # the grid's nodes, times the modes of every table on it
+        work = T / h * (basis.M if basis is not None else 1)
+        if work > MAX_WORK:
+            raise ConfigError(f"{where}.h={h:g} over T={T:g} gives an "
+                              f"estimated work of {work:.3g} mode-node "
+                              f"entries, over the cap of {MAX_WORK} (2**26)")
+        return uniform_grid(T, int(round(T / h)))
 
     phi0 = None
     if "phi0" in obj:
@@ -344,7 +354,7 @@ def load_observation(obj, basis=None):
         if phi0 is not None:
             cgrid = phi0.grid
         else:
-            cgrid = _grid_from(obj.get("chi_grid", {}), "chi")
+            cgrid = _grid_from(obj.get("chi_grid", {}), "chi_grid")
         chi = FastProfile.from_specs(
             [(term["harmonic"], term["kind"], term["coeff"])
              for term in obj["chi"]], cgrid)

@@ -22,8 +22,7 @@ from .traces import TimeTrace, uniform_grid
 
 __all__ = [
     "UnderResolvedError", "SpaceTimeField",
-    "make_time_grid", "check_resolution",
-    "duhamel_coefficient", "solve_direct",
+    "make_time_grid", "check_resolution", "solve_direct",
 ]
 
 MIN_POINTS_PER_PERIOD = 16
@@ -84,23 +83,6 @@ class SpaceTimeField:
         return SpaceTimeField(self.basis, self.grid[::stride].copy(),
                               self.coeffs[:, ::stride].copy(),
                               meta=dict(self.meta, subsampled_stride=stride))
-
-
-def duhamel_coefficient(F, lam, grid):
-    """Zero-data response of a'' + lam a = F on the grid.
-
-    a(t) = lam^{-1/2} * int_0^t F(s) sin(sqrt(lam)(t-s)) ds, evaluated as the
-    imaginary part of e^{i sqrt(lam) t} times the running oscillatory integral
-    of F against e^{-i sqrt(lam) s}.
-    """
-    grid = np.asarray(grid, dtype=float)
-    return TimeTrace(grid, duhamel_batch(_envelope(F, grid), [lam], grid)[0])
-
-
-def _envelope(F, grid):
-    if isinstance(F, TimeTrace):
-        return F.sample(grid)
-    return np.asarray(F, dtype=float)
 
 
 def _coerce_amplitude(f):

@@ -151,13 +151,20 @@ def _fm_rel_error(coeffs, fm_flat):
 def _synthetic_data(basis, amp, src, dgrid, x0=None, t0=None):
     """Observations of the config truth, read off its expansion on the trace
     grid: phi0 and chi at x0 when x0 is given, psi = u0(., t0) when t0 is.
-    The expansion and its (M, N) arrays are dropped before any inversion."""
+    t0 must be a node of the grid.  The expansion and its (M, N) arrays are
+    dropped before any inversion."""
+    if t0 is not None:
+        h = float(dgrid[1] - dgrid[0])
+        i_obs = int(round(t0 / h))
+        if abs(dgrid[i_obs] - t0) > 1e-13 * max(1.0, dgrid[-1]):
+            raise ConfigError(f"observation t0={t0!r} is not a node of the "
+                              f"trace grid of step {h:.6g}; choose a "
+                              "multiple of it")
     expansion = build_expansion(basis, amp, src, dgrid)
     data = ObservationData(x0=x0, t0=t0)
     if x0 is not None:
         data.phi0, data.chi = expansion.observed_traces(x0, dgrid)
     if t0 is not None:
-        i_obs = int(round(t0 / (dgrid[1] - dgrid[0])))
         data.psi = SpatialField(coeffs=expansion.u0_coeffs[:, i_obs].copy(),
                                 basis=basis)
     return data
@@ -226,13 +233,8 @@ def run_roundtrip(config: ExperimentConfig, which):
         for omega in config.omegas:
             u = solve_direct(basis, rec_amp, rec_src, omega, T=t_obs,
                              points_per_period=config.grid.points_per_period)
-            fine = u.grid
-            phi0, phi1, phi2, chi = build_expansion(
-                basis, rec_amp, rec_src, fine).trace_components(obs_cfg.x0,
-                                                                fine)
-            composite = (phi0.values + phi1.values / omega
-                         + (phi2.values + chi.evaluate(fine, omega * fine))
-                         / omega ** 2)
+            composite = build_expansion(basis, rec_amp, rec_src, u.grid) \
+                .evaluate(omega, [obs_cfg.x0], u.grid)[:, 0]
             trace = u.trace_at(obs_cfg.x0).values
             err = float(np.max(np.abs(trace - composite)))
             scale_u = float(np.max(np.abs(trace)))

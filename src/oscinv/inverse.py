@@ -9,8 +9,9 @@ Three problems share the machinery:
    amplitude trace.
 2. Known slow drive r0, observed final-time snapshot psi = u0(., t0): recover
    a time-invariant amplitude mode by mode, f_m = psi_m / Lambda_m(t0).
-3. Both observations together: recover the amplitude as in 2, derive the trace
-   phi0 it implies, then read the fast drive off chi as in 1.
+3. Both observations together: recover the amplitude as in 2, then read the
+   fast drive off chi as in 1; when phi0 is observed too, it is compared with
+   the trace the recovered amplitude implies.
 
 Admissibility gates all three: the slow drive must have more weight at t0
 than at 0, no mode response Lambda_m(t0) may sit under the division floor,
@@ -105,18 +106,13 @@ class AdmissibilityReport:
         return out
 
 
-def _lambda_profiles(r0, lams, grid):
-    """Lambda_m(t) of every mode on the grid, shape (M, N)."""
+def _lambda_profiles(r0, basis, grid):
+    """Lambda_m(t) of every mode on the grid, shape (M, N): the zero-data
+    response of a'' + lam_m a = r0.  On the [0, t0] grid of N_GRID
+    intervals its last column is Lambda_m(t0)."""
     r0v = r0.sample(grid) if isinstance(r0, TimeTrace) else \
         TimeTrace.from_expr(r0, grid).values
-    return duhamel_batch(r0v, lams, grid)
-
-
-def _mode_responses(r0, basis, t0):
-    """Lambda_m(t) of every mode on the [0, t0] grid of N_GRID intervals,
-    shape (M, N_GRID + 1); the last column is Lambda_m(t0)."""
-    return _lambda_profiles(r0, basis.eigenvalues,
-                            uniform_grid(float(t0), N_GRID))
+    return duhamel_batch(r0v, basis.eigenvalues, grid)
 
 
 def _dead_modes(lamv, basis):
@@ -144,7 +140,8 @@ def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None):
     if r0 is not None and t0 is not None and basis is not None:
         if not isinstance(r0, TimeTrace):
             r0 = TimeTrace.from_expr(r0, uniform_grid(float(t0), 64))
-        lamv = _mode_responses(r0, basis, t0)[:, -1]
+        lamv = _lambda_profiles(r0, basis,
+                                uniform_grid(float(t0), N_GRID))[:, -1]
     return _admissibility(lamv, r0, t0, basis, f, x0)
 
 
@@ -191,9 +188,15 @@ def ip1_recover(data, f, basis):
     return OscillatorySource(r0_trace, r1)
 
 
-def _divide_responses(psi, lamv, basis):
-    """f_m = psi_m / Lambda_m(t0) with the boundary-trace report; any mode
-    response below the division floor aborts."""
+def ip2_recover(psi, r0, t0, basis):
+    """Recover a time-invariant amplitude from the final-time snapshot.
+
+    psi_m = f_m Lambda_m(t0), so f_m = psi_m / Lambda_m(t0); any mode response
+    below the floor EPS_LAMBDA_FLOOR * max(1, 1/lam_m) aborts (data cannot
+    determine those modes; no regularization is applied by design).  The
+    responses are kept in meta["lambda_values"].
+    """
+    lamv = _lambda_profiles(r0, basis, uniform_grid(float(t0), N_GRID))[:, -1]
     bad = _dead_modes(lamv, basis)
     if bad:
         raise AdmissibilityError(
@@ -204,24 +207,16 @@ def _divide_responses(psi, lamv, basis):
     return fld
 
 
-def ip2_recover(psi, r0, t0, basis):
-    """Recover a time-invariant amplitude from the final-time snapshot.
-
-    psi_m = f_m Lambda_m(t0), so f_m = psi_m / Lambda_m(t0); any mode response
-    below the floor EPS_LAMBDA_FLOOR * max(1, 1/lam_m) aborts (data cannot
-    determine those modes; no regularization is applied by design).  The
-    responses are kept in meta["lambda_values"].
-    """
-    return _divide_responses(psi, _mode_responses(r0, basis, t0)[:, -1],
-                             basis)
-
-
 def ip3_recover(data, r0, basis):
-    """Recover amplitude and fast drive from final-time plus point data."""
+    """Recover amplitude and fast drive from final-time plus point data.
+
+    The amplitude comes from ip2_recover.  With phi0 observed, the trace the
+    amplitude implies is kept in meta["phi0_derived"] and its sup distance
+    from phi0 in meta["phi0_consistency"].
+    """
     if data.psi is None or data.chi is None or data.t0 is None:
         raise AdmissibilityError("combined recovery needs psi, chi, and t0")
-    profiles = _mode_responses(r0, basis, data.t0)
-    fld = _divide_responses(data.psi, profiles[:, -1], basis)
+    fld = ip2_recover(data.psi, r0, data.t0, basis)
 
     w = basis.point_weights(data.x0)
     fx0 = float(fld.coeffs @ w)
@@ -232,14 +227,11 @@ def ip3_recover(data, r0, basis):
                                  "observation point")
     r1 = data.chi.tau_derivative(2).scaled(1.0 / fx0)
 
-    if data.phi0 is None:
-        grid, lam_traces = uniform_grid(float(data.t0), N_GRID), profiles
-    else:
-        grid = data.phi0.grid
-        lam_traces = _lambda_profiles(r0, basis.eigenvalues, grid)
-    phi0_derived = TimeTrace(grid, (fld.coeffs * w) @ lam_traces)
-    fld.meta["phi0_derived"] = phi0_derived
     if data.phi0 is not None:
+        grid = data.phi0.grid
+        phi0_derived = TimeTrace(
+            grid, (fld.coeffs * w) @ _lambda_profiles(r0, basis, grid))
+        fld.meta["phi0_derived"] = phi0_derived
         fld.meta["phi0_consistency"] = float(
             np.max(np.abs(data.phi0.values - phi0_derived.values)))
     return fld, r1

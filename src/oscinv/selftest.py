@@ -16,7 +16,7 @@ import numpy as np
 from .basis import (SeparableAmplitude, SpatialField,
                     build_dirichlet_interval_basis, build_rectangle_basis,
                     build_sturm_liouville_basis, check_boundary_traces)
-from .forward import duhamel_coefficient, solve_direct
+from .forward import solve_direct
 from .inverse import ObservationData, ip1_recover, ip2_recover
 from .quadrature import cumulative_oscillatory, duhamel_batch
 from .sources import FastProfile, rho0, split_source
@@ -77,12 +77,11 @@ def _check_sl_convergence_order():
 def _check_duhamel_oracle():
     # lam = 1, F = 1: a(t) = 1 - cos t;  F = sin s: a(t) = (sin t - t cos t)/2
     grid = uniform_grid(3.0, 3000)
-    one = TimeTrace.constant(1.0, grid)
-    a1 = duhamel_coefficient(one, 1.0, grid)
-    e1 = np.max(np.abs(a1.values - (1.0 - np.cos(grid))))
+    a1 = duhamel_batch(np.ones_like(grid), [1.0], grid)[0]
+    e1 = np.max(np.abs(a1 - (1.0 - np.cos(grid))))
     s = TimeTrace.from_expr("sin(t)", grid)
-    a2 = duhamel_coefficient(s, 1.0, grid)
-    e2 = np.max(np.abs(a2.values - 0.5 * (np.sin(grid) - grid * np.cos(grid))))
+    a2 = duhamel_batch(s.values, [1.0], grid)[0]
+    e2 = np.max(np.abs(a2 - 0.5 * (np.sin(grid) - grid * np.cos(grid))))
     return float(max(e1, e2)), 1e-10
 
 
@@ -218,7 +217,7 @@ def _check_ip1_trace_consistency():
     x0 = np.pi / 2
     w = float(basis.eval_modes(np.array([x0]))[0, 0])
     f1 = float(basis.project(SpatialField.from_expr("sin(x)"))[0])
-    phi0 = TimeTrace(grid, f1 * w * duhamel_coefficient(r0, lam1, grid).values)
+    phi0 = TimeTrace(grid, f1 * w * duhamel_batch(r0.values, [lam1], grid)[0])
     chi = FastProfile.from_specs([(1, "cos", -1.0)], grid)
     data = ObservationData(phi0=phi0, chi=chi, x0=x0, t0=2.0)
     rec = ip1_recover(data, amp, basis)

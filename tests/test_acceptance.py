@@ -12,10 +12,11 @@ import numpy as np
 from oscinv.asymptotics import build_expansion, residual_norm
 from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis)
-from oscinv.forward import duhamel_coefficient, solve_direct
+from oscinv.forward import solve_direct
 from oscinv.harness import fit_slope
 from oscinv.inverse import (ObservationData, check_admissibility, ip1_recover,
                             ip2_recover, ip3_recover)
+from oscinv.quadrature import duhamel_batch
 from oscinv.selftest import run_selftest
 from oscinv.sources import FastProfile, OscillatorySource, rho0
 from oscinv.traces import TimeTrace, uniform_grid
@@ -91,7 +92,7 @@ def test_ac4_amplitude_recovery_from_final_snapshot():
     amp = SeparableAmplitude.from_expr("sin(x) + 0.3*sin(3*x)")
     fm_true = amp.mode_derivatives_at_start(basis)
     r0 = TimeTrace.from_expr("1 + t", grid)
-    lamv = np.array([duhamel_coefficient(r0.values, lam, grid).values[-1]
+    lamv = np.array([duhamel_batch(r0.values, [lam], grid)[0, -1]
                      for lam in basis.eigenvalues])
     psi = SpatialField(coeffs=fm_true * lamv, basis=basis)
 
@@ -152,7 +153,7 @@ def test_ac7_combined_recovery_and_resimulation():
     w = basis.eval_modes(np.array([x0]))[:, 0]
 
     # shared observation set: final snapshot, point trace, fast-phase data
-    lam_traces = np.vstack([duhamel_coefficient(r0.values, lam, grid).values
+    lam_traces = np.vstack([duhamel_batch(r0.values, [lam], grid)[0]
                             for lam in basis.eigenvalues])
     psi = SpatialField(coeffs=fm_true * lam_traces[:, -1], basis=basis)
     phi0 = TimeTrace(grid, (fm_true * w) @ lam_traces)

@@ -4,7 +4,8 @@ import pytest
 from oscinv.asymptotics import (build_expansion, expansion_coefficients,
                                 residual_norm)
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
-from oscinv.forward import duhamel_coefficient, solve_direct
+from oscinv.forward import solve_direct
+from oscinv.quadrature import duhamel_batch
 from oscinv.sources import FastProfile, rho0, split_source
 from oscinv.traces import TimeTrace, uniform_grid
 
@@ -17,26 +18,26 @@ REXPR = "1 + t + (1 + t/2)*cos(tau) + 0.4*sin(2*tau)"
 
 
 def test_lambda_profile_constant_drive(grid3):
-    prof = duhamel_coefficient(np.ones_like(grid3), 1.0, grid3)
-    np.testing.assert_allclose(prof.values, 1.0 - np.cos(grid3), atol=1e-10)
+    prof = duhamel_batch(np.ones_like(grid3), [1.0], grid3)[0]
+    np.testing.assert_allclose(prof, 1.0 - np.cos(grid3), atol=1e-10)
 
 
 def test_lambda_profile_linear_drive(grid3):
-    prof = duhamel_coefficient(grid3.copy(), 1.0, grid3)
-    np.testing.assert_allclose(prof.values, grid3 - np.sin(grid3), atol=1e-10)
+    prof = duhamel_batch(grid3.copy(), [1.0], grid3)[0]
+    np.testing.assert_allclose(prof, grid3 - np.sin(grid3), atol=1e-10)
 
 
 def test_lambda_profile_affine_drive_endpoint(grid3):
     # r0 = 1 + t at lambda = 1, t = 3: value is 4 - cos 3 - sin 3
-    prof = duhamel_coefficient(1.0 + grid3, 1.0, grid3)
-    assert prof.values[-1] == pytest.approx(4.0 - np.cos(3.0) - np.sin(3.0),
-                                            abs=1e-10)
+    prof = duhamel_batch(1.0 + grid3, [1.0], grid3)[0]
+    assert prof[-1] == pytest.approx(4.0 - np.cos(3.0) - np.sin(3.0),
+                                     abs=1e-10)
 
 
 def test_lambda_profile_scales_with_eigenvalue(grid3):
     # constant drive at lambda: (1 - cos(sqrt(lam) t))/lam
-    prof = duhamel_coefficient(np.ones_like(grid3), 9.0, grid3)
-    np.testing.assert_allclose(prof.values, (1 - np.cos(3 * grid3)) / 9.0,
+    prof = duhamel_batch(np.ones_like(grid3), [9.0], grid3)[0]
+    np.testing.assert_allclose(prof, (1 - np.cos(3 * grid3)) / 9.0,
                                atol=1e-10)
 
 
@@ -83,8 +84,8 @@ def test_leading_term_solves_slow_problem(expansion):
     fm = amp.mode_traces(basis, grid)
     for m in range(basis.M):
         env = fm[m] * (1.0 + grid)
-        direct = duhamel_coefficient(env, basis.eigenvalues[m], grid)
-        np.testing.assert_allclose(exp.u0_coeffs[m], direct.values, atol=1e-9)
+        direct = duhamel_batch(env, [basis.eigenvalues[m]], grid)[0]
+        np.testing.assert_allclose(exp.u0_coeffs[m], direct, atol=1e-9)
 
 
 def test_trace_components_geometry(expansion):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -215,6 +216,26 @@ def test_amplitude_at_point(grid3):
     amp = SeparableAmplitude.from_expr("exp(-t)*sin(x)")
     tr = amp.at_point(PI / 2, grid3)
     np.testing.assert_allclose(tr.values, np.exp(-grid3), atol=1e-13)
+
+
+def test_amplitude_at_point_compiles_nothing_at_a_new_point(monkeypatch):
+    # the values come from the compiled time factors; the attached
+    # expression sum_i X_i(x0) g_i(t) still resamples the trace exactly
+    amp = SeparableAmplitude.from_expr("exp(-t)*sin(x) + (1 + t^2/4)*sin(2*x)")
+    grid = uniform_grid(2.0, 600)
+    amp.at_point(0.7, grid)            # compiles the time and space factors
+    compiles = []
+    real = sympy.lambdify
+    monkeypatch.setattr(sympy, "lambdify",
+                        lambda *a, **k: compiles.append(1) or real(*a, **k))
+    tr = amp.at_point(1.1, grid)
+    assert compiles == []
+    np.testing.assert_array_equal(tr.values, amp.evaluate([1.1], grid)[:, 0])
+    fine = uniform_grid(2.0, 1000)
+    moved = tr.resample(fine)
+    assert moved.expr is tr.expr
+    np.testing.assert_allclose(moved.values, amp.evaluate([1.1], fine)[:, 0],
+                               rtol=0, atol=1e-14)
 
 
 def test_amplitude_time_invariance_flag():

@@ -13,7 +13,7 @@ from oscinv import inverse
 from oscinv.asymptotics import build_expansion
 from oscinv.cli import main
 from oscinv.basis import build_dirichlet_interval_basis
-from oscinv.forward import duhamel_coefficient
+from oscinv.quadrature import duhamel_batch
 from oscinv.traces import uniform_grid
 
 PI = math.pi
@@ -117,6 +117,13 @@ _DRIVE_SOURCE = {"f": "exp(-t)*sin(x)", "r0": "1 + t",
 _AMPLITUDE_SOURCE = {"f": "sin(x) + 0.3*sin(3*x)", "r0": "1 + t"}
 
 
+
+def _phi0_data(h):
+    """invert1 data whose phi0 is sampled from an expression at step h."""
+    return {"x0": PI / 2, "phi0": {"expr": "t^2", "T": 3.0, "h": h},
+            "chi": [{"harmonic": 1, "kind": "cos", "coeff": -1.0}]}
+
+
 # (command, config overrides, observation data or None)
 _EXIT_2_INPUTS = {
     "sl_grid_n_4": ("study", dict(basis={
@@ -208,6 +215,21 @@ _EXIT_2_INPUTS = {
                               "phi0": {"expr": "t^2", "T": 1.0},
                               "chi": [{"harmonic": 1, "kind": "cos",
                                        "coeff": -1.0}]}),
+    "roundtrip2_t0_off_trace_grid": ("study", dict(
+        study="roundtrip2", source=_AMPLITUDE_SOURCE,
+        grid={"T": 3.0, "trace_h": 1e-3},
+        observation={"x0": PI / 2, "t0": 2.0004}), None),
+    "data_phi0_h_zero": ("invert1", dict(source=_DRIVE_SOURCE),
+                         _phi0_data(0)),
+    "data_phi0_h_negative": ("invert1", dict(source=_DRIVE_SOURCE),
+                             _phi0_data(-0.001)),
+    "data_phi0_h_over_work_cap": ("invert1", dict(source=_DRIVE_SOURCE),
+                                  _phi0_data(1e-9)),
+    "data_chi_grid_h_zero": ("invert3", dict(
+        source=_AMPLITUDE_SOURCE, observation={"x0": PI / 2, "t0": 3.0}),
+        {"psi": {"expr": "sin(x)"},
+         "chi": [{"harmonic": 1, "kind": "cos", "coeff": -1.0}],
+         "chi_grid": {"T": 3.0, "h": 0}}),
     "interval_with_sl_keys": ("forward", dict(basis={
         "domain": "interval", "lengths": [1, 7], "M": 1, "a": "5 + x",
         "grid_n": 3}), None),
@@ -241,6 +263,10 @@ _EXIT_2_NAMES = {"roundtrip2_trace_h_zero": "trace_h",
                  "data_psi_table_short_of_domain": "psi",
                  "data_psi_coeffs_not_m": "psi.coeffs",
                  "invert1_t0_past_phi0": "t0",
+                 "roundtrip2_t0_off_trace_grid": "t0=2.0004",
+                 "data_phi0_h_zero": "phi0.h", "data_phi0_h_negative": "phi0.h",
+                 "data_phi0_h_over_work_cap": "phi0.h",
+                 "data_chi_grid_h_zero": "chi_grid.h",
                  "interval_with_sl_keys": "'a', 'grid_n'",
                  "interval_with_a": "'a'", "interval_with_c": "'c'",
                  "rectangle_with_grid_n": "'grid_n'",
@@ -328,7 +354,7 @@ def ip2_files(tmp_path):
     basis = build_dirichlet_interval_basis(PI, 4)
     grid = uniform_grid(3.0, 4096)
     fm = np.array([np.sqrt(PI / 2), 0.0, 0.3 * np.sqrt(PI / 2), 0.0])
-    lamv = np.array([duhamel_coefficient(1 + grid, lam, grid).values[-1]
+    lamv = np.array([duhamel_batch(1 + grid, [lam], grid)[0, -1]
                      for lam in basis.eigenvalues])
     data = {"x0": PI / 2, "t0": 3.0, "psi": {"coeffs": list(fm * lamv)}}
     dpath = tmp_path / "data2.json"
@@ -354,8 +380,8 @@ def test_invert2_cli_roundtrip(tmp_path, ip2_files):
 def test_invert2_computes_mode_responses_once(tmp_path, ip2_files,
                                              monkeypatch):
     calls = []
-    real = inverse._mode_responses
-    monkeypatch.setattr(inverse, "_mode_responses",
+    real = inverse._lambda_profiles
+    monkeypatch.setattr(inverse, "_lambda_profiles",
                         lambda *a: calls.append(1) or real(*a))
     cfg, dpath, _ = ip2_files
     assert main(["invert2", "--config", str(cfg), "--data", str(dpath)]) == 0

@@ -3,8 +3,8 @@ import pytest
 
 from oscinv.basis import build_dirichlet_interval_basis
 from oscinv.forward import (MIN_POINTS_PER_PERIOD, UnderResolvedError,
-                            check_resolution, duhamel_coefficient,
-                            make_time_grid, solve_direct)
+                            check_resolution, make_time_grid, solve_direct)
+from oscinv.quadrature import duhamel_batch
 from oscinv.sources import split_source
 from oscinv.traces import TimeTrace, uniform_grid
 
@@ -15,33 +15,33 @@ PI = np.pi
 
 
 def test_duhamel_constant_drive_unit_mode(grid3):
-    a = duhamel_coefficient(np.ones_like(grid3), 1.0, grid3)
-    np.testing.assert_allclose(a.values, 1.0 - np.cos(grid3), atol=1e-10)
+    a = duhamel_batch(np.ones_like(grid3), [1.0], grid3)[0]
+    np.testing.assert_allclose(a, 1.0 - np.cos(grid3), atol=1e-10)
 
 
 def test_duhamel_constant_drive_lambda_four(grid3):
-    a = duhamel_coefficient(np.ones_like(grid3), 4.0, grid3)
-    np.testing.assert_allclose(a.values, (1.0 - np.cos(2 * grid3)) / 4.0,
+    a = duhamel_batch(np.ones_like(grid3), [4.0], grid3)[0]
+    np.testing.assert_allclose(a, (1.0 - np.cos(2 * grid3)) / 4.0,
                                atol=1e-10)
 
 
 def test_duhamel_resonant_drive(grid3):
     # forcing at the mode frequency grows linearly: (sin t - t cos t)/2
-    a = duhamel_coefficient(np.sin(grid3), 1.0, grid3)
+    a = duhamel_batch(np.sin(grid3), [1.0], grid3)[0]
     exact = 0.5 * (np.sin(grid3) - grid3 * np.cos(grid3))
-    np.testing.assert_allclose(a.values, exact, atol=1e-10)
+    np.testing.assert_allclose(a, exact, atol=1e-10)
 
 
 def test_duhamel_accepts_trace_input(grid3):
     tr = TimeTrace.from_expr("1 + t", grid3)
-    a = duhamel_coefficient(tr, 1.0, grid3)
+    a = duhamel_batch(tr.values, [1.0], grid3)[0]
     exact = (1 + grid3) - np.cos(grid3) - np.sin(grid3)
-    np.testing.assert_allclose(a.values, exact, atol=1e-9)
+    np.testing.assert_allclose(a, exact, atol=1e-9)
 
 
 def test_duhamel_rejects_nonpositive_eigenvalue(grid3):
     with pytest.raises(ValueError):
-        duhamel_coefficient(np.ones_like(grid3), 0.0, grid3)
+        duhamel_batch(np.ones_like(grid3), [0.0], grid3)
 
 
 # -- grids and resolution ----------------------------------------------------

@@ -130,8 +130,8 @@ def test_roundtrip2_driver():
 def test_roundtrip2_computes_mode_responses_once(monkeypatch):
     # ip2_recover's Lambda_m(t0) also feeds the admissibility report
     calls = []
-    real = inverse._mode_responses
-    monkeypatch.setattr(inverse, "_mode_responses",
+    real = inverse._lambda_profiles
+    monkeypatch.setattr(inverse, "_lambda_profiles",
                         lambda *a: calls.append(1) or real(*a))
     cfg = config_from_dict({
         "basis": {"domain": "interval", "lengths": [PI], "M": 4},

@@ -5,10 +5,10 @@ from oscinv import inverse
 from oscinv.asymptotics import build_expansion
 from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis)
-from oscinv.forward import duhamel_coefficient
 from oscinv.inverse import (AdmissibilityError, ObservationData,
                             check_admissibility, ip1_recover, ip2_recover,
                             ip3_recover)
+from oscinv.quadrature import duhamel_batch
 from oscinv.sources import FastProfile, rho0, split_source
 from oscinv.traces import TimeTrace, uniform_grid
 
@@ -148,7 +148,7 @@ def test_ip1_targets_single_mode_geometry(grid3):
 
 def test_ip2_identity_roundtrip(interval_basis, grid3):
     fm = np.array([1.0, -0.4, 0.3, 0.0, 0.05, 0.0, 0.0, 0.01])
-    lamv = np.array([duhamel_coefficient(1 + grid3, lam, grid3).values[-1]
+    lamv = np.array([duhamel_batch(1 + grid3, [lam], grid3)[0, -1]
                      for lam in interval_basis.eigenvalues])
     psi = SpatialField(coeffs=fm * lamv, basis=interval_basis)
     fld = ip2_recover(psi, TimeTrace.from_expr("1 + t", grid3), 3.0,
@@ -173,7 +173,7 @@ def ip3_setup():
     r0 = TimeTrace.from_expr("1 + t", grid)
     fm = np.zeros(6)
     fm[0], fm[2] = np.sqrt(PI / 2), 0.3 * np.sqrt(PI / 2)
-    lam_traces = np.vstack([duhamel_coefficient(r0.values, lam, grid).values
+    lam_traces = np.vstack([duhamel_batch(r0.values, [lam], grid)[0]
                             for lam in basis.eigenvalues])
     psi = SpatialField(coeffs=fm * lam_traces[:, -1], basis=basis)
     w = basis.eval_modes(np.array([PI / 2]))[:, 0]
@@ -211,7 +211,7 @@ def test_ip3_works_without_phi0(ip3_setup):
 
 def test_ip3_without_phi0_computes_lambda_profiles_once(ip3_setup,
                                                         monkeypatch):
-    # the division and the derived trace share one Lambda_m(t) table
+    # only the amplitude division needs Lambda_m; no trace is derived
     basis, grid, r0, fm, data = ip3_setup
     calls = []
     real = inverse._lambda_profiles
@@ -220,7 +220,7 @@ def test_ip3_without_phi0_computes_lambda_profiles_once(ip3_setup,
     trimmed = ObservationData(chi=data.chi, psi=data.psi, x0=data.x0, t0=3.0)
     fld, _ = ip3_recover(trimmed, r0, basis)
     assert len(calls) == 1
-    assert fld.meta["phi0_derived"].grid.size == inverse.N_GRID + 1
+    assert "phi0_derived" not in fld.meta
 
 
 def test_ip3_requires_final_time_data(ip3_setup):
