@@ -357,7 +357,8 @@ class SeparableAmplitude:
         return np.stack([expressions.evaluate(g, t=t) for g, _ in self.terms])
 
     def mode_traces(self, basis, grid):
-        """Mode amplitudes f_m(t) = sum_i c_im g_i(t) on the grid, shape (M, N)."""
+        """Mode amplitudes f_m(t) = sum_i c_im g_i(t) at the times of a 1-D
+        array, shape (M, N)."""
         return self.term_coefficients(basis).T @ self.time_factors(grid)
 
     def mode_derivatives_at_start(self, basis, order=0):

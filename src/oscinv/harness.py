@@ -20,8 +20,9 @@ from .config import ConfigError, ExperimentConfig, make_basis, make_source
 from .forward import make_time_grid, solve_direct
 from .inverse import (ObservationData, _admissibility, ip1_recover,
                       ip2_recover, ip3_recover)
-from .sources import OscillatorySource
-from .traces import uniform_grid
+from .quadrature import slow_responses
+from .sources import OscillatorySource, rho0
+from .traces import TimeTrace, uniform_grid
 
 __all__ = ["CriterionResult", "StudyReport", "fit_slope",
            "run_order_study", "run_roundtrip", "emit_report",
@@ -149,10 +150,11 @@ def _fm_rel_error(coeffs, fm_flat):
 
 
 def _synthetic_data(basis, amp, src, dgrid, x0=None, t0=None):
-    """Observations of the config truth, read off its expansion on the trace
-    grid: phi0 and chi at x0 when x0 is given, psi = u0(., t0) when t0 is.
-    t0 must be a node of the grid.  The expansion and its (M, N) arrays are
-    dropped before any inversion."""
+    """Observations of the config truth on the trace grid: phi0 = u0(x0, .)
+    and chi = f(x0, .) * rho0 at x0 when x0 is given, psi = u0(., t0) when
+    t0 is.  t0 must be a node of the grid.  u0 is one slow_responses table
+    over the grid's span; phi0 is contracted with the point weights before
+    it is interpolated onto the grid."""
     if t0 is not None:
         h = float(dgrid[1] - dgrid[0])
         i_obs = int(round(t0 / h))
@@ -160,13 +162,14 @@ def _synthetic_data(basis, amp, src, dgrid, x0=None, t0=None):
             raise ConfigError(f"observation t0={t0!r} is not a node of the "
                               f"trace grid of step {h:.6g}; choose a "
                               "multiple of it")
-    expansion = build_expansion(basis, amp, src, dgrid)
+    u0 = slow_responses(lambda t: amp.mode_traces(basis, t), src.r0,
+                        basis.eigenvalues, dgrid)
     data = ObservationData(x0=x0, t0=t0)
     if x0 is not None:
-        data.phi0, data.chi = expansion.observed_traces(x0, dgrid)
+        data.phi0 = TimeTrace(dgrid, u0.row(basis.point_weights(x0), dgrid))
+        data.chi = rho0(src.r1).scaled(amp.at_point(x0, dgrid))
     if t0 is not None:
-        data.psi = SpatialField(coeffs=expansion.u0_coeffs[:, i_obs].copy(),
-                                basis=basis)
+        data.psi = SpatialField(coeffs=u0.at(dgrid[i_obs]), basis=basis)
     return data
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import SpatialField, check_boundary_traces
 from .forward import _coerce_amplitude
-from .quadrature import duhamel_batch
+from .quadrature import slow_responses
 from .sources import FastProfile, OscillatorySource
 from .traces import TimeTrace, uniform_grid
 from .volterra import build_kernel, solve_second_kind
@@ -39,7 +39,8 @@ __all__ = [
 EPS_LAMBDA_FLOOR = 1e-10      # mode response floor: |Lambda_m(t0)| tested
 EPS_AMPLITUDE = 1e-8          # relative floor for |f| at the observation point
 ZERO_DATA_TOL = 1e-6          # |phi0(0)|, |phi0'(0)| allowed per unit sup |phi0|
-N_GRID = 4096                 # intervals of the [0, t0] grid of Lambda_m(t)
+FALLBACK_INTERVALS = 4096     # uniform [0, t0] grid when Lambda_m(t0) falls
+                              # back to the Filon rule
 
 
 class AdmissibilityError(ValueError):
@@ -107,12 +108,18 @@ class AdmissibilityReport:
 
 
 def _lambda_profiles(r0, basis, grid):
-    """Lambda_m(t) of every mode on the grid, shape (M, N): the zero-data
-    response of a'' + lam_m a = r0.  On the [0, t0] grid of N_GRID
-    intervals its last column is Lambda_m(t0)."""
-    r0v = r0.sample(grid) if isinstance(r0, TimeTrace) else \
-        TimeTrace.from_expr(r0, grid).values
-    return duhamel_batch(r0v, basis.eigenvalues, grid)
+    """Lambda_m(t) of every mode over the span of the uniform grid: the
+    zero-data responses of a'' + lam_m a = r0, as a SlowResponses table
+    (Chebyshev nodes, or the grid itself on the Filon fallback)."""
+    if not isinstance(r0, TimeTrace):
+        r0 = TimeTrace.from_expr(r0, grid)
+    return slow_responses(None, r0, basis.eigenvalues, grid)
+
+
+def _lambda_at(r0, t0, basis):
+    """(M,) mode responses Lambda_m(t0)."""
+    grid = uniform_grid(float(t0), FALLBACK_INTERVALS)
+    return _lambda_profiles(r0, basis, grid).at(grid[-1])
 
 
 def _dead_modes(lamv, basis):
@@ -140,8 +147,7 @@ def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None):
     if r0 is not None and t0 is not None and basis is not None:
         if not isinstance(r0, TimeTrace):
             r0 = TimeTrace.from_expr(r0, uniform_grid(float(t0), 64))
-        lamv = _lambda_profiles(r0, basis,
-                                uniform_grid(float(t0), N_GRID))[:, -1]
+        lamv = _lambda_at(r0, t0, basis)
     return _admissibility(lamv, r0, t0, basis, f, x0)
 
 
@@ -196,7 +202,7 @@ def ip2_recover(psi, r0, t0, basis):
     determine those modes; no regularization is applied by design).  The
     responses are kept in meta["lambda_values"].
     """
-    lamv = _lambda_profiles(r0, basis, uniform_grid(float(t0), N_GRID))[:, -1]
+    lamv = _lambda_at(r0, t0, basis)
     bad = _dead_modes(lamv, basis)
     if bad:
         raise AdmissibilityError(
@@ -229,8 +235,8 @@ def ip3_recover(data, r0, basis):
 
     if data.phi0 is not None:
         grid = data.phi0.grid
-        phi0_derived = TimeTrace(
-            grid, (fld.coeffs * w) @ _lambda_profiles(r0, basis, grid))
+        phi0_derived = TimeTrace(grid, _lambda_profiles(r0, basis, grid).row(
+            fld.coeffs * w, grid))
         fld.meta["phi0_derived"] = phi0_derived
         fld.meta["phi0_consistency"] = float(
             np.max(np.abs(data.phi0.values - phi0_derived.values)))

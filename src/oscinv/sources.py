@@ -14,7 +14,7 @@ import numpy as np
 import sympy
 from sympy.simplify.fu import TR8
 
-from . import expressions
+from . import chebyshev, expressions
 from .expressions import T, TAU
 from .traces import TimeTrace, same_grid
 
@@ -22,8 +22,6 @@ __all__ = ["FastProfile", "OscillatorySource", "split_source", "rho0"]
 
 _TWO_PI = 2.0 * np.pi
 N_TAU = 256     # phase samples per period when a callable drive is resolved
-N_CHEB_START = 17   # first Chebyshev set of the slow-time sampler
-N_CHEB_MAX = 257    # largest Chebyshev set before the nodal fallback
 
 
 @dataclass(eq=False)
@@ -239,71 +237,20 @@ def _periodic(table):
     return samples, scale
 
 
-def _chebyshev_points(a, b, n):
-    """n Chebyshev-Lobatto points on [a, b], increasing, endpoints exact.
-
-    The sine form is exactly antisymmetric, and the points of n are every
-    other point of 2n - 1.
-    """
-    x = np.sin(0.5 * np.pi * np.arange(1 - n, n, 2) / (n - 1))
-    pts = 0.5 * (a + b) + 0.5 * (b - a) * x
-    pts[0], pts[-1] = a, b
-    return pts
-
-
-def _barycentric(nodes, y):
-    """(len(y), len(nodes)) matrix taking values at Chebyshev-Lobatto nodes
-    to their interpolant at y (second barycentric form); a y that is a node
-    gets an exact unit row."""
-    w = (-1.0) ** np.arange(nodes.size)
-    w[[0, -1]] *= 0.5
-    mat = y[:, None] - nodes[None, :]
-    exact = mat == 0.0
-    mat[exact] = 1.0
-    np.divide(w, mat, out=mat)
-    mat /= mat.sum(axis=1, keepdims=True)
-    hit = exact.any(axis=1)
-    mat[hit] = exact[hit]
-    return mat
-
-
 def _slow_table(r, grid, taus):
     """r(t, tau) on the grid through Chebyshev interpolation in slow time.
 
-    Samples r at 17, 33, 65, ... nested Chebyshev points in t, doubling until
-    the interpolant on the coarser points predicts the fresh samples to
-    1e-14 * max(1, max |r|); then interpolates every phase column onto the
-    grid.  Returns None, with nothing interpolated, when that needs more than
-    N_CHEB_MAX points, when the grid has no more nodes than the next
-    Chebyshev set, or when the grid is not increasing.
+    Samples r on nested Chebyshev points in t until their interpolant
+    converges (``chebyshev.converge``), then interpolates every phase column
+    onto the grid.  Returns None, with nothing interpolated, when that needs
+    more than chebyshev.N_MAX points, when the grid has no more nodes than
+    the next Chebyshev set, or when the grid is not increasing.
     """
-    n = N_CHEB_START
-    if grid.size <= 2 * n - 1 or not np.all(np.diff(grid) > 0):
+    if grid.size < 2 or not np.all(np.diff(grid) > 0):
         return None
-    a, b = grid[0], grid[-1]
-    nodes = _chebyshev_points(a, b, n)
-    table = _sample(r, nodes, taus)
-    while True:
-        n = 2 * n - 1
-        if n > N_CHEB_MAX or grid.size <= n:
-            return None
-        fine = _chebyshev_points(a, b, n)
-        fresh = _sample(r, fine[1::2], taus)
-        miss = np.max(np.abs(_barycentric(nodes, fine[1::2]) @ table - fresh))
-        merged = np.empty((n, taus.size))
-        merged[0::2], merged[1::2] = table, fresh
-        nodes, table = fine, merged
-        # a finite miss means every sample so far is finite
-        if np.isfinite(miss) and \
-                miss <= 1e-14 * max(1.0, float(np.max(np.abs(table)))):
-            break
-    out = np.empty((grid.size, taus.size))
-    # row blocks keep each interpolation matrix no larger than out
-    step = max(1, out.size // n)
-    for lo in range(0, grid.size, step):
-        np.matmul(_barycentric(nodes, grid[lo:lo + step]), table,
-                  out=out[lo:lo + step])
-    return out
+    found = chebyshev.converge(lambda t: _sample(r, t, taus), grid[0],
+                               grid[-1], min(chebyshev.N_MAX, grid.size - 1))
+    return None if found is None else chebyshev.interpolate(*found, grid)
 
 
 def split_source(r, grid, n_tau=N_TAU):

@@ -380,8 +380,8 @@ def test_invert2_cli_roundtrip(tmp_path, ip2_files):
 def test_invert2_computes_mode_responses_once(tmp_path, ip2_files,
                                              monkeypatch):
     calls = []
-    real = inverse._lambda_profiles
-    monkeypatch.setattr(inverse, "_lambda_profiles",
+    real = inverse.slow_responses
+    monkeypatch.setattr(inverse, "slow_responses",
                         lambda *a: calls.append(1) or real(*a))
     cfg, dpath, _ = ip2_files
     assert main(["invert2", "--config", str(cfg), "--data", str(dpath)]) == 0

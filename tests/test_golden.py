@@ -10,26 +10,33 @@ and a later one, with headroom:
 - forward CSV: at most 6.3e-16 abs on values of order 1e-4..1 -> 5e-15 abs;
 - order study: at most 6.8e-12 rel -> 1e-10 rel;
 - round trips 2 and 3: errors at rounding level (about 1e-14) move with the
-  code that makes the synthetic data.  Reading psi and phi0 off the
-  expansion, not off a separate Duhamel pass, moved fm_rel_error by 10.5%,
-  r1_coeff_error by 57% and phi0_consistency by 29%; against out/ they
-  differ by 1.7%, 56% and 5.9%.  Everything else moves by at most 2.4e-7 rel
-  (trace_expansion_error, 2.7e-15 abs) of values at or above 1e-8
-  -> 1e-12 abs floor plus 1e-10 rel;
-- round trip 1: r0_sup_error is now 4.1904e-06, 1.98% from the 4.2750e-06
-  in out/.  The value is the Volterra march's O(h^2) error (it falls at
-  second order with trace_h); only its excess at the last nodes, from the
-  one-sided finite-difference stencil of phi0'', moves across stacks -> 2e-2
-  rel for that criterion alone.
+  code that makes the synthetic data.  Reading psi and phi0 off a
+  Chebyshev table of u0 instead of the Filon rule on the trace grid moved
+  fm_rel_error by 5.4%, r1_coeff_error by 33% and phi0_consistency by 67%;
+  against out/ they differ by 7.0%, 42% and 65%.  Everything else moves by
+  at most 3.2e-7 rel (trace_expansion_error, 3.6e-15 abs) of values at or
+  above 1e-8 -> 1e-12 abs floor plus 1e-10 rel;
+- round trip 1: r0_sup_error is now 4.1908e-06 (4.1904e-06 before the
+  Chebyshev table), 1.97% from the 4.2750e-06 in out/.  The value is the
+  Volterra march's O(h^2) error; only its excess at the last nodes, from
+  the one-sided finite-difference stencil of phi0'', moves with rounding
+  noise in phi0 -> 2e-2 rel for that criterion alone.  The deterministic
+  part, the error away from the last nodes, is pinned by
+  test_drive_roundtrip_interior_error_is_the_march_error.
 """
 
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
 from oscinv.cli import main
+from oscinv.config import config_from_dict, make_basis, make_source
+from oscinv.harness import _synthetic_data
+from oscinv.inverse import ip1_recover
+from oscinv.traces import uniform_grid
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -125,3 +132,29 @@ def test_report_matches_committed(rerun, name):
         _compare_report(json.loads((rerun / name).read_text()),
                         json.loads((ROOT / "out" / name).read_text()),
                         atol, rtol)
+
+
+def _drive_roundtrip_interior_error(trace_h):
+    """Round trip 1 of configs/roundtrip_drive.json at another trace_h: the
+    recovered r0's sup error on t <= T - 10 h, away from the one-sided
+    stencils of phi0'' at the last nodes."""
+    cfg = json.loads((ROOT / "configs" / "roundtrip_drive.json").read_text())
+    cfg["grid"]["trace_h"] = trace_h
+    cfg = config_from_dict(cfg)
+    basis = make_basis(cfg.basis)
+    T = cfg.grid.T
+    dgrid = uniform_grid(T, int(round(T / trace_h)))
+    amp, src = make_source(cfg.source, dgrid)
+    data = _synthetic_data(basis, amp, src, dgrid, x0=cfg.observation.x0)
+    err = np.abs(ip1_recover(data, amp, basis).r0.values
+                 - src.r0.sample(dgrid))
+    return float(np.max(err[dgrid <= T - 10 * trace_h]))
+
+
+def test_drive_roundtrip_interior_error_is_the_march_error():
+    # the deterministic part of r0_sup_error: 4.12e-06 at the config's
+    # trace_h = 1e-3, falling at second order from 1.618e-05 at 2e-3
+    fine = _drive_roundtrip_interior_error(1e-3)
+    coarse = _drive_roundtrip_interior_error(2e-3)
+    assert abs(fine / 4.12e-6 - 1.0) <= 0.01
+    assert 1.9 <= math.log2(coarse / fine) <= 2.05

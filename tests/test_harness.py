@@ -1,13 +1,18 @@
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oscinv import inverse
-from oscinv.config import config_from_dict
-from oscinv.harness import (StudyReport, emit_report, fit_slope, format_float,
-                            json_bytes, run_order_study, run_roundtrip)
+from oscinv.asymptotics import build_expansion
+from oscinv.basis import build_dirichlet_interval_basis
+from oscinv.config import config_from_dict, make_source
+from oscinv.harness import (StudyReport, _synthetic_data, emit_report,
+                            fit_slope, format_float, json_bytes,
+                            run_order_study, run_roundtrip)
+from oscinv.traces import uniform_grid
 
 PI = math.pi
 
@@ -130,8 +135,8 @@ def test_roundtrip2_driver():
 def test_roundtrip2_computes_mode_responses_once(monkeypatch):
     # ip2_recover's Lambda_m(t0) also feeds the admissibility report
     calls = []
-    real = inverse._lambda_profiles
-    monkeypatch.setattr(inverse, "_lambda_profiles",
+    real = inverse.slow_responses
+    monkeypatch.setattr(inverse, "slow_responses",
                         lambda *a: calls.append(1) or real(*a))
     cfg = config_from_dict({
         "basis": {"domain": "interval", "lengths": [PI], "M": 4},
@@ -144,6 +149,51 @@ def test_roundtrip2_computes_mode_responses_once(monkeypatch):
     rep = run_roundtrip(cfg, 2)
     assert len(calls) == 1
     assert rep.meta["admissibility"]["m0_empty"] is True
+
+
+@pytest.fixture(scope="module")
+def truth32():
+    basis = build_dirichlet_interval_basis(PI, 32)
+    dgrid = uniform_grid(3.0, 6000)
+    amp, src = make_source(config_from_dict({
+        "basis": {"domain": "interval", "lengths": [PI], "M": 32},
+        "source": {"f": "exp(-t/2)*(sin(x) + 0.3*sin(3*x))", "r0": "1 + t",
+                   "r1": [{"harmonic": 1, "kind": "cos", "coeff": "1 + t/2"}]},
+        "omega": [100.0]}).source, dgrid)
+    return basis, dgrid, amp, src
+
+
+def test_synthetic_data_with_expression_r0_runs_no_filon_pass(truth32,
+                                                              monkeypatch):
+    basis, dgrid, amp, src = truth32
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("oscinv") and hasattr(mod, "duhamel_batch"):
+            real = mod.duhamel_batch
+            monkeypatch.setattr(
+                mod, "duhamel_batch",
+                lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    data = _synthetic_data(basis, amp, src, dgrid, x0=1.2, t0=2.0)
+    assert calls == []
+    assert data.phi0 is not None and data.psi is not None
+
+
+def test_synthetic_data_matches_the_expansion(truth32):
+    # the Chebyshev table against the Filon rule of build_expansion, with a
+    # time-varying amplitude and t0 inside the trace grid
+    basis, dgrid, amp, src = truth32
+    data = _synthetic_data(basis, amp, src, dgrid, x0=1.2, t0=2.0)
+    exp2 = build_expansion(basis, amp, src, dgrid)
+    phi0, chi = exp2.observed_traces(1.2, dgrid)
+    scale = phi0.max_abs
+    assert np.max(np.abs(data.phi0.values - phi0.values)) <= 1e-13 * scale
+    u0 = exp2.u0_coeffs[:, 4000]
+    assert np.max(np.abs(data.psi.coeffs - u0)) <= \
+        1e-13 * np.max(np.abs(exp2.u0_coeffs))
+    assert len(data.chi.terms) == len(chi.terms)
+    for (k, kind, c), (k2, kind2, c2) in zip(data.chi.terms, chi.terms):
+        assert (k, kind) == (k2, kind2)
+        assert np.array_equal(c.values, c2.values)
 
 
 def test_roundtrip_amplitude_must_be_time_invariant_for_2_and_3():

@@ -74,6 +74,24 @@ def test_admissibility_amplitude_node():
     assert rep.f_abs_at_x0 < 1e-12
 
 
+@pytest.mark.parametrize("M, backed", [(8, "samples"), (64, "expression")])
+def test_lambda_fallbacks_are_the_filon_rule_bitwise(M, backed):
+    # a sample-backed r0 (as invert1 recovers it), or a basis past the
+    # Chebyshev node cap, gives Lambda_m(t0) off the uniform grid of
+    # FALLBACK_INTERVALS by the Filon rule, as before the Chebyshev table
+    basis = build_dirichlet_interval_basis(PI, M)
+    coarse = uniform_grid(3.0, 300)
+    r0 = TimeTrace(coarse, 1.0 + coarse) if backed == "samples" else \
+        TimeTrace.from_expr("1 + t", coarse)
+    grid = uniform_grid(3.0, inverse.FALLBACK_INTERVALS)
+    want = duhamel_batch(r0.sample(grid), basis.eigenvalues, grid)[:, -1]
+    fld = ip2_recover(SpatialField(coeffs=want, basis=basis), r0, 3.0, basis)
+    assert np.array_equal(fld.meta["lambda_values"], want)
+    rep = check_admissibility(r0=r0, t0=3.0, basis=basis)
+    assert rep.min_response == np.min(np.abs(want))
+    assert rep.c0_empirical == np.min(basis.eigenvalues * np.abs(want))
+
+
 def test_admissibility_report_serializes(interval_basis):
     rep = check_admissibility(r0="1 + t", t0=3.0, basis=interval_basis)
     d = rep.to_dict()
@@ -214,8 +232,8 @@ def test_ip3_without_phi0_computes_lambda_profiles_once(ip3_setup,
     # only the amplitude division needs Lambda_m; no trace is derived
     basis, grid, r0, fm, data = ip3_setup
     calls = []
-    real = inverse._lambda_profiles
-    monkeypatch.setattr(inverse, "_lambda_profiles",
+    real = inverse.slow_responses
+    monkeypatch.setattr(inverse, "slow_responses",
                         lambda *a: calls.append(1) or real(*a))
     trimmed = ObservationData(chi=data.chi, psi=data.psi, x0=data.x0, t0=3.0)
     fld, _ = ip3_recover(trimmed, r0, basis)

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
-from oscinv import quadrature
+from oscinv import chebyshev, quadrature
 from oscinv.forward import solve_direct
 from oscinv.quadrature import (cumulative_oscillatory,
                                duhamel_batch, gauss_panel_rule,
-                               oscillatory_moments)
+                               oscillatory_moments, slow_responses)
 from oscinv.sources import split_source
-from oscinv.traces import uniform_grid
+from oscinv.traces import TimeTrace, uniform_grid
 
 
 def _moment_by_quad(theta, length, p):
@@ -262,3 +262,85 @@ def test_solve_direct_matches_per_mode_sideband_loop():
             ref += _duhamel_loop(fm, basis.eigenvalues, grid,
                                  [(sign * k * omega, a, c.values)])
     assert np.max(np.abs(u.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# -- slow Duhamel table on Chebyshev nodes ------------------------------------
+
+
+@pytest.mark.parametrize("n", [17, 33, 65, 129, 257])
+def test_cumulative_matrix_integrates_its_interpolants(n):
+    # T_{n-1} is its own interpolant on n points, and
+    # int T_k = T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1))
+    x = chebyshev.points(-1.0, 1.0, n)
+    k = n - 1
+
+    def cheb(j, v):
+        return np.cos(j * np.arccos(np.clip(v, -1.0, 1.0)))
+
+    def anti(v):
+        return cheb(k + 1, v) / (2 * (k + 1)) - cheb(k - 1, v) / (2 * (k - 1))
+
+    mat = chebyshev.cumulative_matrix(n)
+    np.testing.assert_allclose(mat @ cheb(k, x), anti(x) - anti(-1.0),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(mat @ np.ones(n), x + 1.0, rtol=0, atol=1e-14)
+    assert chebyshev.cumulative_matrix(n) is mat
+    assert not mat.flags.writeable
+
+
+@pytest.fixture(scope="module")
+def basis32():
+    return build_dirichlet_interval_basis(np.pi, 32)
+
+
+@pytest.mark.parametrize("expr, exact", [
+    ("1", lambda r, t: (1.0 - np.cos(r * t)) / r ** 2),
+    ("t", lambda r, t: (t - np.sin(r * t) / r) / r ** 2),
+], ids=["r0=1", "r0=t"])
+def test_slow_responses_match_closed_forms(basis32, expr, exact):
+    # Lambda_m(t) for r0 = 1 and r0 = t; top mode r*T = 96
+    grid = uniform_grid(3.0, 3000)
+    r = np.sqrt(basis32.eigenvalues)
+    tab = slow_responses(None, TimeTrace.from_expr(expr, grid),
+                         basis32.eigenvalues, grid)
+    assert tab.chebyshev and tab.times.size <= chebyshev.N_MAX
+    for t in (3.0, grid[1234]):
+        want = exact(r, t)
+        assert np.max(np.abs(tab.at(t) - want)) <= \
+            1e-13 * np.max(np.abs(want))
+    w = basis32.point_weights(1.2)
+    want = exact(r[:, None], grid[None, :]).T @ w
+    assert np.max(np.abs(tab.row(w, grid) - want)) <= \
+        1e-13 * np.max(np.abs(want))
+
+
+def test_slow_responses_match_the_filon_rule_for_a_time_varying_amplitude(
+        basis32):
+    amp = SeparableAmplitude.from_expr("exp(-t/2)*(sin(x) + 0.3*sin(3*x))")
+    grid = uniform_grid(3.0, 6000)
+    r0 = TimeTrace.from_expr("1 + t", grid)
+    lams = basis32.eigenvalues
+    tab = slow_responses(lambda t: amp.mode_traces(basis32, t), r0, lams,
+                         grid)
+    ref = duhamel_batch(amp.mode_traces(basis32, grid), lams, grid,
+                        [(0.0, 1.0, r0.values)])
+    assert tab.chebyshev
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(tab.at(grid[4000]) - ref[:, 4000])) <= 1e-13 * scale
+    w = basis32.point_weights(1.2)
+    assert np.max(np.abs(tab.row(w, grid) - ref.T @ w)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("M, backed", [(8, "samples"), (64, "expression")])
+def test_slow_responses_fall_back_to_the_filon_rule_bitwise(M, backed):
+    # a sample-backed r0, or r_M * T = 192, past what 257 nodes resolve
+    basis = build_dirichlet_interval_basis(np.pi, M)
+    grid = uniform_grid(3.0, 4096)
+    r0 = TimeTrace(grid, 1.0 + grid) if backed == "samples" else \
+        TimeTrace.from_expr("1 + t", grid)
+    tab = slow_responses(None, r0, basis.eigenvalues, grid)
+    assert not tab.chebyshev
+    want = duhamel_batch(r0.values, basis.eigenvalues, grid)
+    assert np.array_equal(tab.at(3.0), want[:, -1])
+    w = basis.point_weights(1.2)
+    assert np.array_equal(tab.row(w, grid), w @ want)
