@@ -39,9 +39,11 @@ RESIDUAL_SPACE_POINTS = 64         # interior points residual_norm samples
 RESIDUAL_SAMPLES_PER_PERIOD = 8    # its time samples per fast period
 
 
-def _slow_response(fm, r0v, lams, grid):
+def _slow_response(amp, basis, r0v, grid):
     """u0 mode coefficients: every mode driven by f_m(t) r0(t), zero data."""
-    return duhamel_batch(fm, lams, grid, [(0.0, 1.0, r0v)])
+    return duhamel_batch(amp.time_factors(grid), basis.eigenvalues, grid,
+                         [(0.0, 1.0, r0v)],
+                         coeffs=amp.term_coefficients(basis).T)
 
 
 def expansion_coefficients(amp, basis, rho0_profile):
@@ -81,9 +83,8 @@ class AsymptoticExpansion:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        fm = self.amplitude.mode_traces(self.basis, tgrid)
-        out = _slow_response(fm, self.source.r0.sample(tgrid),
-                             self.basis.eigenvalues, tgrid)
+        out = _slow_response(self.amplitude, self.basis,
+                             self.source.r0.sample(tgrid), tgrid)
         self._cache[key] = out
         return out
 
@@ -140,10 +141,9 @@ def build_expansion(basis, f, r, grid, n_tau=N_TAU):
     grid = np.asarray(grid, dtype=float)
     amp = _coerce_amplitude(f)
     src = split_source(r, grid, n_tau=n_tau)
-    fm = amp.mode_traces(basis, grid)
     p0 = rho0(src.r1)
     coeffs = expansion_coefficients(amp, basis, p0)
-    u0 = _slow_response(fm, src.r0.values, basis.eigenvalues, grid)
+    u0 = _slow_response(amp, basis, src.r0.values, grid)
     return AsymptoticExpansion(
         basis=basis, amplitude=amp, source=src, rho0_profile=p0,
         b1=coeffs["b1"], d=coeffs["d"], b2=coeffs["b2"], grid=grid,

@@ -116,16 +116,19 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
 
     amp = _coerce_amplitude(f)
     src = split_source(r, grid, n_tau=n_tau)
-    fm = amp.mode_traces(basis, grid)
+    terms = amp.term_coefficients(basis).T
+    factors = amp.time_factors(grid)
     # cos = (e^{+} + e^{-})/2, sin = (e^{+} - e^{-})/2i
     drive = [(0.0, 1.0, src.r0.values)]
     for k, kind, c in src.r1.terms:
         a = 0.5 if kind == "cos" else -0.5j
         drive += [(k * omega, a, c.values),
                   (-k * omega, a.conjugate(), c.values)]
-    coeffs = duhamel_batch(fm, basis.eigenvalues, grid, drive)
+    coeffs = duhamel_batch(factors, basis.eigenvalues, grid, drive,
+                           coeffs=terms)
 
-    fmax = np.abs(fm).max(axis=1)
+    fm = terms @ factors          # f_m(t), as amp.mode_traces gives it
+    fmax = np.abs(fm, out=fm).max(axis=1)
     tail = float(fmax[-1] / fmax.max()) if fmax.max() > 0 else 0.0
     meta = {"omega": omega, "points_per_period": points_per_period,
             "mode_tail_ratio": tail}

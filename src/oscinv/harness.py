@@ -162,8 +162,8 @@ def _synthetic_data(basis, amp, src, dgrid, x0=None, t0=None):
             raise ConfigError(f"observation t0={t0!r} is not a node of the "
                               f"trace grid of step {h:.6g}; choose a "
                               "multiple of it")
-    u0 = slow_responses(lambda t: amp.mode_traces(basis, t), src.r0,
-                        basis.eigenvalues, dgrid)
+    u0 = slow_responses(amp.time_factors, src.r0, basis.eigenvalues, dgrid,
+                        amp.term_coefficients(basis).T)
     data = ObservationData(x0=x0, t0=t0)
     if x0 is not None:
         data.phi0 = TimeTrace(dgrid, u0.row(basis.point_weights(x0), dgrid))

@@ -202,7 +202,11 @@ def ip2_recover(psi, r0, t0, basis):
     determine those modes; no regularization is applied by design).  The
     responses are kept in meta["lambda_values"].
     """
-    lamv = _lambda_at(r0, t0, basis)
+    return _amplitude_from(psi, _lambda_at(r0, t0, basis), basis)
+
+
+def _amplitude_from(psi, lamv, basis):
+    """ip2_recover with the responses Lambda_m(t0) given."""
     bad = _dead_modes(lamv, basis)
     if bad:
         raise AdmissibilityError(
@@ -218,11 +222,21 @@ def ip3_recover(data, r0, basis):
 
     The amplitude comes from ip2_recover.  With phi0 observed, the trace the
     amplitude implies is kept in meta["phi0_derived"] and its sup distance
-    from phi0 in meta["phi0_consistency"].
+    from phi0 in meta["phi0_consistency"].  When phi0's grid spans [0, t0]
+    and its Lambda table is a Chebyshev one, that table is the one
+    ip2_recover would build, and it serves both.
     """
     if data.psi is None or data.chi is None or data.t0 is None:
         raise AdmissibilityError("combined recovery needs psi, chi, and t0")
-    fld = ip2_recover(data.psi, r0, data.t0, basis)
+    profiles = None
+    if data.phi0 is not None:
+        grid = data.phi0.grid
+        profiles = _lambda_profiles(r0, basis, grid)
+    if profiles is not None and profiles.chebyshev and grid[0] == 0.0 \
+            and grid[-1] == float(data.t0):
+        fld = _amplitude_from(data.psi, profiles.at(grid[-1]), basis)
+    else:
+        fld = ip2_recover(data.psi, r0, data.t0, basis)
 
     w = basis.point_weights(data.x0)
     fx0 = float(fld.coeffs @ w)
@@ -233,10 +247,8 @@ def ip3_recover(data, r0, basis):
                                  "observation point")
     r1 = data.chi.tau_derivative(2).scaled(1.0 / fx0)
 
-    if data.phi0 is not None:
-        grid = data.phi0.grid
-        phi0_derived = TimeTrace(grid, _lambda_profiles(r0, basis, grid).row(
-            fld.coeffs * w, grid))
+    if profiles is not None:
+        phi0_derived = TimeTrace(grid, profiles.row(fld.coeffs * w, grid))
         fld.meta["phi0_derived"] = phi0_derived
         fld.meta["phi0_consistency"] = float(
             np.max(np.abs(data.phi0.values - phi0_derived.values)))

@@ -11,10 +11,15 @@ rapidly oscillating drives.
 
 The rule is linear in the envelope and only its moments depend on theta, so
 ``duhamel_batch`` integrates every mode against every drive component in one
-vectorised pass: the moments and weights come from one (modes, components)
-table of phase rates, the phase e^{i(nu - root) s} factorises into one table
-per component and one per mode, and the components are merged before a
-single cumsum per mode.
+pass.  The mode amplitudes come factored, f_m(s) = sum_i C[m, i] g_i(s), so
+a pair of intervals contributes to mode m a contraction of one table Z of
+node products e^{i nu_c s} a_c g_c(s) g_i(s), shared by every mode, with a
+small weight matrix (the rule weights at rate nu_c - r_m times C[m, i]):
+one matrix product per tile of modes gives all its full-pair and half-pair
+sums.  The phase e^{-i r_m s} at the pair starts is the outer product of a
+coarse and a fine table of exact products, about 2 sqrt(N/2) cos and sin
+evaluations per mode in place of N/2, and one cumsum per mode accumulates
+the pairs.
 
 ``slow_responses`` tabulates the zero-data responses to a slow forcing
 f_m(t) r0(t) on nested Chebyshev-Lobatto nodes instead (Clenshaw-Curtis in
@@ -43,7 +48,9 @@ __all__ = [
 
 _SERIES_SWITCH = 0.5    # |theta * length| below this takes the power series
 _SERIES_TERMS = 20      # |z| < 0.5: term 20 is below 1e-24 of the sum
-_BLOCK_NODES = 1 << 17  # modes x nodes per pass: 2 MB per complex temporary
+_BLOCK_NODES = 1 << 17  # complex values per tile: a chunk of the node products
+                        # and _BLOCK_ROWS modes over it, 2 MB
+_BLOCK_ROWS = 16        # modes per tile
 PANEL_NODES = 16        # Gauss-Legendre nodes per panel of gauss_panel_rule
 
 
@@ -143,61 +150,133 @@ def _cis_product(r, t):
     return _cis(p) * (1.0 + 1j * err)
 
 
-def _drive_table(drive, grid, shared=None):
-    """(rates, weighted envelopes, e^{i rate s}) of the drive components.
+def _two_diff(a, b):
+    """a - b as an unevaluated sum d + e of doubles (Knuth's TwoSum)."""
+    d = a - b
+    bv = d - a
+    return d, (a - (d - bv)) - (b + bv)
 
-    A shared envelope multiplies every component, so per-row envelopes are
-    then not needed.
+
+def _cis_table(rates, times):
+    """table(rows) = e^{i rate t} for rates[rows] (all rates by default) at
+    each of the P uniformly spaced times, shape (R, P), as an outer product
+    of two small tables.
+
+    With F about sqrt(P) and j = q F + f, t_j is split into a coarse time
+    c_q = t_{qF}, a fine offset d_f = t_f - t_0 and a residual
+    rho_j = t_j - c_q - d_f of the order of one ulp of t_j, so that
+
+        e^{i rate t_j} = e^{i rate c_q} e^{i rate d_f} (1 + i rate rho_j):
+
+    (P/F + F) cos and sin evaluations per rate in place of P.  Both small
+    tables come from exact products (``_cis_product``) and rho_j is formed
+    without rounding, so the values match ``_cis_product(rates, times)`` to
+    a few ulps whatever the phase.
     """
+    rates = np.asarray(rates, dtype=float)
+    count = times.size
+    fine = max(1, int(np.sqrt(count)))
+    coarse = times[::fine]
+    offsets = times[:fine] - times[0]
+    padded = np.full(coarse.size * fine, times[-1])
+    padded[:count] = times
+    d, e = _two_diff(padded.reshape(-1, fine), coarse[:, None])
+    rho = (d - offsets) + e
+    small = _cis_product(rates[:, None], np.concatenate([coarse, offsets]))
+
+    def table(rows=slice(None)):
+        out = small[rows, :coarse.size, None] * small[rows, None, coarse.size:]
+        # (1 + i eps) (a + i b) = (a - eps b) + i (b + eps a)
+        turn = out * (rates[rows, None, None] * rho)
+        out.real -= turn.imag
+        out.imag += turn.real
+        return out.reshape(out.shape[0], -1)[:, :count]
+    return table
+
+
+def _node_products(env, factors, phase, first, stop, nk):
+    """Z[(k, i, c), j] = phase[c, j] env[c, s_j + k] factors[i, s_j + k] for
+    the starts s_j = first, first + 2, ... below stop and k < nk."""
+    Z = np.empty((nk, factors.shape[0]) + phase.shape, dtype=complex)
+    for k in range(nk):
+        at = slice(first + k, stop + k, 2)
+        np.multiply(factors[:, None, at], phase * env[:, at], out=Z[k])
+    return Z.reshape(-1, phase.shape[1])
+
+
+def _term_weights(weights, coeffs):
+    """W[m, h, (k, i, c)] = weights[k, h, m, c] coeffs[m, i], from rule
+    weights of shape (nk, H, M, C): the (M, H, nk n C) matrix that contracts
+    the node products of ``_node_products``."""
+    W = (np.moveaxis(weights, 2, 0).swapaxes(1, 2)[:, :, :, None, :]
+         * coeffs[:, None, None, :, None])
+    # the last size spelled out: -1 cannot be inferred when there are no modes
+    return W.reshape(W.shape[:2] + (int(np.prod(W.shape[2:])),))
+
+
+def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
+    """Yield (rows, nodes, S) tiles of S_m(t) = e^{i r_m t} Q_m(t) on the
+    grid, where Q_m(t) = int_{t_0}^t f_m(s) sum_c a_c g_c(s)
+    e^{i(nu_c - r_m) s} ds by the product rule, f_m = coeffs[m] @ factors
+    and Q_m(t_0) = 0.  Node 0 is in no tile.
+
+    A pair of intervals from node s contributes sum_{k,i,c}
+    W[m, (k, i, c)] e^{i nu_c s} a_c g_c(s + kh) h_i(s + kh), with W the rule
+    weights at rate nu_c - r_m times coeffs[m, i], so one table Z of the
+    products at the pair starts gives the full-pair and half-pair sums of a
+    block of modes in one matrix product.  The phase e^{-i r_m s} at the
+    pair starts comes from ``_cis_table``, and one cumsum per mode
+    accumulates the pairs.  The pairs are taken in chunks, the running sums
+    carried from one to the next, so that a chunk of Z and a tile of
+    _BLOCK_ROWS modes stay within _BLOCK_NODES complex values.
+    """
+    n = grid.size - 1
+    n_pairs = n // 2
     rates = np.array([float(nu) for nu, _, _ in drive])
     env = np.array([a * np.broadcast_to(g, grid.shape) for _, a, g in drive],
                    dtype=complex)
-    if shared is not None:
-        env *= shared
-    return rates, env, _cis(rates[:, None] * grid)
-
-
-def _weighted_sums(weights, table, rows, first, stop):
-    """sum_k weights[k] @ (e^{i rate s_j} env(s_{j+k})), times rows(s_{j+k}),
-    for the pair starts j = first, first + 2, ... below stop."""
-    _, env, phase = table
-    acc = 0.0
-    for k, w in enumerate(weights):
-        at = slice(first + k, stop + k, 2)
-        part = w @ (phase[:, first:stop:2] * env[:, at])
-        if rows is not None:
-            part *= rows[:, at]
-        acc += part
-    return acc
-
-
-def _rotated_integrals(rows, roots, table, grid, h):
-    """S_b(t) = e^{i root_b t} Q_b(t) on the grid, shape (B, N), where Q_b
-    runs over sum_c rows_b env_c e^{i(rate_c - root_b) s}.
-
-    rows is a (B, N) array of per-row envelopes or None (all ones).  The
-    phase is factorised as e^{i rate_c s} e^{-i root_b s}: the components
-    (one exponential table each, in ``table``) are merged pair by pair
-    before one cumsum per row, and each row needs one table of e^{i root_b s}
-    at the pair starts.
-    """
-    n = grid.size - 1
-    ne = n - n % 2
-    pair, tail, start = _rule_weights(table[0][None, :] - roots[:, None], h, n)
-    step = _cis(roots * h)
-    S = np.zeros((roots.size, n + 1), dtype=complex)
-    if ne:
-        acc = _weighted_sums(pair, table, rows, 0, ne - 1)
-        rot = _cis(roots[:, None] * grid[0:ne + 1:2])
-        S[:, 2:ne + 1:2] = rot[:, 1:] * np.cumsum(acc[0] * rot[:, :-1].conj(),
-                                                  axis=1)
-        # a half pair ends one step past its start, where Q has gained
-        # e^{-i root s_start} times the half-pair sum
-        S[:, 1:ne:2] = step[:, None] * (S[:, 0:ne - 1:2] + acc[1])
+    pair, tail, start = _rule_weights(rates[None, :] - roots[:, None], h, n)
+    W = _term_weights(pair, coeffs)
+    step = _cis_product(roots, h)
     if tail is not None:
-        seg = _weighted_sums(tail, table, rows, start, start + 1)[:, 0]
-        S[:, n] = step * S[:, n - 1] + _cis(roots * (n - start) * h) * seg
-    return S
+        Zt = _node_products(env, factors,
+                            _cis_product(rates[:, None], grid[start]),
+                            start, start + 1, tail.shape[0])[:, 0]
+        seg = (_term_weights(tail[:, None], coeffs)[:, 0] @ Zt) \
+            * _cis_product(roots, (n - start) * h)
+        if not n_pairs:
+            yield slice(None), slice(1, 2), seg[:, None]
+    rows = max(1, min(roots.size, _BLOCK_ROWS))
+    size = max(1, _BLOCK_NODES // (W.shape[2] + 2 * rows))    # pairs
+    carry = np.zeros(roots.size, dtype=complex)
+    for p0 in range(0, n_pairs, size):
+        a, b = 2 * p0, 2 * min(n_pairs, p0 + size)
+        Z = _node_products(env, factors, _cis_table(rates, grid[a:b:2])(),
+                           a, b - 1, 3)
+        rotation = _cis_table(roots, grid[a:b + 1:2])
+        last = tail is not None and b == 2 * n_pairs
+        for lo in range(0, roots.size, rows):
+            blk = slice(lo, lo + rows)
+            acc = W[blk].reshape(-1, Z.shape[0]) @ Z
+            acc = acc.reshape(-1, 2, Z.shape[1])
+            rot = rotation(blk)
+            S = np.empty((acc.shape[0], b - a + last), dtype=complex)
+            first = rot[:, 0] * carry[blk]      # S at node a
+            q = acc[:, 0]
+            q *= rot[:, :-1].conj()
+            q[:, 0] += carry[blk]
+            np.cumsum(q, axis=1, out=q)
+            carry[blk] = q[:, -1]
+            np.multiply(rot[:, 1:], q, out=S[:, 1:b - a:2])
+            # a half pair ends one step past its start, where Q has gained
+            # e^{-i r s_start} times the half-pair sum
+            half = acc[:, 1]
+            half[:, 0] += first
+            half[:, 1:] += S[:, 1:b - a - 2:2]
+            np.multiply(half, step[blk, None], out=S[:, 0:b - a:2])
+            if last:
+                S[:, -1] = step[blk] * S[:, -2] + seg[blk]
+            yield blk, slice(a + 1, b + 1 + last), S
 
 
 def cumulative_oscillatory(values, h, theta, t0=0.0):
@@ -220,24 +299,31 @@ def cumulative_oscillatory(values, h, theta, t0=0.0):
     if h <= 0:
         raise ValueError("step must be positive")
     grid = t0 + h * np.arange(g.size)
-    table = _drive_table([(theta, 1.0, g)], grid)
-    return _rotated_integrals(None, np.zeros(1), table, grid, h)[0]
+    Q = np.zeros(g.size, dtype=complex)
+    for _, nodes, S in _rotated_tiles(g[None, :], np.ones((1, 1)),
+                                      np.zeros(1), [(theta, 1.0, 1.0)],
+                                      grid, h):
+        Q[nodes] = S[0]
+    return Q
 
 
-def duhamel_batch(fm, lams, grid, drive=((0.0, 1.0, 1.0),)):
+def duhamel_batch(factors, lams, grid, drive=((0.0, 1.0, 1.0),), coeffs=None):
     """Zero-data responses of a_m'' + lam_m a_m = F_m on a uniform grid.
 
-    The forcing is F_m(s) = f_m(s) sum_c a_c g_c(s) e^{i nu_c s}, given by
-    envelopes ``fm`` ((M, N), or one (N,) array shared by every mode) and
-    ``drive``, a short list of components (rate nu_c, complex weight a_c,
-    envelope g_c as an (N,) array or a scalar); F_m should be real.  Returns
-    the (M, N) array
+    The forcing is F_m(s) = f_m(s) sum_c a_c g_c(s) e^{i nu_c s}.  The mode
+    amplitudes come factored, f_m(s) = sum_i coeffs[m, i] h_i(s): ``factors``
+    holds the n time factors h_i on the grid ((n, N), or one (N,) envelope)
+    and ``coeffs`` their (M, n) coefficients, by default one column of ones
+    (one envelope shared by every mode).  ``drive`` is a short list of
+    components (rate nu_c, complex weight a_c, envelope g_c as an (N,) array
+    or a scalar); F_m should be real.  Returns the (M, N) array
 
         a_m(t) = Im(e^{i r_m t} int_{t_0}^t F_m(s) e^{-i r_m s} ds) / r_m,
 
     r_m = sqrt(lam_m), each component integrated with the product rule at
-    phase rate nu_c - r_m.  One call computes M + C exponential tables and
-    M cumsums, working through the modes in row blocks of a fixed node count.
+    phase rate nu_c - r_m.  One table of the 3 n C node products serves every
+    mode; each tile of modes costs one matrix product and one cumsum per
+    mode.
     """
     grid = np.asarray(grid, dtype=float)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
@@ -245,22 +331,27 @@ def duhamel_batch(fm, lams, grid, drive=((0.0, 1.0, 1.0),)):
         raise ValueError("need at least two samples")
     if not np.all(lams > 0):
         raise ValueError("mode eigenvalues must be positive")
-    fm = np.asarray(fm, dtype=float)
-    if fm.ndim == 1:
-        rows, table = None, _drive_table(drive, grid, shared=fm)
-    elif fm.shape == (lams.size, grid.size):
-        rows, table = fm, _drive_table(drive, grid)
-    else:
-        raise ValueError("envelopes must be (N,) or (M, N)")
-    h = grid[1] - grid[0]
+    factors = np.asarray(factors, dtype=float)
+    if factors.ndim == 1:
+        factors = factors[None, :]
+    if coeffs is None:
+        if factors.shape[0] != 1:
+            raise ValueError("several time factors need their (M, n) "
+                             "coefficients")
+        coeffs = np.ones((lams.size, 1))
+    coeffs = np.asarray(coeffs, dtype=float)
+    if factors.shape[1:] != grid.shape or \
+            coeffs.shape != (lams.size, factors.shape[0]):
+        raise ValueError("factors must be (n, N) and coeffs (M, n)")
+    # the mean step: grid[1] - grid[0] can be off by an ulp of t_0
+    h = (grid[-1] - grid[0]) / (grid.size - 1)
     roots = np.sqrt(lams)
     out = np.empty((roots.size, grid.size))
-    block = max(1, _BLOCK_NODES // grid.size)
-    for lo in range(0, roots.size, block):
-        blk = slice(lo, lo + block)
-        S = _rotated_integrals(None if rows is None else rows[blk],
-                               roots[blk], table, grid, h)
-        out[blk] = S.imag / roots[blk, None]
+    out[:, 0] = 0.0
+    # f_m / r_m as the amplitude, so that S_m is already divided by r_m
+    for rows, nodes, S in _rotated_tiles(factors, coeffs / roots[:, None],
+                                         roots, drive, grid, h):
+        out[rows, nodes] = S.imag
     return out
 
 
@@ -295,12 +386,14 @@ class SlowResponses:
             np.asarray(grid, dtype=float))[:, 0]
 
 
-def slow_responses(fm, r0, lams, grid):
+def slow_responses(factors, r0, lams, grid, coeffs=None):
     """Zero-data responses of a_m'' + lam_m a_m = f_m(t) r0(t) over the
     span [t_0, t_end] of a uniform grid, as a SlowResponses table.
 
-    fm(t) gives the mode amplitudes at the times t, shape (M, len(t)), or is
-    None for f_m = 1 (the responses Lambda_m to r0 alone); r0 is a
+    The mode amplitudes come factored as in ``duhamel_batch``,
+    f_m(t) = sum_i coeffs[m, i] h_i(t): factors(t) gives the n time factors
+    at the times t, shape (n, len(t)), and coeffs is (M, n); factors is
+    None for f_m = 1 (the responses Lambda_m to r0 alone).  r0 is a
     TimeTrace.  When r0 carries an expression the integrands
     f_m(s) r0(s) e^{-i r_m s} are sampled on nested Chebyshev-Lobatto nodes
     of [t_0, t_end] with the stop rule of ``chebyshev.converge``,
@@ -319,7 +412,9 @@ def slow_responses(fm, r0, lams, grid):
 
         def integrands(t):
             # real parts, then imaginary parts: (len(t), 2M), all real
-            env = r0.sample(t) if fm is None else fm(t) * r0.sample(t)
+            env = r0.sample(t)
+            if factors is not None:
+                env = (coeffs @ factors(t)) * env
             z = env * _cis_product(-roots, t)
             return np.concatenate([z.real, z.imag]).T
 
@@ -332,10 +427,11 @@ def slow_responses(fm, r0, lams, grid):
             return SlowResponses(
                 nodes, (_cis_product(roots, nodes) * q).imag / roots, True)
     r0v = r0.sample(grid)
-    if fm is None:
+    if factors is None:
         return SlowResponses(grid, duhamel_batch(r0v, lams, grid), False)
-    return SlowResponses(grid, duhamel_batch(fm(grid), lams, grid,
-                                             [(0.0, 1.0, r0v)]), False)
+    return SlowResponses(grid, duhamel_batch(factors(grid), lams, grid,
+                                             [(0.0, 1.0, r0v)], coeffs),
+                         False)
 
 
 def gauss_panel_rule(a, b, n_panels):

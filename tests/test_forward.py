@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscinv.basis import build_dirichlet_interval_basis
+from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
 from oscinv.forward import (MIN_POINTS_PER_PERIOD, UnderResolvedError,
                             check_resolution, make_time_grid, solve_direct)
 from oscinv.quadrature import duhamel_batch
@@ -159,3 +159,14 @@ def test_mode_tail_diagnostic(interval_basis):
                      50.0, T=1.0)
     assert "mode_tail_ratio" in u.meta
     assert u.meta["mode_tail_ratio"] < 1e-12
+
+
+def test_mode_tail_ratio_reads_the_mode_traces():
+    # the kernel takes the amplitude's factors; the diagnostic still reads
+    # the (M, N) mode amplitudes, to the last bit
+    basis = build_dirichlet_interval_basis(PI, 16)
+    amp = SeparableAmplitude.from_expr(
+        "exp(-t)*sin(x) + t*sin(2*x) + cos(t)*x*(3.141592653589793 - x)")
+    u = solve_direct(basis, amp, "1 + cos(tau)", 200.0, T=1.0)
+    fmax = np.abs(amp.mode_traces(basis, u.grid)).max(axis=1)
+    assert u.meta["mode_tail_ratio"] == float(fmax[-1] / fmax.max())

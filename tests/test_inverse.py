@@ -241,6 +241,25 @@ def test_ip3_without_phi0_computes_lambda_profiles_once(ip3_setup,
     assert "phi0_derived" not in fld.meta
 
 
+def test_ip3_with_phi0_to_t0_computes_lambda_profiles_once(ip3_setup,
+                                                          monkeypatch):
+    # phi0's grid spans [0, t0], so its Chebyshev table is the one the
+    # amplitude division needs
+    basis, grid, r0, fm, data = ip3_setup
+    assert grid[0] == 0.0 and grid[-1] == data.t0
+    want = ip2_recover(data.psi, r0, data.t0, basis)
+    calls = []
+    real = inverse.slow_responses
+    monkeypatch.setattr(inverse, "slow_responses",
+                        lambda *a: calls.append(1) or real(*a))
+    fld, _ = ip3_recover(data, r0, basis)
+    assert len(calls) == 1
+    assert np.array_equal(fld.meta["lambda_values"],
+                          want.meta["lambda_values"])
+    assert np.array_equal(fld.coeffs, want.coeffs)
+    assert fld.meta["phi0_consistency"] < 1e-9
+
+
 def test_ip3_requires_final_time_data(ip3_setup):
     basis, grid, r0, fm, data = ip3_setup
     with pytest.raises(AdmissibilityError):

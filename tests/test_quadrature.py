@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -151,12 +151,30 @@ def test_quadratic_envelopes_exact_for_any_phase(theta, a, b, c):
     assert abs(Q[-1] - exact) < 5e-13 * scale
 
 
+@pytest.mark.parametrize("count", [1, 2, 7, 100, 7641])
+@pytest.mark.parametrize("t0", [0.0, 0.3])
+def test_cis_table_matches_exact_products(count, t0):
+    # phases up to 64 * 3.3, about 200; 7 and 7641 nodes are not multiples
+    # of the fine table's length (2 and 87)
+    times = np.linspace(t0, t0 + 3.0, count)
+    rates = np.array([0.5, 7.3, 33.0, 64.0, -41.7])
+    want = quadrature._cis_product(rates[:, None], times)
+    got = quadrature._cis_table(rates, times)()
+    assert np.array_equal(quadrature._cis_table(rates, times)(slice(2, 4)),
+                          got[2:4])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
+
+
 # -- duhamel_batch against one cumulative_oscillatory pass per row and part --
 
 
 def _duhamel_loop(fm, lams, grid, drive):
     """Reference: every mode and drive component integrated on its own."""
-    h = grid[1] - grid[0]
+    # the mean step: cumulative_oscillatory places its nodes at t_0 + i h,
+    # and grid[1] - grid[0] can be off by an ulp of t_0, which drifts those
+    # nodes from the grid's by up to n ulps
+    h = (grid[-1] - grid[0]) / (grid.size - 1)
     fm = np.broadcast_to(fm, (len(lams), grid.size))
     out = np.empty((len(lams), grid.size))
     for m, lam in enumerate(lams):
@@ -165,15 +183,16 @@ def _duhamel_loop(fm, lams, grid, drive):
         for nu, a, g in drive:
             env = fm[m] * np.broadcast_to(g, grid.shape)
             Q = Q + a * cumulative_oscillatory(env, h, nu - root, t0=grid[0])
-        out[m] = np.imag(np.exp(1j * root * grid) * Q) / root
+        out[m] = np.imag(quadrature._cis_product(root, grid) * Q) / root
     return out
 
 
-def _assert_close_to_loop(fm, lams, grid, drive, rel=1e-13):
+def _assert_close_to_loop(factors, coeffs, lams, grid, drive, rel=1e-13):
     # relative to the a-priori size of a response, |a_m| <= int |F_m| / r_m:
     # a strongly oscillating forcing can cancel to a response far below
     # that, and both sides then keep only their absolute rounding
-    got = duhamel_batch(fm, lams, grid, drive)
+    got = duhamel_batch(factors, lams, grid, drive, coeffs=coeffs)
+    fm = factors if coeffs is None else coeffs @ factors
     ref = _duhamel_loop(fm, lams, grid, drive)
     assert got.shape == ref.shape
     h = grid[1] - grid[0]
@@ -190,37 +209,54 @@ def _assert_close_to_loop(fm, lams, grid, drive, rel=1e-13):
        T=st.floats(0.05, 2.0),
        base=st.floats(0.5, 3.5),
        shifts=st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=5),
-       offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+       offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+       n_terms=st.integers(1, 3),
        shared=st.booleans(), t0=st.sampled_from([0.0, 0.3]),
        seed=st.integers(0, 2 ** 32 - 1))
+# the cumulative rule's nodes t_0 + i (grid[1] - grid[0]) once drifted
+# 1e-15 from this grid's, a phase error of 8e-13 at rate 800
+@example(n=40, T=0.05, base=2.0, shifts=[0.0], offsets=[1.0], n_terms=1,
+         shared=False, t0=0.3, seed=2)
 def test_duhamel_batch_matches_per_row_loop(n, T, base, shifts, offsets,
-                                            shared, t0, seed):
+                                            n_terms, shared, t0, seed):
     # in units of 1/h, roots sit near `base` and component rates near it too,
     # so |theta * 2h| = 2|offset - shift| falls on both sides of the 0.5
-    # switch between series and closed-form moments
+    # switch between series and closed-form moments; a shared envelope is
+    # one time factor with the default coefficients
     rng = np.random.default_rng(seed)
     grid = np.linspace(t0, t0 + T, n + 1)
     h = grid[1] - grid[0]
     roots = (base + np.array(shifts)) / h
     drive = [((base + u) / h, complex(*rng.normal(size=2)),
               rng.normal(size=grid.size)) for u in offsets]
-    fm = rng.normal(size=grid.size if shared else (roots.size, grid.size))
-    _assert_close_to_loop(fm, roots ** 2, grid, drive)
+    if shared:
+        factors, coeffs = rng.normal(size=grid.size), None
+    else:
+        factors = rng.normal(size=(n_terms, grid.size))
+        coeffs = rng.normal(size=(roots.size, n_terms))
+    _assert_close_to_loop(factors, coeffs, roots ** 2, grid, drive)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 11, 12])
 @pytest.mark.parametrize("shared", [True, False])
 def test_duhamel_batch_node_counts(n, shared, monkeypatch):
     grid = np.linspace(0.0, 1.5, n + 1)
-    # blocks of 3 rows, so 20 modes take six full blocks and a partial one
-    monkeypatch.setattr(quadrature, "_BLOCK_NODES", 3 * grid.size)
-    lams = np.arange(1.0, 21.0) ** 2
-    rng = np.random.default_rng(n)
-    fm = rng.normal(size=grid.size if shared else (lams.size, grid.size))
     drive = [(0.0, 1.0, 1.0 + grid), (40.0, 0.5, np.cos(grid)),
              (-40.0, 0.5, np.cos(grid)), (80.0, -0.5j, 0.4),
              (-80.0, 0.5j, 0.4)]
-    _assert_close_to_loop(fm, lams, grid, drive)
+    lams = np.arange(1.0, 21.0) ** 2
+    rng = np.random.default_rng(n)
+    if shared:
+        factors, coeffs = rng.normal(size=grid.size), None
+    else:
+        factors = rng.normal(size=(3, grid.size))
+        coeffs = rng.normal(size=(lams.size, 3))
+    # tiles of 3 modes (six full blocks and a partial one for 20 modes) by
+    # 2 pairs: 3 n_terms C node products and 2 x 3 tile nodes per pair
+    monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES",
+                        2 * (15 * np.atleast_2d(factors).shape[0] + 6))
+    _assert_close_to_loop(factors, coeffs, lams, grid, drive)
 
 
 def test_duhamel_batch_default_drive_is_unit_envelope():
@@ -229,6 +265,11 @@ def test_duhamel_batch_default_drive_is_unit_envelope():
     np.testing.assert_allclose(a[0], 1.0 - np.cos(grid), atol=1e-10)
     np.testing.assert_allclose(a[1], (1.0 - np.cos(2 * grid)) / 4.0,
                                atol=1e-10)
+
+
+def test_duhamel_batch_without_modes():
+    grid = uniform_grid(1.0, 11)
+    assert duhamel_batch(np.ones_like(grid), [], grid).shape == (0, grid.size)
 
 
 def test_duhamel_batch_rejects_bad_input():
@@ -320,10 +361,10 @@ def test_slow_responses_match_the_filon_rule_for_a_time_varying_amplitude(
     grid = uniform_grid(3.0, 6000)
     r0 = TimeTrace.from_expr("1 + t", grid)
     lams = basis32.eigenvalues
-    tab = slow_responses(lambda t: amp.mode_traces(basis32, t), r0, lams,
-                         grid)
-    ref = duhamel_batch(amp.mode_traces(basis32, grid), lams, grid,
-                        [(0.0, 1.0, r0.values)])
+    coeffs = amp.term_coefficients(basis32).T
+    tab = slow_responses(amp.time_factors, r0, lams, grid, coeffs)
+    ref = duhamel_batch(amp.time_factors(grid), lams, grid,
+                        [(0.0, 1.0, r0.values)], coeffs=coeffs)
     assert tab.chebyshev
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(tab.at(grid[4000]) - ref[:, 4000])) <= 1e-13 * scale
