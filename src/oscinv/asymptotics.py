@@ -16,6 +16,11 @@ data the correctors would otherwise introduce:
 b2_m absorbs both the corrector's own initial velocity and the secular term
 produced by the order-omega^{-1} interior residual, which is what makes the
 remainder genuinely o(omega^{-2}).
+
+u0 has one forward model, a ``quadrature.slow_responses`` table over the
+span of the grid it is read on (``AsymptoticExpansion.u0_table``).  Mode
+weights contract the table first and it is interpolated after, so u0 does
+not depend on that grid unless the table falls back to the Filon rule.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ import numpy as np
 
 from .basis import EigenBasis, SeparableAmplitude
 from .forward import SpaceTimeField, _coerce_amplitude
-from .quadrature import duhamel_batch
+from .quadrature import slow_responses
 from .sources import N_TAU, FastProfile, OscillatorySource, rho0, split_source
-from .traces import TimeTrace, same_grid
+from .traces import TimeTrace
 
 __all__ = [
     "AsymptoticExpansion", "expansion_coefficients", "build_expansion",
@@ -37,13 +42,6 @@ __all__ = [
 
 RESIDUAL_SPACE_POINTS = 64         # interior points residual_norm samples
 RESIDUAL_SAMPLES_PER_PERIOD = 8    # its time samples per fast period
-
-
-def _slow_response(amp, basis, r0v, grid):
-    """u0 mode coefficients: every mode driven by f_m(t) r0(t), zero data."""
-    return duhamel_batch(amp.time_factors(grid), basis.eigenvalues, grid,
-                         [(0.0, 1.0, r0v)],
-                         coeffs=amp.term_coefficients(basis).T)
 
 
 def expansion_coefficients(amp, basis, rho0_profile):
@@ -70,23 +68,19 @@ class AsymptoticExpansion:
     b1: np.ndarray
     d: np.ndarray
     b2: np.ndarray
-    grid: np.ndarray
-    u0_coeffs: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def u0_on(self, tgrid):
-        """Slow-response mode coefficients on an arbitrary uniform grid."""
+    def u0_table(self, tgrid):
+        """u0's mode responses, driven by f_m(t) r0(t) from zero data, as a
+        ``slow_responses`` table over the span of a uniform grid."""
         tgrid = np.asarray(tgrid, dtype=float)
-        if same_grid(self.grid, tgrid):
-            return self.u0_coeffs
         key = (tgrid.size, float(tgrid[0]), float(tgrid[-1]))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = _slow_response(self.amplitude, self.basis,
-                             self.source.r0.sample(tgrid), tgrid)
-        self._cache[key] = out
-        return out
+        if key not in self._cache:
+            amp = self.amplitude
+            self._cache[key] = slow_responses(
+                amp.time_factors, self.source.r0, self.basis.eigenvalues,
+                tgrid, amp.term_coefficients(self.basis).T)
+        return self._cache[key]
 
     def correction_coeffs(self, tgrid):
         """(order-1, order-2) free-oscillation mode coefficients, each (M, N):
@@ -94,16 +88,17 @@ class AsymptoticExpansion:
         d_m cos(sqrt(lam_m) t) + b2_m sin(sqrt(lam_m) t) / sqrt(lam_m)."""
         roots = np.sqrt(self.basis.eigenvalues)[:, None]
         phase = roots * np.asarray(tgrid, dtype=float)[None, :]
-        c1 = (self.b1[:, None] / roots) * np.sin(phase)
+        sin = np.sin(phase)
+        c1 = (self.b1[:, None] / roots) * sin
         c2 = self.d[:, None] * np.cos(phase) \
-            + (self.b2[:, None] / roots) * np.sin(phase)
+            + (self.b2[:, None] / roots) * sin
         return c1, c2
 
     def evaluate(self, omega, points, tgrid, order=2):
         """Expansion values on (tgrid x points), truncated at the given order."""
         tgrid = np.asarray(tgrid, dtype=float)
         modes = self.basis.eval_modes(points)
-        u0 = self.u0_on(tgrid).T @ modes
+        u0 = self.u0_table(tgrid).row(modes, tgrid)
         if order == 0:
             return u0
         if order != 2:
@@ -121,7 +116,7 @@ class AsymptoticExpansion:
         the fast-phase data f(x0, .) * rho0 a point observation records."""
         tgrid = np.asarray(tgrid, dtype=float)
         w = self.basis.point_weights(x0)
-        phi0 = TimeTrace(tgrid, self.u0_on(tgrid).T @ w)
+        phi0 = TimeTrace(tgrid, self.u0_table(tgrid).row(w, tgrid))
         fx0 = self.amplitude.at_point(x0, tgrid)
         return phi0, self.rho0_profile.resample(tgrid).scaled(fx0)
 
@@ -138,16 +133,11 @@ class AsymptoticExpansion:
 
 def build_expansion(basis, f, r, grid, n_tau=N_TAU):
     """Assemble the expansion data for amplitude f and drive r on a grid."""
-    grid = np.asarray(grid, dtype=float)
     amp = _coerce_amplitude(f)
     src = split_source(r, grid, n_tau=n_tau)
     p0 = rho0(src.r1)
-    coeffs = expansion_coefficients(amp, basis, p0)
-    u0 = _slow_response(amp, basis, src.r0.values, grid)
-    return AsymptoticExpansion(
-        basis=basis, amplitude=amp, source=src, rho0_profile=p0,
-        b1=coeffs["b1"], d=coeffs["d"], b2=coeffs["b2"], grid=grid,
-        u0_coeffs=u0)
+    return AsymptoticExpansion(basis, amp, src, p0,
+                               **expansion_coefficients(amp, basis, p0))
 
 
 def residual_norm(u_field, expansion, omega, order=2):
@@ -155,7 +145,8 @@ def residual_norm(u_field, expansion, omega, order=2):
 
     Sampled on RESIDUAL_SPACE_POINTS interior points and a time subgrid with
     about RESIDUAL_SAMPLES_PER_PERIOD nodes per fast period (enough to see
-    the fast phase without paying for every fine node).
+    the fast phase without paying for every fine node); u0 is the
+    expansion's table (``u0_table``) read on that subgrid.
     """
     if not isinstance(u_field, SpaceTimeField):
         raise TypeError("u_field must be a SpaceTimeField")

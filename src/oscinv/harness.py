@@ -20,9 +20,8 @@ from .config import ConfigError, ExperimentConfig, make_basis, make_source
 from .forward import make_time_grid, solve_direct
 from .inverse import (ObservationData, _admissibility, ip1_recover,
                       ip2_recover, ip3_recover)
-from .quadrature import slow_responses
-from .sources import OscillatorySource, rho0
-from .traces import TimeTrace, uniform_grid
+from .sources import OscillatorySource
+from .traces import uniform_grid
 
 __all__ = ["CriterionResult", "StudyReport", "fit_slope",
            "run_order_study", "run_roundtrip", "emit_report",
@@ -150,11 +149,10 @@ def _fm_rel_error(coeffs, fm_flat):
 
 
 def _synthetic_data(basis, amp, src, dgrid, x0=None, t0=None):
-    """Observations of the config truth on the trace grid: phi0 = u0(x0, .)
-    and chi = f(x0, .) * rho0 at x0 when x0 is given, psi = u0(., t0) when
-    t0 is.  t0 must be a node of the grid.  u0 is one slow_responses table
-    over the grid's span; phi0 is contracted with the point weights before
-    it is interpolated onto the grid."""
+    """Observations of the config truth on the trace grid, read off its
+    expansion: phi0 = u0(x0, .) and chi = f(x0, .) * rho0 at x0 when x0 is
+    given (``observed_traces``), psi = u0(., t0) when t0 is.  t0 must be a
+    node of the grid."""
     if t0 is not None:
         h = float(dgrid[1] - dgrid[0])
         i_obs = int(round(t0 / h))
@@ -162,14 +160,13 @@ def _synthetic_data(basis, amp, src, dgrid, x0=None, t0=None):
             raise ConfigError(f"observation t0={t0!r} is not a node of the "
                               f"trace grid of step {h:.6g}; choose a "
                               "multiple of it")
-    u0 = slow_responses(amp.time_factors, src.r0, basis.eigenvalues, dgrid,
-                        amp.term_coefficients(basis).T)
+    truth = build_expansion(basis, amp, src, dgrid)
     data = ObservationData(x0=x0, t0=t0)
     if x0 is not None:
-        data.phi0 = TimeTrace(dgrid, u0.row(basis.point_weights(x0), dgrid))
-        data.chi = rho0(src.r1).scaled(amp.at_point(x0, dgrid))
+        data.phi0, data.chi = truth.observed_traces(x0, dgrid)
     if t0 is not None:
-        data.psi = SpatialField(coeffs=u0.at(dgrid[i_obs]), basis=basis)
+        data.psi = SpatialField(coeffs=truth.u0_table(dgrid).at(dgrid[i_obs]),
+                                basis=basis)
     return data
 
 
@@ -230,20 +227,20 @@ def run_roundtrip(config: ExperimentConfig, which):
         # the order-2 composite the recovered expansion predicts
         rec_amp = type(amp).from_field(fld)
         rec_src = OscillatorySource(src.r0, r1_rec)
+        rec_exp = build_expansion(basis, rec_amp, rec_src, dgrid)
         psi_errs = []
-        pts = basis.interior_sample_points(64)
-        psi_pts = data.psi.evaluate(pts)
+        modes = basis.eval_modes(basis.interior_sample_points(64))
+        psi_pts = data.psi.coeffs @ modes
         for omega in config.omegas:
             u = solve_direct(basis, rec_amp, rec_src, omega, T=t_obs,
                              points_per_period=config.grid.points_per_period)
-            composite = build_expansion(basis, rec_amp, rec_src, u.grid) \
-                .evaluate(omega, [obs_cfg.x0], u.grid)[:, 0]
+            composite = rec_exp.evaluate(omega, [obs_cfg.x0], u.grid)[:, 0]
             trace = u.trace_at(obs_cfg.x0).values
             err = float(np.max(np.abs(trace - composite)))
             scale_u = float(np.max(np.abs(trace)))
             rows += ((omega, err, scale_u),)
             psi_errs.append(float(np.max(np.abs(
-                u.evaluate(pts)[-1] - psi_pts))))
+                u.coeffs[:, -1] @ modes - psi_pts))))
         columns = ("omega", "trace_error", "trace_scale")
         w_last = config.omegas[-1]
         bound = tol["trace_bound_factor"] * w_last ** -3 * max(

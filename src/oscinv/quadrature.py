@@ -22,9 +22,10 @@ evaluations per mode in place of N/2, and one cumsum per mode accumulates
 the pairs.
 
 ``slow_responses`` tabulates the zero-data responses to a slow forcing
-f_m(t) r0(t) on nested Chebyshev-Lobatto nodes instead (Clenshaw-Curtis in
-place of the product rule), falling back to ``duhamel_batch`` on a uniform
-grid when r0 is known only by its samples or the nodes do not converge.
+f_m(t) r0(t) (the expansion's u0, the inverse problems' Lambda_m) on nested
+Chebyshev-Lobatto nodes instead, by Clenshaw-Curtis.  It falls back to
+``duhamel_batch`` on the uniform grid it is read on when r0 is known only
+by its samples or the nodes do not converge (sqrt(lam_M) span > ~165).
 """
 
 from __future__ import annotations
@@ -249,6 +250,9 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
     rows = max(1, min(roots.size, _BLOCK_ROWS))
     size = max(1, _BLOCK_NODES // (W.shape[2] + 2 * rows))    # pairs
     carry = np.zeros(roots.size, dtype=complex)
+    # every tile's S is a view of one buffer, overwritten by the next tile;
+    # it holds the conjugate rotation until the tile's values are written
+    tile = np.empty((rows, min(n, 2 * size + 1)), dtype=complex)
     for p0 in range(0, n_pairs, size):
         a, b = 2 * p0, 2 * min(n_pairs, p0 + size)
         Z = _node_products(env, factors, _cis_table(rates, grid[a:b:2])(),
@@ -260,10 +264,10 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
             acc = W[blk].reshape(-1, Z.shape[0]) @ Z
             acc = acc.reshape(-1, 2, Z.shape[1])
             rot = rotation(blk)
-            S = np.empty((acc.shape[0], b - a + last), dtype=complex)
+            S = tile[:acc.shape[0], :b - a + last]
             first = rot[:, 0] * carry[blk]      # S at node a
             q = acc[:, 0]
-            q *= rot[:, :-1].conj()
+            q *= np.conjugate(rot[:, :-1], out=S[:, :q.shape[1]])
             q[:, 0] += carry[blk]
             np.cumsum(q, axis=1, out=q)
             carry[blk] = q[:, -1]
@@ -277,28 +281,23 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
             if last:
                 S[:, -1] = step[blk] * S[:, -2] + seg[blk]
             yield blk, slice(a + 1, b + 1 + last), S
+            del acc, rot, q, half    # before the next tile makes its own
 
 
-def cumulative_oscillatory(values, h, theta, t0=0.0):
-    """Running integrals of values * e^{i*theta*s} from t0 over a uniform grid.
+def cumulative_oscillatory(values, grid, theta):
+    """Running integrals Q_i of values * e^{i*theta*s} from grid[0] to
+    grid[i] over a uniform grid, values sampled at its nodes; Q_0 = 0.
 
-    Parameters
-    ----------
-    values : (N+1,) array of envelope samples at t0 + i*h.
-    h : positive step.
-    theta : real phase rate (0 is allowed and exact for quadratics).
-    t0 : grid origin; the phase factor e^{i*theta*s} uses absolute s.
-
-    Returns
-    -------
-    (N+1,) complex array Q with Q[0] = 0.
+    The phase factor uses absolute s, and the step is the grid's mean step.
+    theta = 0 is allowed and exact for quadratic envelopes.
     """
     g = np.asarray(values, dtype=complex)
-    if g.size < 2:
-        raise ValueError("need at least two samples")
-    if h <= 0:
-        raise ValueError("step must be positive")
-    grid = t0 + h * np.arange(g.size)
+    grid = np.asarray(grid, dtype=float)
+    if g.size < 2 or grid.shape != g.shape:
+        raise ValueError("need at least two samples, one per grid node")
+    h = (grid[-1] - grid[0]) / (grid.size - 1)
+    if not h > 0:
+        raise ValueError("grid must be increasing")
     Q = np.zeros(g.size, dtype=complex)
     for _, nodes, S in _rotated_tiles(g[None, :], np.ones((1, 1)),
                                       np.zeros(1), [(theta, 1.0, 1.0)],
@@ -375,15 +374,17 @@ class SlowResponses:
         return self.values[:, int(round((t - self.times[0]) / h))].copy()
 
     def row(self, weights, grid):
-        """sum_m weights_m a_m on the grid: contracted at the nodes, then
-        interpolated from the fewest nested nodes that carry the sum.  On
+        """sum_m weights[m] a_m on the grid, for (M,) weights (shape (N,))
+        or (M, K) weights (shape (N, K)): contracted at the nodes, then
+        interpolated from the fewest nested nodes that carry the sums.  On
         the fallback the grid is the table's own."""
-        contracted = np.asarray(weights, dtype=float) @ self.values
+        contracted = np.asarray(weights, dtype=float).T @ self.values
         if not self.chebyshev:
-            return contracted
-        return chebyshev.interpolate(
-            *chebyshev.coarsest(self.times, contracted[:, None]),
-            np.asarray(grid, dtype=float))[:, 0]
+            return contracted.T
+        out = chebyshev.interpolate(
+            *chebyshev.coarsest(self.times, np.atleast_2d(contracted).T),
+            np.asarray(grid, dtype=float))
+        return out if contracted.ndim == 2 else out[:, 0]
 
 
 def slow_responses(factors, r0, lams, grid, coeffs=None):

@@ -90,7 +90,7 @@ def _check_oscillatory_vs_slow():
     grid = uniform_grid(2.0, 4000)
     g = np.exp(-grid)
     theta = 40.0
-    Q = cumulative_oscillatory(g, grid[1] - grid[0], theta)
+    Q = cumulative_oscillatory(g, grid, theta)
     exact = (np.exp((1j * theta - 1) * grid) - 1.0) / (1j * theta - 1.0)
     return float(np.max(np.abs(Q - exact))), 1e-9
 

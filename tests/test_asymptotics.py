@@ -1,15 +1,20 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from oscinv.asymptotics import (build_expansion, expansion_coefficients,
                                 residual_norm)
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
-from oscinv.forward import solve_direct
+from oscinv.config import config_from_dict, make_basis, make_source
+from oscinv.forward import make_time_grid, solve_direct
 from oscinv.quadrature import duhamel_batch
 from oscinv.sources import FastProfile, rho0, split_source
 from oscinv.traces import TimeTrace, uniform_grid
 
 PI = np.pi
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 FEXPR = "exp(-t)*(sin(x) + 0.3*sin(3*x))"
 REXPR = "1 + t + (1 + t/2)*cos(tau) + 0.4*sin(2*tau)"
 
@@ -82,10 +87,28 @@ def test_leading_term_solves_slow_problem(expansion):
     exp, basis, grid = expansion
     amp = SeparableAmplitude.from_expr(FEXPR)
     fm = amp.mode_traces(basis, grid)
+    u0 = exp.u0_table(grid).row(np.eye(basis.M), grid)
     for m in range(basis.M):
         env = fm[m] * (1.0 + grid)
         direct = duhamel_batch(env, [basis.eigenvalues[m]], grid)[0]
-        np.testing.assert_allclose(exp.u0_coeffs[m], direct, atol=1e-9)
+        np.testing.assert_allclose(u0[:, m], direct, atol=1e-9)
+
+
+def test_u0_does_not_depend_on_the_grid_it_is_read_on():
+    # configs/order_study.json at omega = 50: residual_norm reads u0 on
+    # every fourth node of the forward grid, where a Filon rule on that
+    # subgrid is 1.5e-9 off the forward grid's u0 at the shared nodes
+    cfg = config_from_dict(json.loads(
+        (ROOT / "configs" / "order_study.json").read_text()))
+    basis = make_basis(cfg.basis)
+    fine = make_time_grid(cfg.grid.T, omega=50.0,
+                          points_per_period=cfg.grid.points_per_period)
+    amp, src = make_source(cfg.source, fine)
+    exp = build_expansion(basis, amp, src, fine)
+    pts = basis.interior_sample_points(64)
+    coarse = exp.evaluate(50.0, pts, fine[::4], order=0)
+    full = exp.evaluate(50.0, pts, fine, order=0)
+    assert np.max(np.abs(coarse - full[::4])) <= 1e-13
 
 
 def test_trace_components_geometry(expansion):
@@ -93,8 +116,8 @@ def test_trace_components_geometry(expansion):
     x0 = PI / 2
     phi0, phi1, phi2, chi = exp.trace_components(x0, grid)
     modes = basis.eval_modes(np.array([x0]))[:, 0]
-    np.testing.assert_allclose(phi0.values, exp.u0_on(grid).T @ modes,
-                               atol=1e-12)
+    u0 = exp.u0_table(grid).row(np.eye(basis.M), grid)
+    np.testing.assert_allclose(phi0.values, u0 @ modes, atol=1e-12)
     # chi carries the corrector's fast profile scaled by f at the point
     fx0 = np.exp(-grid) * (np.sin(x0) + 0.3 * np.sin(3 * x0))
     np.testing.assert_allclose(chi.coefficient(1, "cos").values,
@@ -121,7 +144,9 @@ def test_build_expansion_resamples_a_presplit_source(n_src):
     src = split_source(REXPR, uniform_grid(3.0, n_src))
     got = build_expansion(basis, FEXPR, src, grid)
     ref = build_expansion(basis, FEXPR, REXPR, grid)
-    np.testing.assert_allclose(got.u0_coeffs, ref.u0_coeffs, rtol=0,
+    eye = np.eye(basis.M)
+    np.testing.assert_allclose(got.u0_table(grid).row(eye, grid),
+                               ref.u0_table(grid).row(eye, grid), rtol=0,
                                atol=1e-12)
     for name in ("b1", "d", "b2"):
         np.testing.assert_allclose(getattr(got, name), getattr(ref, name),

@@ -8,7 +8,15 @@ tolerances come from the drift measured between the stack that wrote out/
 and a later one, with headroom:
 
 - forward CSV: at most 6.3e-16 abs on values of order 1e-4..1 -> 5e-15 abs;
-- order study: at most 6.8e-12 rel -> 1e-10 rel;
+- order study: at most 6.8e-12 rel -> 1e-10 rel.  Its files were
+  rewritten when u0 became one Chebyshev table read on any grid: before,
+  residual_norm integrated u0 by the Filon rule on its own time subgrid,
+  whose error (1.5e-9 at omega = 50, measured by
+  test_u0_does_not_depend_on_the_grid_it_is_read_on) was in the
+  residuals.  residual_order0 moved by 1.5e-9 abs (3.1e-7 rel) at
+  omega = 50, falling to 3.4e-13 at 400; residual_order2 by 9.1e-6 rel at
+  50 down to 1.4e-7 at 400; slope_order0 by 1.4e-7 rel and slope_order2
+  by 1.4e-6 rel;
 - round trips 2 and 3: errors at rounding level (about 1e-14) move with the
   code that makes the synthetic data.  Reading psi and phi0 off a
   Chebyshev table of u0 instead of the Filon rule on the trace grid moved

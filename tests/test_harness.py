@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscinv import inverse
+from oscinv import harness, inverse
 from oscinv.asymptotics import build_expansion
 from oscinv.basis import build_dirichlet_interval_basis
 from oscinv.config import config_from_dict, make_source
@@ -179,21 +179,44 @@ def test_synthetic_data_with_expression_r0_runs_no_filon_pass(truth32,
 
 
 def test_synthetic_data_matches_the_expansion(truth32):
-    # the Chebyshev table against the Filon rule of build_expansion, with a
+    # the round trips observe the truth's expansion, here with a
     # time-varying amplitude and t0 inside the trace grid
     basis, dgrid, amp, src = truth32
     data = _synthetic_data(basis, amp, src, dgrid, x0=1.2, t0=2.0)
     exp2 = build_expansion(basis, amp, src, dgrid)
     phi0, chi = exp2.observed_traces(1.2, dgrid)
-    scale = phi0.max_abs
-    assert np.max(np.abs(data.phi0.values - phi0.values)) <= 1e-13 * scale
-    u0 = exp2.u0_coeffs[:, 4000]
-    assert np.max(np.abs(data.psi.coeffs - u0)) <= \
-        1e-13 * np.max(np.abs(exp2.u0_coeffs))
+    assert np.array_equal(data.phi0.values, phi0.values)
+    u0 = exp2.u0_table(dgrid)
+    assert np.array_equal(data.psi.coeffs, u0.at(dgrid[4000]))
+    # the table read at t0 against the table interpolated onto the grid
+    u0_grid = u0.row(np.eye(basis.M), dgrid)
+    assert np.max(np.abs(data.psi.coeffs - u0_grid[4000])) <= \
+        1e-13 * np.max(np.abs(u0_grid))
     assert len(data.chi.terms) == len(chi.terms)
     for (k, kind, c), (k2, kind2, c2) in zip(data.chi.terms, chi.terms):
         assert (k, kind) == (k2, kind2)
         assert np.array_equal(c.values, c2.values)
+
+
+def test_roundtrip3_builds_one_recovered_expansion(monkeypatch):
+    # one expansion of the truth for the observations and one of the
+    # recovered pieces, evaluated on every re-simulation grid
+    calls = []
+    real = harness.build_expansion
+    monkeypatch.setattr(harness, "build_expansion",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    cfg = config_from_dict({
+        "basis": {"domain": "interval", "lengths": [PI], "M": 4},
+        "source": {"f": "sin(x) + 0.3*sin(3*x)", "r0": "1 + t",
+                   "r1": [{"harmonic": 1, "kind": "cos", "coeff": "1 + t/2"}]},
+        "omega": [100.0, 200.0, 400.0],
+        "grid": {"T": 3.0, "points_per_period": 32, "trace_h": 2e-3},
+        "observation": {"x0": PI / 2, "t0": 3.0},
+        "study": "roundtrip3",
+    })
+    rep = run_roundtrip(cfg, 3)
+    assert len(rep.rows) == 3
+    assert len(calls) == 2
 
 
 def test_roundtrip_amplitude_must_be_time_invariant_for_2_and_3():

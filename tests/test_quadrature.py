@@ -41,7 +41,7 @@ def test_moments_series_and_closed_form_agree_at_crossover():
 def test_cumulative_constant_envelope_closed_form():
     grid = uniform_grid(3.0, 240)
     theta = 41.0
-    Q = cumulative_oscillatory(np.ones_like(grid), grid[1] - grid[0], theta)
+    Q = cumulative_oscillatory(np.ones_like(grid), grid, theta)
     exact = (np.exp(1j * theta * grid) - 1.0) / (1j * theta)
     assert np.max(np.abs(Q - exact)) < 1e-13
 
@@ -51,7 +51,7 @@ def test_cumulative_quadratic_envelope_is_exact():
     grid = uniform_grid(2.0, 100)
     g = 3.0 - 2.0 * grid + 0.5 * grid ** 2
     theta = 333.0
-    Q = cumulative_oscillatory(g, grid[1] - grid[0], theta)
+    Q = cumulative_oscillatory(g, grid, theta)
     i0, i1, i2 = oscillatory_moments(theta, 2.0)
     exact_end = 3.0 * i0 - 2.0 * i1 + 0.5 * i2
     assert abs(Q[-1] - exact_end) < 1e-13
@@ -61,7 +61,7 @@ def test_cumulative_reduces_to_simpson_at_zero_phase():
     grid = uniform_grid(1.0, 64)
     g = np.exp(grid)
     h = grid[1] - grid[0]
-    Q = cumulative_oscillatory(g, h, 0.0)
+    Q = cumulative_oscillatory(g, grid, 0.0)
     # composite Simpson, h/3 (g_2j + 4 g_2j+1 + g_2j+2) per pair, summed
     pairs = h / 3.0 * (g[0:-1:2] + 4.0 * g[1::2] + g[2::2])
     S = np.concatenate(([0.0], np.cumsum(pairs)))
@@ -75,7 +75,7 @@ def test_cumulative_smooth_envelope_fourth_order():
     for n in (100, 200):
         grid = uniform_grid(1.0, n)
         g = np.exp(-grid) * np.sin(2 * grid)
-        Q = cumulative_oscillatory(g, grid[1] - grid[0], theta)
+        Q = cumulative_oscillatory(g, grid, theta)
         ref = quad(lambda s: np.exp(-s) * np.sin(2 * s) * np.cos(theta * s),
                    0, 1, limit=800)[0] \
             + 1j * quad(lambda s: np.exp(-s) * np.sin(2 * s) * np.sin(theta * s),
@@ -87,9 +87,8 @@ def test_cumulative_smooth_envelope_fourth_order():
 def test_cumulative_odd_point_tail():
     # even node counts leave a half pair; the tail must stay consistent
     grid = np.linspace(0.0, 1.0, 8)
-    h = grid[1] - grid[0]
     theta = 9.0
-    Q = cumulative_oscillatory(np.cos(grid), h, theta)
+    Q = cumulative_oscillatory(np.cos(grid), grid, theta)
     ref = quad(lambda s: np.cos(s) * np.cos(theta * s), 0, 1)[0] \
         + 1j * quad(lambda s: np.cos(s) * np.sin(theta * s), 0, 1)[0]
     assert abs(Q[-1] - ref) < 1e-4
@@ -97,7 +96,7 @@ def test_cumulative_odd_point_tail():
 
 
 def test_cumulative_two_point_grid():
-    Q = cumulative_oscillatory(np.array([1.0, 1.0]), 0.5, 3.0)
+    Q = cumulative_oscillatory(np.ones(2), np.array([0.0, 0.5]), 3.0)
     exact = (np.exp(1j * 3.0 * 0.5) - 1.0) / (3.0j)
     assert abs(Q[-1] - exact) < 5e-3
 
@@ -108,7 +107,7 @@ def test_quadratic_envelopes_exact_at_every_node(n, theta):
     # odd n ends in a half pair; the rule must stay exact there too
     grid = np.linspace(0.0, 1.0, n + 1)
     g = 0.5 - 1.5 * grid + 2.0 * grid ** 2
-    Q = cumulative_oscillatory(g, grid[1] - grid[0], theta)
+    Q = cumulative_oscillatory(g, grid, theta)
     m = np.array([oscillatory_moments(theta, t) for t in grid[1:]])
     exact = m @ np.array([0.5, -1.5, 2.0])
     np.testing.assert_allclose(Q[1:], exact, rtol=0, atol=1e-13)
@@ -116,7 +115,8 @@ def test_quadratic_envelopes_exact_at_every_node(n, theta):
 
 @pytest.mark.parametrize("theta", [0.0, 0.8, -30.0])
 def test_linear_envelope_exact_on_one_interval(theta):
-    Q = cumulative_oscillatory(np.array([2.0, -1.0]), 0.7, theta, t0=0.2)
+    Q = cumulative_oscillatory(np.array([2.0, -1.0]),
+                               np.array([0.2, 0.2 + 0.7]), theta)
     m0, m1 = oscillatory_moments(theta, 0.7, count=2)
     exact = np.exp(1j * theta * 0.2) * (2.0 * m0 - 3.0 / 0.7 * m1)
     assert abs(Q[1] - exact) < 1e-14
@@ -144,7 +144,7 @@ def test_gauss_panels_weight_sum():
 def test_quadratic_envelopes_exact_for_any_phase(theta, a, b, c):
     grid = uniform_grid(1.0, 20)
     g = a + b * grid + c * grid ** 2
-    Q = cumulative_oscillatory(g, grid[1] - grid[0], theta)
+    Q = cumulative_oscillatory(g, grid, theta)
     i0, i1, i2 = oscillatory_moments(theta, 1.0)
     exact = a * i0 + b * i1 + c * i2
     scale = 1.0 + abs(a) + abs(b) + abs(c)
@@ -171,10 +171,6 @@ def test_cis_table_matches_exact_products(count, t0):
 
 def _duhamel_loop(fm, lams, grid, drive):
     """Reference: every mode and drive component integrated on its own."""
-    # the mean step: cumulative_oscillatory places its nodes at t_0 + i h,
-    # and grid[1] - grid[0] can be off by an ulp of t_0, which drifts those
-    # nodes from the grid's by up to n ulps
-    h = (grid[-1] - grid[0]) / (grid.size - 1)
     fm = np.broadcast_to(fm, (len(lams), grid.size))
     out = np.empty((len(lams), grid.size))
     for m, lam in enumerate(lams):
@@ -182,7 +178,7 @@ def _duhamel_loop(fm, lams, grid, drive):
         Q = 0.0
         for nu, a, g in drive:
             env = fm[m] * np.broadcast_to(g, grid.shape)
-            Q = Q + a * cumulative_oscillatory(env, h, nu - root, t0=grid[0])
+            Q = Q + a * cumulative_oscillatory(env, grid, nu - root)
         out[m] = np.imag(quadrature._cis_product(root, grid) * Q) / root
     return out
 
@@ -281,7 +277,9 @@ def test_duhamel_batch_rejects_bad_input():
     with pytest.raises(ValueError):
         duhamel_batch(np.ones(1), [1.0], grid[:1])
     with pytest.raises(ValueError):
-        cumulative_oscillatory(np.ones(1), 0.1, 1.0)
+        cumulative_oscillatory(np.ones(1), np.zeros(1), 1.0)
+    with pytest.raises(ValueError):
+        cumulative_oscillatory(np.ones(3), np.arange(4.0), 1.0)
 
 
 def test_solve_direct_matches_per_mode_sideband_loop():
