@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EigenBasis, SeparableAmplitude
-from .forward import SpaceTimeField, _coerce_amplitude
+from .forward import SpaceTimeField
 from .quadrature import slow_responses
 from .sources import N_TAU, FastProfile, OscillatorySource, rho0, split_source
-from .traces import TimeTrace
+from .traces import TimeTrace, same_grid
 
 __all__ = [
     "AsymptoticExpansion", "expansion_coefficients", "build_expansion",
@@ -72,15 +72,19 @@ class AsymptoticExpansion:
 
     def u0_table(self, tgrid):
         """u0's mode responses, driven by f_m(t) r0(t) from zero data, as a
-        ``slow_responses`` table over the span of a uniform grid."""
+        ``slow_responses`` table over the span of a uniform grid, kept per
+        span: a Chebyshev table serves every grid of its span, a Filon
+        fallback table only its own grid (another grid replaces it)."""
         tgrid = np.asarray(tgrid, dtype=float)
-        key = (tgrid.size, float(tgrid[0]), float(tgrid[-1]))
-        if key not in self._cache:
+        key = (float(tgrid[0]), float(tgrid[-1]))
+        table = self._cache.get(key)
+        if table is None or not (table.chebyshev
+                                 or same_grid(table.times, tgrid)):
             amp = self.amplitude
-            self._cache[key] = slow_responses(
+            table = self._cache[key] = slow_responses(
                 amp.time_factors, self.source.r0, self.basis.eigenvalues,
                 tgrid, amp.term_coefficients(self.basis).T)
-        return self._cache[key]
+        return table
 
     def correction_coeffs(self, tgrid):
         """(order-1, order-2) free-oscillation mode coefficients, each (M, N):
@@ -133,7 +137,7 @@ class AsymptoticExpansion:
 
 def build_expansion(basis, f, r, grid, n_tau=N_TAU):
     """Assemble the expansion data for amplitude f and drive r on a grid."""
-    amp = _coerce_amplitude(f)
+    amp = SeparableAmplitude.coerce(f)
     src = split_source(r, grid, n_tau=n_tau)
     p0 = rho0(src.r1)
     return AsymptoticExpansion(basis, amp, src, p0,

@@ -343,6 +343,15 @@ class SeparableAmplitude:
     def from_field(cls, fld):
         return cls([(sympy.Integer(1), fld)])
 
+    @classmethod
+    def coerce(cls, f):
+        """An amplitude as given, from a SpatialField or from an expression."""
+        if isinstance(f, cls):
+            return f
+        if isinstance(f, SpatialField):
+            return cls.from_field(f)
+        return cls.from_expr(f)
+
     @property
     def time_invariant(self):
         return all(not g.free_symbols for g, _ in self.terms)

@@ -15,14 +15,14 @@ from dataclasses import replace
 import numpy as np
 
 from .basis import SpatialField
-from .config import (ConfigError, _parse_x0, load_config, load_observation,
-                     make_basis, make_source)
+from .config import (ConfigError, load_config, load_observation, make_basis,
+                     make_source, parse_x0)
 from .expressions import ExpressionError
 from .forward import UnderResolvedError, make_time_grid, solve_direct
-from .harness import (_write_bytes, _write_csv, emit_report, json_bytes,
-                      run_order_study, run_roundtrip)
-from .inverse import (AdmissibilityError, _admissibility, check_admissibility,
-                      ip1_recover, ip2_recover, ip3_recover)
+from .harness import (emit_report, json_bytes, run_order_study, run_roundtrip,
+                      write_bytes, write_csv)
+from .inverse import (AdmissibilityError, check_admissibility, ip1_recover,
+                      ip2_recover, ip3_recover)
 from .selftest import run_selftest
 from .traces import uniform_grid
 
@@ -39,8 +39,8 @@ def _out_path(cfg, stem, ext):
 def _write_recovered_r1(cfg, r1):
     cols = ["t"] + [f"{kind}{k}" for k, kind, _ in r1.terms]
     arrays = [r1.grid] + [tr.values for _, _, tr in r1.terms]
-    _write_csv(_out_path(cfg, "recovered_r1", "csv"), cols,
-               np.column_stack(arrays))
+    write_csv(_out_path(cfg, "recovered_r1", "csv"), cols,
+              np.column_stack(arrays))
 
 
 def _point_label(p):
@@ -63,7 +63,7 @@ def _cmd_forward(cfg):
         columns = ["t"] + [_point_label(p) for p in pts]
         arrays = [coarse.grid] + [vals[:, j] for j in range(vals.shape[1])]
         path = _out_path(cfg, f"forward_omega{omega:g}", "csv")
-        _write_csv(path, columns, np.column_stack(arrays))
+        write_csv(path, columns, np.column_stack(arrays))
         print(f"wrote {path} (mode tail ratio "
               f"{u.meta['mode_tail_ratio']:.2e})")
     return 0
@@ -79,7 +79,7 @@ def _cmd_invert(cfg, which, data_path):
     if data.t0 is None:
         data.t0 = cfg.observation.t0
     if data.x0 is None:
-        data.x0 = _parse_x0(cfg.observation.x0, basis.dim)
+        data.x0 = parse_x0(cfg.observation.x0, basis.dim)
     t0, x0 = data.t0, data.x0
     for name, value, needed_by in (("x0", x0, (1, 3)), ("t0", t0, (2, 3))):
         if value is None and which in needed_by:
@@ -93,13 +93,13 @@ def _cmd_invert(cfg, which, data_path):
             raise ConfigError(f"observation t0={t0:g} lies past the end "
                               f"{data.phi0.t_end:g} of phi0's grid")
         rec = ip1_recover(data, amp, basis)
-        _write_csv(_out_path(cfg, "recovered_r0", "csv"), ["t", "r0"],
-                   np.column_stack([rec.r0.grid, rec.r0.values]))
+        write_csv(_out_path(cfg, "recovered_r0", "csv"), ["t", "r0"],
+                  np.column_stack([rec.r0.grid, rec.r0.values]))
         _write_recovered_r1(cfg, rec.r1)
         rep = check_admissibility(r0=rec.r0, t0=t0 or rec.r0.t_end,
                                   basis=basis, f=amp, x0=x0)
-        _write_bytes(_out_path(cfg, "admissibility", "json"),
-                     json_bytes(rep.to_dict()))
+        write_bytes(_out_path(cfg, "admissibility", "json"),
+                    json_bytes(rep.to_dict()))
         print(f"recovered r0 on [0, {rec.r0.t_end:g}] and "
               f"{len(rec.r1.terms)} fast term(s)")
         return 0
@@ -113,14 +113,15 @@ def _cmd_invert(cfg, which, data_path):
     else:
         fld, r1 = ip3_recover(data, r0, basis)
         _write_recovered_r1(cfg, r1)
-    _write_csv(_out_path(cfg, "recovered_f", "csv"),
-               ["mode", "lambda", "coeff"], np.column_stack(
-                   [np.arange(1, basis.M + 1), basis.eigenvalues, fld.coeffs]))
-    rep = _admissibility(fld.meta["lambda_values"], r0, t0, basis,
-                         SpatialField(coeffs=fld.coeffs, basis=basis), x0)
+    write_csv(_out_path(cfg, "recovered_f", "csv"),
+              ["mode", "lambda", "coeff"], np.column_stack(
+                  [np.arange(1, basis.M + 1), basis.eigenvalues, fld.coeffs]))
+    rep = check_admissibility(r0, t0, basis,
+                              SpatialField(coeffs=fld.coeffs, basis=basis), x0,
+                              lambda_values=fld.meta["lambda_values"])
     if which == 2:
         breport = fld.meta["boundary_report"]
-        _write_bytes(_out_path(cfg, "admissibility", "json"), json_bytes({
+        write_bytes(_out_path(cfg, "admissibility", "json"), json_bytes({
             "admissibility": rep.to_dict(),
             "boundary_trace": {
                 "orders": list(breport.orders),
@@ -133,7 +134,7 @@ def _cmd_invert(cfg, which, data_path):
     payload = {"admissibility": rep.to_dict()}
     if "phi0_consistency" in fld.meta:
         payload["phi0_consistency"] = fld.meta["phi0_consistency"]
-    _write_bytes(_out_path(cfg, "consistency", "json"), json_bytes(payload))
+    write_bytes(_out_path(cfg, "consistency", "json"), json_bytes(payload))
     print(f"recovered {basis.M} amplitude coefficients and "
           f"{len(r1.terms)} fast term(s)")
     return 0

@@ -26,7 +26,7 @@ from .traces import TimeTrace, uniform_grid
 __all__ = ["ConfigError", "BasisConfig", "SourceConfig", "GridConfig",
            "ObservationConfig", "OutputConfig", "ExperimentConfig",
            "load_config", "config_from_dict", "make_basis", "make_source",
-           "load_observation"]
+           "load_observation", "parse_x0"]
 
 DEFAULT_TOLERANCES = {
     "slope_order2_max": -2.5,
@@ -67,7 +67,7 @@ def _bad_data(what):
         raise ConfigError(f"bad {what}: {detail}") from None
 
 
-def _parse_x0(x0, dim):
+def parse_x0(x0, dim):
     """An observation point as a float, or a tuple of floats when given as a
     list; None when absent.  dim is the domain dimension, None if unknown."""
     if x0 is None:
@@ -192,7 +192,7 @@ class ObservationConfig:
     @classmethod
     def from_dict(cls, d):
         _take(d, ("x0", "t0"), "observation")
-        return cls(_parse_x0(d.get("x0"), None), _parse_t0(d.get("t0")))
+        return cls(parse_x0(d.get("x0"), None), _parse_t0(d.get("t0")))
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ def config_from_dict(d):
     if study in ("roundtrip1", "roundtrip3") and observation.x0 is None:
         raise ConfigError(f"{study} needs observation.x0")
     if study != "order":
-        _parse_x0(observation.x0, len(basis.lengths))
+        parse_x0(observation.x0, len(basis.lengths))
     # preflight: forward grid at the largest omega, observation trace grid,
     # and the Sturm-Liouville eigenvectors, all before anything is allocated
     nodes = grid.T * omegas[-1] * grid.points_per_period / (2 * math.pi) \
@@ -319,7 +319,7 @@ def load_observation(obj, basis=None):
             raise ConfigError(f"cannot read data file: {exc}") from None
     _take(obj, ("x0", "t0", "phi0", "chi", "psi", "chi_grid"), "data")
 
-    x0 = _parse_x0(obj.get("x0"), basis.dim if basis is not None else None)
+    x0 = parse_x0(obj.get("x0"), basis.dim if basis is not None else None)
     t0 = _parse_t0(obj.get("t0"))
 
     def _grid_from(spec, where):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import EigenBasis, SeparableAmplitude, SpatialField
+from .basis import EigenBasis, SeparableAmplitude
 from .quadrature import duhamel_batch
 from .sources import N_TAU, split_source
 from .traces import TimeTrace, uniform_grid
@@ -85,14 +85,6 @@ class SpaceTimeField:
                               meta=dict(self.meta, subsampled_stride=stride))
 
 
-def _coerce_amplitude(f):
-    if isinstance(f, SeparableAmplitude):
-        return f
-    if isinstance(f, SpatialField):
-        return SeparableAmplitude.from_field(f)
-    return SeparableAmplitude.from_expr(f)
-
-
 def solve_direct(basis, f, r, omega, T=None, grid=None,
                  points_per_period=32, n_tau=N_TAU):
     """Solve the zero-data problem driven by f(x,t) * r(t, omega t).
@@ -114,7 +106,7 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
         grid = np.asarray(grid, dtype=float)
         check_resolution(grid, omega)
 
-    amp = _coerce_amplitude(f)
+    amp = SeparableAmplitude.coerce(f)
     src = split_source(r, grid, n_tau=n_tau)
     terms = amp.term_coefficients(basis).T
     factors = amp.time_factors(grid)

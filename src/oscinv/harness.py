@@ -18,14 +18,14 @@ from .asymptotics import build_expansion, residual_norm
 from .basis import SpatialField
 from .config import ConfigError, ExperimentConfig, make_basis, make_source
 from .forward import make_time_grid, solve_direct
-from .inverse import (ObservationData, _admissibility, ip1_recover,
+from .inverse import (ObservationData, check_admissibility, ip1_recover,
                       ip2_recover, ip3_recover)
 from .sources import OscillatorySource
 from .traces import uniform_grid
 
 __all__ = ["CriterionResult", "StudyReport", "fit_slope",
            "run_order_study", "run_roundtrip", "emit_report",
-           "format_float", "json_bytes"]
+           "format_float", "json_bytes", "write_bytes", "write_csv"]
 
 
 def format_float(v):
@@ -254,9 +254,12 @@ def run_roundtrip(config: ExperimentConfig, which):
 
     # round trip 1 recovers r0, so only the amplitude floor applies to it;
     # the amplitude recoveries hold Lambda_m(t0) of the true r0 already
-    lamv = fld.meta["lambda_values"] if which > 1 else None
-    meta["admissibility"] = _admissibility(lamv, src.r0, t_obs, basis, amp,
-                                           obs_cfg.x0).to_dict()
+    if which == 1:
+        rep = check_admissibility(t0=t_obs, f=amp, x0=obs_cfg.x0)
+    else:
+        rep = check_admissibility(src.r0, t_obs, basis, amp, obs_cfg.x0,
+                                  lambda_values=fld.meta["lambda_values"])
+    meta["admissibility"] = rep.to_dict()
     return StudyReport(kind=f"roundtrip{which}", columns=columns,
                        rows=tuple(rows), criteria=tuple(criteria),
                        meta=meta)
@@ -300,7 +303,7 @@ def json_bytes(obj):
     return (_emit_json(obj, 0) + "\n").encode()
 
 
-def _write_bytes(path, payload):
+def write_bytes(path, payload):
     """Write payload to path, creating its directory; returns the path."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "wb") as fh:
@@ -308,18 +311,18 @@ def _write_bytes(path, payload):
     return path
 
 
-def _write_csv(path, columns, rows):
+def write_csv(path, columns, rows):
     """Write a header line and one line per row, floats at 17 digits."""
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(
             format_float(v) if isinstance(v, (float, np.floating))
             else str(v) for v in row))
-    return _write_bytes(path, ("\n".join(lines) + "\n").encode())
+    return write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def emit_report(report: StudyReport, path):
     """Write a report as JSON when path ends in .json, else as CSV."""
     if str(path).endswith(".json"):
-        return _write_bytes(path, json_bytes(report.to_dict()))
-    return _write_csv(path, report.columns, report.rows)
+        return write_bytes(path, json_bytes(report.to_dict()))
+    return write_csv(path, report.columns, report.rows)

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpatialField, check_boundary_traces
-from .forward import _coerce_amplitude
+from .basis import SeparableAmplitude, SpatialField, check_boundary_traces
 from .quadrature import slow_responses
 from .sources import FastProfile, OscillatorySource
 from .traces import TimeTrace, uniform_grid
@@ -93,18 +92,8 @@ class AdmissibilityReport:
         return all(c for c in checks if c is not None)
 
     def to_dict(self):
-        out = {}
-        for k, v in self.__dict__.items():
-            if isinstance(v, (np.floating, float)):
-                out[k] = float(v)
-            elif isinstance(v, (np.bool_, bool)):
-                out[k] = bool(v)
-            elif isinstance(v, tuple):
-                out[k] = list(v)
-            else:
-                out[k] = v
-        out["passed"] = bool(self.passed)
-        return out
+        return dict(vars(self), m0_modes=list(self.m0_modes),
+                    passed=self.passed)
 
 
 def _lambda_profiles(r0, basis, grid):
@@ -136,27 +125,22 @@ def _amplitude_floor(values, scale):
     return fmin, fmin >= EPS_AMPLITUDE * max(1.0, scale)
 
 
-def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None):
+def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None,
+                        lambda_values=None):
     """Evaluate the reconstruction preconditions that apply to the given data.
 
     Slow-drive checks (contrast at t0, mode-response floor, empirical
     c0 = min_m lam_m |Lambda_m(t0)|) run when r0, t0 and basis are present;
-    the amplitude floor runs when f and x0 are present.
+    the amplitude floor runs when f and x0 are present.  A caller holding
+    the responses Lambda_m(t0) of r0 passes them as lambda_values.
     """
-    lamv = None
+    rep = {}
     if r0 is not None and t0 is not None and basis is not None:
         if not isinstance(r0, TimeTrace):
             r0 = TimeTrace.from_expr(r0, uniform_grid(float(t0), 64))
-        lamv = _lambda_at(r0, t0, basis)
-    return _admissibility(lamv, r0, t0, basis, f, x0)
-
-
-def _admissibility(lamv, r0, t0, basis, f, x0):
-    """check_admissibility with the responses Lambda_m(t0) of the TimeTrace
-    r0 given, so that a caller holding them from an amplitude recovery does
-    not compute them again; lamv is None when no slow-drive check applies."""
-    rep = {}
-    if lamv is not None:
+        lamv = lambda_values
+        if lamv is None:
+            lamv = _lambda_at(r0, t0, basis)
         v0 = float(r0(0.0))
         vt = float(r0(float(t0)))
         bad = _dead_modes(lamv, basis)
@@ -170,8 +154,8 @@ def _admissibility(lamv, r0, t0, basis, f, x0):
             c0_argmin_mode=argmin + 1,
             c0_lower_estimate=float(abs(vt) - abs(v0)))
     if f is not None and x0 is not None:
-        horizon = float(t0) if t0 else 1.0
-        tr = _coerce_amplitude(f).at_point(x0, uniform_grid(horizon, 256))
+        tgrid = uniform_grid(float(t0) if t0 else 1.0, 256)
+        tr = SeparableAmplitude.coerce(f).at_point(x0, tgrid)
         fmin, ok = _amplitude_floor(tr.values, tr.max_abs)
         rep.update(f_abs_at_x0=fmin, f_floor_ok=bool(ok))
     return AdmissibilityReport(**rep)
@@ -183,7 +167,7 @@ def ip1_recover(data, f, basis):
         raise AdmissibilityError("drive recovery needs both phi0 and chi")
     data.validate()
     grid = data.phi0.grid
-    amp = _coerce_amplitude(f)
+    amp = SeparableAmplitude.coerce(f)
     f_x0 = amp.at_point(data.x0, grid)
     if not _amplitude_floor(f_x0.values, f_x0.max_abs)[1]:
         raise AdmissibilityError("amplitude vanishes at the observation point")
@@ -194,19 +178,17 @@ def ip1_recover(data, f, basis):
     return OscillatorySource(r0_trace, r1)
 
 
-def ip2_recover(psi, r0, t0, basis):
+def ip2_recover(psi, r0, t0, basis, lambda_values=None):
     """Recover a time-invariant amplitude from the final-time snapshot.
 
     psi_m = f_m Lambda_m(t0), so f_m = psi_m / Lambda_m(t0); any mode response
     below the floor EPS_LAMBDA_FLOOR * max(1, 1/lam_m) aborts (data cannot
     determine those modes; no regularization is applied by design).  The
-    responses are kept in meta["lambda_values"].
+    responses, lambda_values when given, are kept in meta["lambda_values"].
     """
-    return _amplitude_from(psi, _lambda_at(r0, t0, basis), basis)
-
-
-def _amplitude_from(psi, lamv, basis):
-    """ip2_recover with the responses Lambda_m(t0) given."""
+    lamv = lambda_values
+    if lamv is None:
+        lamv = _lambda_at(r0, t0, basis)
     bad = _dead_modes(lamv, basis)
     if bad:
         raise AdmissibilityError(
@@ -228,15 +210,14 @@ def ip3_recover(data, r0, basis):
     """
     if data.psi is None or data.chi is None or data.t0 is None:
         raise AdmissibilityError("combined recovery needs psi, chi, and t0")
-    profiles = None
+    profiles = lamv = None
     if data.phi0 is not None:
         grid = data.phi0.grid
         profiles = _lambda_profiles(r0, basis, grid)
-    if profiles is not None and profiles.chebyshev and grid[0] == 0.0 \
-            and grid[-1] == float(data.t0):
-        fld = _amplitude_from(data.psi, profiles.at(grid[-1]), basis)
-    else:
-        fld = ip2_recover(data.psi, r0, data.t0, basis)
+        if profiles.chebyshev and grid[0] == 0.0 \
+                and grid[-1] == float(data.t0):
+            lamv = profiles.at(grid[-1])
+    fld = ip2_recover(data.psi, r0, data.t0, basis, lambda_values=lamv)
 
     w = basis.point_weights(data.x0)
     fx0 = float(fld.coeffs @ w)

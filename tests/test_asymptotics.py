@@ -10,8 +10,8 @@ from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
 from oscinv.config import config_from_dict, make_basis, make_source
 from oscinv.forward import make_time_grid, solve_direct
 from oscinv.quadrature import duhamel_batch
-from oscinv.sources import FastProfile, rho0, split_source
-from oscinv.traces import TimeTrace, uniform_grid
+from oscinv.sources import FastProfile, OscillatorySource, rho0, split_source
+from oscinv.traces import TimeTrace, same_grid, uniform_grid
 
 PI = np.pi
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -109,6 +109,28 @@ def test_u0_does_not_depend_on_the_grid_it_is_read_on():
     coarse = exp.evaluate(50.0, pts, fine[::4], order=0)
     full = exp.evaluate(50.0, pts, fine, order=0)
     assert np.max(np.abs(coarse - full[::4])) <= 1e-13
+
+
+def test_u0_table_is_kept_per_span():
+    # a Chebyshev table depends on the span alone, so a grid and its
+    # subgrid share one; a Filon fallback table (a sample-backed r0 takes
+    # it) serves only its own grid and is replaced by another grid's
+    basis = build_dirichlet_interval_basis(PI, 3)
+    fine = uniform_grid(3.0, 3000)
+    exp = build_expansion(basis, FEXPR, REXPR, fine)
+    table = exp.u0_table(fine)
+    assert table.chebyshev
+    assert exp.u0_table(fine[::4]) is table
+
+    src = OscillatorySource(TimeTrace(fine, 1.0 + fine),
+                            split_source(REXPR, fine).r1)
+    backed = build_expansion(basis, FEXPR, src, fine)
+    filon = backed.u0_table(fine)
+    assert not filon.chebyshev
+    assert backed.u0_table(fine) is filon
+    coarse = backed.u0_table(fine[::4])
+    assert coarse is not filon and same_grid(coarse.times, fine[::4])
+    assert backed.u0_table(fine) is not filon
 
 
 def test_trace_components_geometry(expansion):

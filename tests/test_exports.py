@@ -1,6 +1,9 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and no module reaches into another's private names."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -16,3 +19,13 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     assert module.__all__
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_no_module_imports_a_private_name():
+    found = []
+    for path in sorted(pathlib.Path(oscinv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

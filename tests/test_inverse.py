@@ -92,6 +92,34 @@ def test_lambda_fallbacks_are_the_filon_rule_bitwise(M, backed):
     assert rep.c0_empirical == np.min(basis.eigenvalues * np.abs(want))
 
 
+@pytest.mark.parametrize("backed", ["expression", "samples"])
+def test_admissibility_with_held_responses_is_the_plain_report(
+        interval_basis, backed):
+    # the Lambda_m(t0) an amplitude recovery keeps give the report the
+    # check computes itself
+    coarse = uniform_grid(3.0, 300)
+    r0 = TimeTrace(coarse, 1.0 + coarse) if backed == "samples" else \
+        TimeTrace.from_expr("1 + t", coarse)
+    psi = SpatialField.from_expr("sin(x)")
+    lamv = ip2_recover(psi, r0, 3.0, interval_basis).meta["lambda_values"]
+    plain = check_admissibility(r0, 3.0, interval_basis, "sin(x)", 1.2)
+    held = check_admissibility(r0, 3.0, interval_basis, "sin(x)", 1.2,
+                               lambda_values=lamv)
+    assert held.to_dict() == plain.to_dict()
+
+
+def test_ip2_with_held_responses_divides_by_them_bitwise(interval_basis,
+                                                         monkeypatch):
+    psi = SpatialField.from_expr("sin(x) + 0.3*sin(3*x)")
+    plain = ip2_recover(psi, "1 + t", 3.0, interval_basis)
+    monkeypatch.setattr(inverse, "slow_responses", None)
+    held = ip2_recover(psi, "1 + t", 3.0, interval_basis,
+                       lambda_values=plain.meta["lambda_values"])
+    assert np.array_equal(held.coeffs, plain.coeffs)
+    assert np.array_equal(held.meta["lambda_values"],
+                          plain.meta["lambda_values"])
+
+
 def test_admissibility_report_serializes(interval_basis):
     rep = check_admissibility(r0="1 + t", t0=3.0, basis=interval_basis)
     d = rep.to_dict()
