@@ -393,6 +393,11 @@ class SeparableAmplitude:
             for g, xf in self.terms))
         return TimeTrace(grid, self.evaluate(pts, grid)[:, 0], expr=expr)
 
+    def values_at_point(self, x0, t):
+        """f(x0, t) at the times of a 1-D array t (any spacing), through the
+        compiled time factors; x0 is checked as in at_point."""
+        return self.evaluate(_observation_points(x0, np.size(x0)), t)[:, 0]
+
     def evaluate(self, points, t_grid):
         """Values on a (time, space) grid, shape (len(t_grid), n_points)."""
         pts = np.asarray(points, dtype=float)

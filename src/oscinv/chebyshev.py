@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["N_MAX", "points", "barycentric", "interpolate", "converge",
-           "coarsest", "cumulative_matrix"]
+           "coarsest", "coefficient_matrix", "cumulative_matrix"]
 
 N_START = 17    # first point set of the doubling
 N_MAX = 257     # largest point set before a caller falls back
@@ -112,39 +112,50 @@ def coarsest(nodes, table):
     return nodes, table
 
 
+def _cos_pi(m, N):
+    """cos(pi m / N) for integer m, reduced mod 2N so that no large argument
+    loses digits."""
+    return np.cos(np.pi * (m % (2 * N)) / N)
+
+
+@lru_cache(maxsize=None)
+def coefficient_matrix(n):
+    """(n, n) matrix taking values at the n points of ``points(-1, 1, n)``
+    to the Chebyshev coefficients c_0 .. c_{n-1} of their interpolant, by
+    the discrete cosine transform.  Read-only, one per n."""
+    N = n - 1
+    j = np.arange(n)
+    ends = np.ones(n)
+    ends[[0, -1]] = 0.5
+    # c_k = (2/N) sum_i'' v(cos(pi i/N)) T_k(cos(pi i/N)), with c_0 and c_N
+    # halved; point j of points(-1, 1, n) is cos(pi (N - j)/N)
+    mat = (2.0 / N) * (ends[:, None] * ends[None, :]) \
+        * _cos_pi(np.outer(j, N - j), N)
+    mat.setflags(write=False)
+    return mat
+
+
 @lru_cache(maxsize=None)
 def cumulative_matrix(n):
     """(n, n) Clenshaw-Curtis matrix taking values at the n points of
     ``points(-1, 1, n)`` to the integrals from -1 to each point of their
     interpolant; scale by (b - a)/2 for [a, b].  Read-only, one per n.
 
-    The values go to Chebyshev coefficients c_k by the discrete cosine
-    transform, the coefficients to those of the antiderivative by
+    The values go to Chebyshev coefficients c_k (``coefficient_matrix``),
+    the coefficients to those of the antiderivative by
     int T_k = T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)), and those to values at
     the points less the value at -1.
     """
     N = n - 1
     j = np.arange(n)
-
-    def cos_pi(m):
-        """cos(pi m / N) for integer m, reduced mod 2N so that no large
-        argument loses digits."""
-        return np.cos(np.pi * (m % (2 * N)) / N)
-
-    ends = np.ones(n)
-    ends[[0, -1]] = 0.5
-    # c_k = (2/N) sum_i'' v(cos(pi i/N)) T_k(cos(pi i/N)), with c_0 and c_N
-    # halved; point j of points(-1, 1, n) is cos(pi (N - j)/N)
-    to_coeffs = (2.0 / N) * (ends[:, None] * ends[None, :]) \
-        * cos_pi(np.outer(j, N - j))
     # antiderivative coefficients b_1 .. b_{N+1}
     c_pad = np.zeros((n + 2, n))
-    c_pad[:n] = to_coeffs
+    c_pad[:n] = coefficient_matrix(n)
     kk = np.arange(1, n + 1)
     anti = (c_pad[kk - 1] - c_pad[kk + 1]) / (2.0 * kk[:, None])
     anti[0] = c_pad[0] - 0.5 * c_pad[2]
     # T_k at the points, less T_k(-1) = (-1)^k
-    at_pts = cos_pi(np.outer(N - j, kk)) - (-1.0) ** kk
+    at_pts = _cos_pi(np.outer(N - j, kk), N) - (-1.0) ** kk
     mat = at_pts @ anti
     mat.setflags(write=False)
     return mat

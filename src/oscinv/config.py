@@ -21,7 +21,7 @@ from .basis import (SeparableAmplitude, SpatialField,
 from .forward import MIN_POINTS_PER_PERIOD
 from .inverse import ObservationData
 from .sources import FastProfile, OscillatorySource, split_source
-from .traces import TimeTrace, uniform_grid
+from .traces import FD_ACCURACY, TimeTrace, uniform_grid
 
 __all__ = ["ConfigError", "BasisConfig", "SourceConfig", "GridConfig",
            "ObservationConfig", "OutputConfig", "ExperimentConfig",
@@ -41,6 +41,9 @@ DEFAULT_TOLERANCES = {
 # cap on the mode-node entries (modes x time or space nodes) one run may
 # allocate; 2**26 float64 entries are 512 MB
 MAX_WORK = 2 ** 26
+# nodes of the widest stencil phi0'' takes (fd_derivative and
+# TimeTrace.derivative_at at the ends)
+PHI0_MIN_NODES = 2 + FD_ACCURACY
 
 
 class ConfigError(ValueError):
@@ -344,8 +347,12 @@ def load_observation(obj, basis=None):
         spec = obj["phi0"]
         _take(spec, ("expr", "T", "h", "grid", "values"), "data.phi0")
         if "grid" in spec:
-            phi0 = TimeTrace(np.asarray(spec["grid"], float),
-                             np.asarray(spec["values"], float))
+            grid = np.asarray(spec["grid"], float)
+            if grid.ndim != 1 or grid.size < PHI0_MIN_NODES \
+                    or not np.all(np.isfinite(grid)):
+                raise ConfigError(f"phi0.grid must list at least "
+                                  f"{PHI0_MIN_NODES} finite times")
+            phi0 = TimeTrace(grid, np.asarray(spec["values"], float))
         else:
             phi0 = TimeTrace.from_expr(spec["expr"], _grid_from(spec, "phi0"))
 

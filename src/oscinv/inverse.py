@@ -5,8 +5,8 @@ Three problems share the machinery:
 1. Known amplitude f, observed trace phi0 = u0(x0, .) and fast-phase data
    chi = f(x0, .) * rho0: recover the drive r = r0 + r1.  The slow part solves
    a second-kind Volterra equation f(x0,t) r0(t) + int_0^t K(t,s) r0(s) ds =
-   phi0''(t); the fast part is chi's second phase derivative divided by the
-   amplitude trace.
+   phi0''(t) on Chebyshev nodes; the fast part is chi's second phase
+   derivative divided by the amplitude trace.
 2. Known slow drive r0, observed final-time snapshot psi = u0(., t0): recover
    a time-invariant amplitude mode by mode, f_m = psi_m / Lambda_m(t0).
 3. Both observations together: recover the amplitude as in 2, then read the
@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import chebyshev
 from .basis import SeparableAmplitude, SpatialField, check_boundary_traces
 from .quadrature import slow_responses
 from .sources import FastProfile, OscillatorySource
 from .traces import TimeTrace, uniform_grid
-from .volterra import build_kernel, solve_second_kind
+from .volterra import build_kernel, solve_chebyshev, solve_second_kind
 
 __all__ = [
     "AdmissibilityError", "ObservationData", "AdmissibilityReport",
@@ -162,7 +163,13 @@ def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None,
 
 
 def ip1_recover(data, f, basis):
-    """Recover the full drive r0 + r1 from phi0 and chi at a known amplitude."""
+    """Recover the full drive r0 + r1 from phi0 and chi at a known amplitude.
+
+    r0 solves its Volterra equation on Chebyshev nodes of phi0's span
+    (``solve_chebyshev``), with phi0'' read at the nodes alone and the node
+    count set by phi0's own error bound, and is interpolated onto phi0's
+    grid; data that no chebyshev.N_MAX nodes resolve take the march.
+    """
     if data.phi0 is None or data.chi is None:
         raise AdmissibilityError("drive recovery needs both phi0 and chi")
     data.validate()
@@ -172,8 +179,16 @@ def ip1_recover(data, f, basis):
     if not _amplitude_floor(f_x0.values, f_x0.max_abs)[1]:
         raise AdmissibilityError("amplitude vanishes at the observation point")
     kernel = build_kernel(basis, amp, data.x0)
-    g = data.phi0.derivative(2)
-    r0_trace = solve_second_kind(f_x0, kernel, g)
+    phi0 = data.phi0
+    found = solve_chebyshev(lambda t: amp.values_at_point(data.x0, t), kernel,
+                            lambda t: phi0.derivative_at(t, 2),
+                            grid[0], grid[-1], phi0.derivative_noise(2))
+    if found is None:
+        r0_trace = solve_second_kind(f_x0, kernel, phi0.derivative(2))
+    else:
+        nodes, r0_nodes = found
+        r0_trace = TimeTrace(grid, chebyshev.interpolate(
+            nodes, r0_nodes[:, None], grid)[:, 0])
     r1 = data.chi.resample(grid).tau_derivative(2).divided_by(f_x0)
     return OscillatorySource(r0_trace, r1)
 

@@ -47,16 +47,18 @@ def fd_weights(offsets, order):
     """Finite-difference weights for the ``order``-th derivative at offset 0.
 
     ``offsets`` are node positions in units of the step; the returned weights
-    must be divided by h**order.
+    must be divided by h**order.  A 2-D ``offsets`` holds one stencil per row
+    and gets one row of weights each.
     """
     offsets = np.asarray(offsets, dtype=float)
-    n = offsets.size
+    n = offsets.shape[-1]
     if order >= n:
         raise ValueError("stencil too short for requested derivative")
-    A = np.vander(offsets, n, increasing=True).T
-    b = np.zeros(n)
-    b[order] = float(math.factorial(order))
-    return np.linalg.solve(A, b)
+    # A[..., k, j] = offsets[..., j] ** k
+    A = offsets[..., None, :] ** np.arange(n)[:, None]
+    b = np.zeros(A.shape[:-1] + (1,))
+    b[..., order, 0] = float(math.factorial(order))
+    return np.linalg.solve(A, b)[..., 0]
 
 
 def fd_derivative(values, h, order=1):
@@ -174,6 +176,44 @@ class TimeTrace:
             dexpr = sympy.diff(self.expr, T, order)
             return TimeTrace.from_expr(dexpr, self.grid)
         return TimeTrace(self.grid, fd_derivative(self.values, self.h, order))
+
+    def derivative_at(self, t, order):
+        """d^order/dt^order at the times t of the span, as an array.
+
+        Exact when expression-backed.  Otherwise each time gets a stencil on
+        the order + FD_ACCURACY grid nodes around it, one-sided at the ends
+        as in fd_derivative, so no derivative of the whole grid is formed.
+        """
+        t = np.asarray(t, dtype=float)
+        if self.expr is not None:
+            return expressions.evaluate(sympy.diff(self.expr, T, order), t=t)
+        npe = order + FD_ACCURACY
+        if self.grid.size < npe:
+            raise ValueError(f"need at least {npe} samples")
+        x = (t - self.grid[0]) / self.h
+        start = np.clip(np.floor(x).astype(int) - (npe // 2 - 1), 0,
+                        self.grid.size - npe)
+        nodes = start[:, None] + np.arange(npe)
+        w = fd_weights(nodes - x[:, None], order)
+        return np.einsum("ij,ij->i", w, self.values[nodes]) / self.h ** order
+
+    def derivative_noise(self, order):
+        """Bound on the error of derivative_at at any time: 0 when
+        expression-backed.  Otherwise, for the widest stencil (the one-sided
+        one at the ends, weights w at offsets o = 0 .. p - 1, p = order +
+        FD_ACCURACY), rounding in the values, eps * ||w||_1 * max |values|,
+        plus the truncation |sum w o^p| / p! * h^p * max |f^(p)|, with
+        h^p f^(p) read off the p-th differences of the values; all over
+        h**order."""
+        if self.expr is not None:
+            return 0.0
+        npe = order + FD_ACCURACY
+        offsets = np.arange(npe)
+        w = fd_weights(offsets, order)
+        rounding = np.finfo(float).eps * np.sum(np.abs(w)) * self.max_abs
+        truncation = abs(w @ offsets ** npe) / math.factorial(npe) \
+            * np.max(np.abs(np.diff(self.values, npe)), initial=0.0)
+        return float((rounding + truncation) / self.h ** order)
 
     def value_at_start(self, order=0):
         """d^order/dt^order at the left endpoint."""

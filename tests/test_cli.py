@@ -124,6 +124,13 @@ def _phi0_data(h):
             "chi": [{"harmonic": 1, "kind": "cos", "coeff": -1.0}]}
 
 
+def _phi0_samples(grid):
+    """invert1 data whose phi0 is a sample table on the given grid."""
+    return {"x0": PI / 2,
+            "phi0": {"grid": grid, "values": [0.0] * len(grid)},
+            "chi": [{"harmonic": 1, "kind": "cos", "coeff": -1.0}]}
+
+
 # (command, config overrides, observation data or None)
 _EXIT_2_INPUTS = {
     "sl_grid_n_4": ("study", dict(basis={
@@ -225,6 +232,12 @@ _EXIT_2_INPUTS = {
                              _phi0_data(-0.001)),
     "data_phi0_h_over_work_cap": ("invert1", dict(source=_DRIVE_SOURCE),
                                   _phi0_data(1e-9)),
+    **{f"data_phi0_grid_of_{n}_nodes": (
+        "invert1", dict(source=_DRIVE_SOURCE),
+        _phi0_samples(np.linspace(0.0, 3.0, n).tolist()))
+       for n in (2, 3, 4, 5)},
+    "data_phi0_grid_to_inf": ("invert1", dict(source=_DRIVE_SOURCE),
+                              _phi0_samples([0.0, math.inf])),
     "data_chi_grid_h_zero": ("invert3", dict(
         source=_AMPLITUDE_SOURCE, observation={"x0": PI / 2, "t0": 3.0}),
         {"psi": {"expr": "sin(x)"},
@@ -267,6 +280,11 @@ _EXIT_2_NAMES = {"roundtrip2_trace_h_zero": "trace_h",
                  "data_phi0_h_zero": "phi0.h", "data_phi0_h_negative": "phi0.h",
                  "data_phi0_h_over_work_cap": "phi0.h",
                  "data_chi_grid_h_zero": "chi_grid.h",
+                 "data_phi0_grid_of_2_nodes": "phi0.grid",
+                 "data_phi0_grid_of_3_nodes": "phi0.grid",
+                 "data_phi0_grid_of_4_nodes": "phi0.grid",
+                 "data_phi0_grid_of_5_nodes": "phi0.grid",
+                 "data_phi0_grid_to_inf": "phi0.grid",
                  "interval_with_sl_keys": "'a', 'grid_n'",
                  "interval_with_a": "'a'", "interval_with_c": "'c'",
                  "rectangle_with_grid_n": "'grid_n'",

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -5,14 +8,18 @@ from oscinv import inverse
 from oscinv.asymptotics import build_expansion
 from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis)
+from oscinv.config import config_from_dict, make_basis, make_source
+from oscinv.harness import _synthetic_data, run_roundtrip
 from oscinv.inverse import (AdmissibilityError, ObservationData,
                             check_admissibility, ip1_recover, ip2_recover,
                             ip3_recover)
 from oscinv.quadrature import duhamel_batch
 from oscinv.sources import FastProfile, rho0, split_source
 from oscinv.traces import TimeTrace, uniform_grid
+from oscinv.volterra import build_kernel, solve_second_kind
 
 PI = np.pi
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # -- observation validation --------------------------------------------------
@@ -165,6 +172,60 @@ def test_ip1_rejects_amplitude_node(ip1_setup):
     basis, grid, _, data = ip1_setup
     with pytest.raises(AdmissibilityError):
         ip1_recover(data, "sin(2*x)", basis)
+
+
+def _spy(monkeypatch, name):
+    """Record the results of every call of inverse.<name>."""
+    results = []
+    real = getattr(inverse, name)
+    monkeypatch.setattr(inverse, name,
+                        lambda *a: results.append(real(*a)) or results[-1])
+    return results
+
+
+def _drive_config(**overrides):
+    cfg = json.loads((ROOT / "configs" / "roundtrip_drive.json").read_text())
+    for key, value in overrides.items():
+        cfg[key].update(value)
+    return config_from_dict(cfg)
+
+
+def test_ip1_falls_back_to_the_march_past_the_largest_table(monkeypatch):
+    # an r0 of rate 120 over a span of 3 (57 periods) needs more than
+    # chebyshev.N_MAX nodes: drive recovery is then the march, unchanged
+    cfg = _drive_config(source={"r0": "2 + cos(120*t)"})
+    basis = make_basis(cfg.basis)
+    grid = uniform_grid(3.0, 3000)
+    amp, src = make_source(cfg.source, grid)
+    data = _synthetic_data(basis, amp, src, grid, x0=cfg.observation.x0)
+    nodal = _spy(monkeypatch, "solve_chebyshev")
+    marched = _spy(monkeypatch, "solve_second_kind")
+    rec = ip1_recover(data, amp, basis)
+    assert nodal == [None] and len(marched) == 1
+    want = solve_second_kind(amp.at_point(PI / 2, grid),
+                             build_kernel(basis, amp, PI / 2),
+                             data.phi0.derivative(2))
+    assert np.array_equal(rec.r0.values, want.values)
+
+
+# round trip 1 of perfbench's roundtrip_cli at the corners of its draws:
+# the weight c of sin(3x) in [0.2, 0.4] and x0 in pi/2 +- 0.1
+_RT1_CLI = [dict(basis={"M": 32},
+                 source={"f": f"exp(-t)*(sin(x) + {c!r}*sin(3*x))",
+                         "r1": [{"harmonic": 1, "kind": "cos",
+                                 "coeff": "1 + 0.5*t"}]},
+                 grid={"trace_h": 1e-4},
+                 observation={"x0": PI / 2 + dx})
+            for c in (0.2, 0.4) for dx in (-0.1, 0.1)]
+
+
+@pytest.mark.parametrize("overrides", [{}] + _RT1_CLI)
+def test_ip1_solves_sample_roundtrips_without_the_march(monkeypatch,
+                                                        overrides):
+    nodal = _spy(monkeypatch, "solve_chebyshev")
+    marched = _spy(monkeypatch, "solve_second_kind")
+    assert run_roundtrip(_drive_config(**overrides), 1).passed
+    assert len(nodal) == 1 and nodal[0] is not None and not marched
 
 
 def test_phase_data_inverts_to_chi(grid3):

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from oscinv import chebyshev
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
+from oscinv.quadrature import slow_responses
 from oscinv.traces import TimeTrace, uniform_grid
 from oscinv.volterra import (BLOCK, VolterraKernel, build_kernel,
-                             solve_second_kind, volterra_residual)
+                             solve_chebyshev, solve_second_kind,
+                             volterra_residual)
 
 PI = np.pi
 
@@ -145,6 +150,63 @@ def test_blocked_march_matches_node_loop(two_term_kernel):
     u = solve_second_kind(a, K, g, grid=grid).values
     ref = _march_loop(a, K, g, grid)
     assert np.max(np.abs(u - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def _mode_equation_data(K, r0):
+    """(a, g) of the trace equation read off the mode equations
+    a_m'' + lam_m a_m = f_m r0 with zero data: a = sum_m y_m f_m and
+    g = phi0'' = sum_m y_m (f_m r0 - lam_m a_m), a_m from a converged
+    Chebyshev table."""
+    span = uniform_grid(3.0, 64)
+    table = slow_responses(K.amplitude.time_factors, r0, K.lams, span,
+                           K.coeffs.T)
+    assert table.chebyshev
+
+    def a(t):
+        return K.mode_weights @ K.mode_amplitudes(t)
+
+    def g(t):
+        return a(t) * r0.sample(t) - table.row(K.mode_weights * K.lams, t)
+    return a, g
+
+
+@pytest.mark.parametrize("r0", ["1 + t", "1 + t + 0.2*sin(9*t)",
+                                "2 + cos(20*t)"])
+def test_chebyshev_solver_recovers_exact_data(two_term_kernel, r0):
+    K = two_term_kernel
+    r0 = TimeTrace.from_expr(r0, uniform_grid(3.0, 64))
+    a, g = _mode_equation_data(K, r0)
+    nodes, u = solve_chebyshev(a, K, g, 0.0, 3.0)
+    assert np.max(np.abs(u - r0.sample(nodes))) <= 1e-10
+    # the interpolant carries the accuracy between the nodes
+    fine = np.linspace(0.0, 3.0, 1001)
+    between = chebyshev.interpolate(nodes, u[:, None], fine)[:, 0]
+    assert np.max(np.abs(between - r0.sample(fine))) <= 1e-10
+
+
+def test_the_march_converges_to_the_chebyshev_solution(two_term_kernel):
+    # the equation of the block-edge tests: the march's distance from the
+    # Nystrom solution is its own O(h^2) error
+    K = two_term_kernel
+    nodes, u = solve_chebyshev(lambda t: 2 + np.sin(3 * t), K,
+                               lambda t: 1 + t / 3, 0.0, 3.0)
+    dists = []
+    for n in (1500, 3000):
+        grid = uniform_grid(3.0, n)
+        march = solve_second_kind(2 + np.sin(3 * grid), K, 1 + grid / 3,
+                                  grid=grid)
+        on_grid = chebyshev.interpolate(nodes, u[:, None], grid)[:, 0]
+        dists.append(np.max(np.abs(on_grid - march.values)))
+    assert dists[1] < 1e-5
+    assert math.log2(dists[0] / dists[1]) == pytest.approx(2.0, abs=0.01)
+
+
+def test_chebyshev_solver_gives_up_past_the_largest_table(two_term_kernel):
+    # data of rate 120 over a span of 3 (57 periods) need more than
+    # chebyshev.N_MAX nodes
+    K = two_term_kernel
+    assert solve_chebyshev(lambda t: np.full_like(t, 2.0), K,
+                           lambda t: np.cos(120.0 * t), 0.0, 3.0) is None
 
 
 def test_residual_checks_marched_solution(trace_kernel):
