@@ -55,9 +55,9 @@ def barycentric(nodes, y):
 def interpolate(nodes, table, y):
     """The columns of a (len(nodes), K) table interpolated at the times y,
     shape (len(y), K); row blocks keep each interpolation matrix no larger
-    than the result."""
+    than the result or 2**16 entries, so a short read is one product."""
     out = np.empty((y.size, table.shape[1]), dtype=table.dtype)
-    step = max(1, out.size // nodes.size)
+    step = max(1, max(out.size, 1 << 16) // nodes.size)
     for lo in range(0, y.size, step):
         np.matmul(barycentric(nodes, y[lo:lo + step]), table,
                   out=out[lo:lo + step])

@@ -168,7 +168,8 @@ def ip1_recover(data, f, basis):
     r0 solves its Volterra equation on Chebyshev nodes of phi0's span
     (``solve_chebyshev``), with phi0'' read at the nodes alone and the node
     count set by phi0's own error bound, and is interpolated onto phi0's
-    grid; data that no chebyshev.N_MAX nodes resolve take the march.
+    grid, keeping its node table; data that no chebyshev.N_MAX nodes
+    resolve take the march.
     """
     if data.phi0 is None or data.chi is None:
         raise AdmissibilityError("drive recovery needs both phi0 and chi")
@@ -186,9 +187,8 @@ def ip1_recover(data, f, basis):
     if found is None:
         r0_trace = solve_second_kind(f_x0, kernel, phi0.derivative(2))
     else:
-        nodes, r0_nodes = found
         r0_trace = TimeTrace(grid, chebyshev.interpolate(
-            nodes, r0_nodes[:, None], grid)[:, 0])
+            found[0], found[1][:, None], grid)[:, 0], table=found)
     r1 = data.chi.resample(grid).tau_derivative(2).divided_by(f_x0)
     return OscillatorySource(r0_trace, r1)
 

@@ -24,8 +24,8 @@ the pairs.
 ``slow_responses`` tabulates the zero-data responses to a slow forcing
 f_m(t) r0(t) (the expansion's u0, the inverse problems' Lambda_m) on nested
 Chebyshev-Lobatto nodes instead, by Clenshaw-Curtis.  It falls back to
-``duhamel_batch`` on the uniform grid it is read on when r0 is known only
-by its samples or the nodes do not converge (sqrt(lam_M) span > ~165).
+``duhamel_batch`` on the uniform grid it is read on when r0 has neither an
+expression nor a table, or the nodes do not converge (sqrt(lam_M) T > ~165).
 """
 
 from __future__ import annotations
@@ -395,20 +395,20 @@ def slow_responses(factors, r0, lams, grid, coeffs=None):
     f_m(t) = sum_i coeffs[m, i] h_i(t): factors(t) gives the n time factors
     at the times t, shape (n, len(t)), and coeffs is (M, n); factors is
     None for f_m = 1 (the responses Lambda_m to r0 alone).  r0 is a
-    TimeTrace.  When r0 carries an expression the integrands
+    TimeTrace.  When r0 is ``exact_off_grid`` the integrands
     f_m(s) r0(s) e^{-i r_m s} are sampled on nested Chebyshev-Lobatto nodes
     of [t_0, t_end] with the stop rule of ``chebyshev.converge``,
     integrated by one Clenshaw-Curtis cumulative matrix and rotated back,
 
         a_m(t_j) = Im(e^{i r_m t_j} int_{t_0}^{t_j} F_m e^{-i r_m s} ds) / r_m
 
-    with F_m = f_m r0 and r_m = sqrt(lam_m).  A sample-backed r0, or
+    with F_m = f_m r0 and r_m = sqrt(lam_m).  Any other r0, or
     integrands that need more than chebyshev.N_MAX nodes (r_M (t_end - t_0)
     past about 165), take ``duhamel_batch`` on the uniform grid instead.
     """
     grid = np.asarray(grid, dtype=float)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if r0.expr is not None:
+    if r0.exact_off_grid:
         roots = np.sqrt(lams)[:, None]
 
         def integrands(t):

@@ -237,22 +237,6 @@ def _periodic(table):
     return samples, scale
 
 
-def _slow_table(r, grid, taus):
-    """r(t, tau) on the grid through Chebyshev interpolation in slow time.
-
-    Samples r on nested Chebyshev points in t until their interpolant
-    converges (``chebyshev.converge``), then interpolates every phase column
-    onto the grid.  Returns None, with nothing interpolated, when that needs
-    more than chebyshev.N_MAX points, when the grid has no more nodes than
-    the next Chebyshev set, or when the grid is not increasing.
-    """
-    if grid.size < 2 or not np.all(np.diff(grid) > 0):
-        return None
-    found = chebyshev.converge(lambda t: _sample(r, t, taus), grid[0],
-                               grid[-1], min(chebyshev.N_MAX, grid.size - 1))
-    return None if found is None else chebyshev.interpolate(*found, grid)
-
-
 def split_source(r, grid, n_tau=N_TAU):
     """Split a drive r(t, tau) into slow mean r0(t) and fast remainder r1.
 
@@ -260,9 +244,11 @@ def split_source(r, grid, n_tau=N_TAU):
     resampled onto it), an expression in t and tau, or a callable r(t, tau);
     callables are resolved with an n_tau-point discrete Fourier transform
     along the phase and must be 2*pi-periodic.
-    A callable is sampled on a Chebyshev grid in slow time and interpolated
-    onto the grid (``_slow_table``), or at every grid node when that
-    interpolant does not converge.
+    A callable is transformed on a converged Chebyshev table in slow time
+    (``chebyshev.converge``); the kept columns are interpolated onto the grid
+    and stay the traces' tables.  A table needing more than chebyshev.N_MAX
+    points or as many as the grid has nodes, or a grid that is not
+    increasing, gives way to samples at every grid node.
     """
     grid = np.asarray(grid, dtype=float)
     if isinstance(r, OscillatorySource):
@@ -277,25 +263,32 @@ def split_source(r, grid, n_tau=N_TAU):
     if not callable(r):
         raise TypeError("drive must be a source, an expression, or a callable")
     taus = _phases(n_tau)
-    table = _slow_table(r, grid, taus)
-    if table is None:
-        table = _sample(r, grid, taus)
+    found = None
+    if grid.size >= 2 and np.all(np.diff(grid) > 0):
+        found = chebyshev.converge(lambda t: _sample(r, t, taus), grid[0],
+                                   grid[-1],
+                                   min(chebyshev.N_MAX, grid.size - 1))
+    nodes, table = found or (grid, _sample(r, grid, taus))
     samples, scale = _periodic(table)
     F = np.fft.rfft(samples, axis=1)
-    r0 = TimeTrace(grid, F[:, 0].real / n_tau)
-    terms = []
+    keys, cols = [(0, "mean")], [F[:, 0].real / n_tau]
     for k in range(1, n_tau // 2):
-        a = 2.0 * F[:, k].real / n_tau
-        b = -2.0 * F[:, k].imag / n_tau
-        if np.max(np.abs(a)) > 1e-12 * scale:
-            terms.append((k, "cos", TimeTrace(grid, a)))
-        if np.max(np.abs(b)) > 1e-12 * scale:
-            terms.append((k, "sin", TimeTrace(grid, b)))
+        for kind, c in (("cos", 2.0 * F[:, k].real / n_tau),
+                        ("sin", -2.0 * F[:, k].imag / n_tau)):
+            if np.max(np.abs(c)) > 1e-12 * scale:
+                keys.append((k, kind))
+                cols.append(c)
     nyq = F[:, n_tau // 2].real / n_tau
     if np.max(np.abs(nyq)) > 1e-9 * scale:
         raise ValueError("fast harmonics at or beyond the sampling limit; "
                          "raise n_tau")
-    return OscillatorySource(r0, FastProfile(terms, grid))
+    cols = np.column_stack(cols)
+    on_grid = cols if found is None else \
+        chebyshev.interpolate(nodes, cols, grid)
+    r0, *env = [TimeTrace(grid, v, table=None if found is None else (nodes, c))
+                for v, c in zip(on_grid.T, cols.T)]
+    return OscillatorySource(r0, FastProfile(
+        [key + (tr,) for key, tr in zip(keys[1:], env)], grid))
 
 
 def rho0(r1):

@@ -1,20 +1,22 @@
 """Scalar functions of time on uniform grids, with optional analytic descriptors.
 
-A TimeTrace always carries sampled values; when it also carries a sympy
-expression the expression is authoritative (resampling and differentiation are
-exact).  Purely sampled traces fall back to cubic splines and fourth-order
-finite differences.
+A TimeTrace always carries sampled values.  A sympy expression, when it has
+one, is authoritative (resampling and differentiation are exact).  A
+Chebyshev table (nodes, values) of its span, from ``chebyshev.converge`` or
+``volterra.solve_chebyshev``, gives any time of the span; derivatives still
+come from grid stencils.  A purely sampled trace is read off its grid by the
+stencils that differentiate it, so values and derivatives share one model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy
 
-from . import expressions
+from . import chebyshev, expressions
 from .expressions import T
 
 __all__ = ["TimeTrace", "uniform_grid", "same_grid", "fd_weights",
@@ -93,7 +95,7 @@ class TimeTrace:
     grid: np.ndarray
     values: np.ndarray
     expr: sympy.Expr | None = None
-    _spline: object = field(default=None, repr=False, compare=False)
+    table: tuple | None = None      # (nodes, values) on Chebyshev nodes
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -137,20 +139,19 @@ class TimeTrace:
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
 
-    def _spline_eval(self, tq):
-        if self._spline is None:
-            from scipy.interpolate import CubicSpline
-            self._spline = CubicSpline(self.grid, self.values)
-        return self._spline(tq)
+    @property
+    def exact_off_grid(self):
+        """True when an expression or a Chebyshev table gives any time."""
+        return self.expr is not None or self.table is not None
 
     def __call__(self, tq):
         out = self.sample(tq)
         return out if np.ndim(tq) else float(out)
 
     def sample(self, grid2):
-        """Values at the times grid2 (exact when expression-backed).
-
-        A purely sampled trace raises ValueError outside its grid.
+        """Values at the times grid2: the stored values on the trace's own
+        grid, else off the expression, the table or the order-0 stencils of
+        ``derivative_at``; without an expression, ValueError off the span.
         """
         grid2 = np.asarray(grid2, dtype=float)
         if same_grid(self.grid, grid2):
@@ -161,11 +162,14 @@ class TimeTrace:
         pad = 1e-12 * max(1.0, abs(hi))
         if grid2.min() < lo - pad or grid2.max() > hi + pad:
             raise ValueError("resampling outside the trace support")
-        return np.asarray(self._spline_eval(grid2), dtype=float)
+        t = grid2.ravel()
+        out = self.derivative_at(t, 0) if self.table is None else \
+            chebyshev.interpolate(self.table[0], self.table[1][:, None], t)
+        return out.reshape(grid2.shape)
 
     def resample(self, grid2):
-        vals = self.sample(grid2)
-        return TimeTrace(grid2, vals, expr=self.expr)
+        return TimeTrace(grid2, self.sample(grid2), expr=self.expr,
+                         table=self.table)
 
     # -- calculus -----------------------------------------------------
 
@@ -226,7 +230,7 @@ class TimeTrace:
         w = fd_weights(np.arange(npe), order) / self.h ** order
         return float(self.values[:npe] @ w)
 
-    # -- arithmetic (grids must match; descriptors combine when both exist) --
+    # -- arithmetic (grids match; expressions combine, tables take scalars) --
 
     def _coerce(self, other):
         if isinstance(other, TimeTrace):
@@ -242,10 +246,13 @@ class TimeTrace:
         vals, oexpr = self._coerce(other)
         if vals is NotImplemented:
             return NotImplemented
-        expr = None
+        expr = table = None
         if self.expr is not None and oexpr is not None:
             expr = sym_op(self.expr, oexpr)
-        return TimeTrace(self.grid, np_op(self.values, vals), expr=expr)
+        if self.table is not None and not isinstance(other, TimeTrace):
+            table = (self.table[0], np_op(self.table[1], vals))
+        return TimeTrace(self.grid, np_op(self.values, vals), expr=expr,
+                         table=table)
 
     def __add__(self, other):
         return self._binop(other, np.add, lambda a, b: a + b)
@@ -267,5 +274,4 @@ class TimeTrace:
         return self._binop(other, np.divide, lambda a, b: a / b)
 
     def __neg__(self):
-        return TimeTrace(self.grid, -self.values,
-                         expr=None if self.expr is None else -self.expr)
+        return self._binop(-1.0, np.multiply, lambda a, b: -a)

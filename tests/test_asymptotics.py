@@ -1,12 +1,15 @@
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from oscinv import quadrature
 from oscinv.asymptotics import (build_expansion, expansion_coefficients,
                                 residual_norm)
-from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
+from oscinv.basis import (SeparableAmplitude, build_dirichlet_interval_basis,
+                          build_sturm_liouville_basis)
 from oscinv.config import config_from_dict, make_basis, make_source
 from oscinv.forward import make_time_grid, solve_direct
 from oscinv.quadrature import duhamel_batch
@@ -202,3 +205,34 @@ def test_order_zero_residual_first_order(expansion):
         u = solve_direct(basis, FEXPR, REXPR, w, T=3.0)
         res.append(residual_norm(u, exp, w, order=0))
     assert res[1] < res[0] / 1.6
+
+
+def _order_residuals(basis, r, omegas, n_tau):
+    """(order-0, order-2) residuals of the order study for the drive r."""
+    ref = make_time_grid(3.0, max(omegas))
+    exp2 = build_expansion(basis, FEXPR, r, ref, n_tau=n_tau)
+    res = []
+    for w in omegas:
+        u = solve_direct(basis, FEXPR, r, w, T=3.0, n_tau=n_tau)
+        res.append([residual_norm(u, exp2, w, order=o) for o in (0, 2)])
+    return np.array(res)
+
+
+def test_callable_order_study_matches_the_expression_drive(monkeypatch):
+    # the benchmark's callable order study: the callable's envelopes keep
+    # their Chebyshev tables, so slow_responses never falls back to the
+    # Filon rule (duhamel_batch) and rho0 is read off the tables
+    basis = build_sturm_liouville_basis("1 + x/2", "x", PI, 8, grid_n=8000)
+    omegas = (50.0, 100.0, 200.0, 400.0)
+
+    def drive(t, tau):
+        return 1.0 + t + (1.0 + 0.5 * t) * math.cos(tau) \
+            + 0.4 * math.sin(2.0 * tau)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("slow_responses fell back to duhamel_batch")
+
+    want = _order_residuals(basis, REXPR, omegas, 64)
+    monkeypatch.setattr(quadrature, "duhamel_batch", refuse)
+    got = _order_residuals(basis, drive, omegas, 64)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-10

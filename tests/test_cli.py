@@ -359,7 +359,10 @@ def test_invert1_cli_roundtrip(tmp_path, ip1_files):
     assert main(["invert1", "--config", str(cfg), "--data", str(dpath)]) == 0
     _, r0_tab = _read_csv(tmp_path / "out" / "run_recovered_r0.csv")
     err = np.max(np.abs(r0_tab[:, 1] - (1 + r0_tab[:, 0])))
-    assert err < 1e-3                  # order-2 budget at h = 5e-3
+    # the Nystrom recovery errs 2.76e-9 on these data; phi0 scaled by
+    # (1 + 2.2e-16 N(0, 1)) moved it between 9.6e-10 and 8.7e-9 over 1000
+    # draws, so 1e-7 is more than ten times the widest draw
+    assert err < 1e-7
     header, r1_tab = _read_csv(tmp_path / "out" / "run_recovered_r1.csv")
     assert header == ["t", "cos1"]
     np.testing.assert_allclose(r1_tab[:, 1], 1 + r1_tab[:, 0] / 2, atol=1e-9)
@@ -463,25 +466,37 @@ def test_console_script_runs():
 
 
 _NO_SCIPY_SCRIPT = """
-import sys
+import json, sys
 def scipy_loaded():
     return any(m.split(".")[0] == "scipy" for m in sys.modules)
 import oscinv
 assert not scipy_loaded(), "import oscinv loaded scipy"
 from oscinv.cli import main
-for config in sys.argv[2:]:
-    assert main(["study", "--config", config, "--output-dir", sys.argv[1]]) == 0
-    assert not scipy_loaded(), f"study {config} loaded scipy"
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
+    assert not scipy_loaded(), f"{argv} loaded scipy"
 """
 
 
+def _assert_no_scipy(commands):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, timeout=300, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_interval_studies_never_import_scipy(tmp_path):
-    # scipy serves only Sturm-Liouville bases, splines of sampled traces and
-    # tables, and volterra_residual; every sample config is on an interval
+    # scipy serves only Sturm-Liouville bases, tabulated psi fields and
+    # volterra_residual; every sample config is on an interval
     configs = sorted(str(p) for p in (pathlib.Path(__file__).resolve()
                                       .parents[1] / "configs").glob("*.json"))
     assert configs
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)] + configs,
-        capture_output=True, text=True, timeout=300, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
+    _assert_no_scipy([["study", "--config", c, "--output-dir", str(tmp_path)]
+                      for c in configs])
+
+
+def test_invert1_on_sampled_data_never_imports_scipy(ip1_files):
+    # the recovered r0 keeps its Chebyshev table, so the admissibility
+    # report reads r0(0), r0(t0) and Lambda_m(t0) with no spline
+    cfg, dpath = ip1_files
+    _assert_no_scipy([["invert1", "--config", str(cfg), "--data", str(dpath)]])

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from oscinv import inverse
+from oscinv import inverse, quadrature
 from oscinv.asymptotics import build_expansion
 from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis)
@@ -160,6 +160,27 @@ def test_ip1_recovers_fast_drive_exactly(ip1_setup):
     rec = ip1_recover(data, fexpr, basis)
     np.testing.assert_allclose(rec.r1.coefficient(1, "cos").values,
                                1 + grid / 2, atol=1e-10)
+
+
+def test_ip1_r0_keeps_its_table_for_the_admissibility_report(ip1_setup,
+                                                              monkeypatch):
+    # the report reads r0(0), r0(t0) and Lambda_m(t0) off the Nystrom
+    # nodes, so it needs no spline and takes no Filon fallback
+    basis, grid, fexpr, data = ip1_setup
+    rec = ip1_recover(data, fexpr, basis)
+    nodes, vals = rec.r0.table
+    assert nodes[0] == grid[0] and nodes[-1] == grid[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("slow_responses fell back to duhamel_batch")
+
+    monkeypatch.setattr(quadrature, "duhamel_batch", refuse)
+    rep = check_admissibility(rec.r0, 2.0, basis)
+    assert rep.r0_at_0 == vals[0]
+    assert rep.r0_at_t0 == pytest.approx(3.0, abs=1e-6)
+    # Lambda_1(t) = t + 1 - cos t - sin t for r0 = 1 + t and lam_1 = 1
+    assert rep.min_response == pytest.approx(3.0 - np.cos(2.0) - np.sin(2.0),
+                                             rel=1e-6)
 
 
 def test_ip1_needs_both_observations(ip1_setup):

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscinv import expressions
+from oscinv import chebyshev, expressions
 from oscinv.expressions import T, TAU
 from oscinv.forward import make_time_grid
 from oscinv.sources import (N_TAU, FastProfile, _periodic, _phases, _sample,
@@ -250,6 +250,34 @@ def test_callable_split_on_slow_grid_matches_nodal_split(name):
     assert [key for key, _ in slow] == [key for key, _ in nodal]
     for (_, a), (_, b) in zip(slow, nodal):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+
+def test_callable_split_interpolates_only_kept_columns(monkeypatch):
+    # the transform runs on the node table; the mean and the two kept
+    # harmonics are interpolated onto the grid and keep their node columns
+    widths = []
+    real = chebyshev.interpolate
+
+    def spy(nodes, table, y):
+        widths.append(table.shape[1])
+        return real(nodes, table, y)
+
+    monkeypatch.setattr(chebyshev, "interpolate", spy)
+    grid = uniform_grid(3.0, 6112)
+    src = split_source(_SMOOTH_DRIVES["benchmark"], grid, n_tau=64)
+    assert widths == [3]
+    assert [(k, kind) for k, kind, _ in src.r1.terms] == [(1, "cos"),
+                                                         (2, "sin")]
+    envelopes = [lambda t: 1.0 + t, lambda t: 1.0 + 0.5 * t,
+                 lambda t: 0.4 + 0.0 * t]
+    for tr, env in zip([src.r0] + [c for _, _, c in src.r1.terms],
+                       envelopes):
+        nodes, vals = tr.table
+        assert nodes.size <= chebyshev.N_MAX
+        assert nodes[0] == grid[0] and nodes[-1] == grid[-1]
+        np.testing.assert_allclose(vals, env(nodes), rtol=0, atol=1e-14)
+        t = np.linspace(0.01, 2.99, 7)
+        np.testing.assert_allclose(tr(t), env(t), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("r, n", [

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscinv import chebyshev
 from oscinv.traces import TimeTrace, fd_derivative, fd_weights, uniform_grid
 
 
@@ -68,7 +69,7 @@ def test_expr_trace_resamples_exactly():
                                atol=1e-15)
 
 
-def test_tabulated_trace_resamples_by_spline():
+def test_tabulated_trace_resamples_by_local_stencils():
     g = uniform_grid(3.0, 3000)
     tr = TimeTrace(g, np.sin(g))
     fine = uniform_grid(3.0, 4000)
@@ -76,22 +77,77 @@ def test_tabulated_trace_resamples_by_spline():
                                atol=1e-10)
 
 
+def test_tabulated_off_grid_read_is_the_order_0_stencil():
+    # values and derivatives of a sampled trace share one model
+    g = uniform_grid(3.0, 300)
+    tr = TimeTrace(g, np.exp(-g) * np.sin(5 * g))
+    t = np.array([0.0, 0.0031, 0.5, 1.23456, 2.999, 3.0])
+    want = tr.derivative_at(t, 0)
+    assert np.array_equal(tr.sample(t), want)
+    assert np.array_equal(tr(t), want)
+    assert tr(1.23456) == want[3]
+
+
 def test_tabulated_resample_outside_support_raises():
     g = uniform_grid(1.0, 10)
-    tr = TimeTrace(g, g.copy())     # no expression: spline only
+    tr = TimeTrace(g, g.copy())     # no expression: samples only
     with pytest.raises(ValueError):
         tr.resample(uniform_grid(2.0, 10))
 
 
 def test_tabulated_call_outside_support_raises():
     g = uniform_grid(1.0, 10)
-    tr = TimeTrace(g, g.copy())     # no expression: spline only
+    tr = TimeTrace(g, g.copy())     # no expression: samples only
     assert tr(0.5) == pytest.approx(0.5)
     np.testing.assert_allclose(tr(g), g, rtol=0, atol=0)
     with pytest.raises(ValueError):
         tr(1.5)
     with pytest.raises(ValueError):
         tr(np.array([0.5, -0.5]))
+
+
+def _table_trace(fn, grid):
+    nodes, vals = chebyshev.converge(lambda t: fn(t)[:, None], grid[0],
+                                     grid[-1])
+    return TimeTrace(grid, fn(grid), table=(nodes, vals[:, 0]))
+
+
+def _slow(t):
+    return np.exp(-t) * np.sin(2 * t) + 0.1 * t
+
+
+def test_table_trace_resamples_anywhere_in_its_span():
+    tr = _table_trace(_slow, uniform_grid(3.0, 60))
+    assert tr.exact_off_grid
+    for grid2 in (uniform_grid(3.0, 4000), np.linspace(0.7, 2.1, 33),
+                  np.sort(np.random.default_rng(3).uniform(0, 3, 200))):
+        np.testing.assert_allclose(tr.sample(grid2), _slow(grid2), rtol=0,
+                                   atol=1e-13)
+    out = tr.resample(uniform_grid(3.0, 4000))
+    assert out.table is tr.table
+    assert tr(1.7) == pytest.approx(_slow(1.7), abs=1e-13)
+    for bad in (uniform_grid(3.5, 70), np.array([-0.1, 1.0])):
+        with pytest.raises(ValueError):
+            tr.sample(bad)
+    with pytest.raises(ValueError):
+        tr(3.1)
+
+
+def test_table_survives_scalar_arithmetic_only():
+    g = uniform_grid(3.0, 60)
+    tr = _table_trace(_slow, g)
+    t = np.linspace(0.05, 2.95, 17)
+    for out, want in ((2.0 * tr - 1.0, 2.0 * _slow(t) - 1.0),
+                      (tr / 4.0 + 3.0, _slow(t) / 4.0 + 3.0),
+                      (-tr, -_slow(t)), (1.0 - tr, 1.0 - _slow(t))):
+        assert out.table is not None
+        assert out.table[0] is tr.table[0]
+        np.testing.assert_allclose(out.sample(t), want, rtol=0, atol=1e-13)
+    other = TimeTrace.from_expr("1 + t", g)
+    for out in (tr * tr, tr * other, tr + other, other * tr):
+        assert out.table is None and out.expr is None
+        assert not out.exact_off_grid
+    assert not TimeTrace(g, g.copy()).exact_off_grid
 
 
 def test_expr_trace_extends_exactly():
