@@ -21,7 +21,7 @@ from sympy.parsing.sympy_parser import (
 __all__ = [
     "T", "X", "X1", "X2", "X3", "TAU",
     "SPACE_SYMBOLS", "ExpressionError",
-    "parse", "lambdify_cached", "evaluate", "separable_terms",
+    "parse", "memo", "lambdify_cached", "evaluate", "separable_terms",
 ]
 
 T = sympy.Symbol("t", real=True)
@@ -42,22 +42,29 @@ class ExpressionError(ValueError):
     """Raised when an expression falls outside the supported grammar."""
 
 
+def _parse_text(text):
+    try:
+        expr = parse_expr(text, local_dict=_LOCALS, transformations=_TRANSFORMS)
+    except Exception as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc}") from None
+    if not isinstance(expr, sympy.Expr):
+        raise ExpressionError(f"{text!r} is not a scalar expression")
+    return expr
+
+
 def parse(text, allowed=None):
     """Parse ``text`` into a sympy expression.
 
     ``allowed`` restricts the permitted variables (an iterable of symbols or
-    names); by default any of t, x, x1, x2, x3, tau may appear.
+    names); by default any of t, x, x1, x2, x3, tau may appear.  Parsed
+    texts are memoised (``memo``); the variable and function checks run on
+    every call.
     """
     if isinstance(text, sympy.Expr):
         expr = text
     else:
-        try:
-            expr = parse_expr(str(text), local_dict=_LOCALS,
-                              transformations=_TRANSFORMS)
-        except Exception as exc:
-            raise ExpressionError(f"cannot parse {text!r}: {exc}") from None
-    if not isinstance(expr, sympy.Expr):
-        raise ExpressionError(f"{text!r} is not a scalar expression")
+        text = str(text)
+        expr = memo(("parse", text), lambda: _parse_text(text))
 
     if allowed is None:
         allowed_syms = set(_LOCALS.values())
@@ -75,6 +82,36 @@ def parse(text, allowed=None):
     return expr
 
 
+def _lru(cache, cap, key, make):
+    """cache[key], from make() on a miss, in an LRU of at most cap entries.
+
+    A hit moves the key to the back; past cap the front entry goes.  When
+    make raises, nothing is cached.
+    """
+    value = cache.get(key)
+    if value is None:
+        value = make()
+        cache[key] = value
+        if len(cache) > cap:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return value
+
+
+# most recently used texts and splits kept; a sample config's study adds
+# at most four, so an eviction never falls inside one run
+_MEMO_CAP = 256
+_MEMO: OrderedDict = OrderedDict()
+
+
+def memo(key, make):
+    """make() for a hashable key, kept with the parsed texts in one LRU of
+    ``_MEMO_CAP`` entries.  make must return an immutable value (sympy
+    expressions, tuples), since every caller with the key shares it."""
+    return _lru(_MEMO, _MEMO_CAP, key, make)
+
+
 # most recently used compiles kept; one CLI round trip makes about a dozen,
 # so an eviction never falls inside one run
 _LAMBDIFY_CAP = 256
@@ -88,19 +125,11 @@ def lambdify_cached(expr, varnames):
     first out, so a long process that keeps building new expressions stays
     bounded.
     """
-    key = (expr, tuple(varnames))
-    fn = _LAMBDIFY_CACHE.get(key)
-    if fn is not None:
-        _LAMBDIFY_CACHE.move_to_end(key)
-        return fn
     syms = [_LOCALS[v] for v in varnames]
     # the module, not the name "numpy": the same generated code, without a
     # star import that loads numpy's lazy submodules in the first compile
-    fn = sympy.lambdify(syms, expr, modules=[np])
-    _LAMBDIFY_CACHE[key] = fn
-    if len(_LAMBDIFY_CACHE) > _LAMBDIFY_CAP:
-        _LAMBDIFY_CACHE.popitem(last=False)
-    return fn
+    return _lru(_LAMBDIFY_CACHE, _LAMBDIFY_CAP, (expr, tuple(varnames)),
+                lambda: sympy.lambdify(syms, expr, modules=[np]))
 
 
 def evaluate(expr, **values):
@@ -134,14 +163,20 @@ def separable_terms(expr):
 
     Each additive term after expansion must factor as g(t) * X(space); factors
     mixing t with a space variable (such as sin(x*t)) are rejected.  Terms
-    sharing the same space factor are merged.  Returns a list of
-    ``(t_expr, x_expr)`` pairs.
+    sharing the same space factor are merged, and then terms whose time
+    factors are equal up to a number, the number moving into the space
+    factor: exp(-t)*(sin(x) + 0.3*sin(3*x)) is the one term
+    (exp(-t), sin(x) + 0.3*sin(3*x)).  Returns a new list of
+    ``(t_expr, x_expr)`` pairs; the split is memoised (``memo``).
     """
-    expr = sympy.expand(parse(expr) if not isinstance(expr, sympy.Expr) else expr)
+    expr = parse(expr) if not isinstance(expr, sympy.Expr) else expr
+    return list(memo(("separable", expr), lambda: _separable(expr)))
+
+
+def _separable(expr):
     space = set(SPACE_SYMBOLS)
-    groups: dict = {}
-    order: list = []
-    for term in sympy.Add.make_args(expr):
+    by_space: dict = {}
+    for term in sympy.Add.make_args(sympy.expand(expr)):
         tpart = sympy.Integer(1)
         xpart = sympy.Integer(1)
         for fac in sympy.Mul.make_args(term):
@@ -158,9 +193,16 @@ def separable_terms(expr):
                     f"term factor {fac} mixes time and space; only sums of "
                     "separable products g(t)*X(x) are supported")
         key = sympy.srepr(xpart)
-        if key in groups:
-            groups[key] = (groups[key][0] + tpart, xpart)
-        else:
-            groups[key] = (tpart, xpart)
-            order.append(key)
-    return [groups[k] for k in order]
+        tsum = by_space[key][0] + tpart if key in by_space else tpart
+        by_space[key] = (tsum, xpart)
+    by_time: dict = {}
+    for tpart, xpart in by_space.values():
+        content, tpart = tpart.as_content_primitive()
+        number, tpart = tpart.as_independent(T, as_Add=False)
+        if tpart.could_extract_minus_sign():
+            number, tpart = -number, -tpart
+        key = sympy.srepr(tpart)
+        xsum = content * number * xpart
+        by_time[key] = (tpart, by_time[key][1] + xsum if key in by_time
+                        else xsum)
+    return tuple(by_time.values())

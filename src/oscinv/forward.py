@@ -119,9 +119,14 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
     coeffs = duhamel_batch(factors, basis.eigenvalues, grid, drive,
                            coeffs=terms)
 
-    # max_t |f_m(t)|, f_m = terms @ factors, 4096 times at a time
-    fmax = np.max([np.abs(terms @ factors[:, lo:lo + 4096]).max(axis=1)
-                   for lo in range(0, grid.size, 4096)], axis=0)
+    # max_t |f_m(t)|, f_m = terms @ factors: for one time factor |terms|
+    # max |g|, which rounds the same and skips numpy's slow matmul with an
+    # inner size of 1; else 4096 times at a time
+    if factors.shape[0] == 1:
+        fmax = np.abs(terms[:, 0]) * np.abs(factors[0]).max()
+    else:
+        fmax = np.max([np.abs(terms @ factors[:, lo:lo + 4096]).max(axis=1)
+                       for lo in range(0, grid.size, 4096)], axis=0)
     tail = float(fmax[-1] / fmax.max()) if fmax.max() > 0 else 0.0
     meta = {"omega": omega, "points_per_period": points_per_period,
             "mode_tail_ratio": tail}

@@ -15,11 +15,13 @@ pass.  The mode amplitudes come factored, f_m(s) = sum_i C[m, i] g_i(s), so
 a pair of intervals contributes to mode m a contraction of one table Z of
 node products e^{i nu_c s} a_c g_c(s) g_i(s), shared by every mode, with a
 small weight matrix (the rule weights at rate nu_c - r_m times C[m, i]):
-one matrix product per tile of modes gives all its full-pair and half-pair
-sums.  The phase e^{-i r_m s} at the pair starts is the outer product of a
-coarse and a fine table of exact products, about 2 sqrt(N/2) cos and sin
-evaluations per mode in place of N/2, and one cumsum per mode accumulates
-the pairs.
+one matrix product per tile of modes gives all its full-pair sums acc_j
+and half-pair sums.  The rotated running sums S_j = e^{i r_m s_j} Q_m(s_j)
+obey S_{j+1} = lam_m (S_j + acc_j), lam_m = e^{2 i r_m h}, solved in blocks
+of pairs by cumsums against two small tables of powers of lam_m, so no
+phase table spans the grid.  The drive phases e^{i nu_c s} in Z are the
+outer product of a coarse and a fine table of exact products, about
+2 sqrt(N/2) cos and sin evaluations per component in place of N/2.
 
 ``slow_responses`` tabulates the zero-data responses to a slow forcing
 f_m(t) r0(t) (the expansion's u0, the inverse problems' Lambda_m) on nested
@@ -52,6 +54,7 @@ _SERIES_TERMS = 20      # |z| < 0.5: term 20 is below 1e-24 of the sum
 _BLOCK_NODES = 1 << 17  # complex values per tile: a chunk of the node products
                         # and _BLOCK_ROWS modes over it, 2 MB
 _BLOCK_ROWS = 16        # modes per tile
+_SCAN_PAIRS = 64        # pairs per block of the Duhamel scan
 PANEL_NODES = 16        # Gauss-Legendre nodes per panel of gauss_panel_rule
 
 
@@ -159,9 +162,8 @@ def _two_diff(a, b):
 
 
 def _cis_table(rates, times):
-    """table(rows) = e^{i rate t} for rates[rows] (all rates by default) at
-    each of the P uniformly spaced times, shape (R, P), as an outer product
-    of two small tables.
+    """e^{i rate t} for every rate at each of the P uniformly spaced times,
+    shape (R, P), as an outer product of two small tables.
 
     With F about sqrt(P) and j = q F + f, t_j is split into a coarse time
     c_q = t_{qF}, a fine offset d_f = t_f - t_0 and a residual
@@ -184,25 +186,26 @@ def _cis_table(rates, times):
     d, e = _two_diff(padded.reshape(-1, fine), coarse[:, None])
     rho = (d - offsets) + e
     small = _cis_product(rates[:, None], np.concatenate([coarse, offsets]))
-
-    def table(rows=slice(None)):
-        out = small[rows, :coarse.size, None] * small[rows, None, coarse.size:]
-        # (1 + i eps) (a + i b) = (a - eps b) + i (b + eps a)
-        turn = out * (rates[rows, None, None] * rho)
-        out.real -= turn.imag
-        out.imag += turn.real
-        return out.reshape(out.shape[0], -1)[:, :count]
-    return table
+    out = small[:, :coarse.size, None] * small[:, None, coarse.size:]
+    # (1 + i eps) (a + i b) = (a - eps b) + i (b + eps a)
+    turn = out * (rates[:, None, None] * rho)
+    out.real -= turn.imag
+    out.imag += turn.real
+    return out.reshape(out.shape[0], -1)[:, :count]
 
 
-def _node_products(env, factors, phase, first, stop, nk):
+def _node_products(env, factors, phase, first, stop, nk, width=None):
     """Z[(k, i, c), j] = phase[c, j] env[c, s_j + k] factors[i, s_j + k] for
-    the starts s_j = first, first + 2, ... below stop and k < nk."""
-    Z = np.empty((nk, factors.shape[0]) + phase.shape, dtype=complex)
+    the starts s_j = first, first + 2, ... below stop and k < nk; columns
+    past the last start, up to ``width``, are zero."""
+    count = phase.shape[1]
+    Z = np.zeros((nk, factors.shape[0], phase.shape[0], width or count),
+                 dtype=complex)
     for k in range(nk):
         at = slice(first + k, stop + k, 2)
-        np.multiply(factors[:, None, at], phase * env[:, at], out=Z[k])
-    return Z.reshape(-1, phase.shape[1])
+        np.multiply(factors[:, None, at], phase * env[:, at],
+                    out=Z[k, :, :, :count])
+    return Z.reshape(-1, Z.shape[-1])
 
 
 def _term_weights(weights, coeffs):
@@ -224,11 +227,15 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
     A pair of intervals from node s contributes sum_{k,i,c}
     W[m, (k, i, c)] e^{i nu_c s} a_c g_c(s + kh) h_i(s + kh), with W the rule
     weights at rate nu_c - r_m times coeffs[m, i], so one table Z of the
-    products at the pair starts gives the full-pair and half-pair sums of a
-    block of modes in one matrix product.  The phase e^{-i r_m s} at the
-    pair starts comes from ``_cis_table``, and one cumsum per mode
-    accumulates the pairs.  The pairs are taken in chunks, the running sums
-    carried from one to the next, so that a chunk of Z and a tile of
+    products at the pair starts gives the full-pair sums acc_j and half-pair
+    sums of a block of modes in one matrix product.  At the pair starts S
+    obeys S_{j+1} = lam_m (S_j + acc_j), lam_m = e^{2 i r_m h}, solved in
+    blocks of _SCAN_PAIRS pairs: inside a block, one cumsum of acc_j
+    lam_m^{-i} and a rotation by lam_m^i (i the place in the block); across
+    blocks, the same at the block ends with lam_m^{L b}, L = _SCAN_PAIRS.
+    Both tables of powers are small and come from exact products, so no
+    phase is larger than a chunk's span.  The pairs are taken in chunks,
+    S carried from one to the next, so that a chunk of Z and a tile of
     _BLOCK_ROWS modes stay within _BLOCK_NODES complex values.
     """
     n = grid.size - 1
@@ -249,39 +256,56 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
             yield slice(None), slice(1, 2), seg[:, None]
     rows = max(1, min(roots.size, _BLOCK_ROWS))
     size = max(1, _BLOCK_NODES // (W.shape[2] + 2 * rows))    # pairs
-    carry = np.zeros(roots.size, dtype=complex)
-    # every tile's S is a view of one buffer, overwritten by the next tile;
-    # it holds the conjugate rotation until the tile's values are written
-    tile = np.empty((rows, min(n, 2 * size + 1)), dtype=complex)
+    L = _SCAN_PAIRS
+    blocks = -(-min(size, n_pairs) // L)
+    # lam^i for i <= L, and lam^{L b} for b < blocks
+    power = _cis_product(roots[:, None], (2.0 * h) * np.arange(L + 1))
+    inverse = power[:, :L].conj()
+    jump = _cis_product(roots[:, None], (2.0 * h * L) * np.arange(blocks))
+    S0 = np.zeros(roots.size, dtype=complex)        # S at a chunk's start
+    # every tile's S is a view of one buffer, overwritten by the next tile:
+    # its half-pair and full-pair nodes alternate, two per pair
+    tile = np.empty((rows, 2 * blocks * L + 1), dtype=complex)
     for p0 in range(0, n_pairs, size):
         a, b = 2 * p0, 2 * min(n_pairs, p0 + size)
-        Z = _node_products(env, factors, _cis_table(rates, grid[a:b:2])(),
-                           a, b - 1, 3)
-        rotation = _cis_table(roots, grid[a:b + 1:2])
+        pairs = (b - a) // 2
+        nb = -(-pairs // L)
+        Z = _node_products(env, factors, _cis_table(rates, grid[a:b:2]),
+                           a, b - 1, 3, nb * L)
         last = tail is not None and b == 2 * n_pairs
         for lo in range(0, roots.size, rows):
             blk = slice(lo, lo + rows)
-            acc = W[blk].reshape(-1, Z.shape[0]) @ Z
-            acc = acc.reshape(-1, 2, Z.shape[1])
-            rot = rotation(blk)
-            S = tile[:acc.shape[0], :b - a + last]
-            first = rot[:, 0] * carry[blk]      # S at node a
-            q = acc[:, 0]
-            q *= np.conjugate(rot[:, :-1], out=S[:, :q.shape[1]])
-            q[:, 0] += carry[blk]
-            np.cumsum(q, axis=1, out=q)
-            carry[blk] = q[:, -1]
-            np.multiply(rot[:, 1:], q, out=S[:, 1:b - a:2])
-            # a half pair ends one step past its start, where Q has gained
-            # e^{-i r s_start} times the half-pair sum
-            half = acc[:, 1]
-            half[:, 0] += first
-            half[:, 1:] += S[:, 1:b - a - 2:2]
-            np.multiply(half, step[blk, None], out=S[:, 0:b - a:2])
+            acc = (W[blk].reshape(-1, Z.shape[0]) @ Z).reshape(-1, 2, nb, L)
+            r = acc.shape[0]
+            # S at the half-pair and full-pair ends of each pair
+            odd, even = tile[:r, 0:2 * nb * L:2], tile[:r, 1:2 * nb * L:2]
+            full = acc[:, 0]
+            full *= inverse[blk, None]
+            np.cumsum(full, axis=2, out=full)
+            # S at the block starts: lam^{L b} (S0 + sum_{b' < b}
+            # lam^{-L b'} full[b', L - 1])
+            base = np.empty((r, nb), dtype=complex)
+            base[:, 0] = S0[blk]
+            np.multiply(full[:, :-1, -1], jump[blk, :nb - 1].conj(),
+                        out=base[:, 1:])
+            np.cumsum(base, axis=1, out=base)
+            base *= jump[blk, :nb]
+            full += base[:, :, None]
+            # S at the end of pair i of a block: lam^{i+1} full[i]
+            np.multiply(full, power[blk, None, 1:],
+                        out=even.reshape(r, nb, L))
+            # a half pair ends one step past its start s, where S has gained
+            # the half-pair sum: e^{i r h} (S(s) + half)
+            half = acc[:, 1].reshape(r, -1)
+            half[:, 0] += S0[blk]
+            half[:, 1:] += even[:, :-1]
+            np.multiply(half, step[blk, None], out=odd)
+            S0[blk] = even[:, pairs - 1]
+            S = tile[:r, :b - a + last]
             if last:
                 S[:, -1] = step[blk] * S[:, -2] + seg[blk]
             yield blk, slice(a + 1, b + 1 + last), S
-            del acc, rot, q, half    # before the next tile makes its own
+            del acc, full, half    # before the next tile makes its own
 
 
 def cumulative_oscillatory(values, grid, theta):

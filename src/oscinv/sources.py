@@ -178,12 +178,20 @@ def _harmonic_table(expr):
     """Tau mean and harmonics of an expression drive, read off its expansion.
 
     Returns (mean_expr, {(k, kind): envelope_expr}) with every envelope free
-    of tau and nonzero.  Angle sums are expanded only in phase atoms, and
-    product-to-sum (TR8) runs only on the tau factor of each term, so
-    t-dependent factors such as cos(t) stay out of the phase algebra.
-    Raises ValueError unless the drive is a trigonometric polynomial in tau.
+    of tau and nonzero, in a new dict on every call; the expansion is
+    memoised (``expressions.memo``).  Angle sums are expanded only in phase
+    atoms, and product-to-sum (TR8) runs only on the tau factor of each
+    term, so t-dependent factors such as cos(t) stay out of the phase
+    algebra.  Raises ValueError unless the drive is a trigonometric
+    polynomial in tau.
     """
     e = expressions.parse(expr, allowed=(T, TAU))
+    mean, table = expressions.memo(("harmonic", e), lambda: _harmonics(e))
+    return mean, dict(table)
+
+
+def _harmonics(e):
+    """_harmonic_table's split of a parsed drive, as (mean, items)."""
     e = sympy.expand(e.xreplace({fn: _angle_sum(fn) for fn in
                                  e.atoms(sympy.cos, sympy.sin)
                                  if TAU in fn.free_symbols}))
@@ -207,7 +215,8 @@ def _harmonic_table(expr):
                                  "a trigonometric polynomial in tau")
             key = (k, "cos" if isinstance(trig, sympy.cos) else "sin")
             table[key] = table.get(key, 0) + env * c
-    return mean, {key: env for key, env in table.items() if env != 0}
+    return mean, tuple((key, env) for key, env in table.items()
+                       if env != 0)
 
 
 def _phases(n_tau):

@@ -50,7 +50,8 @@ def fd_weights(offsets, order):
 
     ``offsets`` are node positions in units of the step; the returned weights
     must be divided by h**order.  A 2-D ``offsets`` holds one stencil per row
-    and gets one row of weights each.
+    and gets one row of weights each.  For order 0 a stencil with a node at
+    offset 0 gets the unit row exactly, not the solve's rounding of it.
     """
     offsets = np.asarray(offsets, dtype=float)
     n = offsets.shape[-1]
@@ -60,7 +61,11 @@ def fd_weights(offsets, order):
     A = offsets[..., None, :] ** np.arange(n)[:, None]
     b = np.zeros(A.shape[:-1] + (1,))
     b[..., order, 0] = float(math.factorial(order))
-    return np.linalg.solve(A, b)[..., 0]
+    w = np.linalg.solve(A, b)[..., 0]
+    if order == 0:
+        on = offsets == 0
+        w = np.where(on.any(axis=-1, keepdims=True), on.astype(float), w)
+    return w
 
 
 def fd_derivative(values, h, order=1):
@@ -186,7 +191,8 @@ class TimeTrace:
 
         Exact when expression-backed.  Otherwise each time gets a stencil on
         the order + FD_ACCURACY grid nodes around it, one-sided at the ends
-        as in fd_derivative, so no derivative of the whole grid is formed.
+        as in fd_derivative, so no derivative of the whole grid is formed;
+        for order 0 a time equal to a grid node reads that node's value.
         """
         t = np.asarray(t, dtype=float)
         if self.expr is not None:
@@ -195,6 +201,9 @@ class TimeTrace:
         if self.grid.size < npe:
             raise ValueError(f"need at least {npe} samples")
         x = (t - self.grid[0]) / self.h
+        if order == 0:
+            k = np.clip(np.rint(x), 0, self.grid.size - 1).astype(int)
+            x = np.where(self.grid[k] == t, k, x)
         start = np.clip(np.floor(x).astype(int) - (npe // 2 - 1), 0,
                         self.grid.size - npe)
         nodes = start[:, None] + np.arange(npe)

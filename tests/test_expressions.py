@@ -7,6 +7,7 @@ import sympy
 from oscinv import expressions
 from oscinv.expressions import (ExpressionError, T, TAU, X, evaluate,
                                 lambdify_cached, parse, separable_terms)
+from oscinv.sources import _harmonic_table
 
 
 def test_parse_basic_arithmetic():
@@ -66,12 +67,34 @@ def test_evaluate_constant_expression_gives_scalar():
     assert out.shape == (5,) and np.all(out == 5.0)
 
 
+def _assert_sums_to(terms, e):
+    assert sympy.expand(sum(g * xp for g, xp in terms) - e) == 0
+
+
 def test_separable_terms_splits_products():
+    # one time factor: the two space factors share exp(-t)
     e = parse("exp(-t)*(sin(x) + 0.3*sin(3*x))", allowed=("t", "x"))
     terms = separable_terms(e)
-    assert len(terms) == 2
-    xparts = {sympy.srepr(xp) for _, xp in terms}
-    assert sympy.srepr(sympy.sin(X)) in xparts
+    assert len(terms) == 1
+    assert terms[0][0] == sympy.exp(-T)
+    _assert_sums_to(terms, e)
+
+
+@pytest.mark.parametrize("text, count", [
+    ("exp(-t)*sin(x) + t*sin(2*x)", 2),
+    ("exp(-t)*sin(x) + exp(-2*t)*sin(2*x)", 2),
+    ("exp(-t)*sin(x) - 0.5*exp(-t)*sin(2*x) + t*sin(3*x)", 2),
+    ("(1 + t/2)*sin(x) - (2 + t)*sin(2*x)", 1),
+    ("exp(-t)*sin(x)/3", 1),
+    ("cos(7*t)*(sin(x) + x*(pi - x))", 1),
+    ("sin(x) + t + 2", 2),
+])
+def test_separable_terms_merge_time_factors_equal_up_to_a_number(text, count):
+    e = parse(text, allowed=("t", "x"))
+    terms = separable_terms(e)
+    assert len(terms) == count
+    assert len({sympy.srepr(g) for g, _ in terms}) == count
+    _assert_sums_to(terms, e)
 
 
 def test_separable_terms_merges_common_spatial_factor():
@@ -84,10 +107,11 @@ def test_separable_terms_merges_common_spatial_factor():
 
 
 def test_separable_terms_pure_space():
-    terms = separable_terms(parse("sin(x) + 0.3*sin(3*x)", allowed=("x",)))
-    assert len(terms) == 2
-    for tpart, _ in terms:
-        assert not tpart.free_symbols
+    e = parse("sin(x) + 0.3*sin(3*x)", allowed=("x",))
+    terms = separable_terms(e)
+    assert len(terms) == 1
+    assert not terms[0][0].free_symbols
+    _assert_sums_to(terms, e)
 
 
 def test_separable_terms_rejects_mixed_factor():
@@ -113,3 +137,51 @@ def test_lambdify_cache_is_a_bounded_lru(monkeypatch):
         assert len(expressions._LAMBDIFY_CACHE) <= cap
     assert len(expressions._LAMBDIFY_CACHE) == cap
     assert (T + 2, ("t",)) not in expressions._LAMBDIFY_CACHE
+
+
+def test_parse_memo_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(expressions, "_MEMO", OrderedDict())
+    cap = expressions._MEMO_CAP
+    first = parse("t + 1")
+    for k in range(2, cap + 20):
+        parse(f"t + {k}")
+        # a repeated text is a hit, and being used keeps it cached
+        assert parse("t + 1") is first
+        assert len(expressions._MEMO) <= cap
+    assert len(expressions._MEMO) == cap
+    assert ("parse", "t + 2") not in expressions._MEMO
+
+
+def test_parse_memo_keeps_no_failure_and_checks_every_call(monkeypatch):
+    monkeypatch.setattr(expressions, "_MEMO", OrderedDict())
+    for _ in range(2):
+        with pytest.raises(ExpressionError):
+            parse("2*")
+        with pytest.raises(ExpressionError):
+            parse("t < 1")
+    assert len(expressions._MEMO) == 0
+    e = parse("exp(-t)*sin(x)", allowed=("t", "x"))
+    assert parse("exp(-t)*sin(x)", allowed=("t", "x")) is e
+    with pytest.raises(ExpressionError):
+        parse("exp(-t)*sin(x)", allowed=("x",))
+    mixed = parse("sin(x*t)", allowed=("t", "x"))
+    for _ in range(2):
+        # the grammar's function check runs on the cached parse
+        with pytest.raises(ExpressionError):
+            parse("tan(t)", allowed=("t",))
+        with pytest.raises(ExpressionError):
+            separable_terms(mixed)
+    assert ("separable", mixed) not in expressions._MEMO
+
+
+def test_memoised_splits_are_not_shared_with_callers():
+    e = parse("exp(-t)*(sin(x) + 0.3*sin(3*x))", allowed=("t", "x"))
+    terms = separable_terms(e)
+    terms.append(None)
+    assert len(separable_terms(e)) == 1
+    r = "1 + t + (1 + t/2)*cos(tau) + 0.4*sin(2*tau)"
+    mean, table = _harmonic_table(r)
+    want = dict(table)
+    table.clear()
+    table[(5, "cos")] = T
+    assert _harmonic_table(r) == (mean, want)

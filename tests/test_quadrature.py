@@ -159,9 +159,7 @@ def test_cis_table_matches_exact_products(count, t0):
     times = np.linspace(t0, t0 + 3.0, count)
     rates = np.array([0.5, 7.3, 33.0, 64.0, -41.7])
     want = quadrature._cis_product(rates[:, None], times)
-    got = quadrature._cis_table(rates, times)()
-    assert np.array_equal(quadrature._cis_table(rates, times)(slice(2, 4)),
-                          got[2:4])
+    got = quadrature._cis_table(rates, times)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
 
@@ -233,7 +231,7 @@ def test_duhamel_batch_matches_per_row_loop(n, T, base, shifts, offsets,
     _assert_close_to_loop(factors, coeffs, roots ** 2, grid, drive)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 11, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 11, 12, 25])
 @pytest.mark.parametrize("shared", [True, False])
 def test_duhamel_batch_node_counts(n, shared, monkeypatch):
     grid = np.linspace(0.0, 1.5, n + 1)
@@ -248,11 +246,16 @@ def test_duhamel_batch_node_counts(n, shared, monkeypatch):
         factors = rng.normal(size=(3, grid.size))
         coeffs = rng.normal(size=(lams.size, 3))
     # tiles of 3 modes (six full blocks and a partial one for 20 modes) by
-    # 2 pairs: 3 n_terms C node products and 2 x 3 tile nodes per pair
+    # chunks of 1, 2 or 5 pairs (3 n_terms C node products and 2 x 3 tile
+    # nodes per pair), scanned in blocks of 2 or 3 pairs or of the whole
+    # chunk: one-pair chunks, partial blocks, carries from block to block
+    # and from chunk to chunk, and the odd-n tail
     monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 3)
-    monkeypatch.setattr(quadrature, "_BLOCK_NODES",
-                        2 * (15 * np.atleast_2d(factors).shape[0] + 6))
-    _assert_close_to_loop(factors, coeffs, lams, grid, drive)
+    per_pair = 15 * np.atleast_2d(factors).shape[0] + 6
+    for pairs, scan in [(2, 64), (1, 2), (2, 3), (5, 2), (5, 3)]:
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", pairs * per_pair)
+        monkeypatch.setattr(quadrature, "_SCAN_PAIRS", scan)
+        _assert_close_to_loop(factors, coeffs, lams, grid, drive)
 
 
 def test_duhamel_batch_default_drive_is_unit_envelope():

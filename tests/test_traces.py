@@ -88,6 +88,34 @@ def test_tabulated_off_grid_read_is_the_order_0_stencil():
     assert tr(1.23456) == want[3]
 
 
+def test_fd_weights_order_0_on_a_node_is_the_unit_row():
+    # the solve alone gave [-2.0e-18, 0, 1, -1.6e-17] for offsets -2..1
+    for n in range(2, 9):
+        for j in range(n):
+            assert np.array_equal(fd_weights(np.arange(n) - j, 0),
+                                  np.eye(n)[j])
+    rows = fd_weights(np.array([[-2.0, -1.0, 0.0, 1.0],
+                                [-1.5, -0.5, 0.5, 1.5]]), 0)
+    assert np.array_equal(rows[0], [0.0, 0.0, 1.0, 0.0])
+    np.testing.assert_allclose(rows[1], [-1 / 16, 9 / 16, 9 / 16, -1 / 16],
+                               atol=1e-15)
+
+
+def test_sampled_trace_reads_its_own_nodes_exactly():
+    # times that are some of the grid's nodes, so not the whole grid: each
+    # read is the stored value, whether or not (t - t_0) / h is an integer
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(6, 41))
+        t0 = float(rng.uniform(-2.0, 2.0))
+        g = np.linspace(t0, t0 + float(rng.uniform(0.1, 5.0)), n)
+        v = rng.uniform(1e-3, 1e3, n) * rng.choice([-1.0, 1.0], n)
+        tr = TimeTrace(g, v)
+        at = np.sort(rng.choice(n, size=int(rng.integers(1, n)),
+                                replace=False))
+        assert np.array_equal(tr.sample(g[at]), v[at])
+
+
 def test_tabulated_resample_outside_support_raises():
     g = uniform_grid(1.0, 10)
     tr = TimeTrace(g, g.copy())     # no expression: samples only
