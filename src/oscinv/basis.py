@@ -24,7 +24,8 @@ from .traces import TimeTrace
 __all__ = [
     "EigenBasis", "SpatialField", "SeparableAmplitude", "BoundaryTraceReport",
     "build_dirichlet_interval_basis", "build_rectangle_basis",
-    "build_sturm_liouville_basis", "check_boundary_traces",
+    "build_sturm_liouville_basis", "check_boundary_traces", "panel_count",
+    "separable_sum",
 ]
 
 BOUNDARY_POINTS_PER_EDGE = 9    # rectangle edge samples of boundary_points
@@ -183,6 +184,21 @@ class EigenBasis:
         return np.column_stack([m.ravel() for m in mesh])
 
 
+def panel_count(max_index):
+    """Gauss panels along an axis whose modes go up to index max_index:
+    enough to keep products of the first 2 max_index modes exact to ~1e-12."""
+    return max(4, 2 * max_index)
+
+
+def separable_sum(coeffs, factors):
+    """sum_i coeffs[i, m] factors[i] for (n_terms, M) coeffs and factors of
+    n_terms rows, shape (M,) + factors.shape[1:].  One term is an outer
+    product: the same numbers, without numpy's slow matmul of inner size 1."""
+    if len(coeffs) == 1:
+        return np.multiply.outer(coeffs[0], factors[0])
+    return coeffs.T @ factors
+
+
 def build_dirichlet_interval_basis(length, M):
     """Sine basis on (0, length): lam_m = (m*pi/length)^2."""
     L = float(length)
@@ -190,8 +206,7 @@ def build_dirichlet_interval_basis(length, M):
         raise ValueError("need positive length and at least one mode")
     idx = tuple(range(1, M + 1))
     lam = (np.array(idx, dtype=float) * np.pi / L) ** 2
-    # panel count keeps products of the first 2M modes exact to ~1e-12
-    nodes, weights = gauss_panel_rule(0.0, L, max(4, 2 * M))
+    nodes, weights = gauss_panel_rule(0.0, L, panel_count(M))
     return EigenBasis("interval", (L,), lam, idx, nodes, weights)
 
 
@@ -213,7 +228,7 @@ def build_rectangle_basis(lengths, M):
     lam = np.array([c[0] for c in chosen])
     idx = tuple(c[1] for c in chosen)
     bmax = [max(ix[d] for ix in idx) for d in range(2)]
-    rules = [gauss_panel_rule(0.0, lengths[d], max(4, 2 * bmax[d]))
+    rules = [gauss_panel_rule(0.0, lengths[d], panel_count(bmax[d]))
              for d in range(2)]
     n1, w1 = rules[0]
     n2, w2 = rules[1]
@@ -368,7 +383,8 @@ class SeparableAmplitude:
     def mode_traces(self, basis, grid):
         """Mode amplitudes f_m(t) = sum_i c_im g_i(t) at the times of a 1-D
         array, shape (M, N)."""
-        return self.term_coefficients(basis).T @ self.time_factors(grid)
+        return separable_sum(self.term_coefficients(basis),
+                             self.time_factors(grid))
 
     def mode_derivatives_at_start(self, basis, order=0):
         """d^order f_m / dt^order at t = 0, m = 1..M, shape (M,).

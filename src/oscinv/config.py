@@ -17,9 +17,10 @@ import numpy as np
 
 from .basis import (SeparableAmplitude, SpatialField,
                     build_dirichlet_interval_basis, build_rectangle_basis,
-                    build_sturm_liouville_basis)
+                    build_sturm_liouville_basis, panel_count)
 from .forward import MIN_POINTS_PER_PERIOD
 from .inverse import ObservationData
+from .quadrature import PANEL_NODES
 from .sources import FastProfile, OscillatorySource, split_source
 from .traces import FD_ACCURACY, TimeTrace, uniform_grid
 
@@ -41,8 +42,7 @@ DEFAULT_TOLERANCES = {
 # cap on the mode-node entries (modes x time or space nodes) one run may
 # allocate; 2**26 float64 entries are 512 MB
 MAX_WORK = 2 ** 26
-# nodes of the widest stencil phi0'' takes (fd_derivative and
-# TimeTrace.derivative_at at the ends)
+# nodes of the stencil phi0'' takes (TimeTrace.derivative_at, order 2)
 PHI0_MIN_NODES = 2 + FD_ACCURACY
 
 
@@ -249,11 +249,14 @@ def config_from_dict(d):
     if study != "order":
         parse_x0(observation.x0, len(basis.lengths))
     # preflight: forward grid at the largest omega, observation trace grid,
-    # and the Sturm-Liouville eigenvectors, all before anything is allocated
+    # and the basis's node table, all before anything is allocated.  A
+    # rectangle's largest indices b1 b2 >= M give at least
+    # (2 PANEL_NODES)**2 M Gauss nodes; make_basis checks the exact count.
     nodes = grid.T * omegas[-1] * grid.points_per_period / (2 * math.pi) \
-        + grid.T / grid.trace_h
-    if basis.domain == "sturm_liouville":
-        nodes += basis.grid_n
+        + grid.T / grid.trace_h + {
+            "interval": PANEL_NODES * panel_count(basis.M),
+            "rectangle": (2 * PANEL_NODES) ** 2 * basis.M,
+            "sturm_liouville": basis.grid_n}[basis.domain]
     if basis.M * nodes > MAX_WORK:
         raise ConfigError(f"estimated work of {basis.M * nodes:.3g} mode-node "
                           f"entries exceeds the cap of {MAX_WORK} (2**26)")
@@ -282,14 +285,23 @@ def load_config(path):
 
 @_bad_data("basis")
 def make_basis(cfg: BasisConfig):
+    """The basis, with its node table (every mode at every node) checked
+    against MAX_WORK before any mode is evaluated there; a Sturm-Liouville
+    table, the eigenvectors, is bounded by config_from_dict's preflight."""
     if cfg.domain == "interval":
-        return build_dirichlet_interval_basis(cfg.lengths[0], cfg.M)
-    if cfg.domain == "rectangle":
-        return build_rectangle_basis(cfg.lengths, cfg.M)
-    a = cfg.a if cfg.a is not None else 1.0
-    c = cfg.c if cfg.c is not None else 0.0
-    return build_sturm_liouville_basis(a, c, cfg.lengths[0], cfg.M,
-                                       grid_n=cfg.grid_n)
+        basis = build_dirichlet_interval_basis(cfg.lengths[0], cfg.M)
+    elif cfg.domain == "rectangle":
+        basis = build_rectangle_basis(cfg.lengths, cfg.M)
+    else:
+        a = cfg.a if cfg.a is not None else 1.0
+        c = cfg.c if cfg.c is not None else 0.0
+        basis = build_sturm_liouville_basis(a, c, cfg.lengths[0], cfg.M,
+                                            grid_n=cfg.grid_n)
+    entries = basis.M * len(basis.nodes)
+    if entries > MAX_WORK:
+        raise ConfigError(f"the basis's node table has {entries} mode-node "
+                          f"entries, over the cap of {MAX_WORK} (2**26)")
+    return basis
 
 
 def make_source(cfg: SourceConfig, grid):
@@ -352,6 +364,14 @@ def load_observation(obj, basis=None):
                     or not np.all(np.isfinite(grid)):
                 raise ConfigError(f"phi0.grid must list at least "
                                   f"{PHI0_MIN_NODES} finite times")
+            # drive recovery starts from zero data at t = 0; phi0'' divides
+            # by h**2, and its error bound multiplies by it
+            h = float(grid[1] - grid[0])
+            h2 = h * h
+            if grid[0] != 0 or not (0 < h2 < math.inf and 1 / h2 < math.inf):
+                raise ConfigError(f"phi0.grid must start at 0 with a step h "
+                                  f"whose h**2 and 1/h**2 are finite and "
+                                  f"nonzero, not {grid[0]:g}, {grid[1]:g}, ...")
             phi0 = TimeTrace(grid, np.asarray(spec["values"], float))
         else:
             phi0 = TimeTrace.from_expr(spec["expr"], _grid_from(spec, "phi0"))

@@ -390,12 +390,16 @@ class SlowResponses:
 
     def at(self, t):
         """(M,) responses at the time t, which must be a node of the
-        uniform grid on the fallback."""
+        uniform grid on the fallback (ValueError otherwise)."""
         if self.chebyshev:
             return (chebyshev.barycentric(self.times, np.array([float(t)]))
                     @ self.values.T)[0]
         h = self.times[1] - self.times[0]
-        return self.values[:, int(round((t - self.times[0]) / h))].copy()
+        k = int(round((t - self.times[0]) / h))
+        if not (0 <= k < self.times.size and abs(self.times[k] - t)
+                <= 1e-13 * max(1.0, abs(self.times[-1]))):
+            raise ValueError(f"t={t!r} is not a node of the response table")
+        return self.values[:, k].copy()
 
     def row(self, weights, grid):
         """sum_m weights[m] a_m on the grid, for (M,) weights (shape (N,))

@@ -20,7 +20,7 @@ from .forward import solve_direct
 from .inverse import ObservationData, ip1_recover, ip2_recover
 from .quadrature import cumulative_oscillatory, duhamel_batch
 from .sources import FastProfile, rho0, split_source
-from .traces import TimeTrace, fd_derivative, uniform_grid
+from .traces import TimeTrace, uniform_grid
 from .volterra import build_kernel, solve_second_kind, volterra_residual
 
 __all__ = ["CheckResult", "run_selftest", "ALL_CHECKS"]
@@ -102,11 +102,10 @@ def _check_mode_ode_residual():
     src = split_source("1 + t + cos(tau)", grid)
     u = solve_direct(basis, amp, src, 60.0, grid=grid)
     fm = amp.mode_traces(basis, grid)
-    h = grid[1] - grid[0]
     worst = 0.0
     for m in range(basis.M):
         force = fm[m] * src.evaluate(grid, 60.0 * grid)
-        acc = fd_derivative(u.coeffs[m], h, order=2)
+        acc = TimeTrace(grid, u.coeffs[m]).derivative(2).values
         res = acc + basis.eigenvalues[m] * u.coeffs[m] - force
         worst = max(worst, float(np.max(np.abs(res[2:-2]))))
     return worst, 5e-3

@@ -4,8 +4,8 @@ A TimeTrace always carries sampled values.  A sympy expression, when it has
 one, is authoritative (resampling and differentiation are exact).  A
 Chebyshev table (nodes, values) of its span, from ``chebyshev.converge`` or
 ``volterra.solve_chebyshev``, gives any time of the span; derivatives still
-come from grid stencils.  A purely sampled trace is read off its grid by the
-stencils that differentiate it, so values and derivatives share one model.
+come from grid stencils.  A purely sampled trace is read off its grid, values
+and derivatives alike, by the one window rule of ``TimeTrace.derivative_at``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import sympy
 from . import chebyshev, expressions
 from .expressions import T
 
-__all__ = ["TimeTrace", "uniform_grid", "same_grid", "fd_weights",
-           "fd_derivative"]
+__all__ = ["TimeTrace", "uniform_grid", "same_grid", "fd_weights"]
 
 FD_ACCURACY = 4     # order of accuracy of every finite-difference stencil
 
@@ -57,8 +56,10 @@ def fd_weights(offsets, order):
     n = offsets.shape[-1]
     if order >= n:
         raise ValueError("stencil too short for requested derivative")
-    # A[..., k, j] = offsets[..., j] ** k
-    A = offsets[..., None, :] ** np.arange(n)[:, None]
+    # A[..., k, j] = offsets[..., j] ** k, by pow (slow) only from k = 2
+    A = np.ones(offsets.shape[:-1] + (n, n))
+    A[..., 1:, :] = offsets[..., None, :]
+    A[..., 2:, :] **= np.arange(2, n)[:, None]
     b = np.zeros(A.shape[:-1] + (1,))
     b[..., order, 0] = float(math.factorial(order))
     w = np.linalg.solve(A, b)[..., 0]
@@ -66,31 +67,6 @@ def fd_weights(offsets, order):
         on = offsets == 0
         w = np.where(on.any(axis=-1, keepdims=True), on.astype(float), w)
     return w
-
-
-def fd_derivative(values, h, order=1):
-    """Differentiate uniformly sampled values with one-sided edge closures."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    npc = order + FD_ACCURACY - 1
-    if npc % 2 == 0:
-        npc += 1
-    npe = order + FD_ACCURACY
-    if n < max(npc, npe):
-        raise ValueError(f"need at least {max(npc, npe)} samples")
-    half = npc // 2
-    scale = h ** order
-
-    wc = fd_weights(np.arange(-half, half + 1), order) / scale
-    out = np.empty_like(values)
-    windows = np.lib.stride_tricks.sliding_window_view(values, npc)
-    out[half:n - half] = windows @ wc
-    for i in range(half):
-        we = fd_weights(np.arange(npe) - i, order) / scale
-        out[i] = values[:npe] @ we
-        we = fd_weights(np.arange(-(npe - 1), 1) + i, order) / scale
-        out[n - 1 - i] = values[n - npe:] @ we
-    return out
 
 
 @dataclass(eq=False)
@@ -184,31 +160,41 @@ class TimeTrace:
         if self.expr is not None:
             dexpr = sympy.diff(self.expr, T, order)
             return TimeTrace.from_expr(dexpr, self.grid)
-        return TimeTrace(self.grid, fd_derivative(self.values, self.h, order))
+        return TimeTrace(self.grid, self.derivative_at(self.grid, order))
 
     def derivative_at(self, t, order):
         """d^order/dt^order at the times t of the span, as an array.
 
-        Exact when expression-backed.  Otherwise each time gets a stencil on
-        the order + FD_ACCURACY grid nodes around it, one-sided at the ends
-        as in fd_derivative, so no derivative of the whole grid is formed;
-        for order 0 a time equal to a grid node reads that node's value.
+        Exact when expression-backed.  Otherwise each time is read by the
+        stencil on the order + FD_ACCURACY grid nodes nearest it (of two
+        equally near windows, the right one), one-sided at the ends.  A time
+        equal to a grid node is read at integer offsets, so interior node
+        reads share one stencil, and order 0 there is the node's value.
         """
         t = np.asarray(t, dtype=float)
         if self.expr is not None:
             return expressions.evaluate(sympy.diff(self.expr, T, order), t=t)
-        npe = order + FD_ACCURACY
-        if self.grid.size < npe:
+        n, npe = self.grid.size, order + FD_ACCURACY
+        if n < npe:
             raise ValueError(f"need at least {npe} samples")
         x = (t - self.grid[0]) / self.h
-        if order == 0:
-            k = np.clip(np.rint(x), 0, self.grid.size - 1).astype(int)
-            x = np.where(self.grid[k] == t, k, x)
-        start = np.clip(np.floor(x).astype(int) - (npe // 2 - 1), 0,
-                        self.grid.size - npe)
+        k = np.rint(x).clip(0, n - 1).astype(int)
+        on = self.grid[k] == t
+        # interior node reads share their window's middle-place stencil, row
+        # 0 of w (what each would solve); every other read solves its own
+        mid = (npe - 1) // 2
+        shared = on & (k >= mid) & (k <= n - npe + mid)
+        x = np.where(on, k, x)[~shared]
+        start = (np.floor(x + npe % 2 / 2).astype(int) - mid).clip(0, n - npe)
         nodes = start[:, None] + np.arange(npe)
-        w = fd_weights(nodes - x[:, None], order)
-        return np.einsum("ij,ij->i", w, self.values[nodes]) / self.h ** order
+        w = fd_weights(np.vstack([np.arange(npe) - mid, nodes - x[:, None]]),
+                       order)
+        out = np.empty(t.shape)
+        out[~shared] = np.einsum("ij,ij->i", w[1:], self.values[nodes])
+        windows = np.lib.stride_tricks.as_strided(
+            self.values, (n - npe + 1, npe), self.values.strides * 2)
+        out[shared] = np.einsum("ij,j->i", windows[k[shared] - mid], w[0])
+        return out / self.h ** order
 
     def derivative_noise(self, order):
         """Bound on the error of derivative_at at any time: 0 when
@@ -233,11 +219,7 @@ class TimeTrace:
         if self.expr is not None:
             d = sympy.diff(self.expr, T, order)
             return float(d.subs(T, self.grid[0]))
-        if order == 0:
-            return float(self.values[0])
-        npe = order + FD_ACCURACY
-        w = fd_weights(np.arange(npe), order) / self.h ** order
-        return float(self.values[:npe] @ w)
+        return float(self.derivative_at(self.grid[:1], order)[0])
 
     # -- arithmetic (grids match; expressions combine, tables take scalars) --
 

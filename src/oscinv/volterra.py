@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chebyshev
-from .basis import SeparableAmplitude
+from .basis import SeparableAmplitude, separable_sum
 from .traces import TimeTrace
 
 __all__ = ["VolterraKernel", "build_kernel", "solve_second_kind",
@@ -59,7 +59,7 @@ class VolterraKernel:
 
     def mode_amplitudes(self, s):
         """f_m(s) = sum_i c_im g_i(s) on a 1-D array s, shape (M, s.size)."""
-        return self.coeffs.T @ self.amplitude.time_factors(s)
+        return separable_sum(self.coeffs, self.amplitude.time_factors(s))
 
     def evaluate(self, t, s):
         """K(t, s) for scalar t and a 1-D array s."""
@@ -147,13 +147,12 @@ def _march_separable(av, K, gv, grid, u):
     h = grid[1] - grid[0]
     roots = np.sqrt(K.lams)
     wf = (roots * K.mode_weights)[:, None]
-    # f_m = coeffs.T @ g as in mode_amplitudes, but the (n_terms, N) time
-    # factors are sampled once and each block projects only its own slice
-    coeffs_t = K.coeffs.T
+    # f_m as in mode_amplitudes, but the (n_terms, N) time factors are
+    # sampled once and each block projects only its own slice
     tf = K.amplitude.time_factors(grid)
     # running trapezoid sums of f_m(s) cos/sin(sqrt(lam_m) s) u(s); the
     # first node has the half weight
-    f0 = coeffs_t @ tf[:, 0]
+    f0 = separable_sum(K.coeffs, tf[:, 0])
     Sc = 0.5 * f0 * np.cos(roots * grid[0]) * u[0]
     Ss = 0.5 * f0 * np.sin(roots * grid[0]) * u[0]
     # -h on the strictly lower triangle of a block, 0 on and above it
@@ -162,7 +161,7 @@ def _march_separable(av, K, gv, grid, u):
         j = min(i + BLOCK, grid.size)
         phase = np.outer(roots, grid[i:j])
         c, s = np.cos(phase), np.sin(phase)
-        f = coeffs_t @ tf[:, i:j]
+        f = separable_sum(K.coeffs, tf[:, i:j])
         P, Q = f * c, f * s
         A, Bm = (wf * s).T, (wf * c).T
         rhs = gv[i:j] + h * (A @ Sc - Bm @ Ss)

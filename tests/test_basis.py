@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis,
                           build_rectangle_basis, build_sturm_liouville_basis,
-                          check_boundary_traces)
+                          check_boundary_traces, separable_sum)
 from oscinv.traces import uniform_grid
 
 PI = np.pi
@@ -293,3 +293,14 @@ def test_mode_traces_compile_per_term_not_per_mode():
     g = np.vstack([np.exp(-0.8125 * grid), 1 + 0.4375 * grid ** 2])
     np.testing.assert_allclose(fm, coeffs.T @ g, rtol=0, atol=1e-14)
     np.testing.assert_allclose(fm1, -0.8125 * coeffs[0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+def test_separable_sum_is_the_matrix_product(n_terms):
+    # an outer product for one term, the same numbers bit for bit
+    rng = np.random.default_rng(n_terms)
+    coeffs = rng.standard_normal((n_terms, 64))
+    factors = rng.standard_normal((n_terms, 301))
+    assert np.array_equal(separable_sum(coeffs, factors), coeffs.T @ factors)
+    assert np.array_equal(separable_sum(coeffs, factors[:, 7]),
+                          coeffs.T @ factors[:, 7])

@@ -238,6 +238,20 @@ _EXIT_2_INPUTS = {
        for n in (2, 3, 4, 5)},
     "data_phi0_grid_to_inf": ("invert1", dict(source=_DRIVE_SOURCE),
                               _phi0_samples([0.0, math.inf])),
+    "data_phi0_grid_not_from_0": ("invert1", dict(source=_DRIVE_SOURCE), {
+        "x0": PI / 2,
+        "phi0": {"grid": np.linspace(0.5, 3.5, 31).tolist(),
+                 "values": ((np.linspace(0.5, 3.5, 31) - 0.5) ** 2).tolist()},
+        "chi": [{"harmonic": 1, "kind": "cos", "coeff": -1.0}]}),
+    "data_phi0_step_squared_overflows": (
+        "invert1", dict(source=_DRIVE_SOURCE),
+        _phi0_samples([1e200 * i for i in range(6)])),
+    "data_phi0_step_squared_underflows": (
+        "invert1", dict(source=_DRIVE_SOURCE),
+        _phi0_samples([1e-200 * i for i in range(6)])),
+    "interval_table_over_work_cap": ("study", dict(
+        basis={"domain": "interval", "lengths": [PI], "M": 200000},
+        grid={"T": 0.001, "trace_h": 1}), None),
     "data_chi_grid_h_zero": ("invert3", dict(
         source=_AMPLITUDE_SOURCE, observation={"x0": PI / 2, "t0": 3.0}),
         {"psi": {"expr": "sin(x)"},
@@ -285,6 +299,10 @@ _EXIT_2_NAMES = {"roundtrip2_trace_h_zero": "trace_h",
                  "data_phi0_grid_of_4_nodes": "phi0.grid",
                  "data_phi0_grid_of_5_nodes": "phi0.grid",
                  "data_phi0_grid_to_inf": "phi0.grid",
+                 "data_phi0_grid_not_from_0": "phi0.grid",
+                 "data_phi0_step_squared_overflows": "phi0.grid",
+                 "data_phi0_step_squared_underflows": "phi0.grid",
+                 "interval_table_over_work_cap": "cap",
                  "interval_with_sl_keys": "'a', 'grid_n'",
                  "interval_with_a": "'a'", "interval_with_c": "'c'",
                  "rectangle_with_grid_n": "'grid_n'",

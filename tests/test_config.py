@@ -98,10 +98,22 @@ def test_work_cap_counts_forward_and_trace_nodes(factor, ok):
     {"grid": {"T": 3.0, "trace_h": 1e-8}},
     {"basis": {"domain": "sturm_liouville", "M": 64, "grid_n": 2 ** 20}},
     {"basis": {"M": 10 ** 5}},
+    # the basis's Gauss-node table: 2000 modes at 64,000 nodes
+    {"basis": {"M": 2000}},
+    # at least 1024 M Gauss nodes, checked before the candidate loop
+    {"basis": {"domain": "rectangle", "lengths": [PI, 1.0], "M": 300}},
 ])
 def test_work_cap_rejects_before_allocation(override):
     with pytest.raises(ConfigError, match="estimated work of .* exceeds"):
         config_from_dict(dict(GOOD, **override))
+
+
+def test_make_basis_checks_the_exact_node_table():
+    # passes the rectangle's lower bound, but its Gauss nodes number 327,680
+    cfg = config_from_dict(dict(GOOD, basis={
+        "domain": "rectangle", "lengths": [PI, 1.0], "M": 250}))
+    with pytest.raises(ConfigError, match="81920000 mode-node entries"):
+        make_basis(cfg.basis)
 
 
 def test_scalar_omega_promoted():

@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and no module reaches into another's private names."""
+no module reaches into another's private names, and sampled traces keep one
+stencil rule."""
 
 import ast
 import importlib
@@ -28,4 +29,19 @@ def test_no_module_imports_a_private_name():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_only_traces_solves_stencils():
+    # TimeTrace.derivative_at is the one stencil-window rule; a module that
+    # calls fd_weights itself would be a second
+    found = []
+    for path in sorted(pathlib.Path(oscinv.__file__).parent.glob("*.py")):
+        if path.name == "traces.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, (ast.Name, ast.Attribute)) \
+                    and name == "fd_weights":
+                found.append(path.name)
     assert found == []

@@ -386,3 +386,18 @@ def test_slow_responses_fall_back_to_the_filon_rule_bitwise(M, backed):
     assert np.array_equal(tab.at(3.0), want[:, -1])
     w = basis.point_weights(1.2)
     assert np.array_equal(tab.row(w, grid), w @ want)
+
+
+def test_fallback_responses_read_only_their_own_nodes():
+    # the Filon fallback tabulates the grid alone: a time between nodes is
+    # an error, not the nearest node's responses
+    basis = build_dirichlet_interval_basis(np.pi, 4)
+    grid = uniform_grid(3.0, 600)
+    tab = slow_responses(None, TimeTrace(grid, 1.0 + grid),
+                         basis.eigenvalues, grid)
+    assert not tab.chebyshev
+    assert np.array_equal(tab.at(grid[10]), tab.values[:, 10])
+    h = grid[1] - grid[0]
+    for bad in (grid[10] + 0.3 * h, grid[-1] + h, grid[0] - 0.6 * h):
+        with pytest.raises(ValueError, match="not a node"):
+            tab.at(bad)

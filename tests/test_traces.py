@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscinv import chebyshev
-from oscinv.traces import TimeTrace, fd_derivative, fd_weights, uniform_grid
+from oscinv.traces import TimeTrace, fd_weights, uniform_grid
 
 
 def test_uniform_grid_even_interval_count():
@@ -36,8 +36,7 @@ def test_fd_derivative_fourth_order_accuracy(order):
     errs = []
     for n in (200, 400):
         g = np.linspace(0.0, 2.0, n + 1)
-        h = g[1] - g[0]
-        d = fd_derivative(np.sin(3 * g), h, order=order)
+        d = TimeTrace(g, np.sin(3 * g)).derivative(order).values
         exact = {1: 3 * np.cos(3 * g), 2: -9 * np.sin(3 * g)}[order]
         errs.append(np.max(np.abs(d - exact)))
     rate = np.log2(errs[0] / errs[1])
@@ -47,8 +46,7 @@ def test_fd_derivative_fourth_order_accuracy(order):
 def test_fd_derivative_edges_match_interior_quality():
     # the one-sided stencils must not degrade the boundary rows
     g = np.linspace(0.0, 1.0, 501)
-    h = g[1] - g[0]
-    d = fd_derivative(np.exp(g), h, order=2)
+    d = TimeTrace(g, np.exp(g)).derivative(2).values
     err = np.abs(d - np.exp(g))
     assert err[0] < 1e-8 and err[-1] < 1e-8
 
@@ -114,6 +112,40 @@ def test_sampled_trace_reads_its_own_nodes_exactly():
         at = np.sort(rng.choice(n, size=int(rng.integers(1, n)),
                                 replace=False))
         assert np.array_equal(tr.sample(g[at]), v[at])
+
+
+def _random_sampled_traces(count):
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        n = int(rng.integers(8, 60))
+        t0 = float(rng.uniform(-2.0, 2.0))
+        g = np.linspace(t0, t0 + float(rng.uniform(0.1, 5.0)), n)
+        yield TimeTrace(g, rng.uniform(-1e3, 1e3, n))
+
+
+def test_whole_grid_derivative_is_the_node_read():
+    for tr in _random_sampled_traces(40):
+        for k in (1, 2):
+            assert np.array_equal(tr.derivative(k).values,
+                                  tr.derivative_at(tr.grid, k))
+
+
+def test_value_at_start_is_the_node_read():
+    for tr in _random_sampled_traces(40):
+        for k in (0, 1, 2, 3):
+            assert tr.value_at_start(k) == tr.derivative_at(tr.grid[:1], k)[0]
+
+
+def test_interior_node_read_of_order_1_is_centred():
+    # the weights a read at node 10 gives each sample: the centred 5-point
+    # stencil, nothing outside nodes 8..12
+    g = uniform_grid(1.0, 40)
+    h = g[1] - g[0]
+    weights = np.array([TimeTrace(g, np.eye(g.size)[j]).derivative_at(
+        g[[10]], 1)[0] * h for j in range(g.size)])
+    want = np.zeros(g.size)
+    want[8:13] = [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]
+    np.testing.assert_allclose(weights, want, rtol=0, atol=1e-12)
 
 
 def test_tabulated_resample_outside_support_raises():
