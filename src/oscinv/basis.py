@@ -45,19 +45,23 @@ def _observation_points(x0, dim):
 
 
 def _as_space_expr(obj):
-    """Coerce a coefficient descriptor (number, string, sympy) to an expr in x."""
-    if obj is None:
-        return None
+    """A Sturm-Liouville coefficient (number, string or sympy) as an
+    expression in x; TypeError for anything else."""
     if isinstance(obj, (int, float)):
         return sympy.Float(float(obj))
     if isinstance(obj, (str, sympy.Expr)):
         return expressions.parse(obj, allowed=(X,))
-    return None
+    raise TypeError(f"a Sturm-Liouville coefficient is a number or an "
+                    f"expression in x, got {type(obj).__name__}")
 
 
 @dataclass(eq=False)
 class EigenBasis:
-    """Finite Dirichlet eigenbasis with a quadrature rule exact for mode products."""
+    """Finite Dirichlet eigenbasis with a quadrature rule exact for mode products.
+
+    A Sturm-Liouville basis also holds its modes at the interior grid points
+    (``nodes``) and the operator's coefficients as expressions in x.
+    """
 
     kind: str
     lengths: tuple
@@ -65,10 +69,9 @@ class EigenBasis:
     mode_index: tuple
     nodes: np.ndarray
     weights: np.ndarray
-    sl_grid: np.ndarray | None = None
     sl_values: np.ndarray | None = None        # (M, n_interior) eigenfunction samples
-    operator_a: object = None                  # SL coefficients (expr or callable)
-    operator_c: object = None
+    operator_a: sympy.Expr | None = None       # SL coefficients
+    operator_c: sympy.Expr | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -87,7 +90,7 @@ class EigenBasis:
         spline = self._cache.get("sl_spline")
         if spline is None:
             from scipy.interpolate import CubicSpline
-            xs = np.concatenate(([0.0], self.sl_grid, [self.lengths[0]]))
+            xs = np.concatenate(([0.0], self.nodes, [self.lengths[0]]))
             ys = np.pad(self.sl_values, ((0, 0), (1, 1)))
             spline = CubicSpline(xs, ys, axis=1)
             self._cache["sl_spline"] = spline
@@ -132,13 +135,10 @@ class EigenBasis:
     # -- projection / synthesis ----------------------------------------
 
     def values_at_nodes(self, obj):
+        """A SpatialField's values at the quadrature nodes, or an array of
+        them checked for length."""
         if isinstance(obj, SpatialField):
-            return obj.evaluate(self.nodes, basis=self)
-        if callable(obj):
-            if self.dim == 1:
-                return np.asarray(obj(self.nodes), dtype=float)
-            return np.asarray(obj(*(self.nodes[:, d] for d in range(self.dim))),
-                              dtype=float)
+            return obj.evaluate(self.nodes)
         vals = np.asarray(obj, dtype=float)
         if vals.shape[0] != self.nodes.shape[0]:
             raise ValueError("node value array has the wrong length")
@@ -217,17 +217,16 @@ def build_rectangle_basis(lengths, M):
         raise ValueError("rectangle bases are two-dimensional")
     if any(L <= 0 for L in lengths) or M < 1:
         raise ValueError("need positive lengths and at least one mode")
-    cap = max(2, M)
-    cand = []
-    for i in range(1, cap + 1):
-        for j in range(1, cap + 1):
-            lam = (i * np.pi / lengths[0]) ** 2 + (j * np.pi / lengths[1]) ** 2
-            cand.append((lam, (i, j)))
-    cand.sort(key=lambda c: (c[0], c[1]))
-    chosen = cand[:M]
-    lam = np.array([c[0] for c in chosen])
-    idx = tuple(c[1] for c in chosen)
-    bmax = [max(ix[d] for ix in idx) for d in range(2)]
+    # every (i, j) up to max(2, M) each, sorted by (lam, i, j); float_power
+    # is libm's pow, so lam is bitwise that of the scalar formula
+    ax = np.arange(1, max(2, M) + 1)
+    i, j = (g.ravel() for g in np.meshgrid(ax, ax, indexing="ij"))
+    lam = np.float_power(i * np.pi / lengths[0], 2) \
+        + np.float_power(j * np.pi / lengths[1], 2)
+    chosen = np.lexsort((j, i, lam))[:M]
+    lam, i, j = lam[chosen], i[chosen], j[chosen]
+    idx = tuple(zip(i.tolist(), j.tolist()))
+    bmax = [int(i.max()), int(j.max())]
     rules = [gauss_panel_rule(0.0, lengths[d], panel_count(bmax[d]))
              for d in range(2)]
     n1, w1 = rules[0]
@@ -241,9 +240,11 @@ def build_rectangle_basis(lengths, M):
 def build_sturm_liouville_basis(a, c, length, M, grid_n=2000):
     """First M Dirichlet eigenpairs of -(a u')' + c u on (0, length).
 
-    The operator is assembled with the symmetric flux stencil
-    (a_{i+1/2} differences) on a uniform grid of grid_n cells, so eigenvalues
-    and eigenfunctions converge at second order in the cell width.
+    a and c are numbers or expressions in x (text or sympy); any other type
+    raises TypeError.  The operator is assembled with the symmetric flux
+    stencil (a_{i+1/2} differences) on a uniform grid of grid_n cells, so
+    eigenvalues and eigenfunctions converge at second order in the cell
+    width.
     """
     L = float(length)
     n = int(grid_n)
@@ -257,16 +258,8 @@ def build_sturm_liouville_basis(a, c, length, M, grid_n=2000):
 
     a_expr = _as_space_expr(a)
     c_expr = _as_space_expr(c)
-
-    def _eval(expr_or_fn, pts, default):
-        if expr_or_fn is None:
-            return np.full_like(pts, default)
-        if isinstance(expr_or_fn, sympy.Expr):
-            return expressions.evaluate(expr_or_fn, x=pts)
-        return np.asarray(expr_or_fn(pts), dtype=float)
-
-    a_half = _eval(a_expr if a_expr is not None else a, x_half, 1.0)
-    c_int = _eval(c_expr if c_expr is not None else c, x_int, 0.0)
+    a_half = expressions.evaluate(a_expr, x=x_half)
+    c_int = expressions.evaluate(c_expr, x=x_int)
     if np.min(a_half) <= 0.0:
         raise ValueError("diffusion coefficient must be strictly positive")
     if np.min(c_int) < -1e-12:
@@ -284,9 +277,8 @@ def build_sturm_liouville_basis(a, c, length, M, grid_n=2000):
             row *= -1.0
     return EigenBasis(
         "sturm_liouville", (L,), np.asarray(lam), tuple(range(1, M + 1)),
-        x_int, np.full_like(x_int, h), sl_grid=x_int, sl_values=ys,
-        operator_a=a_expr if a_expr is not None else a,
-        operator_c=c_expr if c_expr is not None else c)
+        x_int, np.full_like(x_int, h), sl_values=ys,
+        operator_a=a_expr, operator_c=c_expr)
 
 
 @dataclass(eq=False)
@@ -319,7 +311,7 @@ class SpatialField:
     def from_expr(cls, text):
         return cls(expr=expressions.parse(text, allowed=SPACE_SYMBOLS))
 
-    def evaluate(self, points, basis=None):
+    def evaluate(self, points):
         pts = np.asarray(points, dtype=float)
         if self.expr is not None:
             if pts.ndim <= 1:
@@ -328,8 +320,7 @@ class SpatialField:
                 vals = {f"x{d + 1}": pts[:, d] for d in range(pts.shape[1])}
             return expressions.evaluate(self.expr, **vals)
         if self.coeffs is not None:
-            b = self.basis or basis
-            return b.synthesize(self.coeffs, pts)
+            return self.basis.synthesize(self.coeffs, pts)
         xp, yp = self.table
         if pts.ndim > 1:
             raise ValueError("tabulated fields are one-dimensional")
@@ -338,9 +329,6 @@ class SpatialField:
                              " only; it is not extrapolated")
         from scipy.interpolate import CubicSpline
         return CubicSpline(xp, yp)(pts)
-
-    def __call__(self, points):
-        return self.evaluate(points)
 
 
 @dataclass(eq=False)
@@ -440,14 +428,8 @@ def _apply_operator(expr, basis, times):
     out = expr
     for _ in range(times):
         if basis.kind == "sturm_liouville":
-            a = basis.operator_a
-            c = basis.operator_c
-            if not isinstance(a, sympy.Expr) or (
-                    c is not None and not isinstance(c, (sympy.Expr, type(None)))):
-                raise ValueError("symbolic operator powers need expression "
-                                 "coefficients")
-            cexpr = c if isinstance(c, sympy.Expr) else sympy.Integer(0)
-            out = -sympy.diff(a * sympy.diff(out, X), X) + cexpr * out
+            out = -sympy.diff(basis.operator_a * sympy.diff(out, X), X) \
+                + basis.operator_c * out
         else:
             out = -sum(sympy.diff(out, s, 2) for s in SPACE_SYMBOLS)
     return sympy.expand(out)
@@ -471,11 +453,7 @@ def check_boundary_traces(fld, basis, orders=1):
             bv = basis.synthesize(scaled, bpts)
             iv = basis.synthesize(scaled, basis.nodes)
         elif fld.expr is not None:
-            try:
-                ej = _apply_operator(fld.expr, basis, j)
-            except ValueError:
-                break
-            f2 = SpatialField(expr=ej)
+            f2 = SpatialField(expr=_apply_operator(fld.expr, basis, j))
             bv = f2.evaluate(bpts)
             iv = f2.evaluate(basis.nodes)
         else:

@@ -48,7 +48,7 @@ class CriterionResult:
     name: str
     value: float
     threshold: float
-    op: str                  # "<=", ">=", "<", "monotone_decreasing"
+    op: str                  # "<=" or "<"
     passed: bool
 
     def to_dict(self):
@@ -83,8 +83,6 @@ class StudyReport:
 def _cmp(name, value, threshold, op):
     if op == "<=":
         ok = value <= threshold
-    elif op == ">=":
-        ok = value >= threshold
     elif op == "<":
         ok = value < threshold
     else:

@@ -55,9 +55,7 @@ class FastProfile:
         """Build from (harmonic, kind, coefficient expression/number) triples."""
         terms = []
         for k, kind, coeff in specs:
-            if isinstance(coeff, TimeTrace):
-                tr = coeff
-            elif isinstance(coeff, (int, float)):
+            if isinstance(coeff, (int, float)):
                 tr = TimeTrace.constant(float(coeff), grid)
             else:
                 tr = TimeTrace.from_expr(coeff, grid)

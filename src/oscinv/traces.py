@@ -125,6 +125,14 @@ class TimeTrace:
         """True when an expression or a Chebyshev table gives any time."""
         return self.expr is not None or self.table is not None
 
+    def _check_span(self, t):
+        """ValueError unless every time of t is on the grid's span, to a pad
+        of 1e-12 * max(1, |t_end|)."""
+        lo, hi = self.grid[0], self.grid[-1]
+        pad = 1e-12 * max(1.0, abs(hi))
+        if t.size and (t.min() < lo - pad or t.max() > hi + pad):
+            raise ValueError("reading outside the trace support")
+
     def __call__(self, tq):
         out = self.sample(tq)
         return out if np.ndim(tq) else float(out)
@@ -139,10 +147,7 @@ class TimeTrace:
             return self.values.copy()
         if self.expr is not None:
             return expressions.evaluate(self.expr, t=grid2)
-        lo, hi = self.grid[0], self.grid[-1]
-        pad = 1e-12 * max(1.0, abs(hi))
-        if grid2.min() < lo - pad or grid2.max() > hi + pad:
-            raise ValueError("resampling outside the trace support")
+        self._check_span(grid2)
         t = grid2.ravel()
         out = self.derivative_at(t, 0) if self.table is None else \
             chebyshev.interpolate(self.table[0], self.table[1][:, None], t)
@@ -165,7 +170,8 @@ class TimeTrace:
     def derivative_at(self, t, order):
         """d^order/dt^order at the times t of the span, as an array.
 
-        Exact when expression-backed.  Otherwise each time is read by the
+        Exact when expression-backed, at any time.  Otherwise a time off
+        the span raises ValueError, as in ``sample``, and each is read by the
         stencil on the order + FD_ACCURACY grid nodes nearest it (of two
         equally near windows, the right one), one-sided at the ends.  A time
         equal to a grid node is read at integer offsets, so interior node
@@ -174,6 +180,7 @@ class TimeTrace:
         t = np.asarray(t, dtype=float)
         if self.expr is not None:
             return expressions.evaluate(sympy.diff(self.expr, T, order), t=t)
+        self._check_span(t)
         n, npe = self.grid.size, order + FD_ACCURACY
         if n < npe:
             raise ValueError(f"need at least {npe} samples")

@@ -53,10 +53,6 @@ class VolterraKernel:
     coeffs: np.ndarray          # (n_terms, M) projections of the space factors
     amplitude: SeparableAmplitude   # supplies the time factors g_i
 
-    @property
-    def M(self):
-        return int(self.lams.size)
-
     def mode_amplitudes(self, s):
         """f_m(s) = sum_i c_im g_i(s) on a 1-D array s, shape (M, s.size)."""
         return separable_sum(self.coeffs, self.amplitude.time_factors(s))
@@ -89,8 +85,6 @@ def build_kernel(basis, f, x0):
 def _multiplier_values(a, grid):
     if isinstance(a, TimeTrace):
         return a.sample(grid)
-    if callable(a):
-        return np.asarray(a(grid), dtype=float)
     if np.ndim(a) == 0:
         return np.full(grid.size, float(a))
     vals = np.asarray(a, dtype=float)

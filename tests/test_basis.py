@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -53,6 +55,21 @@ def test_rectangle_ordering_and_eigenvalues():
     assert basis.mode_index == ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
+@pytest.mark.parametrize("lengths", [(PI, PI), (PI, 2.0), (1.0, 3.7),
+                                     (0.1, 10.0)])
+@pytest.mark.parametrize("M", [1, 2, 5, 16, 50])
+def test_rectangle_modes_are_the_explicit_enumeration(lengths, M):
+    # every (i, j) up to max(2, M), in Python floats, sorted by (lam, i, j);
+    # a square ties lam for (i, j) and (j, i)
+    cap = max(2, M)
+    cand = sorted(((i * math.pi / lengths[0]) ** 2
+                   + (j * math.pi / lengths[1]) ** 2, i, j)
+                  for i in range(1, cap + 1) for j in range(1, cap + 1))[:M]
+    basis = build_rectangle_basis(lengths, M)
+    assert basis.mode_index == tuple((i, j) for _, i, j in cand)
+    assert basis.eigenvalues.tolist() == [lam for lam, _, _ in cand]
+
+
 def test_rectangle_gram_identity():
     basis = build_rectangle_basis((PI, 2.0), 6)
     G = basis.gram_matrix()
@@ -100,12 +117,19 @@ def test_sturm_liouville_modes_off_nodes_match_per_mode_splines():
 
     basis = build_sturm_liouville_basis("1 + x/2", "x", 2.0, 8, grid_n=800)
     pts = (np.arange(64) + 0.37) * (2.0 / 64)
-    xs = np.concatenate(([0.0], basis.sl_grid, [2.0]))
+    xs = np.concatenate(([0.0], basis.nodes, [2.0]))
     ref = np.vstack([CubicSpline(xs, np.concatenate(([0.0], row, [0.0])))(pts)
                      for row in basis.sl_values])
-    assert not np.isin(pts, basis.sl_grid).any()
+    assert not np.isin(pts, basis.nodes).any()
     np.testing.assert_allclose(basis.eval_modes(pts), ref, rtol=0, atol=1e-14)
     assert basis.eval_modes(1.1).shape == (8, 1)
+
+
+@pytest.mark.parametrize("a, c", [(lambda x: 1 + x, 0.0), (1.0, None),
+                                  (1.0, np.zeros(3))])
+def test_sturm_liouville_coefficients_are_numbers_or_expressions(a, c):
+    with pytest.raises(TypeError):
+        build_sturm_liouville_basis(a, c, 2.0, 3, grid_n=64)
 
 
 def test_sturm_liouville_rejects_degenerate_coefficient():
@@ -188,6 +212,18 @@ def test_boundary_traces_coefficient_fields(interval_basis):
     fld = SpatialField(coeffs=np.ones(8), basis=interval_basis)
     rep = check_boundary_traces(fld, interval_basis, orders=3)
     assert rep.passed
+
+
+def test_boundary_traces_apply_the_sturm_liouville_operator():
+    # A sin = -((1 + x/2) cos x)' + x sin x = -cos(x)/2 + (1 + 3x/2) sin x,
+    # which is -1/2 at 0 and 1/2 at pi
+    basis = build_sturm_liouville_basis("1 + x/2", "x", PI, 4, grid_n=400)
+    rep = check_boundary_traces(SpatialField.from_expr("sin(x)"), basis,
+                                orders=1)
+    assert rep.orders == (0, 1) and rep.note == ""
+    assert rep.sup_boundary[0] < 1e-15
+    assert rep.sup_boundary[1] == pytest.approx(0.5, abs=1e-15)
+    assert not rep.passed
 
 
 def test_boundary_traces_table_limited_to_order_zero():

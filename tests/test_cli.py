@@ -141,6 +141,12 @@ _EXIT_2_INPUTS = {
     "sl_nonpositive_a": ("study", dict(basis={
         "domain": "sturm_liouville", "lengths": [PI], "M": 1, "grid_n": 64,
         "a": "x - 1"}), None),
+    "sl_a_is_a_list": ("study", dict(basis={
+        "domain": "sturm_liouville", "lengths": [PI], "M": 1, "grid_n": 64,
+        "a": [1.0, 2.0]}), None),
+    "sl_c_is_an_object": ("study", dict(basis={
+        "domain": "sturm_liouville", "lengths": [PI], "M": 1, "grid_n": 64,
+        "c": {"x": 1}}), None),
     "roundtrip2_time_varying_f": ("study", dict(
         study="roundtrip2", source={"f": "exp(-t)*sin(x)", "r0": "1 + t"},
         observation={"x0": PI / 2, "t0": 3.0}), None),
@@ -386,6 +392,21 @@ def test_invert1_cli_roundtrip(tmp_path, ip1_files):
     np.testing.assert_allclose(r1_tab[:, 1], 1 + r1_tab[:, 0] / 2, atol=1e-9)
     adm = json.loads((tmp_path / "out" / "run_admissibility.json").read_text())
     assert adm["passed"] is True
+
+
+def test_invert1_cli_on_expression_phi0(tmp_path):
+    # phi0 = u0(x0, t) of r0 = 1 + t for mode 1: phi0'' is exact, so the
+    # recovery has no differencing noise
+    data = {"x0": PI / 2,
+            "phi0": {"expr": "1 + t - cos(t) - sin(t)", "T": 3.0, "h": 1e-3},
+            "chi": [{"harmonic": 1, "kind": "cos", "coeff": -1.0}]}
+    dpath = tmp_path / "data.json"
+    dpath.write_text(json.dumps(data))
+    cfg = _write_config(tmp_path, source={"f": "sin(x)", "r0": "1 + t"},
+                        observation={"x0": PI / 2})
+    assert main(["invert1", "--config", str(cfg), "--data", str(dpath)]) == 0
+    _, r0_tab = _read_csv(tmp_path / "out" / "run_recovered_r0.csv")
+    assert np.max(np.abs(r0_tab[:, 1] - (1 + r0_tab[:, 0]))) < 1e-12
 
 
 @pytest.fixture()

@@ -1,6 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-no module reaches into another's private names, and sampled traces keep one
-stencil rule."""
+no module reaches into another's private names, sampled traces keep one
+stencil rule, and callables are accepted only where a caller passes one."""
 
 import ast
 import importlib
@@ -45,3 +45,27 @@ def test_only_traces_solves_stencils():
                     and name == "fd_weights":
                 found.append(path.name)
     assert found == []
+
+
+def test_callables_are_accepted_only_where_a_caller_passes_one():
+    # a callable drive (split_source) and a callable kernel (the reference
+    # march of solve_second_kind); every other argument has one input form
+    allowed = {("sources.py", "split_source"),
+               ("volterra.py", "solve_second_kind")}
+    found = []
+    for path in sorted(pathlib.Path(oscinv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = _callable_tests(tree)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) \
+                    and (path.name, func.name) in allowed:
+                lines -= _callable_tests(func)
+        found += [f"{path.name}:{n}" for n in sorted(lines)]
+    assert found == []
+
+
+def _callable_tests(tree):
+    """Line numbers of the callable(...) calls under an AST node."""
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "callable"}

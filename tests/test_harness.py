@@ -132,6 +132,31 @@ def test_roundtrip2_driver():
                                               "boundary_trace_sup"}
 
 
+@pytest.mark.parametrize("which", [2, 3])
+def test_rectangle_roundtrips(which):
+    # boundary_points and interior_sample_points of a two-dimensional basis
+    source = {"f": "sin(x1)*sin(1.5707963267948966*x2)", "r0": "1 + t"}
+    if which == 3:
+        source["r1"] = [{"harmonic": 1, "kind": "cos", "coeff": "1 + t/2"}]
+    cfg = config_from_dict({
+        "basis": {"domain": "rectangle", "lengths": [PI, 2.0], "M": 6},
+        "source": source,
+        "omega": [100.0, 400.0] if which == 3 else [100.0],
+        "grid": {"T": 3.0, "trace_h": 1e-3},
+        "observation": {"x0": [PI / 2, 1.0], "t0": 3.0},
+        "study": f"roundtrip{which}",
+    })
+    rep = run_roundtrip(cfg, which)
+    assert rep.passed
+    values = {c.name: c.value for c in rep.criteria}
+    assert values["fm_rel_error"] < 1e-13
+    if which == 2:
+        assert values["boundary_trace_sup"] < 1e-14
+    else:
+        assert values["r1_coeff_error"] < 1e-13
+        assert 0 < values["trace_expansion_error"] < 1e-7
+
+
 def test_roundtrip2_computes_mode_responses_once(monkeypatch):
     # ip2_recover's Lambda_m(t0) also feeds the admissibility report
     calls = []

@@ -166,6 +166,19 @@ def test_tabulated_call_outside_support_raises():
         tr(np.array([0.5, -0.5]))
 
 
+def test_sampled_derivative_at_refuses_times_off_the_span():
+    g = uniform_grid(1.0, 10)
+    tr = TimeTrace(g, g ** 2)       # no expression: samples only
+    for t, order in ((5.0, 0), (-2.0, 0), (5.0, 2)):
+        with pytest.raises(ValueError):
+            tr.derivative_at(np.array([t]), order)
+    # the span's ends still read, and an expression reads anywhere
+    np.testing.assert_allclose(tr.derivative_at(g[[0, -1]], 0), [0.0, 1.0],
+                               rtol=0, atol=1e-15)
+    exact = TimeTrace.from_expr("t**2", g)
+    assert exact.derivative_at(np.array([5.0]), 0)[0] == 25.0
+
+
 def _table_trace(fn, grid):
     nodes, vals = chebyshev.converge(lambda t: fn(t)[:, None], grid[0],
                                      grid[-1])
