@@ -109,10 +109,16 @@ class AsymptoticExpansion:
             raise ValueError("order must be 0 or 2")
         omega = float(omega)
         c1, c2 = self.correction_coeffs(tgrid)
-        out = u0 + (c1.T @ modes) / omega + (c2.T @ modes) / omega ** 2
+        # accumulated in place, in the order of
+        # u0 + c1/omega + c2/omega^2 + f rho0/omega^2
+        out = u0
+        out += (c1.T @ modes) / omega
+        out += (c2.T @ modes) / omega ** 2
         fvals = self.amplitude.evaluate(points, tgrid)
         rho_vals = self.rho0_profile.evaluate(tgrid, omega * tgrid)
-        out += fvals * np.asarray(rho_vals)[:, None] / omega ** 2
+        fvals *= np.asarray(rho_vals)[:, None]
+        fvals /= omega ** 2
+        out += fvals
         return out
 
     def observed_traces(self, x0, tgrid):
@@ -161,5 +167,5 @@ def residual_norm(u_field, expansion, omega, order=2):
     tgrid = u_field.grid[::stride]
     pts = u_field.basis.interior_sample_points(RESIDUAL_SPACE_POINTS)
     u_vals = u_field.coeffs[:, ::stride].T @ u_field.basis.eval_modes(pts)
-    e_vals = expansion.evaluate(omega, pts, tgrid, order=order)
-    return float(np.max(np.abs(u_vals - e_vals)))
+    u_vals -= expansion.evaluate(omega, pts, tgrid, order=order)
+    return float(np.max(np.abs(u_vals, out=u_vals)))

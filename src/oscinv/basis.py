@@ -3,7 +3,9 @@
 Supported geometries: an interval with the analytic sine basis, a rectangle
 with the tensor-product sine basis (eigenvalues sorted ascending, ties broken
 lexicographically by multi-index), and a 1-D Sturm-Liouville operator
--(a u')' + c u discretized with the symmetric three-point flux stencil.
+-(a u')' + c u solved by Chebyshev collocation (L. N. Trefethen, Spectral
+Methods in MATLAB, SIAM 2000, chs. 6, 7 and 9): its modes are polynomials
+kept by their values at Chebyshev-Lobatto nodes.
 
 Eigenvalues are those of the positive operator (minus the spatial operator of
 the wave equation), so mode dynamics are cos(sqrt(lam) t) / sin(sqrt(lam) t).
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy
 
-from . import expressions
+from . import chebyshev, expressions
 from .expressions import SPACE_SYMBOLS, T, X
 from .quadrature import gauss_panel_rule
 from .traces import TimeTrace
@@ -59,8 +61,9 @@ def _as_space_expr(obj):
 class EigenBasis:
     """Finite Dirichlet eigenbasis with a quadrature rule exact for mode products.
 
-    A Sturm-Liouville basis also holds its modes at the interior grid points
-    (``nodes``) and the operator's coefficients as expressions in x.
+    A Sturm-Liouville basis also holds its modes' values at its collocation
+    nodes (``sl_nodes``, both ends included) and the operator's
+    coefficients as expressions in x.
     """
 
     kind: str
@@ -69,7 +72,8 @@ class EigenBasis:
     mode_index: tuple
     nodes: np.ndarray
     weights: np.ndarray
-    sl_values: np.ndarray | None = None        # (M, n_interior) eigenfunction samples
+    sl_nodes: np.ndarray | None = None         # Lobatto points of [0, L]
+    sl_values: np.ndarray | None = None        # (M, len(sl_nodes)), 0 at ends
     operator_a: sympy.Expr | None = None       # SL coefficients
     operator_c: sympy.Expr | None = None
     _cache: dict = field(default_factory=dict, repr=False)
@@ -83,18 +87,6 @@ class EigenBasis:
         return len(self.lengths)
 
     # -- eigenfunction evaluation --------------------------------------
-
-    def _sl_spline(self):
-        """One cubic spline through every mode's samples and the zero
-        boundary values, evaluating to shape (M, n_points)."""
-        spline = self._cache.get("sl_spline")
-        if spline is None:
-            from scipy.interpolate import CubicSpline
-            xs = np.concatenate(([0.0], self.nodes, [self.lengths[0]]))
-            ys = np.pad(self.sl_values, ((0, 0), (1, 1)))
-            spline = CubicSpline(xs, ys, axis=1)
-            self._cache["sl_spline"] = spline
-        return spline
 
     def eval_modes(self, points):
         """Matrix of eigenfunction values, shape (M, n_points)."""
@@ -112,7 +104,8 @@ class EigenBasis:
                 out *= np.sqrt(2.0 / L) * np.sin(
                     np.outer(idx[:, d] * np.pi / L, pts[:, d]))
             return out
-        return self._sl_spline()(np.ravel(pts))
+        return self.sl_values @ chebyshev.barycentric(self.sl_nodes,
+                                                      np.ravel(pts)).T
 
     def point_weights(self, x0):
         """Eigenfunction values y_m(x0) at one observation point, shape (M,).
@@ -125,11 +118,7 @@ class EigenBasis:
     def modes_at_nodes(self):
         mat = self._cache.get("modes_at_nodes")
         if mat is None:
-            if self.kind == "sturm_liouville":
-                mat = self.sl_values
-            else:
-                mat = self.eval_modes(self.nodes)
-            self._cache["modes_at_nodes"] = mat
+            mat = self._cache["modes_at_nodes"] = self.eval_modes(self.nodes)
         return mat
 
     # -- projection / synthesis ----------------------------------------
@@ -237,47 +226,83 @@ def build_rectangle_basis(lengths, M):
     return EigenBasis("rectangle", lengths, lam, idx, nodes, weights)
 
 
+def _sl_collocation(a_expr, c_expr, L, n, M):
+    """The M eigenvalues of least real part of -(a u')' + c u collocated on
+    the n Chebyshev-Lobatto points of [0, L], with the Dirichlet rows and
+    columns removed, and their eigenvectors as (M, n) node values, zero at
+    both ends.  The operator is -D diag(a) D + diag(c) with D the
+    differentiation matrix, so a is sampled and never differentiated."""
+    x = chebyshev.points(0.0, L, n)
+    with np.errstate(all="ignore"):      # a non-finite value is refused below
+        a_vals = expressions.evaluate(a_expr, x=x)
+        c_vals = expressions.evaluate(c_expr, x=x[1:-1])
+    if not (np.all(np.isfinite(a_vals)) and np.min(a_vals) > 0.0):
+        raise ValueError("diffusion coefficient must be finite and strictly "
+                         "positive")
+    if not (np.all(np.isfinite(c_vals)) and np.min(c_vals) >= -1e-12):
+        raise ValueError("potential must be finite and nonnegative")
+    D = (2.0 / L) * chebyshev.differentiation_matrix(n)
+    op = -(D[1:-1] * a_vals) @ D[:, 1:-1]
+    op[np.diag_indices(n - 2)] += c_vals
+    lam, vec = np.linalg.eig(op)
+    keep = np.argsort(lam.real, kind="stable")[:M]
+    values = np.zeros((M, n))
+    values[:, 1:-1] = vec[:, keep].real.T
+    return lam[keep], values
+
+
 def build_sturm_liouville_basis(a, c, length, M, grid_n=2000):
     """First M Dirichlet eigenpairs of -(a u')' + c u on (0, length).
 
     a and c are numbers or expressions in x (text or sympy); any other type
-    raises TypeError.  The operator is assembled with the symmetric flux
-    stencil (a_{i+1/2} differences) on a uniform grid of grid_n cells, so
-    eigenvalues and eigenfunctions converge at second order in the cell
-    width.
+    raises TypeError.  The operator is collocated on 17, 33, 65, ...
+    Chebyshev-Lobatto points of [0, length] (the first set with more than
+    M interior points, then doubling).  The doubling stops at the first set
+    of n points whose first M eigenvalues agree with the previous set's to
+    eps n^2 relative and are real to the same floor: the rounding floor of
+    collocation grows as n^2, so the rule stops where truncation meets
+    rounding.  That set is kept, since its modes resolve more than the
+    eigenvalues' agreement shows.  grid_n caps the node count: when no two
+    sets of at most grid_n points agree, ValueError.
+
+    Each mode is the polynomial through its node values (zero at both
+    ends), with u'(0) > 0 and unit L2 norm.  The quadrature rule is
+    Clenshaw-Curtis on the interior points of the 2n - 1 set, exact for
+    products of two modes; the ends carry no weight, since every mode
+    vanishes there.
     """
     L = float(length)
-    n = int(grid_n)
-    if n < 8:
-        raise ValueError("grid_n too small")
-    if M >= n - 1:
-        raise ValueError("requested more modes than interior grid points")
-    h = L / n
-    x_int = h * np.arange(1, n)
-    x_half = h * (np.arange(n) + 0.5)
-
+    if not L > 0 or M < 1:
+        raise ValueError("need positive length and at least one mode")
     a_expr = _as_space_expr(a)
     c_expr = _as_space_expr(c)
-    a_half = expressions.evaluate(a_expr, x=x_half)
-    c_int = expressions.evaluate(c_expr, x=x_int)
-    if np.min(a_half) <= 0.0:
-        raise ValueError("diffusion coefficient must be strictly positive")
-    if np.min(c_int) < -1e-12:
-        raise ValueError("potential must be nonnegative")
-
-    diag = (a_half[:-1] + a_half[1:]) / h ** 2 + c_int
-    off = -a_half[1:-1] / h ** 2
-    from scipy.linalg import eigh_tridiagonal
-    lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, M - 1))
-
-    ys = vec.T / np.sqrt(h)          # discrete L2 normalization
-    for row in ys:
-        k = int(np.argmax(np.abs(row)))
-        if row[k] < 0:
-            row *= -1.0
+    n = chebyshev.N_START
+    while n - 2 <= M:
+        n = 2 * n - 1
+    coarse = None
+    while n <= grid_n:
+        lam, values = _sl_collocation(a_expr, c_expr, L, n, M)
+        tol = np.finfo(float).eps * n * n * np.abs(lam)
+        if coarse is not None and np.all(np.abs(lam - coarse) <= tol) \
+                and np.all(np.abs(lam.imag) <= tol):
+            break
+        coarse = lam
+        n = 2 * n - 1
+    else:
+        raise ValueError(f"the first {M} Sturm-Liouville eigenvalues do not "
+                         f"converge on at most grid_n={grid_n} nodes")
+    nodes = chebyshev.points(0.0, L, n)
+    m = 2 * n - 1
+    quad = chebyshev.points(0.0, L, m)[1:-1]
+    weights = (0.5 * L) * chebyshev.clenshaw_curtis(m)[1:-1]
+    at_quad = values @ chebyshev.barycentric(nodes, quad).T
+    # the first interior node lies before a converged mode's first zero,
+    # so its sign is that of u'(0)
+    scale = np.sign(values[:, 1]) / np.sqrt(at_quad ** 2 @ weights)
+    values *= scale[:, None]
     return EigenBasis(
-        "sturm_liouville", (L,), np.asarray(lam), tuple(range(1, M + 1)),
-        x_int, np.full_like(x_int, h), sl_values=ys,
+        "sturm_liouville", (L,), lam.real, tuple(range(1, M + 1)),
+        quad, weights, sl_nodes=nodes, sl_values=values,
         operator_a=a_expr, operator_c=c_expr)
 
 

@@ -1,13 +1,17 @@
-"""Slow functions of time on nested Chebyshev-Lobatto points.
+"""Slow functions of time, and Sturm-Liouville modes, on nested
+Chebyshev-Lobatto points.
 
 A slow function (a drive envelope, a slow mode response) is sampled on 17,
 33, 65, ... nested Chebyshev-Lobatto points of an interval, doubling until
 the barycentric interpolant on the coarser points predicts the fresh
 samples (``converge``).  The converged table is interpolated onto any
 times (``interpolate``) or integrated cumulatively by the Clenshaw-Curtis
-rule (``cumulative_matrix``).  See L. N. Trefethen, Approximation Theory
-and Approximation Practice (SIAM 2013), and Berrut & Trefethen, SIAM Rev.
-46 (2004), for the barycentric form.
+rule (``cumulative_matrix``).  The Sturm-Liouville basis collocates its
+operator with ``differentiation_matrix`` and integrates mode products with
+the Clenshaw-Curtis weights (``clenshaw_curtis``).  See L. N. Trefethen,
+Approximation Theory and Approximation Practice (SIAM 2013) and Spectral
+Methods in MATLAB (SIAM 2000), and Berrut & Trefethen, SIAM Rev. 46 (2004),
+for the barycentric form.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["N_MAX", "points", "barycentric", "interpolate", "converge",
-           "coarsest", "coefficient_matrix", "cumulative_matrix"]
+           "coarsest", "coefficient_matrix", "cumulative_matrix",
+           "clenshaw_curtis", "differentiation_matrix"]
 
 N_START = 17    # first point set of the doubling
 N_MAX = 257     # largest point set before a caller falls back
@@ -158,4 +163,47 @@ def cumulative_matrix(n):
     at_pts = _cos_pi(np.outer(N - j, kk), N) - (-1.0) ** kk
     mat = at_pts @ anti
     mat.setflags(write=False)
+    return mat
+
+
+def clenshaw_curtis(n):
+    """Clenshaw-Curtis weights of the n points of ``points(-1, 1, n)``: the
+    integrals over [-1, 1] of their Lagrange polynomials, exact for degree
+    n - 1; scale by (b - a)/2 for [a, b].
+
+    The weights are those of ``coefficient_matrix`` contracted with the
+    moments int T_k = 2/(1 - k^2) of the even k.
+    """
+    N = n - 1
+    k = np.arange(0, n, 2)
+    moments = 2.0 / (1.0 - k * k)
+    moments[0] *= 0.5
+    if N % 2 == 0:
+        moments[-1] *= 0.5
+    w = (2.0 / N) * (moments @ _cos_pi(np.outer(k, N - np.arange(n)), N))
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def differentiation_matrix(n):
+    """(n, n) matrix taking values at the n points of ``points(-1, 1, n)``
+    to the derivative of their interpolant there; scale by 2/(b - a) for
+    [a, b].
+
+    Off the diagonal D_ij = (w_j/w_i)/(x_i - x_j) with the barycentric
+    weights w of ``barycentric``, the point differences taken from the sine
+    form, 2 cos(pi (i + j - N)/2N) sin(pi (i - j)/2N), so none loses
+    digits; each diagonal entry is minus its row's sum, so constants
+    differentiate to 0 exactly.
+    """
+    N = n - 1
+    i = np.arange(n)
+    diff = 2.0 * np.cos(0.5 * np.pi * (i[:, None] + i[None, :] - N) / N) \
+        * np.sin(0.5 * np.pi * (i[:, None] - i[None, :]) / N)
+    np.fill_diagonal(diff, 1.0)
+    w = (-1.0) ** i
+    w[[0, -1]] *= 0.5
+    mat = (w[None, :] / w[:, None]) / diff
+    np.fill_diagonal(mat, 0.0)
+    np.fill_diagonal(mat, -mat.sum(axis=1))
     return mat

@@ -252,13 +252,18 @@ def config_from_dict(d):
     # and the basis's node table, all before anything is allocated.  A
     # rectangle's largest indices b1 b2 >= M give at least
     # (2 PANEL_NODES)**2 M Gauss nodes; make_basis checks the exact count.
+    # A Sturm-Liouville basis on n <= grid_n collocation nodes has 2n - 3
+    # quadrature nodes and solves a dense (n - 2)**2 operator.
     nodes = grid.T * omegas[-1] * grid.points_per_period / (2 * math.pi) \
         + grid.T / grid.trace_h + {
             "interval": PANEL_NODES * panel_count(basis.M),
             "rectangle": (2 * PANEL_NODES) ** 2 * basis.M,
-            "sturm_liouville": basis.grid_n}[basis.domain]
-    if basis.M * nodes > MAX_WORK:
-        raise ConfigError(f"estimated work of {basis.M * nodes:.3g} mode-node "
+            "sturm_liouville": 2 * basis.grid_n}[basis.domain]
+    work = basis.M * nodes
+    if basis.domain == "sturm_liouville":
+        work += basis.grid_n ** 2
+    if work > MAX_WORK:
+        raise ConfigError(f"estimated work of {work:.3g} mode-node "
                           f"entries exceeds the cap of {MAX_WORK} (2**26)")
     t0 = observation.t0
     if study in ("roundtrip2", "roundtrip3") and t0 is not None \
@@ -287,7 +292,8 @@ def load_config(path):
 def make_basis(cfg: BasisConfig):
     """The basis, with its node table (every mode at every node) checked
     against MAX_WORK before any mode is evaluated there; a Sturm-Liouville
-    table, the eigenvectors, is bounded by config_from_dict's preflight."""
+    basis's collocation operator and node table are bounded through grid_n
+    by config_from_dict's preflight."""
     if cfg.domain == "interval":
         basis = build_dirichlet_interval_basis(cfg.lengths[0], cfg.M)
     elif cfg.domain == "rectangle":

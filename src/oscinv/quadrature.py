@@ -194,13 +194,19 @@ def _cis_table(rates, times):
     return out.reshape(out.shape[0], -1)[:, :count]
 
 
-def _node_products(env, factors, phase, first, stop, nk, width=None):
+def _node_products(env, factors, phase, first, stop, nk, width=None,
+                   out=None):
     """Z[(k, i, c), j] = phase[c, j] env[c, s_j + k] factors[i, s_j + k] for
     the starts s_j = first, first + 2, ... below stop and k < nk; columns
-    past the last start, up to ``width``, are zero."""
+    past the last start, up to ``width``, are zero.  Z is written into
+    ``out`` when given, a buffer of its size."""
     count = phase.shape[1]
-    Z = np.zeros((nk, factors.shape[0], phase.shape[0], width or count),
-                 dtype=complex)
+    shape = (nk, factors.shape[0], phase.shape[0], width or count)
+    if out is None:
+        Z = np.zeros(shape, dtype=complex)
+    else:
+        Z = out.reshape(shape)
+        Z[..., count:] = 0.0
     for k in range(nk):
         at = slice(first + k, stop + k, 2)
         np.multiply(factors[:, None, at], phase * env[:, at],
@@ -263,19 +269,29 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
     inverse = power[:, :L].conj()
     jump = _cis_product(roots[:, None], (2.0 * h * L) * np.arange(blocks))
     S0 = np.zeros(roots.size, dtype=complex)        # S at a chunk's start
-    # every tile's S is a view of one buffer, overwritten by the next tile:
-    # its half-pair and full-pair nodes alternate, two per pair
-    tile = np.empty((rows, 2 * blocks * L + 1), dtype=complex)
+    # one workspace per call holds a chunk's Z, a tile's pair sums and the
+    # tile's S.  One block, not one per chunk and per tile: the first such
+    # block, freed, lifts glibc's heap trim threshold above a call's
+    # temporaries, so later calls reuse their pages; as separate smaller
+    # blocks they were trimmed off and faulted in again by every call.
+    # Every tile's S is overwritten by the next tile: its half-pair and
+    # full-pair nodes alternate, two per pair.
+    nz, na = W.shape[2] * blocks * L, 2 * rows * blocks * L
+    work = np.empty(nz + na + rows * (2 * blocks * L + 1), dtype=complex)
+    tile = work[nz + na:].reshape(rows, -1)
     for p0 in range(0, n_pairs, size):
         a, b = 2 * p0, 2 * min(n_pairs, p0 + size)
         pairs = (b - a) // 2
         nb = -(-pairs // L)
         Z = _node_products(env, factors, _cis_table(rates, grid[a:b:2]),
-                           a, b - 1, 3, nb * L)
+                           a, b - 1, 3, nb * L, out=work[:W.shape[2] * nb * L])
         last = tail is not None and b == 2 * n_pairs
         for lo in range(0, roots.size, rows):
             blk = slice(lo, lo + rows)
-            acc = (W[blk].reshape(-1, Z.shape[0]) @ Z).reshape(-1, 2, nb, L)
+            Wb = W[blk].reshape(-1, Z.shape[0])
+            acc = work[nz:nz + Wb.shape[0] * nb * L].reshape(Wb.shape[0], -1)
+            np.matmul(Wb, Z, out=acc)
+            acc = acc.reshape(-1, 2, nb, L)
             r = acc.shape[0]
             # S at the half-pair and full-pair ends of each pair
             odd, even = tile[:r, 0:2 * nb * L:2], tile[:r, 1:2 * nb * L:2]
@@ -305,7 +321,6 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
             if last:
                 S[:, -1] = step[blk] * S[:, -2] + seg[blk]
             yield blk, slice(a + 1, b + 1 + last), S
-            del acc, full, half    # before the next tile makes its own
 
 
 def cumulative_oscillatory(values, grid, theta):

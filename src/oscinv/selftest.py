@@ -59,19 +59,18 @@ def _check_eigen_ordering():
 
 
 def _check_sl_reference():
-    # a = 1, c = 0 on (0, pi) reproduces the sine basis
-    basis = build_sturm_liouville_basis(1.0, 0.0, np.pi, 3, grid_n=2000)
-    return float(np.max(np.abs(basis.eigenvalues - np.array([1.0, 4.0, 9.0])))), 5e-5
+    # a = 1, c = 0 on (0, pi) reproduces the sine basis off the nodes
+    basis = build_sturm_liouville_basis(1.0, 0.0, np.pi, 8)
+    pts = (np.arange(64) + 0.37) * (np.pi / 64)
+    sines = build_dirichlet_interval_basis(np.pi, 8).eval_modes(pts)
+    return float(np.max(np.abs(basis.eval_modes(pts) - sines))), 1e-12
 
 
-def _check_sl_convergence_order():
-    errs = []
-    ns = [250, 500, 1000]
-    for n in ns:
-        b = build_sturm_liouville_basis(1.0, 0.0, np.pi, 1, grid_n=n)
-        errs.append(abs(b.eigenvalues[0] - 1.0))
-    order = np.polyfit(np.log(ns), np.log(errs), 1)[0] * -1.0
-    return float(abs(order - 2.0)), 0.2
+def _check_sl_spectral():
+    # the collocation eigenvalues of a = 1, c = 0 on (0, pi) are k^2
+    basis = build_sturm_liouville_basis(1.0, 0.0, np.pi, 8)
+    k2 = np.arange(1, 9) ** 2.0
+    return float(np.max(np.abs(basis.eigenvalues / k2 - 1.0))), 1e-12
 
 
 def _check_duhamel_oracle():
@@ -263,7 +262,7 @@ ALL_CHECKS = [
     ("gram_identity_rectangle", _check_gram_rectangle),
     ("eigenvalue_ordering", _check_eigen_ordering),
     ("sturm_liouville_reference", _check_sl_reference),
-    ("sturm_liouville_order", _check_sl_convergence_order),
+    ("sturm_liouville_spectral", _check_sl_spectral),
     ("duhamel_oracles", _check_duhamel_oracle),
     ("oscillatory_rule_exact", _check_oscillatory_vs_slow),
     ("mode_ode_residual", _check_mode_ode_residual),

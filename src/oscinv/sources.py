@@ -89,11 +89,17 @@ class FastProfile:
     def _phase_map(self, order, factor):
         """order steps of cos(k tau) -> -factor(k) sin(k tau) and
         sin(k tau) -> factor(k) cos(k tau); the factor k differentiates,
-        -1/k integrates with zero mean."""
-        terms = self.terms
-        for _ in range(order):
-            terms = [(k, "sin", c * -factor(k)) if kind == "cos"
-                     else (k, "cos", c * factor(k)) for k, kind, c in terms]
+        -1/k integrates with zero mean.  The steps' factors are multiplied
+        into one number per term, so each coefficient is scaled once; for
+        harmonics 1 and 2 the factors are powers of two, and the result is
+        bitwise that of scaling step by step."""
+        terms = []
+        for k, kind, c in self.terms:
+            scale = 1.0
+            for _ in range(order):
+                scale *= factor(k) if kind == "sin" else -factor(k)
+                kind = "cos" if kind == "sin" else "sin"
+            terms.append((k, kind, c * scale if order else c))
         return FastProfile(terms, self.grid)
 
     def tau_derivative(self, order=1):

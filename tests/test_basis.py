@@ -96,33 +96,58 @@ def test_rectangle_points_shape_enforced():
 def test_sturm_liouville_recovers_laplacian():
     basis = build_sturm_liouville_basis(1.0, 0.0, PI, 4, grid_n=4000)
     np.testing.assert_allclose(basis.eigenvalues, [1.0, 4.0, 9.0, 16.0],
-                               rtol=2e-6)
+                               rtol=1e-12)
 
 
 def test_sturm_liouville_constant_shift():
     # adding c shifts the whole spectrum by c
     basis = build_sturm_liouville_basis(1.0, 3.0, PI, 3, grid_n=4000)
-    np.testing.assert_allclose(basis.eigenvalues, [4.0, 7.0, 12.0], rtol=2e-6)
+    np.testing.assert_allclose(basis.eigenvalues, [4.0, 7.0, 12.0],
+                               rtol=1e-12)
 
 
 def test_sturm_liouville_orthonormal_modes():
     basis = build_sturm_liouville_basis("1 + x/4", "x", 2.0, 5, grid_n=3000)
     G = basis.gram_matrix()
-    np.testing.assert_allclose(G, np.eye(5), atol=1e-6)
+    np.testing.assert_allclose(G, np.eye(5), atol=1e-12)
     assert np.all(np.diff(basis.eigenvalues) > 0)
 
 
-def test_sturm_liouville_modes_off_nodes_match_per_mode_splines():
-    from scipy.interpolate import CubicSpline
-
-    basis = build_sturm_liouville_basis("1 + x/2", "x", 2.0, 8, grid_n=800)
-    pts = (np.arange(64) + 0.37) * (2.0 / 64)
-    xs = np.concatenate(([0.0], basis.nodes, [2.0]))
-    ref = np.vstack([CubicSpline(xs, np.concatenate(([0.0], row, [0.0])))(pts)
-                     for row in basis.sl_values])
-    assert not np.isin(pts, basis.nodes).any()
-    np.testing.assert_allclose(basis.eval_modes(pts), ref, rtol=0, atol=1e-14)
+def test_sturm_liouville_laplacian_modes_off_nodes_are_the_sines():
+    L = 2.0
+    basis = build_sturm_liouville_basis(1.0, 0.0, L, 8)
+    pts = (np.arange(64) + 0.37) * (L / 64)
+    assert not np.isin(pts, basis.sl_nodes).any()
+    k = np.arange(1, 9)
+    sines = np.sqrt(2.0 / L) * np.sin(np.outer(k * PI / L, pts))
+    np.testing.assert_allclose(basis.eval_modes(pts), sines, rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(basis.eigenvalues, (k * PI / L) ** 2,
+                               rtol=1e-12)
     assert basis.eval_modes(1.1).shape == (8, 1)
+
+
+def test_sturm_liouville_modes_agree_with_twice_the_nodes():
+    # M = 8 stops on 65 nodes and M = 16 on 129; the first eight modes of
+    # both agree off the nodes
+    coarse = build_sturm_liouville_basis("1 + x/2", "x", PI, 8)
+    fine = build_sturm_liouville_basis("1 + x/2", "x", PI, 16)
+    assert fine.sl_nodes.size == 2 * coarse.sl_nodes.size - 1
+    np.testing.assert_allclose(fine.eigenvalues[:8], coarse.eigenvalues,
+                               rtol=1e-12)
+    pts = (np.arange(64) + 0.37) * (PI / 64)
+    np.testing.assert_allclose(fine.eval_modes(pts)[:8],
+                               coarse.eval_modes(pts), rtol=0, atol=1e-12)
+
+
+def test_sturm_liouville_grid_n_caps_the_collocation_nodes():
+    # the first 32 modes of (1 + x/2, x) need 257 nodes
+    free = build_sturm_liouville_basis("1 + x/2", "x", PI, 32, grid_n=8000)
+    assert free.sl_nodes.size == 257
+    capped = build_sturm_liouville_basis("1 + x/2", "x", PI, 32, grid_n=257)
+    np.testing.assert_array_equal(capped.eigenvalues, free.eigenvalues)
+    with pytest.raises(ValueError, match="grid_n=256"):
+        build_sturm_liouville_basis("1 + x/2", "x", PI, 32, grid_n=256)
 
 
 @pytest.mark.parametrize("a, c", [(lambda x: 1 + x, 0.0), (1.0, None),
@@ -137,6 +162,8 @@ def test_sturm_liouville_rejects_degenerate_coefficient():
         build_sturm_liouville_basis("x - 1", 0.0, 2.0, 3)
     with pytest.raises(ValueError):
         build_sturm_liouville_basis(1.0, -5.0, 2.0, 3)
+    with pytest.raises(ValueError, match="finite"):
+        build_sturm_liouville_basis("1/x", 0.0, 2.0, 3)
 
 
 # -- fields ------------------------------------------------------------------

@@ -525,13 +525,25 @@ def _assert_no_scipy(commands):
 
 
 def test_interval_studies_never_import_scipy(tmp_path):
-    # scipy serves only Sturm-Liouville bases, tabulated psi fields and
-    # volterra_residual; every sample config is on an interval
+    # scipy serves only tabulated psi fields and volterra_residual; every
+    # sample config is on an interval
     configs = sorted(str(p) for p in (pathlib.Path(__file__).resolve()
                                       .parents[1] / "configs").glob("*.json"))
     assert configs
     _assert_no_scipy([["study", "--config", c, "--output-dir", str(tmp_path)]
                       for c in configs])
+
+
+def test_sturm_liouville_study_never_imports_scipy(tmp_path):
+    # the Sturm-Liouville basis is Chebyshev collocation in numpy: no
+    # eigensolver or spline from scipy
+    cfg = _write_config(
+        tmp_path, basis={"domain": "sturm_liouville", "lengths": [PI],
+                         "M": 4, "a": "1 + x/2", "c": "x"},
+        source={"f": "exp(-t)*sin(x)", "r0": "1 + t",
+                "r1": [{"harmonic": 1, "kind": "cos", "coeff": "1 + t/2"}]},
+        omega=[50.0, 100.0], grid={"T": 1.0}, study="order")
+    _assert_no_scipy([["study", "--config", str(cfg)]])
 
 
 def test_invert1_on_sampled_data_never_imports_scipy(ip1_files):

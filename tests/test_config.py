@@ -97,6 +97,8 @@ def test_work_cap_counts_forward_and_trace_nodes(factor, ok):
 @pytest.mark.parametrize("override", [
     {"grid": {"T": 3.0, "trace_h": 1e-8}},
     {"basis": {"domain": "sturm_liouville", "M": 64, "grid_n": 2 ** 20}},
+    # one mode, but a dense collocation operator of up to 9000**2 entries
+    {"basis": {"domain": "sturm_liouville", "M": 1, "grid_n": 9000}},
     {"basis": {"M": 10 ** 5}},
     # the basis's Gauss-node table: 2000 modes at 64,000 nodes
     {"basis": {"M": 2000}},

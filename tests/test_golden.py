@@ -21,9 +21,10 @@ and a later one, with headroom:
   code that makes the synthetic data.  Reading psi and phi0 off a
   Chebyshev table of u0 instead of the Filon rule on the trace grid moved
   fm_rel_error by 5.4%, r1_coeff_error by 33% and phi0_consistency by 67%;
-  against out/ they differ by 7.0%, 42% and 65%.  Everything else moves by
-  at most 3.2e-7 rel (trace_expansion_error, 3.6e-15 abs) of values at or
-  above 1e-8 -> 1e-12 abs floor plus 1e-10 rel;
+  out/ has been regenerated since, so a fresh run on the stack that wrote
+  it matches it byte for byte.  Everything else moved by at most 3.2e-7
+  rel (trace_expansion_error, 3.6e-15 abs) of values at or above 1e-8
+  -> 1e-12 abs floor plus 1e-10 rel;
 - round trip 1: r0_sup_error is 2.5916e-08 since drive recovery solves
   its Volterra equation on Chebyshev nodes (4.2750e-06 from the trapezoid
   march before).  The value is the rounding noise of phi0'' divided by
