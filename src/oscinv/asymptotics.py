@@ -77,14 +77,14 @@ class AsymptoticExpansion:
         fallback table only its own grid (another grid replaces it)."""
         tgrid = np.asarray(tgrid, dtype=float)
         key = (float(tgrid[0]), float(tgrid[-1]))
-        table = self._cache.get(key)
-        if table is None or not (table.chebyshev
-                                 or same_grid(table.times, tgrid)):
+        resp = self._cache.get(key)
+        if resp is None or not (resp.table is not None
+                                or same_grid(resp.grid, tgrid)):
             amp = self.amplitude
-            table = self._cache[key] = slow_responses(
+            resp = self._cache[key] = slow_responses(
                 amp.time_factors, self.source.r0, self.basis.eigenvalues,
                 tgrid, amp.term_coefficients(self.basis).T)
-        return table
+        return resp
 
     def correction_coeffs(self, tgrid):
         """(order-1, order-2) free-oscillation mode coefficients, each (M, N):

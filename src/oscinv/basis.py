@@ -61,8 +61,8 @@ def _as_space_expr(obj):
 class EigenBasis:
     """Finite Dirichlet eigenbasis with a quadrature rule exact for mode products.
 
-    A Sturm-Liouville basis also holds its modes' values at its collocation
-    nodes (``sl_nodes``, both ends included) and the operator's
+    A Sturm-Liouville basis also holds its M modes as one Chebyshev table
+    over [0, L] (``sl_modes``, values zero at both ends) and the operator's
     coefficients as expressions in x.
     """
 
@@ -72,8 +72,7 @@ class EigenBasis:
     mode_index: tuple
     nodes: np.ndarray
     weights: np.ndarray
-    sl_nodes: np.ndarray | None = None         # Lobatto points of [0, L]
-    sl_values: np.ndarray | None = None        # (M, len(sl_nodes)), 0 at ends
+    sl_modes: chebyshev.Table | None = None    # (n, M) values on [0, L]
     operator_a: sympy.Expr | None = None       # SL coefficients
     operator_c: sympy.Expr | None = None
     _cache: dict = field(default_factory=dict, repr=False)
@@ -104,8 +103,7 @@ class EigenBasis:
                 out *= np.sqrt(2.0 / L) * np.sin(
                     np.outer(idx[:, d] * np.pi / L, pts[:, d]))
             return out
-        return self.sl_values @ chebyshev.barycentric(self.sl_nodes,
-                                                      np.ravel(pts)).T
+        return self.sl_modes(np.ravel(pts)).T
 
     def point_weights(self, x0):
         """Eigenfunction values y_m(x0) at one observation point, shape (M,).
@@ -229,7 +227,7 @@ def build_rectangle_basis(lengths, M):
 def _sl_collocation(a_expr, c_expr, L, n, M):
     """The M eigenvalues of least real part of -(a u')' + c u collocated on
     the n Chebyshev-Lobatto points of [0, L], with the Dirichlet rows and
-    columns removed, and their eigenvectors as (M, n) node values, zero at
+    columns removed, and their eigenvectors as (n, M) node values, zero at
     both ends.  The operator is -D diag(a) D + diag(c) with D the
     differentiation matrix, so a is sampled and never differentiated."""
     x = chebyshev.points(0.0, L, n)
@@ -246,8 +244,8 @@ def _sl_collocation(a_expr, c_expr, L, n, M):
     op[np.diag_indices(n - 2)] += c_vals
     lam, vec = np.linalg.eig(op)
     keep = np.argsort(lam.real, kind="stable")[:M]
-    values = np.zeros((M, n))
-    values[:, 1:-1] = vec[:, keep].real.T
+    values = np.zeros((n, M))
+    values[1:-1] = vec[:, keep].real
     return lam[keep], values
 
 
@@ -291,19 +289,16 @@ def build_sturm_liouville_basis(a, c, length, M, grid_n=2000):
     else:
         raise ValueError(f"the first {M} Sturm-Liouville eigenvalues do not "
                          f"converge on at most grid_n={grid_n} nodes")
-    nodes = chebyshev.points(0.0, L, n)
     m = 2 * n - 1
     quad = chebyshev.points(0.0, L, m)[1:-1]
     weights = (0.5 * L) * chebyshev.clenshaw_curtis(m)[1:-1]
-    at_quad = values @ chebyshev.barycentric(nodes, quad).T
+    modes = chebyshev.Table(0.0, L, values)
     # the first interior node lies before a converged mode's first zero,
     # so its sign is that of u'(0)
-    scale = np.sign(values[:, 1]) / np.sqrt(at_quad ** 2 @ weights)
-    values *= scale[:, None]
+    modes.values *= np.sign(values[1]) / np.sqrt(weights @ modes(quad) ** 2)
     return EigenBasis(
         "sturm_liouville", (L,), lam.real, tuple(range(1, M + 1)),
-        quad, weights, sl_nodes=nodes, sl_values=values,
-        operator_a=a_expr, operator_c=c_expr)
+        quad, weights, sl_modes=modes, operator_a=a_expr, operator_c=c_expr)
 
 
 @dataclass(eq=False)

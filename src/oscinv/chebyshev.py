@@ -1,32 +1,35 @@
 """Slow functions of time, and Sturm-Liouville modes, on nested
 Chebyshev-Lobatto points.
 
-A slow function (a drive envelope, a slow mode response) is sampled on 17,
-33, 65, ... nested Chebyshev-Lobatto points of an interval, doubling until
-the barycentric interpolant on the coarser points predicts the fresh
-samples (``converge``).  The converged table is interpolated onto any
-times (``interpolate``) or integrated cumulatively by the Clenshaw-Curtis
-rule (``cumulative_matrix``).  The Sturm-Liouville basis collocates its
-operator with ``differentiation_matrix`` and integrates mode products with
-the Clenshaw-Curtis weights (``clenshaw_curtis``).  See L. N. Trefethen,
+A slow function (a drive envelope, a slow mode response, a set of modes)
+is one ``Table``: its values at the n Chebyshev-Lobatto points of an
+interval.  A table is read at any times by its interpolant (the barycentric
+formula), differentiated by the Chebyshev differentiation matrix, and
+chopped to the fewest nested points whose dropped Chebyshev coefficients
+have a negligible l1 tail (after Aurentz & Trefethen, "Chopping a
+Chebyshev series", ACM TOMS 43, 2017).  ``converge`` samples on 17, 33,
+65, ... nested points, doubling until the coarser table predicts the fresh
+samples; ``cumulative_matrix`` integrates node values cumulatively by the
+Clenshaw-Curtis rule.  The Sturm-Liouville basis collocates its operator
+with ``differentiation_matrix`` and integrates mode products with the
+Clenshaw-Curtis weights (``clenshaw_curtis``).  See L. N. Trefethen,
 Approximation Theory and Approximation Practice (SIAM 2013) and Spectral
-Methods in MATLAB (SIAM 2000), and Berrut & Trefethen, SIAM Rev. 46 (2004),
-for the barycentric form.
+Methods in MATLAB (SIAM 2000).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["N_MAX", "points", "barycentric", "interpolate", "converge",
-           "coarsest", "coefficient_matrix", "cumulative_matrix",
-           "clenshaw_curtis", "differentiation_matrix"]
+__all__ = ["N_MAX", "points", "Table", "converge", "coefficient_matrix",
+           "cumulative_matrix", "clenshaw_curtis", "differentiation_matrix"]
 
 N_START = 17    # first point set of the doubling
 N_MAX = 257     # largest point set before a caller falls back
-STOP_TOL = 1e-14   # largest miss allowed per unit max(1, max |table|)
+STOP_TOL = 1e-14   # largest miss allowed per unit max(1, max |values|)
 
 
 def points(a, b, n):
@@ -41,80 +44,112 @@ def points(a, b, n):
     return pts
 
 
-def barycentric(nodes, y):
-    """(len(y), len(nodes)) matrix taking values at Chebyshev-Lobatto nodes
-    to their interpolant at y (second barycentric form); a y that is a node
-    gets an exact unit row."""
-    w = (-1.0) ** np.arange(nodes.size)
-    w[[0, -1]] *= 0.5
-    mat = y[:, None] - nodes[None, :]
-    exact = mat == 0.0
-    mat[exact] = 1.0
-    np.divide(w, mat, out=mat)
-    mat /= mat.sum(axis=1, keepdims=True)
-    hit = exact.any(axis=1)
-    mat[hit] = exact[hit]
-    return mat
+@dataclass(eq=False)
+class Table:
+    """A slow function on [a, b]: its values at the n points of
+    ``points(a, b, n)``, (n,) or (n, K) for K functions.  A read, a chop
+    and a derivative all take the interpolant of those values."""
 
+    a: float
+    b: float
+    values: np.ndarray
 
-def interpolate(nodes, table, y):
-    """The columns of a (len(nodes), K) table interpolated at the times y,
-    shape (len(y), K); row blocks keep each interpolation matrix no larger
-    than the result or 2**16 entries, so a short read is one product."""
-    out = np.empty((y.size, table.shape[1]), dtype=table.dtype)
-    step = max(1, max(out.size, 1 << 16) // nodes.size)
-    for lo in range(0, y.size, step):
-        np.matmul(barycentric(nodes, y[lo:lo + step]), table,
-                  out=out[lo:lo + step])
-    return out
+    @property
+    def n(self):
+        return self.values.shape[0]
+
+    @property
+    def nodes(self):
+        return points(self.a, self.b, self.n)
+
+    def __call__(self, t):
+        """The interpolant at the times t of [a, b] (1-D), shape
+        (len(t),) + values.shape[1:], by the second barycentric formula
+        (Berrut & Trefethen, SIAM Rev. 46, 2004); a time that is a point
+        of the table reads its value exactly.  Row blocks keep each
+        interpolation matrix no larger than the result or 2**16 entries.
+
+        Unlike a sum of coefficients, whose rounding is eps times their
+        l1 norm everywhere, the formula stays accurate relative to the
+        values near the read, as near a response's start from rest.
+        """
+        t = np.asarray(t, dtype=float)
+        nodes = self.nodes
+        w = (-1.0) ** np.arange(self.n)
+        w[[0, -1]] *= 0.5
+        out = np.empty(t.shape + self.values.shape[1:],
+                       dtype=self.values.dtype)
+        step = max(1, max(out.size, 1 << 16) // self.n)
+        for lo in range(0, t.size, step):
+            mat = t[lo:lo + step, None] - nodes[None, :]
+            exact = mat == 0.0
+            mat[exact] = 1.0
+            np.divide(w, mat, out=mat)
+            mat /= mat.sum(axis=1, keepdims=True)
+            hit = exact.any(axis=1)
+            mat[hit] = exact[hit]
+            np.matmul(mat, self.values, out=out[lo:lo + step])
+        return out
+
+    def chop(self):
+        """The table on the fewest of its nested point sets (17, 33, ...)
+        whose dropped Chebyshev coefficients have an l1 tail of at most
+        STOP_TOL * max(1, max |values|) in every column.  Since |T_k| <= 1,
+        no read moves by more than twice that tail: the dropped terms, and
+        their aliases on the smaller set.  The kept values are the table's
+        own samples, so reads near small values stay accurate."""
+        tol = STOP_TOL * max(1.0, float(np.max(np.abs(self.values))))
+        mag = np.abs(coefficient_matrix(self.n) @ self.values) \
+            .reshape(self.n, -1)
+        tails = np.cumsum(mag[::-1], axis=0)[::-1].max(axis=1)
+        m = N_START
+        while m < self.n:
+            if (self.n - 1) % (m - 1) == 0 and tails[m] <= tol:
+                return Table(self.a, self.b,
+                             self.values[::(self.n - 1) // (m - 1)])
+            m = 2 * m - 1
+        return self
+
+    def derivative(self, order=1):
+        """The order-th derivative of the interpolant as a Table on the
+        same points, by ``differentiation_matrix``."""
+        if order == 0:
+            return self
+        D = (2.0 / (self.b - self.a)) * differentiation_matrix(self.n)
+        values = self.values
+        for _ in range(order):
+            values = D @ values
+        return Table(self.a, self.b, values)
 
 
 def converge(sample, a, b, n_max=N_MAX):
-    """(nodes, table) of a slow function on nested Chebyshev points of [a, b].
+    """Table of a slow function on nested Chebyshev points of [a, b].
 
     sample(t) returns the values at the times t as a (len(t), K) array.
-    Samples on 17, 33, 65, ... nested points, doubling until the
-    interpolant on the coarser points predicts the fresh samples to
-    STOP_TOL * max(1, max |table|); every sample is taken once.  Returns
+    Samples on 17, 33, 65, ... nested points, doubling until the table on
+    the coarser points predicts the fresh samples to
+    STOP_TOL * max(1, max |values|); every sample is taken once.  Returns
     None, with nothing sampled when even 33 points exceed n_max, when that
     needs more than n_max points.
     """
     n = N_START
     if 2 * n - 1 > n_max:
         return None
-    nodes = points(a, b, n)
-    table = sample(nodes)
+    table = Table(a, b, sample(points(a, b, n)))
     while True:
         n = 2 * n - 1
         if n > n_max:
             return None
-        fine = points(a, b, n)
-        fresh = sample(fine[1::2])
-        miss = np.max(np.abs(barycentric(nodes, fine[1::2]) @ table - fresh))
-        merged = np.empty((n,) + table.shape[1:], dtype=table.dtype)
-        merged[0::2], merged[1::2] = table, fresh
-        nodes, table = fine, merged
+        fresh_t = points(a, b, n)[1::2]
+        fresh = sample(fresh_t)
+        miss = np.max(np.abs(table(fresh_t) - fresh))
+        merged = np.empty((n,) + fresh.shape[1:], dtype=fresh.dtype)
+        merged[0::2], merged[1::2] = table.values, fresh
+        table = Table(a, b, merged)
         # a finite miss means every sample so far is finite
         if np.isfinite(miss) and \
-                miss <= STOP_TOL * max(1.0, float(np.max(np.abs(table)))):
-            return nodes, table
-
-
-def coarsest(nodes, table):
-    """The fewest of the nested point sets (17, 33, ... of ``nodes``) whose
-    interpolant reproduces the table at every node to
-    STOP_TOL * max(1, max |table|), as (nodes, table) of that set; a table
-    that contracts many columns of a converged one often needs fewer
-    points."""
-    tol = STOP_TOL * max(1.0, float(np.max(np.abs(table))))
-    n = N_START
-    while n < nodes.size:
-        stride = (nodes.size - 1) // (n - 1)
-        sub, vals = nodes[::stride], table[::stride]
-        if np.max(np.abs(barycentric(sub, nodes) @ vals - table)) <= tol:
-            return sub, vals
-        n = 2 * n - 1
-    return nodes, table
+                miss <= STOP_TOL * max(1.0, float(np.max(np.abs(merged)))):
+            return table
 
 
 def _cos_pi(m, N):
@@ -191,9 +226,9 @@ def differentiation_matrix(n):
     [a, b].
 
     Off the diagonal D_ij = (w_j/w_i)/(x_i - x_j) with the barycentric
-    weights w of ``barycentric``, the point differences taken from the sine
-    form, 2 cos(pi (i + j - N)/2N) sin(pi (i - j)/2N), so none loses
-    digits; each diagonal entry is minus its row's sum, so constants
+    weights w_j = (-1)^j, halved at both ends, the point differences taken
+    from the sine form, 2 cos(pi (i + j - N)/2N) sin(pi (i - j)/2N), so none
+    loses digits; each diagonal entry is minus its row's sum, so constants
     differentiate to 0 exactly.
     """
     N = n - 1

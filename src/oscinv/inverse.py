@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chebyshev
 from .basis import SeparableAmplitude, SpatialField, check_boundary_traces
 from .quadrature import slow_responses
 from .sources import FastProfile, OscillatorySource
@@ -187,8 +186,7 @@ def ip1_recover(data, f, basis):
     if found is None:
         r0_trace = solve_second_kind(f_x0, kernel, phi0.derivative(2))
     else:
-        r0_trace = TimeTrace(grid, chebyshev.interpolate(
-            found[0], found[1][:, None], grid)[:, 0], table=found)
+        r0_trace = TimeTrace(grid, found(grid), table=found)
     r1 = data.chi.resample(grid).tau_derivative(2).divided_by(f_x0)
     return OscillatorySource(r0_trace, r1)
 
@@ -229,7 +227,7 @@ def ip3_recover(data, r0, basis):
     if data.phi0 is not None:
         grid = data.phi0.grid
         profiles = _lambda_profiles(r0, basis, grid)
-        if profiles.chebyshev and grid[0] == 0.0 \
+        if profiles.table is not None and grid[0] == 0.0 \
                 and grid[-1] == float(data.t0):
             lamv = profiles.at(grid[-1])
     fld = ip2_recover(data.psi, r0, data.t0, basis, lambda_values=lamv)

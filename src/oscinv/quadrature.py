@@ -395,39 +395,37 @@ def duhamel_batch(factors, lams, grid, drive=((0.0, 1.0, 1.0),), coeffs=None):
 
 @dataclass(eq=False)
 class SlowResponses:
-    """Zero-data mode responses over [times[0], times[-1]], tabulated at
-    ``times``: Chebyshev-Lobatto nodes, or the uniform grid of the Filon
-    fallback."""
+    """Zero-data mode responses over a span: a Chebyshev ``table`` of the
+    (n, M) responses at its nodes, or, on the Filon fallback, the (M, N)
+    responses ``values`` on the uniform ``grid``."""
 
-    times: np.ndarray
-    values: np.ndarray        # (M, len(times))
-    chebyshev: bool
+    table: chebyshev.Table | None = None
+    grid: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     def at(self, t):
         """(M,) responses at the time t, which must be a node of the
         uniform grid on the fallback (ValueError otherwise)."""
-        if self.chebyshev:
-            return (chebyshev.barycentric(self.times, np.array([float(t)]))
-                    @ self.values.T)[0]
-        h = self.times[1] - self.times[0]
-        k = int(round((t - self.times[0]) / h))
-        if not (0 <= k < self.times.size and abs(self.times[k] - t)
-                <= 1e-13 * max(1.0, abs(self.times[-1]))):
+        if self.table is not None:
+            return self.table(np.array([float(t)]))[0]
+        h = self.grid[1] - self.grid[0]
+        k = int(round((t - self.grid[0]) / h))
+        if not (0 <= k < self.grid.size and abs(self.grid[k] - t)
+                <= 1e-13 * max(1.0, abs(self.grid[-1]))):
             raise ValueError(f"t={t!r} is not a node of the response table")
         return self.values[:, k].copy()
 
     def row(self, weights, grid):
         """sum_m weights[m] a_m on the grid, for (M,) weights (shape (N,))
-        or (M, K) weights (shape (N, K)): contracted at the nodes, then
-        interpolated from the fewest nested nodes that carry the sums.  On
-        the fallback the grid is the table's own."""
-        contracted = np.asarray(weights, dtype=float).T @ self.values
-        if not self.chebyshev:
-            return contracted.T
-        out = chebyshev.interpolate(
-            *chebyshev.coarsest(self.times, np.atleast_2d(contracted).T),
+        or (M, K) weights (shape (N, K)): the table contracted at its
+        nodes, chopped and read.  On the fallback the grid is the table's
+        own."""
+        weights = np.asarray(weights, dtype=float)
+        if self.table is None:
+            return (weights.T @ self.values).T
+        tab = self.table
+        return chebyshev.Table(tab.a, tab.b, tab.values @ weights).chop()(
             np.asarray(grid, dtype=float))
-        return out if contracted.ndim == 2 else out[:, 0]
 
 
 def slow_responses(factors, r0, lams, grid, coeffs=None):
@@ -465,17 +463,17 @@ def slow_responses(factors, r0, lams, grid, coeffs=None):
         a, b = float(grid[0]), float(grid[-1])
         found = chebyshev.converge(integrands, a, b)
         if found is not None:
-            nodes, table = found
-            q = chebyshev.cumulative_matrix(nodes.size) @ table
+            nodes = found.nodes
+            q = chebyshev.cumulative_matrix(found.n) @ found.values
             q = (0.5 * (b - a)) * (q[:, :lams.size] + 1j * q[:, lams.size:]).T
-            return SlowResponses(
-                nodes, (_cis_product(roots, nodes) * q).imag / roots, True)
+            return SlowResponses(chebyshev.Table(
+                a, b, ((_cis_product(roots, nodes) * q).imag / roots).T))
     r0v = r0.sample(grid)
     if factors is None:
-        return SlowResponses(grid, duhamel_batch(r0v, lams, grid), False)
-    return SlowResponses(grid, duhamel_batch(factors(grid), lams, grid,
-                                             [(0.0, 1.0, r0v)], coeffs),
-                         False)
+        return SlowResponses(grid=grid,
+                             values=duhamel_batch(r0v, lams, grid))
+    return SlowResponses(grid=grid, values=duhamel_batch(
+        factors(grid), lams, grid, [(0.0, 1.0, r0v)], coeffs))
 
 
 def gauss_panel_rule(a, b, n_panels):

@@ -258,10 +258,10 @@ def split_source(r, grid, n_tau=N_TAU):
     callables are resolved with an n_tau-point discrete Fourier transform
     along the phase and must be 2*pi-periodic.
     A callable is transformed on a converged Chebyshev table in slow time
-    (``chebyshev.converge``); the kept columns are interpolated onto the grid
-    and stay the traces' tables.  A table needing more than chebyshev.N_MAX
-    points or as many as the grid has nodes, or a grid that is not
-    increasing, gives way to samples at every grid node.
+    (``chebyshev.converge``); the kept columns are read onto the grid
+    through one table, and each stays its trace's table.  A table needing
+    more than chebyshev.N_MAX points or as many as the grid has nodes, or a
+    grid that is not increasing, gives way to samples at every grid node.
     """
     grid = np.asarray(grid, dtype=float)
     if isinstance(r, OscillatorySource):
@@ -281,8 +281,8 @@ def split_source(r, grid, n_tau=N_TAU):
         found = chebyshev.converge(lambda t: _sample(r, t, taus), grid[0],
                                    grid[-1],
                                    min(chebyshev.N_MAX, grid.size - 1))
-    nodes, table = found or (grid, _sample(r, grid, taus))
-    samples, scale = _periodic(table)
+    samples, scale = _periodic(_sample(r, grid, taus) if found is None
+                               else found.values)
     F = np.fft.rfft(samples, axis=1)
     keys, cols = [(0, "mean")], [F[:, 0].real / n_tau]
     for k in range(1, n_tau // 2):
@@ -296,10 +296,13 @@ def split_source(r, grid, n_tau=N_TAU):
         raise ValueError("fast harmonics at or beyond the sampling limit; "
                          "raise n_tau")
     cols = np.column_stack(cols)
-    on_grid = cols if found is None else \
-        chebyshev.interpolate(nodes, cols, grid)
-    r0, *env = [TimeTrace(grid, v, table=None if found is None else (nodes, c))
-                for v, c in zip(on_grid.T, cols.T)]
+    if found is None:
+        r0, *env = [TimeTrace(grid, v) for v in cols.T]
+    else:
+        a, b = found.a, found.b
+        on_grid = chebyshev.Table(a, b, cols)(grid)
+        r0, *env = [TimeTrace(grid, v, table=chebyshev.Table(a, b, c))
+                    for v, c in zip(on_grid.T, cols.T)]
     return OscillatorySource(r0, FastProfile(
         [key + (tr,) for key, tr in zip(keys[1:], env)], grid))
 

@@ -2,10 +2,10 @@
 
 A TimeTrace always carries sampled values.  A sympy expression, when it has
 one, is authoritative (resampling and differentiation are exact).  A
-Chebyshev table (nodes, values) of its span, from ``chebyshev.converge`` or
-``volterra.solve_chebyshev``, gives any time of the span; derivatives still
-come from grid stencils.  A purely sampled trace is read off its grid, values
-and derivatives alike, by the one window rule of ``TimeTrace.derivative_at``.
+``chebyshev.Table`` of its span, from ``chebyshev.converge`` or
+``volterra.solve_chebyshev``, gives any time of the span, values and
+derivatives alike.  A purely sampled trace is read off its grid, values and
+derivatives alike, by the one window rule of ``TimeTrace.derivative_at``.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class TimeTrace:
     grid: np.ndarray
     values: np.ndarray
     expr: sympy.Expr | None = None
-    table: tuple | None = None      # (nodes, values) on Chebyshev nodes
+    table: chebyshev.Table | None = None    # 1-D values on its span
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -139,19 +139,16 @@ class TimeTrace:
 
     def sample(self, grid2):
         """Values at the times grid2: the stored values on the trace's own
-        grid, else off the expression, the table or the order-0 stencils of
-        ``derivative_at``; without an expression, ValueError off the span.
+        grid, else off the expression, or by ``derivative_at`` of order 0
+        (the table or the stencils); without an expression, ValueError off
+        the span.
         """
         grid2 = np.asarray(grid2, dtype=float)
         if same_grid(self.grid, grid2):
             return self.values.copy()
         if self.expr is not None:
             return expressions.evaluate(self.expr, t=grid2)
-        self._check_span(grid2)
-        t = grid2.ravel()
-        out = self.derivative_at(t, 0) if self.table is None else \
-            chebyshev.interpolate(self.table[0], self.table[1][:, None], t)
-        return out.reshape(grid2.shape)
+        return self.derivative_at(grid2.ravel(), 0).reshape(grid2.shape)
 
     def resample(self, grid2):
         return TimeTrace(grid2, self.sample(grid2), expr=self.expr,
@@ -165,22 +162,28 @@ class TimeTrace:
         if self.expr is not None:
             dexpr = sympy.diff(self.expr, T, order)
             return TimeTrace.from_expr(dexpr, self.grid)
+        if self.table is not None:
+            d = self.table.derivative(order)
+            return TimeTrace(self.grid, d(self.grid), table=d)
         return TimeTrace(self.grid, self.derivative_at(self.grid, order))
 
     def derivative_at(self, t, order):
         """d^order/dt^order at the times t of the span, as an array.
 
         Exact when expression-backed, at any time.  Otherwise a time off
-        the span raises ValueError, as in ``sample``, and each is read by the
-        stencil on the order + FD_ACCURACY grid nodes nearest it (of two
-        equally near windows, the right one), one-sided at the ends.  A time
-        equal to a grid node is read at integer offsets, so interior node
-        reads share one stencil, and order 0 there is the node's value.
+        the span raises ValueError, as in ``sample``.  A table-backed trace
+        reads the derivative of its table.  A purely sampled one reads each
+        time by the stencil on the order + FD_ACCURACY grid nodes nearest it
+        (of two equally near windows, the right one), one-sided at the ends.
+        A time equal to a grid node is read at integer offsets, so interior
+        node reads share one stencil, and order 0 there is the node's value.
         """
         t = np.asarray(t, dtype=float)
         if self.expr is not None:
             return expressions.evaluate(sympy.diff(self.expr, T, order), t=t)
         self._check_span(t)
+        if self.table is not None:
+            return self.table.derivative(order)(t)
         n, npe = self.grid.size, order + FD_ACCURACY
         if n < npe:
             raise ValueError(f"need at least {npe} samples")
@@ -204,14 +207,14 @@ class TimeTrace:
         return out / self.h ** order
 
     def derivative_noise(self, order):
-        """Bound on the error of derivative_at at any time: 0 when
-        expression-backed.  Otherwise, for the widest stencil (the one-sided
-        one at the ends, weights w at offsets o = 0 .. p - 1, p = order +
-        FD_ACCURACY), rounding in the values, eps * ||w||_1 * max |values|,
-        plus the truncation |sum w o^p| / p! * h^p * max |f^(p)|, with
-        h^p f^(p) read off the p-th differences of the values; all over
-        h**order."""
-        if self.expr is not None:
+        """Bound on the error of derivative_at at any time: 0 when an
+        expression or a table gives the derivative.  Otherwise, for the
+        widest stencil (the one-sided one at the ends, weights w at offsets
+        o = 0 .. p - 1, p = order + FD_ACCURACY), rounding in the values,
+        eps * ||w||_1 * max |values|, plus the truncation
+        |sum w o^p| / p! * h^p * max |f^(p)|, with h^p f^(p) read off the
+        p-th differences of the values; all over h**order."""
+        if self.exact_off_grid:
             return 0.0
         npe = order + FD_ACCURACY
         offsets = np.arange(npe)
@@ -248,7 +251,8 @@ class TimeTrace:
         if self.expr is not None and oexpr is not None:
             expr = sym_op(self.expr, oexpr)
         if self.table is not None and not isinstance(other, TimeTrace):
-            table = (self.table[0], np_op(self.table[1], vals))
+            table = chebyshev.Table(self.table.a, self.table.b,
+                                    np_op(self.table.values, vals))
         return TimeTrace(self.grid, np_op(self.values, vals), expr=expr,
                          table=table)
 

@@ -170,7 +170,7 @@ def _march_separable(av, K, gv, grid, u):
 
 def solve_chebyshev(a, K, g, t_a, t_b, noise=0.0):
     """Nystrom solution on nested Chebyshev-Lobatto nodes of [t_a, t_b] for
-    a separable kernel, as (nodes, values), or None.
+    a separable kernel, as a ``chebyshev.Table``, or None.
 
     a(t) and g(t) give the multiplier and the data at the times of a 1-D
     array; noise bounds the error the data carries at any time.  On n
@@ -184,9 +184,9 @@ def solve_chebyshev(a, K, g, t_a, t_b, noise=0.0):
     one dense solve gives u at the nodes.
 
     n doubles from 17.  The solution on n points is returned once its
-    interpolant satisfies the full system on the 2n - 1 points to within
-    NOISE_FACTOR * (noise + n * eps * max |g|): noisy data stop at their
-    plateau, exact data near rounding level.  None when no solution on up
+    table, read at the 2n - 1 points, satisfies the full system there to
+    within NOISE_FACTOR * (noise + n * eps * max |g|): noisy data stop at
+    their plateau, exact data near rounding level.  None when no solution on up
     to chebyshev.N_MAX points gets there.
     """
     roots = np.sqrt(K.lams)
@@ -204,16 +204,29 @@ def solve_chebyshev(a, K, g, t_a, t_b, noise=0.0):
         L[np.diag_indices(n)] += a(nodes)
         gv = np.array(g(nodes), dtype=float)
         if prev is not None:
-            coarse = chebyshev.barycentric(prev[0], nodes) @ prev[1]
-            miss = np.max(np.abs(L @ coarse - gv))
+            miss = np.max(np.abs(L @ prev(nodes) - gv))
             if miss <= NOISE_FACTOR * (noise + n * eps * np.max(np.abs(gv))):
                 return prev
         if 2 * n - 1 > chebyshev.N_MAX:
             return None
         L[[0, -1]] = chebyshev.coefficient_matrix(n)[[-1, -2]]
         gv[[0, -1]] = 0.0
-        prev = nodes, np.linalg.solve(L, gv)
+        prev = chebyshev.Table(t_a, t_b, np.linalg.solve(L, gv))
         n = 2 * n - 1
+
+
+def _simpson(y, h):
+    """Composite Simpson integral of at least three samples y of step h.
+    An even count closes with the last-interval rule of
+    ``scipy.integrate.simpson`` (scipy >= 1.11): weights 5h/12, 2h/3 and
+    -h/12 on the last three samples."""
+    n = y.size
+    odd = n - 1 + n % 2
+    out = np.sum(y[0:odd - 2:2] + 4.0 * y[1:odd - 1:2] + y[2:odd:2]) \
+        * (h / 3.0)
+    if n % 2 == 0:
+        out += h * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - y[-3] / 12.0)
+    return out
 
 
 def volterra_residual(a, K, g, u):
@@ -222,7 +235,6 @@ def volterra_residual(a, K, g, u):
     The running integral is re-evaluated rowwise with Simpson weights, so the
     result measures the solution, not the marching rule.
     """
-    from scipy.integrate import simpson
     grid = u.grid
     gv = g.sample(grid) if isinstance(g, TimeTrace) else np.asarray(g, float)
     av = _multiplier_values(a, grid)
@@ -236,6 +248,6 @@ def volterra_residual(a, K, g, u):
         if i == 1:
             integ = 0.5 * h * (prod[0] + prod[1])
         else:
-            integ = simpson(prod, dx=h)
+            integ = _simpson(prod, h)
         res[i] = av[i] * uv[i] + integ - gv[i]
     return float(np.max(np.abs(res)))

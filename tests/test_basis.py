@@ -117,7 +117,7 @@ def test_sturm_liouville_laplacian_modes_off_nodes_are_the_sines():
     L = 2.0
     basis = build_sturm_liouville_basis(1.0, 0.0, L, 8)
     pts = (np.arange(64) + 0.37) * (L / 64)
-    assert not np.isin(pts, basis.sl_nodes).any()
+    assert not np.isin(pts, basis.sl_modes.nodes).any()
     k = np.arange(1, 9)
     sines = np.sqrt(2.0 / L) * np.sin(np.outer(k * PI / L, pts))
     np.testing.assert_allclose(basis.eval_modes(pts), sines, rtol=0,
@@ -132,7 +132,7 @@ def test_sturm_liouville_modes_agree_with_twice_the_nodes():
     # both agree off the nodes
     coarse = build_sturm_liouville_basis("1 + x/2", "x", PI, 8)
     fine = build_sturm_liouville_basis("1 + x/2", "x", PI, 16)
-    assert fine.sl_nodes.size == 2 * coarse.sl_nodes.size - 1
+    assert fine.sl_modes.n == 2 * coarse.sl_modes.n - 1
     np.testing.assert_allclose(fine.eigenvalues[:8], coarse.eigenvalues,
                                rtol=1e-12)
     pts = (np.arange(64) + 0.37) * (PI / 64)
@@ -143,7 +143,7 @@ def test_sturm_liouville_modes_agree_with_twice_the_nodes():
 def test_sturm_liouville_grid_n_caps_the_collocation_nodes():
     # the first 32 modes of (1 + x/2, x) need 257 nodes
     free = build_sturm_liouville_basis("1 + x/2", "x", PI, 32, grid_n=8000)
-    assert free.sl_nodes.size == 257
+    assert free.sl_modes.n == 257
     capped = build_sturm_liouville_basis("1 + x/2", "x", PI, 32, grid_n=257)
     np.testing.assert_array_equal(capped.eigenvalues, free.eigenvalues)
     with pytest.raises(ValueError, match="grid_n=256"):

@@ -525,8 +525,8 @@ def _assert_no_scipy(commands):
 
 
 def test_interval_studies_never_import_scipy(tmp_path):
-    # scipy serves only tabulated psi fields and volterra_residual; every
-    # sample config is on an interval
+    # scipy serves only tabulated psi fields; every sample config is on an
+    # interval
     configs = sorted(str(p) for p in (pathlib.Path(__file__).resolve()
                                       .parents[1] / "configs").glob("*.json"))
     assert configs
@@ -544,6 +544,11 @@ def test_sturm_liouville_study_never_imports_scipy(tmp_path):
                 "r1": [{"harmonic": 1, "kind": "cos", "coeff": "1 + t/2"}]},
         omega=[50.0, 100.0], grid={"T": 1.0}, study="order")
     _assert_no_scipy([["study", "--config", str(cfg)]])
+
+
+def test_selftest_never_imports_scipy():
+    # volterra_residual integrates by its own Simpson rule
+    _assert_no_scipy([["selftest"]])
 
 
 def test_invert1_on_sampled_data_never_imports_scipy(ip1_files):

@@ -1,11 +1,13 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
 no module reaches into another's private names, sampled traces keep one
-stencil rule, and callables are accepted only where a caller passes one."""
+stencil rule, callables are accepted only where a caller passes one, and
+only ``chebyshev`` knows the layout of a Chebyshev table."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -69,3 +71,24 @@ def _callable_tests(tree):
     return {node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) == "callable"}
+
+
+def test_chebyshev_exports_one_table_type():
+    from oscinv import chebyshev
+    assert set(chebyshev.__all__) == {
+        "N_MAX", "points", "Table", "converge", "coefficient_matrix",
+        "cumulative_matrix", "clenshaw_curtis", "differentiation_matrix"}
+
+
+def test_only_chebyshev_knows_the_table_layout():
+    # a Chebyshev table is a chebyshev.Table; a module that indexes one
+    # as a (nodes, values) pair would know its layout
+    pattern = re.compile(r"(\.table|\bfound)\[[01]\]")
+    found = []
+    for path in sorted(pathlib.Path(oscinv.__file__).parent.glob("*.py")):
+        if path.name == "chebyshev.py":
+            continue
+        found += [f"{path.name}:{i}" for i, line in
+                  enumerate(path.read_text().splitlines(), 1)
+                  if pattern.search(line)]
+    assert found == []

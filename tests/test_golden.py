@@ -171,5 +171,5 @@ def test_drive_roundtrip_error_by_drive(monkeypatch, r0, n_nodes):
                         lambda *a: picked.append(real(*a)) or picked[-1])
     err = np.max(np.abs(ip1_recover(data, amp, basis).r0.values
                         - src.r0.sample(dgrid)))
-    assert [p[0].size for p in picked] == [n_nodes]
+    assert [p.n for p in picked] == [n_nodes]
     assert err <= 4e-7

@@ -168,15 +168,15 @@ def test_ip1_r0_keeps_its_table_for_the_admissibility_report(ip1_setup,
     # nodes, so it needs no spline and takes no Filon fallback
     basis, grid, fexpr, data = ip1_setup
     rec = ip1_recover(data, fexpr, basis)
-    nodes, vals = rec.r0.table
-    assert nodes[0] == grid[0] and nodes[-1] == grid[-1]
+    table = rec.r0.table
+    assert table.a == grid[0] and table.b == grid[-1]
 
     def refuse(*args, **kwargs):
         raise AssertionError("slow_responses fell back to duhamel_batch")
 
     monkeypatch.setattr(quadrature, "duhamel_batch", refuse)
     rep = check_admissibility(rec.r0, 2.0, basis)
-    assert rep.r0_at_0 == vals[0]
+    assert rep.r0_at_0 == table.values[0]
     assert rep.r0_at_t0 == pytest.approx(3.0, abs=1e-6)
     # Lambda_1(t) = t + 1 - cos t - sin t for r0 = 1 + t and lam_1 = 1
     assert rep.min_response == pytest.approx(3.0 - np.cos(2.0) - np.sin(2.0),

@@ -345,7 +345,7 @@ def test_slow_responses_match_closed_forms(basis32, expr, exact):
     r = np.sqrt(basis32.eigenvalues)
     tab = slow_responses(None, TimeTrace.from_expr(expr, grid),
                          basis32.eigenvalues, grid)
-    assert tab.chebyshev and tab.times.size <= chebyshev.N_MAX
+    assert tab.table is not None and tab.table.n <= chebyshev.N_MAX
     for t in (3.0, grid[1234]):
         want = exact(r, t)
         assert np.max(np.abs(tab.at(t) - want)) <= \
@@ -366,11 +366,25 @@ def test_slow_responses_match_the_filon_rule_for_a_time_varying_amplitude(
     tab = slow_responses(amp.time_factors, r0, lams, grid, coeffs)
     ref = duhamel_batch(amp.time_factors(grid), lams, grid,
                         [(0.0, 1.0, r0.values)], coeffs=coeffs)
-    assert tab.chebyshev
+    assert tab.table is not None
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(tab.at(grid[4000]) - ref[:, 4000])) <= 1e-13 * scale
     w = basis32.point_weights(1.2)
     assert np.max(np.abs(tab.row(w, grid) - ref.T @ w)) <= 1e-13 * scale
+
+
+def test_slow_response_rows_read_a_chopped_contraction(basis32):
+    # the table resolves mode 32 (r T = 96); a sum of modes 1 and 3 is slow,
+    # so its read keeps fewer points, within the tolerance of the full one
+    grid = uniform_grid(3.0, 3000)
+    tab = slow_responses(None, TimeTrace.from_expr("1 + t", grid),
+                         basis32.eigenvalues, grid)
+    w = np.zeros(32)
+    w[[0, 2]] = 1.0, 0.3
+    full = chebyshev.Table(tab.table.a, tab.table.b, tab.table.values @ w)
+    assert full.chop().n < full.n
+    tol = chebyshev.STOP_TOL * max(1.0, np.max(np.abs(full.values)))
+    assert np.max(np.abs(tab.row(w, grid) - full(grid))) <= tol
 
 
 @pytest.mark.parametrize("M, backed", [(8, "samples"), (64, "expression")])
@@ -381,7 +395,7 @@ def test_slow_responses_fall_back_to_the_filon_rule_bitwise(M, backed):
     r0 = TimeTrace(grid, 1.0 + grid) if backed == "samples" else \
         TimeTrace.from_expr("1 + t", grid)
     tab = slow_responses(None, r0, basis.eigenvalues, grid)
-    assert not tab.chebyshev
+    assert tab.table is None
     want = duhamel_batch(r0.values, basis.eigenvalues, grid)
     assert np.array_equal(tab.at(3.0), want[:, -1])
     w = basis.point_weights(1.2)
@@ -395,7 +409,7 @@ def test_fallback_responses_read_only_their_own_nodes():
     grid = uniform_grid(3.0, 600)
     tab = slow_responses(None, TimeTrace(grid, 1.0 + grid),
                          basis.eigenvalues, grid)
-    assert not tab.chebyshev
+    assert tab.table is None
     assert np.array_equal(tab.at(grid[10]), tab.values[:, 10])
     h = grid[1] - grid[0]
     for bad in (grid[10] + 0.3 * h, grid[-1] + h, grid[0] - 0.6 * h):

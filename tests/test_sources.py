@@ -254,15 +254,16 @@ def test_callable_split_on_slow_grid_matches_nodal_split(name):
 
 def test_callable_split_interpolates_only_kept_columns(monkeypatch):
     # the transform runs on the node table; the mean and the two kept
-    # harmonics are interpolated onto the grid and keep their node columns
+    # harmonics are read onto the grid and keep their node columns
     widths = []
-    real = chebyshev.interpolate
+    real = chebyshev.Table.__call__
 
-    def spy(nodes, table, y):
-        widths.append(table.shape[1])
-        return real(nodes, table, y)
+    def spy(table, t):
+        if t.size == grid.size:
+            widths.append(table.values.shape[1])
+        return real(table, t)
 
-    monkeypatch.setattr(chebyshev, "interpolate", spy)
+    monkeypatch.setattr(chebyshev.Table, "__call__", spy)
     grid = uniform_grid(3.0, 6112)
     src = split_source(_SMOOTH_DRIVES["benchmark"], grid, n_tau=64)
     assert widths == [3]
@@ -272,12 +273,25 @@ def test_callable_split_interpolates_only_kept_columns(monkeypatch):
                  lambda t: 0.4 + 0.0 * t]
     for tr, env in zip([src.r0] + [c for _, _, c in src.r1.terms],
                        envelopes):
-        nodes, vals = tr.table
-        assert nodes.size <= chebyshev.N_MAX
-        assert nodes[0] == grid[0] and nodes[-1] == grid[-1]
-        np.testing.assert_allclose(vals, env(nodes), rtol=0, atol=1e-14)
+        table = tr.table
+        assert table.n <= chebyshev.N_MAX
+        assert table.a == grid[0] and table.b == grid[-1]
+        np.testing.assert_allclose(table.values, env(table.nodes), rtol=0,
+                                   atol=1e-14)
         t = np.linspace(0.01, 2.99, 7)
         np.testing.assert_allclose(tr(t), env(t), rtol=0, atol=1e-14)
+
+
+def test_callable_split_envelopes_differentiate_off_their_tables():
+    # the cos envelope 1 + t/2 of the benchmark drive: its slope comes
+    # from the table's derivative, not from stencils of the grid samples
+    # (off by 3.2e-12 at 0 and 2.3e-12 at 3 on this grid)
+    grid = uniform_grid(3.0, 6112)
+    src = split_source(_SMOOTH_DRIVES["benchmark"], grid, n_tau=64)
+    env = src.r1.coefficient(1, "cos")
+    assert abs(env.value_at_start(1) - 0.5) <= 1e-13
+    np.testing.assert_allclose(env.derivative_at(np.linspace(0, 3, 9), 1),
+                               0.5, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("r, n", [

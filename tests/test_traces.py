@@ -180,9 +180,9 @@ def test_sampled_derivative_at_refuses_times_off_the_span():
 
 
 def _table_trace(fn, grid):
-    nodes, vals = chebyshev.converge(lambda t: fn(t)[:, None], grid[0],
-                                     grid[-1])
-    return TimeTrace(grid, fn(grid), table=(nodes, vals[:, 0]))
+    table = chebyshev.converge(lambda t: fn(t)[:, None], grid[0], grid[-1])
+    return TimeTrace(grid, fn(grid), table=chebyshev.Table(
+        table.a, table.b, table.values[:, 0]))
 
 
 def _slow(t):
@@ -214,13 +214,30 @@ def test_table_survives_scalar_arithmetic_only():
                       (tr / 4.0 + 3.0, _slow(t) / 4.0 + 3.0),
                       (-tr, -_slow(t)), (1.0 - tr, 1.0 - _slow(t))):
         assert out.table is not None
-        assert out.table[0] is tr.table[0]
+        assert (out.table.a, out.table.b, out.table.n) == \
+            (tr.table.a, tr.table.b, tr.table.n)
         np.testing.assert_allclose(out.sample(t), want, rtol=0, atol=1e-13)
     other = TimeTrace.from_expr("1 + t", g)
     for out in (tr * tr, tr * other, tr + other, other * tr):
         assert out.table is None and out.expr is None
         assert not out.exact_off_grid
     assert not TimeTrace(g, g.copy()).exact_off_grid
+
+
+def test_table_trace_differentiates_off_its_table():
+    g = uniform_grid(3.0, 60)
+    tr = _table_trace(_slow, g)
+    t = np.linspace(0.0, 3.0, 41)
+    slope = np.exp(-t) * (2 * np.cos(2 * t) - np.sin(2 * t)) + 0.1
+    np.testing.assert_allclose(tr.derivative_at(t, 1), slope, rtol=0,
+                               atol=1e-11)
+    d = tr.derivative(1)
+    assert d.table is not None and d.exact_off_grid
+    np.testing.assert_allclose(d.sample(t), slope, rtol=0, atol=1e-11)
+    assert tr.value_at_start(1) == pytest.approx(2.1, abs=1e-11)
+    assert tr.derivative_noise(2) == 0.0
+    with pytest.raises(ValueError):
+        tr.derivative_at(np.array([3.5]), 1)
 
 
 def test_expr_trace_extends_exactly():

@@ -7,7 +7,7 @@ from oscinv import chebyshev
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
 from oscinv.quadrature import slow_responses
 from oscinv.traces import TimeTrace, uniform_grid
-from oscinv.volterra import (BLOCK, VolterraKernel, build_kernel,
+from oscinv.volterra import (BLOCK, VolterraKernel, _simpson, build_kernel,
                              solve_chebyshev, solve_second_kind,
                              volterra_residual)
 
@@ -160,7 +160,7 @@ def _mode_equation_data(K, r0):
     span = uniform_grid(3.0, 64)
     table = slow_responses(K.amplitude.time_factors, r0, K.lams, span,
                            K.coeffs.T)
-    assert table.chebyshev
+    assert table.table is not None
 
     def a(t):
         return K.mode_weights @ K.mode_amplitudes(t)
@@ -176,11 +176,11 @@ def test_chebyshev_solver_recovers_exact_data(two_term_kernel, r0):
     K = two_term_kernel
     r0 = TimeTrace.from_expr(r0, uniform_grid(3.0, 64))
     a, g = _mode_equation_data(K, r0)
-    nodes, u = solve_chebyshev(a, K, g, 0.0, 3.0)
-    assert np.max(np.abs(u - r0.sample(nodes))) <= 1e-10
-    # the interpolant carries the accuracy between the nodes
+    u = solve_chebyshev(a, K, g, 0.0, 3.0)
+    assert np.max(np.abs(u.values - r0.sample(u.nodes))) <= 1e-10
+    # the table carries the accuracy between the nodes
     fine = np.linspace(0.0, 3.0, 1001)
-    between = chebyshev.interpolate(nodes, u[:, None], fine)[:, 0]
+    between = u(fine)
     assert np.max(np.abs(between - r0.sample(fine))) <= 1e-10
 
 
@@ -188,14 +188,14 @@ def test_the_march_converges_to_the_chebyshev_solution(two_term_kernel):
     # the equation of the block-edge tests: the march's distance from the
     # Nystrom solution is its own O(h^2) error
     K = two_term_kernel
-    nodes, u = solve_chebyshev(lambda t: 2 + np.sin(3 * t), K,
-                               lambda t: 1 + t / 3, 0.0, 3.0)
+    u = solve_chebyshev(lambda t: 2 + np.sin(3 * t), K,
+                        lambda t: 1 + t / 3, 0.0, 3.0)
     dists = []
     for n in (1500, 3000):
         grid = uniform_grid(3.0, n)
         march = solve_second_kind(2 + np.sin(3 * grid), K, 1 + grid / 3,
                                   grid=grid)
-        on_grid = chebyshev.interpolate(nodes, u[:, None], grid)[:, 0]
+        on_grid = u(grid)
         dists.append(np.max(np.abs(on_grid - march.values)))
     assert dists[1] < 1e-5
     assert math.log2(dists[0] / dists[1]) == pytest.approx(2.0, abs=0.01)
@@ -207,6 +207,19 @@ def test_chebyshev_solver_gives_up_past_the_largest_table(two_term_kernel):
     K = two_term_kernel
     assert solve_chebyshev(lambda t: np.full_like(t, 2.0), K,
                            lambda t: np.cos(120.0 * t), 0.0, 3.0) is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 31, 64, 401, 1000])
+def test_simpson_matches_scipy(n):
+    # odd counts are the composite rule, even ones close with scipy's
+    # last-interval weights 5h/12, 2h/3, -h/12
+    from scipy.integrate import simpson
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        y = 1.0 + rng.random(n)
+        h = float(rng.uniform(1e-3, 1.0))
+        want = simpson(y, dx=h)
+        assert abs(_simpson(y, h) - want) <= 1e-14 * abs(want)
 
 
 def test_residual_checks_marched_solution(trace_kernel):
