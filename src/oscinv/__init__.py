@@ -17,7 +17,7 @@ from .inverse import (AdmissibilityError, AdmissibilityReport,
                       ip2_recover, ip3_recover)
 from .selftest import run_selftest
 from .sources import FastProfile, OscillatorySource, rho0, split_source
-from .traces import TimeTrace, uniform_grid
+from .traces import Grid, TimeTrace, uniform_grid
 from .volterra import (VolterraKernel, build_kernel, solve_second_kind,
                        volterra_residual)
 
@@ -38,7 +38,7 @@ __all__ = [
     "check_admissibility", "ip1_recover", "ip2_recover", "ip3_recover",
     "run_selftest",
     "FastProfile", "OscillatorySource", "rho0", "split_source",
-    "TimeTrace", "uniform_grid",
+    "Grid", "TimeTrace", "uniform_grid",
     "VolterraKernel", "build_kernel", "solve_second_kind",
     "volterra_residual",
 ]

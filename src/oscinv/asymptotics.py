@@ -33,7 +33,7 @@ from .basis import EigenBasis, SeparableAmplitude
 from .forward import SpaceTimeField
 from .quadrature import slow_responses
 from .sources import N_TAU, FastProfile, OscillatorySource, rho0, split_source
-from .traces import TimeTrace, same_grid
+from .traces import Grid, TimeTrace
 
 __all__ = [
     "AsymptoticExpansion", "expansion_coefficients", "build_expansion",
@@ -72,14 +72,15 @@ class AsymptoticExpansion:
 
     def u0_table(self, tgrid):
         """u0's mode responses, driven by f_m(t) r0(t) from zero data, as a
-        ``slow_responses`` table over the span of a uniform grid, kept per
-        span: a Chebyshev table serves every grid of its span, a Filon
-        fallback table only its own grid (another grid replaces it)."""
-        tgrid = np.asarray(tgrid, dtype=float)
-        key = (float(tgrid[0]), float(tgrid[-1]))
+        ``slow_responses`` table over the span of a uniform grid (a
+        ``Grid`` or its nodes), kept per span: a Chebyshev table serves
+        every grid of its span, a Filon fallback table only its own grid
+        (another grid replaces it)."""
+        tgrid = Grid.of(tgrid)
+        key = (tgrid.start, tgrid.stop)
         resp = self._cache.get(key)
         if resp is None or not (resp.table is not None
-                                or same_grid(resp.grid, tgrid)):
+                                or resp.axis == tgrid):
             amp = self.amplitude
             resp = self._cache[key] = slow_responses(
                 amp.time_factors, self.source.r0, self.basis.eigenvalues,
@@ -91,7 +92,7 @@ class AsymptoticExpansion:
         b1_m sin(sqrt(lam_m) t) / sqrt(lam_m) and
         d_m cos(sqrt(lam_m) t) + b2_m sin(sqrt(lam_m) t) / sqrt(lam_m)."""
         roots = np.sqrt(self.basis.eigenvalues)[:, None]
-        phase = roots * np.asarray(tgrid, dtype=float)[None, :]
+        phase = roots * Grid.of(tgrid).nodes[None, :]
         sin = np.sin(phase)
         c1 = (self.b1[:, None] / roots) * sin
         c2 = self.d[:, None] * np.cos(phase) \
@@ -99,10 +100,11 @@ class AsymptoticExpansion:
         return c1, c2
 
     def evaluate(self, omega, points, tgrid, order=2):
-        """Expansion values on (tgrid x points), truncated at the given order."""
-        tgrid = np.asarray(tgrid, dtype=float)
+        """Expansion values on (tgrid x points), truncated at the given
+        order; tgrid is a ``Grid`` or its nodes."""
+        tgrid = Grid.of(tgrid)
         modes = self.basis.eval_modes(points)
-        u0 = self.u0_table(tgrid).row(modes, tgrid)
+        u0 = self.u0_table(tgrid).row(modes, tgrid.nodes)
         if order == 0:
             return u0
         if order != 2:
@@ -114,8 +116,9 @@ class AsymptoticExpansion:
         out = u0
         out += (c1.T @ modes) / omega
         out += (c2.T @ modes) / omega ** 2
-        fvals = self.amplitude.evaluate(points, tgrid)
-        rho_vals = self.rho0_profile.evaluate(tgrid, omega * tgrid)
+        t = tgrid.nodes
+        fvals = self.amplitude.evaluate(points, t)
+        rho_vals = self.rho0_profile.evaluate(t, omega * t)
         fvals *= np.asarray(rho_vals)[:, None]
         fvals /= omega ** 2
         out += fvals
@@ -124,9 +127,9 @@ class AsymptoticExpansion:
     def observed_traces(self, x0, tgrid):
         """(phi0, chi) at a fixed spatial point: the slow trace u0(x0, .) and
         the fast-phase data f(x0, .) * rho0 a point observation records."""
-        tgrid = np.asarray(tgrid, dtype=float)
+        tgrid = Grid.of(tgrid)
         w = self.basis.point_weights(x0)
-        phi0 = TimeTrace(tgrid, self.u0_table(tgrid).row(w, tgrid))
+        phi0 = TimeTrace(tgrid, self.u0_table(tgrid).row(w, tgrid.nodes))
         fx0 = self.amplitude.at_point(x0, tgrid)
         return phi0, self.rho0_profile.resample(tgrid).scaled(fx0)
 
@@ -134,6 +137,7 @@ class AsymptoticExpansion:
         """(phi0, phi1, phi2, chi) of the expansion at a fixed spatial point:
         observed_traces plus the order-1 and order-2 free oscillations."""
         # the (M, N) tables before chi: the other order raised peak RSS
+        tgrid = Grid.of(tgrid)
         modes = self.basis.point_weights(x0)
         phi1, phi2 = (TimeTrace(tgrid, c.T @ modes)
                       for c in self.correction_coeffs(tgrid))
@@ -161,11 +165,9 @@ def residual_norm(u_field, expansion, omega, order=2):
     if not isinstance(u_field, SpaceTimeField):
         raise TypeError("u_field must be a SpaceTimeField")
     omega = float(omega)
-    h = u_field.grid[1] - u_field.grid[0]
     target = 2.0 * np.pi / (RESIDUAL_SAMPLES_PER_PERIOD * omega)
-    stride = max(1, int(round(target / h)))
-    tgrid = u_field.grid[::stride]
+    sub = u_field.every(round(target / u_field.axis.h))
     pts = u_field.basis.interior_sample_points(RESIDUAL_SPACE_POINTS)
-    u_vals = u_field.coeffs[:, ::stride].T @ u_field.basis.eval_modes(pts)
-    u_vals -= expansion.evaluate(omega, pts, tgrid, order=order)
+    u_vals = sub.coeffs.T @ u_field.basis.eval_modes(pts)
+    u_vals -= expansion.evaluate(omega, pts, sub.axis, order=order)
     return float(np.max(np.abs(u_vals, out=u_vals)))

@@ -21,7 +21,7 @@ import sympy
 from . import chebyshev, expressions
 from .expressions import SPACE_SYMBOLS, T, X
 from .quadrature import gauss_panel_rule
-from .traces import TimeTrace
+from .traces import Grid, TimeTrace
 
 __all__ = [
     "EigenBasis", "SpatialField", "SeparableAmplitude", "BoundaryTraceReport",
@@ -409,13 +409,15 @@ class SeparableAmplitude:
         time factors; the expression sum_i X_i(x0) g_i(t) is attached as it
         stands, so a new x0 compiles nothing and the trace still resamples
         exactly.  x0 is checked as in EigenBasis.point_weights, with the
-        dimension taken from its own length.
+        dimension taken from its own length.  The grid is a ``Grid`` or its
+        nodes.
         """
         pts = _observation_points(x0, np.size(x0))
+        grid = Grid.of(grid)
         expr = sympy.Add(*(
             sympy.Float(float(np.ravel(xf.evaluate(pts))[0])) * g
             for g, xf in self.terms))
-        return TimeTrace(grid, self.evaluate(pts, grid)[:, 0], expr=expr)
+        return TimeTrace(grid, self.evaluate(pts, grid.nodes)[:, 0], expr=expr)
 
     def values_at_point(self, x0, t):
         """f(x0, t) at the times of a 1-D array t (any spacing), through the

@@ -18,11 +18,11 @@ import numpy as np
 from .basis import (SeparableAmplitude, SpatialField,
                     build_dirichlet_interval_basis, build_rectangle_basis,
                     build_sturm_liouville_basis, panel_count)
-from .forward import MIN_POINTS_PER_PERIOD
+from .forward import MIN_POINTS_PER_PERIOD, make_time_grid
 from .inverse import ObservationData
 from .quadrature import PANEL_NODES
 from .sources import FastProfile, OscillatorySource, split_source
-from .traces import FD_ACCURACY, TimeTrace, uniform_grid
+from .traces import FD_ACCURACY, Grid, TimeTrace, uniform_grid
 
 __all__ = ["ConfigError", "BasisConfig", "SourceConfig", "GridConfig",
            "ObservationConfig", "OutputConfig", "ExperimentConfig",
@@ -48,6 +48,13 @@ PHI0_MIN_NODES = 2 + FD_ACCURACY
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+def _step_ok(h):
+    """True when h**2 and 1/h**2 are finite and nonzero: phi0'' divides by
+    h**2, and the product rule's weights by 2 h**2."""
+    h2 = h * h
+    return 0 < h2 < math.inf and 1 / h2 < math.inf
 
 
 def _take(d, allowed, where):
@@ -186,6 +193,11 @@ class GridConfig:
                 f"(2*pi/omega)/{MIN_POINTS_PER_PERIOD}")
         return cls(T, ppp, n_out, trace_h)
 
+    def trace_grid(self):
+        """The round trips' observation grid on [0, T]: T / trace_h
+        intervals, rounded to an even count."""
+        return uniform_grid(self.T, int(round(self.T / self.trace_h)))
+
 
 @dataclass(frozen=True)
 class ObservationConfig:
@@ -265,6 +277,28 @@ def config_from_dict(d):
     if work > MAX_WORK:
         raise ConfigError(f"estimated work of {work:.3g} mode-node "
                           f"entries exceeds the cap of {MAX_WORK} (2**26)")
+    # the order-2 expansion divides by omega**2 and round trip 3 bounds its
+    # trace error by omega**-3
+    try:
+        omegas[0] ** -3
+    except OverflowError:
+        raise ConfigError(f"omega={omegas[0]:g} is too small: omega**-3 "
+                          "overflows") from None
+    for w in omegas:
+        h = make_time_grid(grid.T, w, grid.points_per_period).h
+        if not _step_ok(h):
+            raise ConfigError(f"T={grid.T:g} at omega={w:g} gives a time "
+                              f"step h={h:g} whose h**2 or 1/h**2 is not "
+                              "finite and nonzero")
+    if study != "order":
+        trace = grid.trace_grid()
+        if trace.n + 1 < PHI0_MIN_NODES or not _step_ok(trace.h):
+            raise ConfigError(
+                f"T={grid.T:g} and trace_h={grid.trace_h:g} give a trace "
+                f"grid of {trace.n + 1} nodes and step {trace.h:g}; it "
+                f"needs at least {PHI0_MIN_NODES} nodes (phi0'' reads "
+                "that many) and a step whose h**2 and 1/h**2 are finite "
+                "and nonzero")
     t0 = observation.t0
     if study in ("roundtrip2", "roundtrip3") and t0 is not None \
             and not t0 <= grid.T:
@@ -365,19 +399,19 @@ def load_observation(obj, basis=None):
         spec = obj["phi0"]
         _take(spec, ("expr", "T", "h", "grid", "values"), "data.phi0")
         if "grid" in spec:
-            grid = np.asarray(spec["grid"], float)
-            if grid.ndim != 1 or grid.size < PHI0_MIN_NODES \
-                    or not np.all(np.isfinite(grid)):
+            nodes = np.asarray(spec["grid"], float)
+            if nodes.ndim != 1 or nodes.size < PHI0_MIN_NODES \
+                    or not np.all(np.isfinite(nodes)):
                 raise ConfigError(f"phi0.grid must list at least "
                                   f"{PHI0_MIN_NODES} finite times")
+            grid = Grid.of(nodes)
             # drive recovery starts from zero data at t = 0; phi0'' divides
             # by h**2, and its error bound multiplies by it
-            h = float(grid[1] - grid[0])
-            h2 = h * h
-            if grid[0] != 0 or not (0 < h2 < math.inf and 1 / h2 < math.inf):
+            if grid.start != 0 or not _step_ok(grid.h):
                 raise ConfigError(f"phi0.grid must start at 0 with a step h "
                                   f"whose h**2 and 1/h**2 are finite and "
-                                  f"nonzero, not {grid[0]:g}, {grid[1]:g}, ...")
+                                  f"nonzero, not {grid.start:g}, "
+                                  f"h={grid.h:g}")
             phi0 = TimeTrace(grid, np.asarray(spec["values"], float))
         else:
             phi0 = TimeTrace.from_expr(spec["expr"], _grid_from(spec, "phi0"))
@@ -385,7 +419,7 @@ def load_observation(obj, basis=None):
     chi = None
     if "chi" in obj:
         if phi0 is not None:
-            cgrid = phi0.grid
+            cgrid = phi0.axis
         else:
             cgrid = _grid_from(obj.get("chi_grid", {}), "chi_grid")
         chi = FastProfile.from_specs(

@@ -18,7 +18,7 @@ import numpy as np
 from .basis import EigenBasis, SeparableAmplitude
 from .quadrature import duhamel_batch
 from .sources import N_TAU, split_source
-from .traces import TimeTrace, uniform_grid
+from .traces import Grid, TimeTrace, uniform_grid
 
 __all__ = [
     "UnderResolvedError", "SpaceTimeField",
@@ -47,7 +47,7 @@ def make_time_grid(t_end, omega, points_per_period=32):
 
 def check_resolution(grid, omega):
     """Reject grids with fewer than MIN_POINTS_PER_PERIOD nodes per fast period."""
-    h = grid[1] - grid[0]
+    h = Grid.of(grid).h
     limit = 2.0 * np.pi / (float(omega) * MIN_POINTS_PER_PERIOD)
     if h > limit * (1.0 + 1e-12):
         raise UnderResolvedError(
@@ -57,31 +57,49 @@ def check_resolution(grid, omega):
 
 @dataclass(eq=False)
 class SpaceTimeField:
-    """Mode-coefficient traces of a space-time function on a shared time grid."""
+    """Mode-coefficient traces of a space-time function on a shared time
+    grid, the ``Grid`` axis; ``grid`` is its node array."""
 
     basis: EigenBasis
-    grid: np.ndarray
+    axis: Grid
     coeffs: np.ndarray            # (M, n_time)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+        self.axis = Grid.of(self.axis)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.basis.M, self.grid.size):
+        if self.coeffs.shape != (self.basis.M, self.axis.n + 1):
             raise ValueError("coefficient array must be (M, n_time)")
+
+    @property
+    def grid(self):
+        return self.axis.nodes
 
     def evaluate(self, points):
         """Values u(t_i, x_j), shape (n_time, n_points)."""
         return self.coeffs.T @ self.basis.eval_modes(points)
 
     def trace_at(self, x0):
-        return TimeTrace(self.grid, self.coeffs.T @ self.basis.point_weights(x0))
+        return TimeTrace(self.axis,
+                         self.coeffs.T @ self.basis.point_weights(x0))
+
+    def every(self, stride):
+        """The field on the nodes of ``Grid.every(stride)``, its
+        coefficients a view of this field's."""
+        axis = self.axis.every(stride)
+        kept = round(axis.h / self.axis.h)      # the stride every took
+        return SpaceTimeField(self.basis, axis, self.coeffs[:, ::kept],
+                              meta=dict(self.meta))
 
     def subsample(self, n_out):
-        """Coarse copy with about n_out nodes (stride divides the grid)."""
-        stride = max(1, (self.grid.size - 1) // max(1, n_out - 1))
-        return SpaceTimeField(self.basis, self.grid[::stride].copy(),
-                              self.coeffs[:, ::stride].copy(),
+        """Coarse copy on at least n_out nodes, where the grid has them, and
+        on its final time: every stride-th node, the stride the largest
+        divisor of the interval count n up to n // max(2, n_out - 1)."""
+        n = self.axis.n
+        top = max(1, n // max(2, n_out - 1))
+        stride = max(d for d in range(1, top + 1) if n % d == 0)
+        coarse = self.every(stride)
+        return SpaceTimeField(self.basis, coarse.axis, coarse.coeffs.copy(),
                               meta=dict(self.meta, subsampled_stride=stride))
 
 
@@ -103,13 +121,13 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
             raise ValueError("give either T or an explicit grid")
         grid = make_time_grid(T, omega=omega, points_per_period=points_per_period)
     else:
-        grid = np.asarray(grid, dtype=float)
+        grid = Grid.of(grid)
         check_resolution(grid, omega)
 
     amp = SeparableAmplitude.coerce(f)
     src = split_source(r, grid, n_tau=n_tau)
     terms = amp.term_coefficients(basis).T
-    factors = amp.time_factors(grid)
+    factors = amp.time_factors(grid.nodes)
     # cos = (e^{+} + e^{-})/2, sin = (e^{+} - e^{-})/2i
     drive = [(0.0, 1.0, src.r0.values)]
     for k, kind, c in src.r1.terms:
@@ -126,7 +144,7 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
         fmax = np.abs(terms[:, 0]) * np.abs(factors[0]).max()
     else:
         fmax = np.max([np.abs(terms @ factors[:, lo:lo + 4096]).max(axis=1)
-                       for lo in range(0, grid.size, 4096)], axis=0)
+                       for lo in range(0, grid.n + 1, 4096)], axis=0)
     tail = float(fmax[-1] / fmax.max()) if fmax.max() > 0 else 0.0
     meta = {"omega": omega, "points_per_period": points_per_period,
             "mode_tail_ratio": tail}

@@ -21,7 +21,6 @@ from .forward import make_time_grid, solve_direct
 from .inverse import (ObservationData, check_admissibility, ip1_recover,
                       ip2_recover, ip3_recover)
 from .sources import OscillatorySource
-from .traces import uniform_grid
 
 __all__ = ["CriterionResult", "StudyReport", "fit_slope",
            "run_order_study", "run_roundtrip", "emit_report",
@@ -152,18 +151,18 @@ def _synthetic_data(basis, amp, src, dgrid, x0=None, t0=None):
     given (``observed_traces``), psi = u0(., t0) when t0 is.  t0 must be a
     node of the grid."""
     if t0 is not None:
-        h = float(dgrid[1] - dgrid[0])
-        i_obs = int(round(t0 / h))
-        if abs(dgrid[i_obs] - t0) > 1e-13 * max(1.0, dgrid[-1]):
+        try:
+            t_node = dgrid.nodes[dgrid.index(t0)]
+        except ValueError:
             raise ConfigError(f"observation t0={t0!r} is not a node of the "
-                              f"trace grid of step {h:.6g}; choose a "
-                              "multiple of it")
+                              f"trace grid of step {dgrid.h:.6g}; choose a "
+                              "multiple of it") from None
     truth = build_expansion(basis, amp, src, dgrid)
     data = ObservationData(x0=x0, t0=t0)
     if x0 is not None:
         data.phi0, data.chi = truth.observed_traces(x0, dgrid)
     if t0 is not None:
-        data.psi = SpatialField(coeffs=truth.u0_table(dgrid).at(dgrid[i_obs]),
+        data.psi = SpatialField(coeffs=truth.u0_table(dgrid).at(t_node),
                                 basis=basis)
     return data
 
@@ -174,9 +173,8 @@ def run_roundtrip(config: ExperimentConfig, which):
         raise ValueError("which must be 1, 2, or 3")
     basis = make_basis(config.basis)
     obs_cfg = config.observation
-    T = config.grid.T
-    t_obs = obs_cfg.t0 if obs_cfg.t0 is not None else T
-    dgrid = uniform_grid(T, int(round(T / config.grid.trace_h)))
+    t_obs = obs_cfg.t0 if obs_cfg.t0 is not None else config.grid.T
+    dgrid = config.grid.trace_grid()
     amp, src = make_source(config.source, dgrid)
     tol = config.tolerances
     criteria = []
@@ -232,7 +230,7 @@ def run_roundtrip(config: ExperimentConfig, which):
         for omega in config.omegas:
             u = solve_direct(basis, rec_amp, rec_src, omega, T=t_obs,
                              points_per_period=config.grid.points_per_period)
-            composite = rec_exp.evaluate(omega, [obs_cfg.x0], u.grid)[:, 0]
+            composite = rec_exp.evaluate(omega, [obs_cfg.x0], u.axis)[:, 0]
             trace = u.trace_at(obs_cfg.x0).values
             err = float(np.max(np.abs(trace - composite)))
             scale_u = float(np.max(np.abs(trace)))

@@ -108,7 +108,7 @@ def _lambda_profiles(r0, basis, grid):
 def _lambda_at(r0, t0, basis):
     """(M,) mode responses Lambda_m(t0)."""
     grid = uniform_grid(float(t0), FALLBACK_INTERVALS)
-    return _lambda_profiles(r0, basis, grid).at(grid[-1])
+    return _lambda_profiles(r0, basis, grid).at(grid.stop)
 
 
 def _dead_modes(lamv, basis):
@@ -173,7 +173,7 @@ def ip1_recover(data, f, basis):
     if data.phi0 is None or data.chi is None:
         raise AdmissibilityError("drive recovery needs both phi0 and chi")
     data.validate()
-    grid = data.phi0.grid
+    grid = data.phi0.axis
     amp = SeparableAmplitude.coerce(f)
     f_x0 = amp.at_point(data.x0, grid)
     if not _amplitude_floor(f_x0.values, f_x0.max_abs)[1]:
@@ -182,11 +182,11 @@ def ip1_recover(data, f, basis):
     phi0 = data.phi0
     found = solve_chebyshev(lambda t: amp.values_at_point(data.x0, t), kernel,
                             lambda t: phi0.derivative_at(t, 2),
-                            grid[0], grid[-1], phi0.derivative_noise(2))
+                            grid.start, grid.stop, phi0.derivative_noise(2))
     if found is None:
         r0_trace = solve_second_kind(f_x0, kernel, phi0.derivative(2))
     else:
-        r0_trace = TimeTrace(grid, found(grid), table=found)
+        r0_trace = TimeTrace(grid, found(grid.nodes), table=found)
     r1 = data.chi.resample(grid).tau_derivative(2).divided_by(f_x0)
     return OscillatorySource(r0_trace, r1)
 
@@ -225,11 +225,11 @@ def ip3_recover(data, r0, basis):
         raise AdmissibilityError("combined recovery needs psi, chi, and t0")
     profiles = lamv = None
     if data.phi0 is not None:
-        grid = data.phi0.grid
+        grid = data.phi0.axis
         profiles = _lambda_profiles(r0, basis, grid)
-        if profiles.table is not None and grid[0] == 0.0 \
-                and grid[-1] == float(data.t0):
-            lamv = profiles.at(grid[-1])
+        if profiles.table is not None and grid.start == 0.0 \
+                and grid.stop == float(data.t0):
+            lamv = profiles.at(grid.stop)
     fld = ip2_recover(data.psi, r0, data.t0, basis, lambda_values=lamv)
 
     w = basis.point_weights(data.x0)
@@ -242,7 +242,8 @@ def ip3_recover(data, r0, basis):
     r1 = data.chi.tau_derivative(2).scaled(1.0 / fx0)
 
     if profiles is not None:
-        phi0_derived = TimeTrace(grid, profiles.row(fld.coeffs * w, grid))
+        phi0_derived = TimeTrace(grid,
+                                 profiles.row(fld.coeffs * w, grid.nodes))
         fld.meta["phi0_derived"] = phi0_derived
         fld.meta["phi0_consistency"] = float(
             np.max(np.abs(data.phi0.values - phi0_derived.values)))

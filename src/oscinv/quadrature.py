@@ -39,6 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import chebyshev
+from .traces import Grid
 
 __all__ = [
     "oscillatory_moments",
@@ -224,9 +225,9 @@ def _term_weights(weights, coeffs):
     return W.reshape(W.shape[:2] + (int(np.prod(W.shape[2:])),))
 
 
-def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
+def _rotated_tiles(factors, coeffs, roots, drive, grid):
     """Yield (rows, nodes, S) tiles of S_m(t) = e^{i r_m t} Q_m(t) on the
-    grid, where Q_m(t) = int_{t_0}^t f_m(s) sum_c a_c g_c(s)
+    ``Grid``, where Q_m(t) = int_{t_0}^t f_m(s) sum_c a_c g_c(s)
     e^{i(nu_c - r_m) s} ds by the product rule, f_m = coeffs[m] @ factors
     and Q_m(t_0) = 0.  Node 0 is in no tile.
 
@@ -244,17 +245,17 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
     S carried from one to the next, so that a chunk of Z and a tile of
     _BLOCK_ROWS modes stay within _BLOCK_NODES complex values.
     """
-    n = grid.size - 1
+    n, h, t = grid.n, grid.h, grid.nodes
     n_pairs = n // 2
     rates = np.array([float(nu) for nu, _, _ in drive])
-    env = np.array([a * np.broadcast_to(g, grid.shape) for _, a, g in drive],
+    env = np.array([a * np.broadcast_to(g, t.shape) for _, a, g in drive],
                    dtype=complex)
     pair, tail, start = _rule_weights(rates[None, :] - roots[:, None], h, n)
     W = _term_weights(pair, coeffs)
     step = _cis_product(roots, h)
     if tail is not None:
         Zt = _node_products(env, factors,
-                            _cis_product(rates[:, None], grid[start]),
+                            _cis_product(rates[:, None], t[start]),
                             start, start + 1, tail.shape[0])[:, 0]
         seg = (_term_weights(tail[:, None], coeffs)[:, 0] @ Zt) \
             * _cis_product(roots, (n - start) * h)
@@ -283,7 +284,7 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
         a, b = 2 * p0, 2 * min(n_pairs, p0 + size)
         pairs = (b - a) // 2
         nb = -(-pairs // L)
-        Z = _node_products(env, factors, _cis_table(rates, grid[a:b:2]),
+        Z = _node_products(env, factors, _cis_table(rates, t[a:b:2]),
                            a, b - 1, 3, nb * L, out=work[:W.shape[2] * nb * L])
         last = tail is not None and b == 2 * n_pairs
         for lo in range(0, roots.size, rows):
@@ -324,29 +325,28 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid, h):
 
 
 def cumulative_oscillatory(values, grid, theta):
-    """Running integrals Q_i of values * e^{i*theta*s} from grid[0] to
-    grid[i] over a uniform grid, values sampled at its nodes; Q_0 = 0.
+    """Running integrals Q_i of values * e^{i*theta*s} from t_0 to t_i over
+    a uniform grid (a ``Grid`` or its nodes), values sampled at its nodes;
+    Q_0 = 0.
 
-    The phase factor uses absolute s, and the step is the grid's mean step.
-    theta = 0 is allowed and exact for quadratic envelopes.
+    The phase factor uses absolute s.  theta = 0 is allowed and exact for
+    quadratic envelopes.
     """
     g = np.asarray(values, dtype=complex)
-    grid = np.asarray(grid, dtype=float)
-    if g.size < 2 or grid.shape != g.shape:
-        raise ValueError("need at least two samples, one per grid node")
-    h = (grid[-1] - grid[0]) / (grid.size - 1)
-    if not h > 0:
-        raise ValueError("grid must be increasing")
+    grid = Grid.of(grid)
+    if g.shape != (grid.n + 1,):
+        raise ValueError("need one sample per grid node")
     Q = np.zeros(g.size, dtype=complex)
     for _, nodes, S in _rotated_tiles(g[None, :], np.ones((1, 1)),
                                       np.zeros(1), [(theta, 1.0, 1.0)],
-                                      grid, h):
+                                      grid):
         Q[nodes] = S[0]
     return Q
 
 
 def duhamel_batch(factors, lams, grid, drive=((0.0, 1.0, 1.0),), coeffs=None):
-    """Zero-data responses of a_m'' + lam_m a_m = F_m on a uniform grid.
+    """Zero-data responses of a_m'' + lam_m a_m = F_m on a uniform grid, a
+    ``Grid`` or its nodes.
 
     The forcing is F_m(s) = f_m(s) sum_c a_c g_c(s) e^{i nu_c s}.  The mode
     amplitudes come factored, f_m(s) = sum_i coeffs[m, i] h_i(s): ``factors``
@@ -363,10 +363,8 @@ def duhamel_batch(factors, lams, grid, drive=((0.0, 1.0, 1.0),), coeffs=None):
     mode; each tile of modes costs one matrix product and one cumsum per
     mode.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = Grid.of(grid)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if grid.size < 2:
-        raise ValueError("need at least two samples")
     if not np.all(lams > 0):
         raise ValueError("mode eigenvalues must be positive")
     factors = np.asarray(factors, dtype=float)
@@ -378,17 +376,15 @@ def duhamel_batch(factors, lams, grid, drive=((0.0, 1.0, 1.0),), coeffs=None):
                              "coefficients")
         coeffs = np.ones((lams.size, 1))
     coeffs = np.asarray(coeffs, dtype=float)
-    if factors.shape[1:] != grid.shape or \
+    if factors.shape[1:] != (grid.n + 1,) or \
             coeffs.shape != (lams.size, factors.shape[0]):
         raise ValueError("factors must be (n, N) and coeffs (M, n)")
-    # the mean step: grid[1] - grid[0] can be off by an ulp of t_0
-    h = (grid[-1] - grid[0]) / (grid.size - 1)
     roots = np.sqrt(lams)
-    out = np.empty((roots.size, grid.size))
+    out = np.empty((roots.size, grid.n + 1))
     out[:, 0] = 0.0
     # f_m / r_m as the amplitude, so that S_m is already divided by r_m
     for rows, nodes, S in _rotated_tiles(factors, coeffs / roots[:, None],
-                                         roots, drive, grid, h):
+                                         roots, drive, grid):
         out[rows, nodes] = S.imag
     return out
 
@@ -397,40 +393,36 @@ def duhamel_batch(factors, lams, grid, drive=((0.0, 1.0, 1.0),), coeffs=None):
 class SlowResponses:
     """Zero-data mode responses over a span: a Chebyshev ``table`` of the
     (n, M) responses at its nodes, or, on the Filon fallback, the (M, N)
-    responses ``values`` on the uniform ``grid``."""
+    responses ``values`` on the uniform grid ``axis``."""
 
     table: chebyshev.Table | None = None
-    grid: np.ndarray | None = None
+    axis: Grid | None = None
     values: np.ndarray | None = None
 
     def at(self, t):
         """(M,) responses at the time t, which must be a node of the
-        uniform grid on the fallback (ValueError otherwise)."""
+        grid on the fallback (``Grid.index``, ValueError otherwise)."""
         if self.table is not None:
             return self.table(np.array([float(t)]))[0]
-        h = self.grid[1] - self.grid[0]
-        k = int(round((t - self.grid[0]) / h))
-        if not (0 <= k < self.grid.size and abs(self.grid[k] - t)
-                <= 1e-13 * max(1.0, abs(self.grid[-1]))):
-            raise ValueError(f"t={t!r} is not a node of the response table")
-        return self.values[:, k].copy()
+        return self.values[:, self.axis.index(t)].copy()
 
-    def row(self, weights, grid):
-        """sum_m weights[m] a_m on the grid, for (M,) weights (shape (N,))
-        or (M, K) weights (shape (N, K)): the table contracted at its
-        nodes, chopped and read.  On the fallback the grid is the table's
-        own."""
+    def row(self, weights, t):
+        """sum_m weights[m] a_m at the times t, for (M,) weights (shape
+        (N,)) or (M, K) weights (shape (N, K)): the table contracted at its
+        nodes, chopped and read.  On the fallback t are the nodes of the
+        table's own grid."""
         weights = np.asarray(weights, dtype=float)
         if self.table is None:
             return (weights.T @ self.values).T
         tab = self.table
         return chebyshev.Table(tab.a, tab.b, tab.values @ weights).chop()(
-            np.asarray(grid, dtype=float))
+            np.asarray(t, dtype=float))
 
 
 def slow_responses(factors, r0, lams, grid, coeffs=None):
     """Zero-data responses of a_m'' + lam_m a_m = f_m(t) r0(t) over the
-    span [t_0, t_end] of a uniform grid, as a SlowResponses table.
+    span [t_0, t_end] of a uniform grid (a ``Grid`` or its nodes), as a
+    SlowResponses table.
 
     The mode amplitudes come factored as in ``duhamel_batch``,
     f_m(t) = sum_i coeffs[m, i] h_i(t): factors(t) gives the n time factors
@@ -447,7 +439,7 @@ def slow_responses(factors, r0, lams, grid, coeffs=None):
     integrands that need more than chebyshev.N_MAX nodes (r_M (t_end - t_0)
     past about 165), take ``duhamel_batch`` on the uniform grid instead.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = Grid.of(grid)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if r0.exact_off_grid:
         roots = np.sqrt(lams)[:, None]
@@ -460,7 +452,7 @@ def slow_responses(factors, r0, lams, grid, coeffs=None):
             z = env * _cis_product(-roots, t)
             return np.concatenate([z.real, z.imag]).T
 
-        a, b = float(grid[0]), float(grid[-1])
+        a, b = grid.start, grid.stop
         found = chebyshev.converge(integrands, a, b)
         if found is not None:
             nodes = found.nodes
@@ -470,10 +462,10 @@ def slow_responses(factors, r0, lams, grid, coeffs=None):
                 a, b, ((_cis_product(roots, nodes) * q).imag / roots).T))
     r0v = r0.sample(grid)
     if factors is None:
-        return SlowResponses(grid=grid,
+        return SlowResponses(axis=grid,
                              values=duhamel_batch(r0v, lams, grid))
-    return SlowResponses(grid=grid, values=duhamel_batch(
-        factors(grid), lams, grid, [(0.0, 1.0, r0v)], coeffs))
+    return SlowResponses(axis=grid, values=duhamel_batch(
+        factors(grid.nodes), lams, grid, [(0.0, 1.0, r0v)], coeffs))
 
 
 def gauss_panel_rule(a, b, n_panels):

@@ -16,7 +16,7 @@ from sympy.simplify.fu import TR8
 
 from . import chebyshev, expressions
 from .expressions import T, TAU
-from .traces import TimeTrace, same_grid
+from .traces import Grid, TimeTrace
 
 __all__ = ["FastProfile", "OscillatorySource", "split_source", "rho0"]
 
@@ -26,13 +26,14 @@ N_TAU = 256     # phase samples per period when a callable drive is resolved
 
 @dataclass(eq=False)
 class FastProfile:
-    """Zero-tau-mean trig polynomial sum_k a_k(t) cos(k tau) + b_k(t) sin(k tau)."""
+    """Zero-tau-mean trig polynomial sum_k a_k(t) cos(k tau) +
+    b_k(t) sin(k tau) on the ``Grid`` axis; ``grid`` is its node array."""
 
     terms: list            # of (k: int, kind: "cos"|"sin", coeff: TimeTrace)
-    grid: np.ndarray
+    axis: Grid
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+        self.axis = Grid.of(self.axis)
         norm = {}
         order = []
         for k, kind, coeff in self.terms:
@@ -53,6 +54,7 @@ class FastProfile:
     @classmethod
     def from_specs(cls, specs, grid):
         """Build from (harmonic, kind, coefficient expression/number) triples."""
+        grid = Grid.of(grid)
         terms = []
         for k, kind, coeff in specs:
             if isinstance(coeff, (int, float)):
@@ -61,6 +63,10 @@ class FastProfile:
                 tr = TimeTrace.from_expr(coeff, grid)
             terms.append((int(k), kind, tr))
         return cls(terms, grid)
+
+    @property
+    def grid(self):
+        return self.axis.nodes
 
     @property
     def max_abs(self):
@@ -82,7 +88,7 @@ class FastProfile:
         for kk, kd, c in self.terms:
             if kk == k and kd == kind:
                 return c
-        return TimeTrace.constant(0.0, self.grid)
+        return TimeTrace.constant(0.0, self.axis)
 
     # -- calculus in the fast phase --------------------------------------
 
@@ -100,7 +106,7 @@ class FastProfile:
                 scale *= factor(k) if kind == "sin" else -factor(k)
                 kind = "cos" if kind == "sin" else "sin"
             terms.append((k, kind, c * scale if order else c))
-        return FastProfile(terms, self.grid)
+        return FastProfile(terms, self.axis)
 
     def tau_derivative(self, order=1):
         return self._phase_map(order, float)
@@ -110,7 +116,7 @@ class FastProfile:
         return self._phase_map(order, lambda k: -1.0 / k)
 
     def corner(self, t_order=0):
-        """d^t_order/dt^t_order of the profile at (t=grid[0], tau=0)."""
+        """d^t_order/dt^t_order of the profile at (t=start, tau=0)."""
         return sum((c.value_at_start(t_order) for k, kind, c in self.terms
                     if kind == "cos"), 0.0)
 
@@ -119,16 +125,16 @@ class FastProfile:
     def scaled(self, factor):
         """Multiply every coefficient by a scalar or a TimeTrace."""
         return FastProfile([(k, kind, c * factor) for k, kind, c in self.terms],
-                           self.grid)
+                           self.axis)
 
     def divided_by(self, trace):
         return FastProfile([(k, kind, c / trace) for k, kind, c in self.terms],
-                           self.grid)
+                           self.axis)
 
     def __add__(self, other):
         if not isinstance(other, FastProfile):
             return NotImplemented
-        return FastProfile(self.terms + other.terms, self.grid)
+        return FastProfile(self.terms + other.terms, self.axis)
 
     def __neg__(self):
         return self.scaled(-1.0)
@@ -139,8 +145,9 @@ class FastProfile:
         return self + (-other)
 
     def resample(self, grid2):
+        grid2 = Grid.of(grid2)
         return FastProfile([(k, kind, c.resample(grid2))
-                            for k, kind, c in self.terms], np.asarray(grid2, float))
+                            for k, kind, c in self.terms], grid2)
 
 
 @dataclass(eq=False)
@@ -152,10 +159,6 @@ class OscillatorySource:
 
     def evaluate(self, t, tau):
         return self.r0(t) + self.r1.evaluate(t, tau)
-
-    @property
-    def grid(self):
-        return self.r0.grid
 
     def resample(self, grid2):
         return OscillatorySource(self.r0.resample(grid2), self.r1.resample(grid2))
@@ -260,12 +263,13 @@ def split_source(r, grid, n_tau=N_TAU):
     A callable is transformed on a converged Chebyshev table in slow time
     (``chebyshev.converge``); the kept columns are read onto the grid
     through one table, and each stays its trace's table.  A table needing
-    more than chebyshev.N_MAX points or as many as the grid has nodes, or a
-    grid that is not increasing, gives way to samples at every grid node.
+    more than chebyshev.N_MAX points or as many as the grid has nodes
+    gives way to samples at every grid node.  The grid is a ``Grid`` or its
+    nodes.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = Grid.of(grid)
     if isinstance(r, OscillatorySource):
-        return r if same_grid(r.grid, grid) else r.resample(grid)
+        return r if r.r0.axis == grid else r.resample(grid)
     if isinstance(r, (str, sympy.Expr)):
         mean, table = _harmonic_table(r)
         terms = [(k, kind, TimeTrace.from_expr(env, grid))
@@ -276,12 +280,9 @@ def split_source(r, grid, n_tau=N_TAU):
     if not callable(r):
         raise TypeError("drive must be a source, an expression, or a callable")
     taus = _phases(n_tau)
-    found = None
-    if grid.size >= 2 and np.all(np.diff(grid) > 0):
-        found = chebyshev.converge(lambda t: _sample(r, t, taus), grid[0],
-                                   grid[-1],
-                                   min(chebyshev.N_MAX, grid.size - 1))
-    samples, scale = _periodic(_sample(r, grid, taus) if found is None
+    found = chebyshev.converge(lambda t: _sample(r, t, taus), grid.start,
+                               grid.stop, min(chebyshev.N_MAX, grid.n))
+    samples, scale = _periodic(_sample(r, grid.nodes, taus) if found is None
                                else found.values)
     F = np.fft.rfft(samples, axis=1)
     keys, cols = [(0, "mean")], [F[:, 0].real / n_tau]
@@ -300,7 +301,7 @@ def split_source(r, grid, n_tau=N_TAU):
         r0, *env = [TimeTrace(grid, v) for v in cols.T]
     else:
         a, b = found.a, found.b
-        on_grid = chebyshev.Table(a, b, cols)(grid)
+        on_grid = chebyshev.Table(a, b, cols)(grid.nodes)
         r0, *env = [TimeTrace(grid, v, table=chebyshev.Table(a, b, c))
                     for v, c in zip(on_grid.T, cols.T)]
     return OscillatorySource(r0, FastProfile(

@@ -1,5 +1,9 @@
 """Scalar functions of time on uniform grids, with optional analytic descriptors.
 
+Every time axis is a ``Grid``: n equal intervals on [start, stop], with
+one step, one node lookup and one equality.  A node array from outside
+becomes one through ``Grid.of``, the one place its uniformity is checked.
+
 A TimeTrace always carries sampled values.  A sympy expression, when it has
 one, is authoritative (resampling and differentiation are exact).  A
 ``chebyshev.Table`` of its span, from ``chebyshev.converge`` or
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import sympy
@@ -19,29 +24,79 @@ import sympy
 from . import chebyshev, expressions
 from .expressions import T
 
-__all__ = ["TimeTrace", "uniform_grid", "same_grid", "fd_weights"]
+__all__ = ["Grid", "TimeTrace", "uniform_grid", "fd_weights"]
 
 FD_ACCURACY = 4     # order of accuracy of every finite-difference stencil
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The uniform grid of n intervals on [start, stop]: its nodes are
+    ``np.linspace(start, stop, n + 1)``, its step h = (stop - start) / n.
+    Grids compare and hash by value."""
+
+    start: float
+    stop: float
+    n: int
+
+    def __post_init__(self):
+        if not (self.n >= 1 and math.isfinite(self.start)
+                and math.isfinite(self.stop) and self.start < self.stop):
+            raise ValueError("a grid needs finite ends, start < stop, and "
+                             "at least one interval")
+
+    @classmethod
+    def of(cls, grid):
+        """A Grid as it is; a node array as the Grid of its ends and node
+        count, ValueError unless it is 1-D, has two nodes or more, and
+        increases uniformly (steps equal to 1e-12 relative)."""
+        if isinstance(grid, Grid):
+            return grid
+        x = np.asarray(grid, dtype=float)
+        if x.ndim != 1 or x.size < 2:
+            raise ValueError("grid must be 1-D with at least two nodes")
+        steps = np.diff(x)
+        h = steps[0]
+        if not h > 0 or not np.allclose(steps, h, rtol=1e-12, atol=1e-14):
+            raise ValueError("grid must be uniform and increasing")
+        return cls(float(x[0]), float(x[-1]), x.size - 1)
+
+    @cached_property
+    def nodes(self):
+        """The n + 1 node times, a read-only array."""
+        x = np.linspace(self.start, self.stop, self.n + 1)
+        x.flags.writeable = False
+        return x
+
+    @property
+    def h(self):
+        return (self.stop - self.start) / self.n
+
+    def index(self, t):
+        """The k with nodes[k] = t to 1e-13 * max(1, |stop|); ValueError
+        for a time off the nodes."""
+        k = np.rint((t - self.start) / self.h)
+        if not (0 <= k <= self.n and abs(self.nodes[int(k)] - t)
+                <= 1e-13 * max(1.0, abs(self.stop))):
+            raise ValueError(f"t={t!r} is not a node of the grid of step "
+                             f"{self.h:.6g} from {self.start:g}")
+        return int(k)
+
+    def every(self, stride):
+        """The grid of every stride-th node from start, the times of
+        ``nodes[::stride]``; a stride over n // 2 is taken as n // 2, so
+        that at least two intervals are left (one when n is 1).  A stride
+        that divides n keeps stop."""
+        stride = max(1, min(int(stride), self.n // 2))
+        m = self.n // stride
+        return Grid(self.start, float(self.nodes[m * stride]), m)
 
 
 def uniform_grid(t_end, n_intervals):
     """Uniform grid on [0, t_end] with an even interval count (rounded up if
     needed)."""
-    n = int(n_intervals)
-    if n < 2:
-        n = 2
-    if n % 2:
-        n += 1
-    return np.linspace(0.0, float(t_end), n + 1)
-
-
-def same_grid(a, b):
-    """True when grid b has a's shape and matches it node by node to
-    1e-13 * max(1, |a[-1]|)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.allclose(
-        b, a, rtol=0, atol=1e-13 * max(1.0, abs(float(a[-1]))))
+    n = max(2, int(n_intervals))
+    return Grid(0.0, float(t_end), n + n % 2)
 
 
 def fd_weights(offsets, order):
@@ -71,24 +126,19 @@ def fd_weights(offsets, order):
 
 @dataclass(eq=False)
 class TimeTrace:
-    """Sampled scalar function of t on a uniform grid."""
+    """Sampled scalar function of t on a uniform grid, the ``Grid`` axis;
+    ``grid`` is its node array."""
 
-    grid: np.ndarray
+    axis: Grid
     values: np.ndarray
     expr: sympy.Expr | None = None
     table: chebyshev.Table | None = None    # 1-D values on its span
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+        self.axis = Grid.of(self.axis)
         self.values = np.asarray(self.values, dtype=float)
-        if self.grid.ndim != 1 or self.grid.size < 2:
-            raise ValueError("grid must be 1-D with at least two nodes")
-        if self.values.shape != self.grid.shape:
+        if self.values.shape != (self.axis.n + 1,):
             raise ValueError("values and grid shapes differ")
-        steps = np.diff(self.grid)
-        h = steps[0]
-        if h <= 0 or not np.allclose(steps, h, rtol=1e-12, atol=1e-14):
-            raise ValueError("grid must be uniform and increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite trace values")
 
@@ -97,24 +147,28 @@ class TimeTrace:
     @classmethod
     def from_expr(cls, expr, grid):
         expr = expressions.parse(expr, allowed=(T,))
-        grid = np.asarray(grid, dtype=float)
-        return cls(grid, expressions.evaluate(expr, t=grid), expr=expr)
+        grid = Grid.of(grid)
+        return cls(grid, expressions.evaluate(expr, t=grid.nodes), expr=expr)
 
     @classmethod
     def constant(cls, value, grid):
-        grid = np.asarray(grid, dtype=float)
-        return cls(grid, np.full_like(grid, float(value)),
+        grid = Grid.of(grid)
+        return cls(grid, np.full(grid.n + 1, float(value)),
                    expr=sympy.Float(value) if value else sympy.Integer(0))
 
     # -- basic queries ------------------------------------------------
 
     @property
+    def grid(self):
+        return self.axis.nodes
+
+    @property
     def h(self):
-        return float(self.grid[1] - self.grid[0])
+        return self.axis.h
 
     @property
     def t_end(self):
-        return float(self.grid[-1])
+        return self.axis.stop
 
     @property
     def max_abs(self):
@@ -128,7 +182,7 @@ class TimeTrace:
     def _check_span(self, t):
         """ValueError unless every time of t is on the grid's span, to a pad
         of 1e-12 * max(1, |t_end|)."""
-        lo, hi = self.grid[0], self.grid[-1]
+        lo, hi = self.axis.start, self.axis.stop
         pad = 1e-12 * max(1.0, abs(hi))
         if t.size and (t.min() < lo - pad or t.max() > hi + pad):
             raise ValueError("reading outside the trace support")
@@ -138,19 +192,22 @@ class TimeTrace:
         return out if np.ndim(tq) else float(out)
 
     def sample(self, grid2):
-        """Values at the times grid2: the stored values on the trace's own
-        grid, else off the expression, or by ``derivative_at`` of order 0
-        (the table or the stencils); without an expression, ValueError off
-        the span.
+        """Values at the times grid2, an array or a ``Grid``: the stored
+        values on the trace's own grid, else off the expression, or by
+        ``derivative_at`` of order 0 (the table or the stencils); without
+        an expression, ValueError off the span.
         """
+        if isinstance(grid2, Grid):
+            if grid2 == self.axis:
+                return self.values.copy()
+            grid2 = grid2.nodes
         grid2 = np.asarray(grid2, dtype=float)
-        if same_grid(self.grid, grid2):
-            return self.values.copy()
         if self.expr is not None:
             return expressions.evaluate(self.expr, t=grid2)
         return self.derivative_at(grid2.ravel(), 0).reshape(grid2.shape)
 
     def resample(self, grid2):
+        grid2 = Grid.of(grid2)
         return TimeTrace(grid2, self.sample(grid2), expr=self.expr,
                          table=self.table)
 
@@ -161,11 +218,11 @@ class TimeTrace:
             return self
         if self.expr is not None:
             dexpr = sympy.diff(self.expr, T, order)
-            return TimeTrace.from_expr(dexpr, self.grid)
+            return TimeTrace.from_expr(dexpr, self.axis)
         if self.table is not None:
             d = self.table.derivative(order)
-            return TimeTrace(self.grid, d(self.grid), table=d)
-        return TimeTrace(self.grid, self.derivative_at(self.grid, order))
+            return TimeTrace(self.axis, d(self.grid), table=d)
+        return TimeTrace(self.axis, self.derivative_at(self.grid, order))
 
     def derivative_at(self, t, order):
         """d^order/dt^order at the times t of the span, as an array.
@@ -184,10 +241,10 @@ class TimeTrace:
         self._check_span(t)
         if self.table is not None:
             return self.table.derivative(order)(t)
-        n, npe = self.grid.size, order + FD_ACCURACY
+        n, npe = self.axis.n + 1, order + FD_ACCURACY
         if n < npe:
             raise ValueError(f"need at least {npe} samples")
-        x = (t - self.grid[0]) / self.h
+        x = (t - self.axis.start) / self.h
         k = np.rint(x).clip(0, n - 1).astype(int)
         on = self.grid[k] == t
         # interior node reads share their window's middle-place stencil, row
@@ -228,14 +285,14 @@ class TimeTrace:
         """d^order/dt^order at the left endpoint."""
         if self.expr is not None:
             d = sympy.diff(self.expr, T, order)
-            return float(d.subs(T, self.grid[0]))
+            return float(d.subs(T, self.axis.start))
         return float(self.derivative_at(self.grid[:1], order)[0])
 
     # -- arithmetic (grids match; expressions combine, tables take scalars) --
 
     def _coerce(self, other):
         if isinstance(other, TimeTrace):
-            if not same_grid(self.grid, other.grid):
+            if other.axis != self.axis:
                 raise ValueError("trace grids differ")
             return other.values, other.expr
         if np.ndim(other) == 0:
@@ -253,7 +310,7 @@ class TimeTrace:
         if self.table is not None and not isinstance(other, TimeTrace):
             table = chebyshev.Table(self.table.a, self.table.b,
                                     np_op(self.table.values, vals))
-        return TimeTrace(self.grid, np_op(self.values, vals), expr=expr,
+        return TimeTrace(self.axis, np_op(self.values, vals), expr=expr,
                          table=table)
 
     def __add__(self, other):

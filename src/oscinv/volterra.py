@@ -32,7 +32,7 @@ import numpy as np
 
 from . import chebyshev
 from .basis import SeparableAmplitude, separable_sum
-from .traces import TimeTrace
+from .traces import Grid, TimeTrace
 
 __all__ = ["VolterraKernel", "build_kernel", "solve_second_kind",
            "solve_chebyshev", "volterra_residual"]
@@ -86,9 +86,9 @@ def _multiplier_values(a, grid):
     if isinstance(a, TimeTrace):
         return a.sample(grid)
     if np.ndim(a) == 0:
-        return np.full(grid.size, float(a))
+        return np.full(grid.n + 1, float(a))
     vals = np.asarray(a, dtype=float)
-    if vals.shape != grid.shape:
+    if vals.shape != (grid.n + 1,):
         raise ValueError("multiplier array does not match the grid")
     return vals
 
@@ -96,24 +96,25 @@ def _multiplier_values(a, grid):
 def solve_second_kind(a, K, g, grid=None):
     """March the product-trapezoid scheme; returns the solution trace.
 
-    The multiplier must be uniformly nonzero: min |a| >= 1e-8 * max |a| is
-    enforced, since the equation degenerates to first kind where a vanishes.
+    The grid (a ``Grid`` or its nodes) defaults to g's own.  The multiplier
+    must be uniformly nonzero: min |a| >= 1e-8 * max |a| is enforced, since
+    the equation degenerates to first kind where a vanishes.
     """
     if isinstance(g, TimeTrace):
-        grid = g.grid if grid is None else np.asarray(grid, dtype=float)
+        grid = g.axis if grid is None else Grid.of(grid)
         gv = g.sample(grid)
     else:
         if grid is None:
             raise ValueError("grid required when g is a plain array")
-        grid = np.asarray(grid, dtype=float)
+        grid = Grid.of(grid)
         gv = np.asarray(g, dtype=float)
     av = _multiplier_values(a, grid)
     amax = float(np.max(np.abs(av)))
     if amax == 0.0 or float(np.min(np.abs(av))) < 1e-8 * amax:
         raise ValueError("multiplier a(t) vanishes (or nearly) on the grid; "
                          "the second-kind formulation degenerates")
-    h = grid[1] - grid[0]
-    n = grid.size
+    h, t = grid.h, grid.nodes
+    n = t.size
     u = np.empty(n)
     u[0] = gv[0] / av[0]
 
@@ -124,7 +125,7 @@ def solve_second_kind(a, K, g, grid=None):
     if not callable(K):
         raise TypeError("kernel must be a VolterraKernel or a callable K(t, s)")
     for i in range(1, n):
-        row = np.asarray(K(grid[i], grid[: i + 1]), dtype=float)
+        row = np.asarray(K(t[i], t[: i + 1]), dtype=float)
         acc = h * (0.5 * row[0] * u[0] + row[1:i] @ u[1:i])
         u[i] = (gv[i] - acc) / (av[i] + 0.5 * h * row[i])
     return TimeTrace(grid, u)
@@ -138,22 +139,22 @@ def _march_separable(av, K, gv, grid, u):
     a(t) alone because K(t, t) = 0.  Tables are built per block, so no
     (M, N) array is held.
     """
-    h = grid[1] - grid[0]
+    h, t = grid.h, grid.nodes
     roots = np.sqrt(K.lams)
     wf = (roots * K.mode_weights)[:, None]
     # f_m as in mode_amplitudes, but the (n_terms, N) time factors are
     # sampled once and each block projects only its own slice
-    tf = K.amplitude.time_factors(grid)
+    tf = K.amplitude.time_factors(t)
     # running trapezoid sums of f_m(s) cos/sin(sqrt(lam_m) s) u(s); the
     # first node has the half weight
     f0 = separable_sum(K.coeffs, tf[:, 0])
-    Sc = 0.5 * f0 * np.cos(roots * grid[0]) * u[0]
-    Ss = 0.5 * f0 * np.sin(roots * grid[0]) * u[0]
+    Sc = 0.5 * f0 * np.cos(roots * t[0]) * u[0]
+    Ss = 0.5 * f0 * np.sin(roots * t[0]) * u[0]
     # -h on the strictly lower triangle of a block, 0 on and above it
     lower = np.tril(np.full((BLOCK, BLOCK), -h), -1)
-    for i in range(1, grid.size, BLOCK):
-        j = min(i + BLOCK, grid.size)
-        phase = np.outer(roots, grid[i:j])
+    for i in range(1, t.size, BLOCK):
+        j = min(i + BLOCK, t.size)
+        phase = np.outer(roots, t[i:j])
         c, s = np.cos(phase), np.sin(phase)
         f = separable_sum(K.coeffs, tf[:, i:j])
         P, Q = f * c, f * s
@@ -235,15 +236,15 @@ def volterra_residual(a, K, g, u):
     The running integral is re-evaluated rowwise with Simpson weights, so the
     result measures the solution, not the marching rule.
     """
-    grid = u.grid
+    grid = u.axis
     gv = g.sample(grid) if isinstance(g, TimeTrace) else np.asarray(g, float)
     av = _multiplier_values(a, grid)
-    h = grid[1] - grid[0]
+    h, t = grid.h, grid.nodes
     uv = u.values
-    res = np.empty(grid.size)
+    res = np.empty(t.size)
     res[0] = av[0] * uv[0] - gv[0]
-    for i in range(1, grid.size):
-        row = np.asarray(K(grid[i], grid[: i + 1]), dtype=float)
+    for i in range(1, t.size):
+        row = np.asarray(K(t[i], t[: i + 1]), dtype=float)
         prod = row * uv[: i + 1]
         if i == 1:
             integ = 0.5 * h * (prod[0] + prod[1])

@@ -17,4 +17,4 @@ def single_mode_basis():
 @pytest.fixture()
 def grid3():
     # slow grid to T=3, fine enough for order-4 finite differences
-    return uniform_grid(3.0, 3000)
+    return uniform_grid(3.0, 3000).nodes

@@ -110,7 +110,7 @@ def test_ac4_amplitude_recovery_from_final_snapshot():
 def test_ac5_drive_recovery_from_point_trace():
     start = time.perf_counter()
     basis = build_dirichlet_interval_basis(PI, 1)
-    grid = uniform_grid(3.0, 3000)    # h = 1e-3
+    grid = uniform_grid(3.0, 3000).nodes    # h = 1e-3
     fexpr = "exp(-t)*sin(x)"
     rexpr = "1 + t + (1 + t/2)*cos(tau)"
     expansion = build_expansion(basis, fexpr, rexpr, grid)
@@ -132,7 +132,7 @@ def test_ac6_volterra_marching_order():
     hs = (1e-2, 5e-3, 2.5e-3)
     errs = []
     for h in hs:
-        grid = uniform_grid(1.0, int(round(1.0 / h)))
+        grid = uniform_grid(1.0, int(round(1.0 / h))).nodes
         ones = np.ones_like(grid)
         u = solve_second_kind(ones, lambda t, s: np.ones_like(s), ones,
                               grid=grid)
@@ -145,7 +145,7 @@ def test_ac6_volterra_marching_order():
 
 def test_ac7_combined_recovery_and_resimulation():
     basis = build_dirichlet_interval_basis(PI, 8)
-    grid = uniform_grid(3.0, 3000)
+    grid = uniform_grid(3.0, 3000).nodes
     x0, t0 = PI / 2, 3.0
     amp = SeparableAmplitude.from_expr("sin(x) + 0.3*sin(3*x)")
     fm_true = amp.mode_derivatives_at_start(basis)

@@ -14,7 +14,7 @@ from oscinv.config import config_from_dict, make_basis, make_source
 from oscinv.forward import make_time_grid, solve_direct
 from oscinv.quadrature import duhamel_batch
 from oscinv.sources import FastProfile, OscillatorySource, rho0, split_source
-from oscinv.traces import TimeTrace, same_grid, uniform_grid
+from oscinv.traces import TimeTrace, uniform_grid
 
 PI = np.pi
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -82,7 +82,7 @@ def test_time_invariant_amplitude_kills_b1_correction_growth(grid3):
 @pytest.fixture(scope="module")
 def expansion():
     basis = build_dirichlet_interval_basis(PI, 3)
-    grid = uniform_grid(3.0, 3000)
+    grid = uniform_grid(3.0, 3000).nodes
     return build_expansion(basis, FEXPR, REXPR, grid), basis, grid
 
 
@@ -109,7 +109,7 @@ def test_u0_does_not_depend_on_the_grid_it_is_read_on():
     amp, src = make_source(cfg.source, fine)
     exp = build_expansion(basis, amp, src, fine)
     pts = basis.interior_sample_points(64)
-    coarse = exp.evaluate(50.0, pts, fine[::4], order=0)
+    coarse = exp.evaluate(50.0, pts, fine.every(4), order=0)
     full = exp.evaluate(50.0, pts, fine, order=0)
     assert np.max(np.abs(coarse - full[::4])) <= 1e-13
 
@@ -123,16 +123,16 @@ def test_u0_table_is_kept_per_span():
     exp = build_expansion(basis, FEXPR, REXPR, fine)
     table = exp.u0_table(fine)
     assert table.table is not None
-    assert exp.u0_table(fine[::4]) is table
+    assert exp.u0_table(fine.every(4)) is table
 
-    src = OscillatorySource(TimeTrace(fine, 1.0 + fine),
+    src = OscillatorySource(TimeTrace(fine, 1.0 + fine.nodes),
                             split_source(REXPR, fine).r1)
     backed = build_expansion(basis, FEXPR, src, fine)
     filon = backed.u0_table(fine)
     assert filon.table is None
     assert backed.u0_table(fine) is filon
-    coarse = backed.u0_table(fine[::4])
-    assert coarse is not filon and same_grid(coarse.grid, fine[::4])
+    coarse = backed.u0_table(fine.every(4))
+    assert coarse is not filon and coarse.axis == fine.every(4)
     assert backed.u0_table(fine) is not filon
 
 
@@ -165,7 +165,7 @@ def test_build_expansion_resamples_a_presplit_source(n_src):
     # a source split on [0, 3] with the same or another node count as the
     # [0, 2] expansion grid must give the expansion of the expression
     basis = build_dirichlet_interval_basis(PI, 3)
-    grid = uniform_grid(2.0, 3000)
+    grid = uniform_grid(2.0, 3000).nodes
     src = split_source(REXPR, uniform_grid(3.0, n_src))
     got = build_expansion(basis, FEXPR, src, grid)
     ref = build_expansion(basis, FEXPR, REXPR, grid)

@@ -285,7 +285,7 @@ def test_amplitude_at_point_compiles_nothing_at_a_new_point(monkeypatch):
     # the values come from the compiled time factors; the attached
     # expression sum_i X_i(x0) g_i(t) still resamples the trace exactly
     amp = SeparableAmplitude.from_expr("exp(-t)*sin(x) + (1 + t^2/4)*sin(2*x)")
-    grid = uniform_grid(2.0, 600)
+    grid = uniform_grid(2.0, 600).nodes
     amp.at_point(0.7, grid)            # compiles the time and space factors
     compiles = []
     real = sympy.lambdify
@@ -294,7 +294,7 @@ def test_amplitude_at_point_compiles_nothing_at_a_new_point(monkeypatch):
     tr = amp.at_point(1.1, grid)
     assert compiles == []
     np.testing.assert_array_equal(tr.values, amp.evaluate([1.1], grid)[:, 0])
-    fine = uniform_grid(2.0, 1000)
+    fine = uniform_grid(2.0, 1000).nodes
     moved = tr.resample(fine)
     assert moved.expr is tr.expr
     np.testing.assert_allclose(moved.values, amp.evaluate([1.1], fine)[:, 0],
@@ -344,7 +344,7 @@ def test_mode_traces_compile_per_term_not_per_mode():
     from oscinv import expressions
 
     basis = build_dirichlet_interval_basis(PI, 64)
-    grid = uniform_grid(1.0, 200)
+    grid = uniform_grid(1.0, 200).nodes
     # time factors no other test uses, so their compiles are not cached yet
     amp = SeparableAmplitude.from_expr(
         "exp(-0.8125*t)*sin(x) + (1 + 0.4375*t^2)*sin(3*x)")

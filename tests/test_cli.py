@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,41 @@ def test_nonfinite_omega_exits_2(tmp_path, capsys, command, study, bad):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
     assert len(err.strip().splitlines()) == 1
+
+
+# grids too small or too coarse for the study: each exits 0, 1 or 2
+_GRID_EXTREMES = {
+    "roundtrip1_trace_h_3": ("roundtrip1",
+                             dict(grid={"T": 3.0, "trace_h": 3})),
+    "roundtrip1_trace_h_1e9": ("roundtrip1",
+                               dict(grid={"T": 3.0, "trace_h": 1e9})),
+    "roundtrip1_T_1e-9": ("roundtrip1", dict(grid={"T": 1e-9})),
+    "roundtrip1_T_1e-300": ("roundtrip1", dict(grid={"T": 1e-300})),
+    "order_omega_1e-300": ("order", dict(omega=[1e-300])),
+    "order_T_1e-300": ("order", dict(grid={"T": 1e-300})),
+    "order_omega_1e-3": ("order", dict(omega=[1e-3])),
+    "roundtrip3_omega_1e-300": ("roundtrip3", dict(omega=[1e-300])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRID_EXTREMES))
+def test_grid_extremes_exit_by_the_contract(tmp_path, capsys, case):
+    study, overrides = _GRID_EXTREMES[case]
+    source = _DRIVE_SOURCE if study == "roundtrip1" else dict(
+        _AMPLITUDE_SOURCE, r1=_DRIVE_SOURCE["r1"])
+    cfg = _roundtrip_config(tmp_path, study, source=source, **overrides)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["study", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "out")])
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("study", ["roundtrip2", "roundtrip3"])
@@ -360,7 +396,7 @@ def test_invert_requires_data(tmp_path):
 @pytest.fixture()
 def ip1_files(tmp_path):
     basis = build_dirichlet_interval_basis(PI, 1)
-    grid = uniform_grid(3.0, 600)
+    grid = uniform_grid(3.0, 600).nodes
     exp = build_expansion(basis, "exp(-t)*sin(x)",
                           "1 + t + (1 + t/2)*cos(tau)", grid)
     phi0, _, _, _ = exp.trace_components(PI / 2, grid)
@@ -412,7 +448,7 @@ def test_invert1_cli_on_expression_phi0(tmp_path):
 @pytest.fixture()
 def ip2_files(tmp_path):
     basis = build_dirichlet_interval_basis(PI, 4)
-    grid = uniform_grid(3.0, 4096)
+    grid = uniform_grid(3.0, 4096).nodes
     fm = np.array([np.sqrt(PI / 2), 0.0, 0.3 * np.sqrt(PI / 2), 0.0])
     lamv = np.array([duhamel_batch(1 + grid, [lam], grid)[0, -1]
                      for lam in basis.eigenvalues])

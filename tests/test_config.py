@@ -204,7 +204,7 @@ def test_make_source_split_form():
     cfg = config_from_dict(dict(GOOD, source={
         "f": "sin(x)", "r0": "1 + t",
         "r1": [{"harmonic": 1, "kind": "cos", "coeff": "1 + t/2"}]}))
-    grid = uniform_grid(3.0, 100)
+    grid = uniform_grid(3.0, 100).nodes
     amp, src = make_source(cfg.source, grid)
     np.testing.assert_allclose(src.r0.values, 1 + grid, atol=1e-14)
     np.testing.assert_allclose(src.r1.coefficient(1, "cos").values,
@@ -226,7 +226,7 @@ def test_load_observation_expr_trace():
 
 
 def test_load_observation_tabulated_trace():
-    g = uniform_grid(2.0, 50)
+    g = uniform_grid(2.0, 50).nodes
     data = load_observation({
         "x0": 1.0,
         "phi0": {"grid": list(g), "values": list(np.sin(g))},

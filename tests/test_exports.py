@@ -92,3 +92,37 @@ def test_only_chebyshev_knows_the_table_layout():
                   enumerate(path.read_text().splitlines(), 1)
                   if pattern.search(line)]
     assert found == []
+
+
+def _sources():
+    return sorted(pathlib.Path(oscinv.__file__).parent.glob("*.py"))
+
+
+def test_only_grid_knows_the_step_and_the_uniformity_check():
+    # traces.Grid holds the one step, (stop - start) / n; a first
+    # difference of nodes or a mean step elsewhere would be a second
+    patterns = {
+        "same_grid": re.compile(r"\bsame_grid\b"),
+        "first difference": re.compile(r"([\w.]+)\[1\]\s*-\s*\1\[0\]"),
+        "mean step": re.compile(r"\[-1\]\s*-\s*[\w.]+\[0\]\)\s*/\s*\(?"
+                                r"[\w.]+\.size\s*-\s*1"),
+    }
+    found = [f"{path.name}:{i} {what}" for path in _sources()
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             for what, pattern in patterns.items() if pattern.search(line)]
+    assert found == []
+    # node arrays are checked for uniformity in Grid.of alone
+    checks = []
+    for path in _sources():
+        tree = ast.parse(path.read_text())
+        owners = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        for owner in owners:
+            for func in owner.body:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                where = (f"{owner.name}.{func.name}"
+                         if isinstance(owner, ast.ClassDef) else func.name)
+                checks += [f"{path.name}:{where}" for node in ast.walk(func)
+                           if isinstance(node, ast.Attribute)
+                           and node.attr == "allclose"]
+    assert checks == ["traces.py:Grid.of"]

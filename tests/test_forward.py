@@ -48,7 +48,7 @@ def test_duhamel_rejects_nonpositive_eigenvalue(grid3):
 
 
 def test_make_time_grid_resolves_fast_period():
-    grid = make_time_grid(3.0, omega=100.0, points_per_period=32)
+    grid = make_time_grid(3.0, omega=100.0, points_per_period=32).nodes
     h = grid[1] - grid[0]
     assert h <= (2 * PI / 100.0) / 32 * (1 + 1e-12)
     check_resolution(grid, 100.0)
@@ -153,6 +153,21 @@ def test_field_subsample(interval_basis, grid3):
     assert small.grid.size == 11
     assert small.grid[0] == 0.0 and small.grid[-1] == 3.0
 
+
+
+@pytest.mark.parametrize("n_out, stride", [(300, 4), (513, 2), (2, 764)])
+def test_field_subsample_keeps_the_final_time(single_mode_basis, n_out,
+                                              stride):
+    # the sample forward config's grid: 1528 = 2**3 * 191 intervals; at
+    # n_out = 300 a stride of 5 would end at 1525 h = 2.99411
+    u = solve_direct(single_mode_basis, "sin(x)", "cos(tau)", 100.0, T=3.0)
+    assert u.grid.size == 1529
+    small = u.subsample(n_out)
+    assert small.meta["subsampled_stride"] == stride
+    assert small.grid[-1] == 3.0 and small.grid.size >= n_out
+    assert np.array_equal(small.coeffs, u.coeffs[:, ::stride])
+    np.testing.assert_allclose(small.grid, u.grid[::stride], rtol=0,
+                               atol=1e-15)
 
 def test_mode_tail_diagnostic(interval_basis):
     u = solve_direct(interval_basis, "sin(x) + 0.3*sin(3*x)", "1 + cos(tau)",

@@ -212,9 +212,9 @@ def test_synthetic_data_matches_the_expansion(truth32):
     phi0, chi = exp2.observed_traces(1.2, dgrid)
     assert np.array_equal(data.phi0.values, phi0.values)
     u0 = exp2.u0_table(dgrid)
-    assert np.array_equal(data.psi.coeffs, u0.at(dgrid[4000]))
+    assert np.array_equal(data.psi.coeffs, u0.at(dgrid.nodes[4000]))
     # the table read at t0 against the table interpolated onto the grid
-    u0_grid = u0.row(np.eye(basis.M), dgrid)
+    u0_grid = u0.row(np.eye(basis.M), dgrid.nodes)
     assert np.max(np.abs(data.psi.coeffs - u0_grid[4000])) <= \
         1e-13 * np.max(np.abs(u0_grid))
     assert len(data.chi.terms) == len(chi.terms)

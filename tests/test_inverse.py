@@ -87,10 +87,10 @@ def test_lambda_fallbacks_are_the_filon_rule_bitwise(M, backed):
     # Chebyshev node cap, gives Lambda_m(t0) off the uniform grid of
     # FALLBACK_INTERVALS by the Filon rule, as before the Chebyshev table
     basis = build_dirichlet_interval_basis(PI, M)
-    coarse = uniform_grid(3.0, 300)
+    coarse = uniform_grid(3.0, 300).nodes
     r0 = TimeTrace(coarse, 1.0 + coarse) if backed == "samples" else \
         TimeTrace.from_expr("1 + t", coarse)
-    grid = uniform_grid(3.0, inverse.FALLBACK_INTERVALS)
+    grid = uniform_grid(3.0, inverse.FALLBACK_INTERVALS).nodes
     want = duhamel_batch(r0.sample(grid), basis.eigenvalues, grid)[:, -1]
     fld = ip2_recover(SpatialField(coeffs=want, basis=basis), r0, 3.0, basis)
     assert np.array_equal(fld.meta["lambda_values"], want)
@@ -104,7 +104,7 @@ def test_admissibility_with_held_responses_is_the_plain_report(
         interval_basis, backed):
     # the Lambda_m(t0) an amplitude recovery keeps give the report the
     # check computes itself
-    coarse = uniform_grid(3.0, 300)
+    coarse = uniform_grid(3.0, 300).nodes
     r0 = TimeTrace(coarse, 1.0 + coarse) if backed == "samples" else \
         TimeTrace.from_expr("1 + t", coarse)
     psi = SpatialField.from_expr("sin(x)")
@@ -140,7 +140,7 @@ def test_admissibility_report_serializes(interval_basis):
 @pytest.fixture(scope="module")
 def ip1_setup():
     basis = build_dirichlet_interval_basis(PI, 1)
-    grid = uniform_grid(3.0, 1500)
+    grid = uniform_grid(3.0, 1500).nodes
     fexpr = "exp(-t)*sin(x)"
     rexpr = "1 + t + (1 + t/2)*cos(tau)"
     exp = build_expansion(basis, fexpr, rexpr, grid)
@@ -297,7 +297,7 @@ def test_ip2_aborts_on_resonant_time(interval_basis):
 @pytest.fixture(scope="module")
 def ip3_setup():
     basis = build_dirichlet_interval_basis(PI, 6)
-    grid = uniform_grid(3.0, 1500)
+    grid = uniform_grid(3.0, 1500).nodes
     r0 = TimeTrace.from_expr("1 + t", grid)
     fm = np.zeros(6)
     fm[0], fm[2] = np.sqrt(PI / 2), 0.3 * np.sqrt(PI / 2)

@@ -39,7 +39,7 @@ def test_moments_series_and_closed_form_agree_at_crossover():
 
 
 def test_cumulative_constant_envelope_closed_form():
-    grid = uniform_grid(3.0, 240)
+    grid = uniform_grid(3.0, 240).nodes
     theta = 41.0
     Q = cumulative_oscillatory(np.ones_like(grid), grid, theta)
     exact = (np.exp(1j * theta * grid) - 1.0) / (1j * theta)
@@ -48,7 +48,7 @@ def test_cumulative_constant_envelope_closed_form():
 
 def test_cumulative_quadratic_envelope_is_exact():
     # the rule integrates its own interpolant, so quadratics cost nothing
-    grid = uniform_grid(2.0, 100)
+    grid = uniform_grid(2.0, 100).nodes
     g = 3.0 - 2.0 * grid + 0.5 * grid ** 2
     theta = 333.0
     Q = cumulative_oscillatory(g, grid, theta)
@@ -58,7 +58,7 @@ def test_cumulative_quadratic_envelope_is_exact():
 
 
 def test_cumulative_reduces_to_simpson_at_zero_phase():
-    grid = uniform_grid(1.0, 64)
+    grid = uniform_grid(1.0, 64).nodes
     g = np.exp(grid)
     h = grid[1] - grid[0]
     Q = cumulative_oscillatory(g, grid, 0.0)
@@ -73,7 +73,7 @@ def test_cumulative_smooth_envelope_fourth_order():
     theta = 25.0
     errs = []
     for n in (100, 200):
-        grid = uniform_grid(1.0, n)
+        grid = uniform_grid(1.0, n).nodes
         g = np.exp(-grid) * np.sin(2 * grid)
         Q = cumulative_oscillatory(g, grid, theta)
         ref = quad(lambda s: np.exp(-s) * np.sin(2 * s) * np.cos(theta * s),
@@ -142,7 +142,7 @@ def test_gauss_panels_weight_sum():
 @given(theta=st.floats(-500.0, 500.0),
        a=st.floats(-2, 2), b=st.floats(-2, 2), c=st.floats(-2, 2))
 def test_quadratic_envelopes_exact_for_any_phase(theta, a, b, c):
-    grid = uniform_grid(1.0, 20)
+    grid = uniform_grid(1.0, 20).nodes
     g = a + b * grid + c * grid ** 2
     Q = cumulative_oscillatory(g, grid, theta)
     i0, i1, i2 = oscillatory_moments(theta, 1.0)
@@ -259,7 +259,7 @@ def test_duhamel_batch_node_counts(n, shared, monkeypatch):
 
 
 def test_duhamel_batch_default_drive_is_unit_envelope():
-    grid = uniform_grid(3.0, 3000)
+    grid = uniform_grid(3.0, 3000).nodes
     a = duhamel_batch(np.ones_like(grid), [1.0, 4.0], grid)
     np.testing.assert_allclose(a[0], 1.0 - np.cos(grid), atol=1e-10)
     np.testing.assert_allclose(a[1], (1.0 - np.cos(2 * grid)) / 4.0,
@@ -267,12 +267,12 @@ def test_duhamel_batch_default_drive_is_unit_envelope():
 
 
 def test_duhamel_batch_without_modes():
-    grid = uniform_grid(1.0, 11)
+    grid = uniform_grid(1.0, 11).nodes
     assert duhamel_batch(np.ones_like(grid), [], grid).shape == (0, grid.size)
 
 
 def test_duhamel_batch_rejects_bad_input():
-    grid = uniform_grid(1.0, 10)
+    grid = uniform_grid(1.0, 10).nodes
     with pytest.raises(ValueError):
         duhamel_batch(np.ones_like(grid), [1.0, 0.0], grid)
     with pytest.raises(ValueError):
@@ -341,7 +341,7 @@ def basis32():
 ], ids=["r0=1", "r0=t"])
 def test_slow_responses_match_closed_forms(basis32, expr, exact):
     # Lambda_m(t) for r0 = 1 and r0 = t; top mode r*T = 96
-    grid = uniform_grid(3.0, 3000)
+    grid = uniform_grid(3.0, 3000).nodes
     r = np.sqrt(basis32.eigenvalues)
     tab = slow_responses(None, TimeTrace.from_expr(expr, grid),
                          basis32.eigenvalues, grid)
@@ -359,7 +359,7 @@ def test_slow_responses_match_closed_forms(basis32, expr, exact):
 def test_slow_responses_match_the_filon_rule_for_a_time_varying_amplitude(
         basis32):
     amp = SeparableAmplitude.from_expr("exp(-t/2)*(sin(x) + 0.3*sin(3*x))")
-    grid = uniform_grid(3.0, 6000)
+    grid = uniform_grid(3.0, 6000).nodes
     r0 = TimeTrace.from_expr("1 + t", grid)
     lams = basis32.eigenvalues
     coeffs = amp.term_coefficients(basis32).T
@@ -376,7 +376,7 @@ def test_slow_responses_match_the_filon_rule_for_a_time_varying_amplitude(
 def test_slow_response_rows_read_a_chopped_contraction(basis32):
     # the table resolves mode 32 (r T = 96); a sum of modes 1 and 3 is slow,
     # so its read keeps fewer points, within the tolerance of the full one
-    grid = uniform_grid(3.0, 3000)
+    grid = uniform_grid(3.0, 3000).nodes
     tab = slow_responses(None, TimeTrace.from_expr("1 + t", grid),
                          basis32.eigenvalues, grid)
     w = np.zeros(32)
@@ -391,7 +391,7 @@ def test_slow_response_rows_read_a_chopped_contraction(basis32):
 def test_slow_responses_fall_back_to_the_filon_rule_bitwise(M, backed):
     # a sample-backed r0, or r_M * T = 192, past what 257 nodes resolve
     basis = build_dirichlet_interval_basis(np.pi, M)
-    grid = uniform_grid(3.0, 4096)
+    grid = uniform_grid(3.0, 4096).nodes
     r0 = TimeTrace(grid, 1.0 + grid) if backed == "samples" else \
         TimeTrace.from_expr("1 + t", grid)
     tab = slow_responses(None, r0, basis.eigenvalues, grid)
@@ -406,7 +406,7 @@ def test_fallback_responses_read_only_their_own_nodes():
     # the Filon fallback tabulates the grid alone: a time between nodes is
     # an error, not the nearest node's responses
     basis = build_dirichlet_interval_basis(np.pi, 4)
-    grid = uniform_grid(3.0, 600)
+    grid = uniform_grid(3.0, 600).nodes
     tab = slow_responses(None, TimeTrace(grid, 1.0 + grid),
                          basis.eigenvalues, grid)
     assert tab.table is None

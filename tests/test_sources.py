@@ -244,7 +244,7 @@ _SMOOTH_DRIVES = {
 @pytest.mark.parametrize("name", sorted(_SMOOTH_DRIVES))
 def test_callable_split_on_slow_grid_matches_nodal_split(name):
     r = _SMOOTH_DRIVES[name]
-    grid = uniform_grid(3.0, 6112)
+    grid = uniform_grid(3.0, 6112).nodes
     slow = _envelopes(split_source(r, grid, n_tau=64))
     nodal = _nodal_split(r, grid, 64)
     assert [key for key, _ in slow] == [key for key, _ in nodal]
@@ -264,7 +264,7 @@ def test_callable_split_interpolates_only_kept_columns(monkeypatch):
         return real(table, t)
 
     monkeypatch.setattr(chebyshev.Table, "__call__", spy)
-    grid = uniform_grid(3.0, 6112)
+    grid = uniform_grid(3.0, 6112).nodes
     src = split_source(_SMOOTH_DRIVES["benchmark"], grid, n_tau=64)
     assert widths == [3]
     assert [(k, kind) for k, kind, _ in src.r1.terms] == [(1, "cos"),
@@ -299,7 +299,7 @@ def test_callable_split_envelopes_differentiate_off_their_tables():
     (_SMOOTH_DRIVES["benchmark"], 30),                     # 31 nodes only
 ])
 def test_callable_split_falls_back_to_nodal_bitwise(r, n):
-    grid = uniform_grid(3.0, n)
+    grid = uniform_grid(3.0, n).nodes
     slow = _envelopes(split_source(r, grid, n_tau=64))
     nodal = _nodal_split(r, grid, 64)
     assert [key for key, _ in slow] == [key for key, _ in nodal]
@@ -323,7 +323,7 @@ def test_callable_split_calls_do_not_grow_with_omega(omega):
         calls[0] += 1
         return 1.0 + t + (1.0 + 0.5 * t) * math.cos(tau)
 
-    grid = make_time_grid(3.0, omega)
+    grid = make_time_grid(3.0, omega).nodes
     split_source(r, grid)
     assert grid.size > 33
     assert calls[0] <= 33 * (N_TAU + 1)

@@ -16,7 +16,7 @@ PI = np.pi
 
 def _exp_decay_setup(h):
     # a = 1, K = 1, g = 1  =>  u(t) = exp(-t)
-    grid = uniform_grid(1.0, int(round(1.0 / h)))
+    grid = uniform_grid(1.0, int(round(1.0 / h))).nodes
     ones = np.ones_like(grid)
     return grid, ones
 
@@ -40,7 +40,7 @@ def test_marching_is_second_order():
 def test_variable_multiplier_and_kernel():
     # manufactured: u = cos t with a = 2 + t, K(t,s) = t - s
     # g(t) = (2+t) cos t + int_0^t (t-s) cos s ds = (2+t) cos t + 1 - cos t
-    grid = uniform_grid(2.0, 4000)
+    grid = uniform_grid(2.0, 4000).nodes
     a = 2.0 + grid
     g = (2 + grid) * np.cos(grid) + 1.0 - np.cos(grid)
     u = solve_second_kind(a, lambda t, s: t - s, g, grid=grid)
@@ -48,7 +48,7 @@ def test_variable_multiplier_and_kernel():
 
 
 def test_vanishing_multiplier_rejected():
-    grid = uniform_grid(1.0, 100)
+    grid = uniform_grid(1.0, 100).nodes
     a = grid.copy()          # a(0) = 0: first-kind degeneracy
     with pytest.raises(ValueError):
         solve_second_kind(a, lambda t, s: np.zeros_like(s),
@@ -61,7 +61,7 @@ def test_vanishing_multiplier_rejected():
 @pytest.fixture(scope="module")
 def trace_kernel():
     basis = build_dirichlet_interval_basis(PI, 4)
-    grid = uniform_grid(3.0, 3000)
+    grid = uniform_grid(3.0, 3000).nodes
     amp = SeparableAmplitude.from_expr("exp(-t)*(sin(x) + 0.3*sin(3*x))")
     K = build_kernel(basis, amp, PI / 2)
     return K, basis, grid
@@ -144,7 +144,7 @@ def test_separable_path_matches_generic_at_block_edges(two_term_kernel,
 
 def test_blocked_march_matches_node_loop(two_term_kernel):
     K = two_term_kernel
-    grid = uniform_grid(3.0, 3000)
+    grid = uniform_grid(3.0, 3000).nodes
     g = 1 + grid / 3 + np.sin(2 * grid)
     a = 2 + np.sin(3 * grid)
     u = solve_second_kind(a, K, g, grid=grid).values
@@ -192,7 +192,7 @@ def test_the_march_converges_to_the_chebyshev_solution(two_term_kernel):
                         lambda t: 1 + t / 3, 0.0, 3.0)
     dists = []
     for n in (1500, 3000):
-        grid = uniform_grid(3.0, n)
+        grid = uniform_grid(3.0, n).nodes
         march = solve_second_kind(2 + np.sin(3 * grid), K, 1 + grid / 3,
                                   grid=grid)
         on_grid = u(grid)
@@ -224,7 +224,7 @@ def test_simpson_matches_scipy(n):
 
 def test_residual_checks_marched_solution(trace_kernel):
     K, basis, grid = trace_kernel
-    coarse = uniform_grid(3.0, 600)
+    coarse = uniform_grid(3.0, 600).nodes
     g = TimeTrace.from_expr("1 + t/3", coarse)
     a = np.ones(coarse.size)
     u = solve_second_kind(a, K, g, grid=coarse)
