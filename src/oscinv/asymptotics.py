@@ -21,6 +21,10 @@ u0 has one forward model, a ``quadrature.slow_responses`` table over the
 span of the grid it is read on (``AsymptoticExpansion.u0_table``).  Mode
 weights contract the table first and it is interpolated after, so u0 does
 not depend on that grid unless the table falls back to the Filon rule.
+The free oscillations u1 = sum_m b1_m sin(r_m t) / r_m y_m and
+u2 = sum_m (d_m cos(r_m t) + b2_m sin(r_m t) / r_m) y_m, r_m = sqrt(lam_m),
+are contracted with their mode weights a block of times at a time
+(``quadrature.mode_oscillations``), so no (M, N) table is formed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .basis import EigenBasis, SeparableAmplitude
 from .forward import SpaceTimeField
-from .quadrature import slow_responses
+from .quadrature import mode_oscillations, slow_responses
 from .sources import N_TAU, FastProfile, OscillatorySource, rho0, split_source
 from .traces import Grid, TimeTrace
 
@@ -87,18 +91,6 @@ class AsymptoticExpansion:
                 tgrid, amp.term_coefficients(self.basis).T)
         return resp
 
-    def correction_coeffs(self, tgrid):
-        """(order-1, order-2) free-oscillation mode coefficients, each (M, N):
-        b1_m sin(sqrt(lam_m) t) / sqrt(lam_m) and
-        d_m cos(sqrt(lam_m) t) + b2_m sin(sqrt(lam_m) t) / sqrt(lam_m)."""
-        roots = np.sqrt(self.basis.eigenvalues)[:, None]
-        phase = roots * Grid.of(tgrid).nodes[None, :]
-        sin = np.sin(phase)
-        c1 = (self.b1[:, None] / roots) * sin
-        c2 = self.d[:, None] * np.cos(phase) \
-            + (self.b2[:, None] / roots) * sin
-        return c1, c2
-
     def evaluate(self, omega, points, tgrid, order=2):
         """Expansion values on (tgrid x points), truncated at the given
         order; tgrid is a ``Grid`` or its nodes."""
@@ -110,12 +102,12 @@ class AsymptoticExpansion:
         if order != 2:
             raise ValueError("order must be 0 or 2")
         omega = float(omega)
-        c1, c2 = self.correction_coeffs(tgrid)
-        # accumulated in place, in the order of
-        # u0 + c1/omega + c2/omega^2 + f rho0/omega^2
-        out = u0
-        out += (c1.T @ modes) / omega
-        out += (c2.T @ modes) / omega ** 2
+        roots = np.sqrt(self.basis.eigenvalues)
+        # u1/omega + u2/omega^2 added into u0, then f rho0/omega^2
+        out = mode_oscillations(
+            roots, (self.d / omega ** 2)[:, None] * modes,
+            ((self.b1 / omega + self.b2 / omega ** 2) / roots)[:, None]
+            * modes, tgrid, out=u0)
         t = tgrid.nodes
         fvals = self.amplitude.evaluate(points, t)
         rho_vals = self.rho0_profile.evaluate(t, omega * t)
@@ -135,12 +127,15 @@ class AsymptoticExpansion:
 
     def trace_components(self, x0, tgrid):
         """(phi0, phi1, phi2, chi) of the expansion at a fixed spatial point:
-        observed_traces plus the order-1 and order-2 free oscillations."""
-        # the (M, N) tables before chi: the other order raised peak RSS
+        observed_traces plus the order-1 and order-2 free oscillations
+        u1(x0, .) and u2(x0, .)."""
         tgrid = Grid.of(tgrid)
-        modes = self.basis.point_weights(x0)
-        phi1, phi2 = (TimeTrace(tgrid, c.T @ modes)
-                      for c in self.correction_coeffs(tgrid))
+        w = self.basis.point_weights(x0)
+        roots = np.sqrt(self.basis.eigenvalues)
+        cos_w = np.stack([np.zeros_like(w), self.d * w], axis=1)
+        sin_w = np.stack([self.b1 * w, self.b2 * w], axis=1) / roots[:, None]
+        phi1, phi2 = (TimeTrace(tgrid, v) for v in mode_oscillations(
+            roots, cos_w, sin_w, tgrid).T.copy())
         phi0, chi = self.observed_traces(x0, tgrid)
         return phi0, phi1, phi2, chi
 

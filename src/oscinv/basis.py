@@ -13,6 +13,7 @@ the wave equation), so mode dynamics are cos(sqrt(lam) t) / sin(sqrt(lam) t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -397,9 +398,13 @@ class SeparableAmplitude:
     def mode_derivatives_at_start(self, basis, order=0):
         """d^order f_m / dt^order at t = 0, m = 1..M, shape (M,).
 
-        Only the n_terms time factors are differentiated symbolically.
+        Only the n_terms time factors are differentiated symbolically, each
+        once per order (``expressions.memo``); ExpressionError when one has
+        no finite derivative there (a factor like 1/t or t^0.5).
         """
-        dg = [float(sympy.diff(g, T, order).subs(T, 0)) for g, _ in self.terms]
+        dg = [expressions.memo(("t_derivative", g, order),
+                               lambda g=g: _derivative_at_start(g, order))
+              for g, _ in self.terms]
         return np.array(dg) @ self.term_coefficients(basis)
 
     def at_point(self, x0, grid):
@@ -431,6 +436,20 @@ class SeparableAmplitude:
         for gv, (_, xf) in zip(self.time_factors(t_grid), self.terms):
             out += np.outer(gv, xf.evaluate(pts))
         return out
+
+
+def _derivative_at_start(g, order):
+    """d^order g / dt^order at t = 0, a finite float or ExpressionError."""
+    value = sympy.diff(g, T, order).subs(T, 0)
+    try:
+        value = float(value)
+    except TypeError:           # complex infinity, or not real
+        value = math.nan
+    if not math.isfinite(value):
+        what = f"t-derivative of order {order}" if order else "value"
+        raise expressions.ExpressionError(
+            f"the amplitude's time factor {g} has no finite {what} at t = 0")
+    return value
 
 
 @dataclass(frozen=True)

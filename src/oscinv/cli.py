@@ -8,6 +8,7 @@ Exit codes: 0 success (all criteria pass), 1 a study criterion failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -55,7 +56,7 @@ def _cmd_forward(cfg):
     for omega in cfg.omegas:
         grid = make_time_grid(cfg.grid.T, omega=omega,
                               points_per_period=cfg.grid.points_per_period)
-        amp, src = make_source(cfg.source, grid)
+        amp, src = make_source(cfg.source, grid, basis)
         u = solve_direct(basis, amp, src, omega, grid=grid)
         coarse = u.subsample(cfg.grid.n_out)
         pts = basis.interior_sample_points(9)
@@ -74,7 +75,7 @@ def _cmd_invert(cfg, which, data_path):
         raise ConfigError(f"invert{which} needs --data")
     basis = make_basis(cfg.basis)
     probe = uniform_grid(cfg.grid.T, 64)
-    amp, src = make_source(cfg.source, probe)
+    amp, src = make_source(cfg.source, probe, basis)
     data = load_observation(data_path, basis=basis)
     if data.t0 is None:
         data.t0 = cfg.observation.t0
@@ -165,7 +166,9 @@ def _cmd_selftest(names):
     return 0 if not failed else 1
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """The argument parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="oscinv",
         description="Forward, asymptotic, and inverse solvers for hyperbolic "
@@ -180,8 +183,11 @@ def main(argv=None):
         p.add_argument("--output-dir", default=None)
     p = sub.add_parser("selftest")
     p.add_argument("--only", nargs="*", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.command == "selftest":
             return _cmd_selftest(args.only)

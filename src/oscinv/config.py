@@ -324,8 +324,9 @@ def load_config(path):
 
 @_bad_data("basis")
 def make_basis(cfg: BasisConfig):
-    """The basis, with its node table (every mode at every node) checked
-    against MAX_WORK before any mode is evaluated there; a Sturm-Liouville
+    """The basis, with its eigenvalues checked to be finite and positive
+    and its node table (every mode at every node) checked against MAX_WORK
+    before any mode is evaluated there; a Sturm-Liouville
     basis's collocation operator and node table are bounded through grid_n
     by config_from_dict's preflight."""
     if cfg.domain == "interval":
@@ -337,6 +338,11 @@ def make_basis(cfg: BasisConfig):
         c = cfg.c if cfg.c is not None else 0.0
         basis = build_sturm_liouville_basis(a, c, cfg.lengths[0], cfg.M,
                                             grid_n=cfg.grid_n)
+    lam = basis.eigenvalues
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise ConfigError(f"the basis's eigenvalues must be finite and "
+                          f"positive; they run from {lam.min():g} to "
+                          f"{lam.max():g}")
     entries = basis.M * len(basis.nodes)
     if entries > MAX_WORK:
         raise ConfigError(f"the basis's node table has {entries} mode-node "
@@ -344,17 +350,34 @@ def make_basis(cfg: BasisConfig):
     return basis
 
 
-def make_source(cfg: SourceConfig, grid):
-    """Realize (amplitude, drive) on the given time grid."""
+def make_source(cfg: SourceConfig, grid, basis):
+    """Realize (amplitude, drive) on the given time grid (a ``Grid`` or its
+    nodes), ConfigError unless the forcing is finite there: the drive's
+    samples, and a bound on f r and on r's first two phase derivatives,
+    sum_i max_m |C[m, i]| max_t |g_i(t)| (max |r0| + sum_k k^2 max |a_k|)
+    for the amplitude's projections C on the basis, its time factors g_i
+    and the drive's harmonics k with coefficients a_k.  numpy warns of
+    nothing on the way."""
+    grid = Grid.of(grid)
     with _bad_data("amplitude"):
         amp = SeparableAmplitude.from_expr(cfg.f)
-    with _bad_data("drive"):
-        if cfg.r is not None:
-            src = split_source(cfg.r, grid)
-        else:
-            r0 = TimeTrace.from_expr(cfg.r0, grid)
-            r1 = FastProfile.from_specs(cfg.r1, grid)
-            src = OscillatorySource(r0, r1)
+    with np.errstate(all="ignore"):
+        with _bad_data("drive"):
+            if cfg.r is not None:
+                src = split_source(cfg.r, grid)
+            else:
+                r0 = TimeTrace.from_expr(cfg.r0, grid)
+                r1 = FastProfile.from_specs(cfg.r1, grid)
+                src = OscillatorySource(r0, r1)
+        fmax = np.abs(amp.term_coefficients(basis)).max(axis=1) @ \
+            np.abs(amp.time_factors(grid.nodes)).max(axis=1)
+        bound = fmax * (src.r0.max_abs + sum(
+            np.float64(k) ** 2 * c.max_abs for k, _, c in src.r1.terms))
+    if not np.isfinite(bound):
+        raise ConfigError(f"the forcing f*r or one of its first two phase "
+                          f"derivatives is not finite on "
+                          f"[{grid.start:g}, {grid.stop:g}] "
+                          f"(bound {bound:g}) for f={cfg.f!r}")
     return amp, src
 
 

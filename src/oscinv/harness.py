@@ -94,7 +94,7 @@ def run_order_study(config: ExperimentConfig):
     basis = make_basis(config.basis)
     ref_grid = make_time_grid(config.grid.T, omega=max(config.omegas),
                               points_per_period=config.grid.points_per_period)
-    amp, src = make_source(config.source, ref_grid)
+    amp, src = make_source(config.source, ref_grid, basis)
     expansion = build_expansion(basis, amp, src, ref_grid)
 
     rows = []
@@ -175,7 +175,7 @@ def run_roundtrip(config: ExperimentConfig, which):
     obs_cfg = config.observation
     t_obs = obs_cfg.t0 if obs_cfg.t0 is not None else config.grid.T
     dgrid = config.grid.trace_grid()
-    amp, src = make_source(config.source, dgrid)
+    amp, src = make_source(config.source, dgrid, basis)
     tol = config.tolerances
     criteria = []
     rows = []

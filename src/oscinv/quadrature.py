@@ -45,6 +45,7 @@ __all__ = [
     "oscillatory_moments",
     "cumulative_oscillatory",
     "duhamel_batch",
+    "mode_oscillations",
     "SlowResponses",
     "slow_responses",
     "gauss_panel_rule",
@@ -56,6 +57,7 @@ _BLOCK_NODES = 1 << 17  # complex values per tile: a chunk of the node products
                         # and _BLOCK_ROWS modes over it, 2 MB
 _BLOCK_ROWS = 16        # modes per tile
 _SCAN_PAIRS = 64        # pairs per block of the Duhamel scan
+_WAVE_NODES = 1024      # nodes per block of mode_oscillations
 PANEL_NODES = 16        # Gauss-Legendre nodes per panel of gauss_panel_rule
 
 
@@ -386,6 +388,41 @@ def duhamel_batch(factors, lams, grid, drive=((0.0, 1.0, 1.0),), coeffs=None):
     for rows, nodes, S in _rotated_tiles(factors, coeffs / roots[:, None],
                                          roots, drive, grid):
         out[rows, nodes] = S.imag
+    return out
+
+
+def mode_oscillations(roots, cos_w, sin_w, grid, out=None):
+    """sum_m cos_w[m] cos(r_m t) + sin_w[m] sin(r_m t) at the nodes of a
+    uniform grid (a ``Grid`` or its nodes), for rates r_m = roots[m] and
+    (M, K) weights: an (N, K) array, or added into ``out`` when given.
+
+    The grid is walked in blocks of _WAVE_NODES nodes.  A block's phases
+    e^{i r_m t} come from ``_cis_table`` (exact products, about
+    2 sqrt(_WAVE_NODES) cos and sin evaluations per rate), laid out
+    (nodes, M), and their (nodes, 2M) real view of interleaved cos and sin
+    meets the interleaved (2M, K) weights in one matrix product.  Memory
+    is O(N K + M _WAVE_NODES): no (M, N) table is formed.
+    """
+    grid = Grid.of(grid)
+    roots = np.atleast_1d(np.asarray(roots, dtype=float))
+    W = np.stack([cos_w, sin_w], axis=1)      # (M, 2, K)
+    if W.ndim != 3 or W.shape[0] != roots.size:
+        raise ValueError("weights must be (M, K) for M rates")
+    W = W.reshape(2 * roots.size, -1)
+    t = grid.nodes
+    if out is None:
+        out = np.zeros((t.size, W.shape[1]))
+    elif out.shape != (t.size, W.shape[1]):
+        raise ValueError("out must be (N, K) for (M, K) weights")
+    size = min(_WAVE_NODES, t.size)
+    # every block reuses one workspace for its phases and its product
+    phases = np.empty((size, roots.size), dtype=complex)
+    prod = np.empty((size, W.shape[1]))
+    for a in range(0, t.size, size):
+        b = min(a + size, t.size)
+        ph = phases[:b - a]
+        ph[...] = _cis_table(roots, t[a:b]).T
+        out[a:b] += np.matmul(ph.view(float), W, out=prod[:b - a])
     return out
 
 

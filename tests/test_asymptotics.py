@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_u0_does_not_depend_on_the_grid_it_is_read_on():
     basis = make_basis(cfg.basis)
     fine = make_time_grid(cfg.grid.T, omega=50.0,
                           points_per_period=cfg.grid.points_per_period)
-    amp, src = make_source(cfg.source, fine)
+    amp, src = make_source(cfg.source, fine, basis)
     exp = build_expansion(basis, amp, src, fine)
     pts = basis.interior_sample_points(64)
     coarse = exp.evaluate(50.0, pts, fine.every(4), order=0)
@@ -147,6 +148,50 @@ def test_trace_components_geometry(expansion):
     fx0 = np.exp(-grid) * (np.sin(x0) + 0.3 * np.sin(3 * x0))
     np.testing.assert_allclose(chi.coefficient(1, "cos").values,
                                -(1 + grid / 2) * fx0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def expansion64():
+    # the benchmark's scale case: M = 64 on the forward grid at omega = 1000
+    basis = build_dirichlet_interval_basis(PI, 64)
+    grid = make_time_grid(3.0, omega=1000.0)
+    return build_expansion(basis, FEXPR, REXPR, grid), basis, grid
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+def test_free_oscillations_match_closed_forms(expansion64):
+    # phi1 = sum_m y_m(x0) b1_m sin(r_m t) / r_m and
+    # phi2 = sum_m y_m(x0) (d_m cos(r_m t) + b2_m sin(r_m t) / r_m), with
+    # cos and sin of r_m t taken in long double
+    exp, basis, grid = expansion64
+    x0 = 1.3
+    _, phi1, phi2, _ = exp.trace_components(x0, grid)
+    roots = np.sqrt(basis.eigenvalues)
+    ph = grid.nodes.astype(np.longdouble)[:, None] * roots
+    cos, sin = np.cos(ph).astype(float), np.sin(ph).astype(float)
+    w = basis.point_weights(x0)
+    for got, want in ((phi1.values, sin @ (exp.b1 / roots * w)),
+                      (phi2.values, cos @ (exp.d * w)
+                       + sin @ (exp.b2 / roots * w))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_free_oscillations_allocate_no_mode_time_table(expansion64):
+    # an (M, N) table here is 7.8 MB, and the free oscillations once made
+    # five of them; the u0 table, kept per span, and every compile are
+    # made by a first call, so the second measures the traces alone
+    exp, _, grid = expansion64
+    for read in (lambda: exp.trace_components(PI / 2, grid),
+                 lambda: exp.evaluate(1000.0, [PI / 2], grid)):
+        read()
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def test_observed_traces_are_first_and_last_trace_components(expansion):

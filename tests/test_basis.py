@@ -11,6 +11,7 @@ from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis,
                           build_rectangle_basis, build_sturm_liouville_basis,
                           check_boundary_traces, separable_sum)
+from oscinv.expressions import ExpressionError
 from oscinv.traces import uniform_grid
 
 PI = np.pi
@@ -367,3 +368,30 @@ def test_separable_sum_is_the_matrix_product(n_terms):
     assert np.array_equal(separable_sum(coeffs, factors), coeffs.T @ factors)
     assert np.array_equal(separable_sum(coeffs, factors[:, 7]),
                           coeffs.T @ factors[:, 7])
+
+
+def test_mode_derivatives_at_start_differentiate_each_factor_once(
+        monkeypatch):
+    basis = build_dirichlet_interval_basis(math.pi, 4)
+    # a time factor no other test uses, so its derivatives are not kept yet
+    amp = SeparableAmplitude.from_expr("exp(-0.6875*t)*sin(2*x)")
+    calls = []
+    diff = sympy.diff
+    monkeypatch.setattr(sympy, "diff",
+                        lambda *a: calls.append(a) or diff(*a))
+    first = amp.mode_derivatives_at_start(basis, 1)
+    again = amp.mode_derivatives_at_start(basis, 1)
+    assert len(calls) == 1
+    assert np.array_equal(first, again)
+    np.testing.assert_allclose(first, [0.0, -0.6875 * math.sqrt(math.pi / 2),
+                                       0.0, 0.0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("f, order", [("sin(x)/t", 0), ("t^0.5*sin(x)", 1),
+                                      ("sin(t)/t*sin(x)", 0)])
+def test_mode_derivatives_at_start_refuse_a_nonfinite_value(f, order):
+    basis = build_dirichlet_interval_basis(math.pi, 2)
+    amp = SeparableAmplitude.from_expr(f)
+    with pytest.raises(ExpressionError, match="no finite") as info:
+        amp.mode_derivatives_at_start(basis, order)
+    assert "\n" not in str(info.value)

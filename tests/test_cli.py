@@ -138,6 +138,49 @@ def test_grid_extremes_exit_by_the_contract(tmp_path, capsys, case):
         assert err == ""
 
 
+_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+# a sample config with one leaf replaced: (command, config, leaf path, value)
+_NONFINITE_SAMPLES = {
+    "f_nan": ("study", "roundtrip_drive", ("source", "f"), math.nan),
+    "f_1e308": ("study", "roundtrip_drive", ("source", "f"), 1e308),
+    "f_exp_1000t": ("study", "roundtrip_drive", ("source", "f"),
+                    "exp(1000*t)"),
+    "f_one_over_t": ("study", "roundtrip_drive", ("source", "f"), "1/t"),
+    "f_sqrt_t": ("study", "roundtrip_drive", ("source", "f"),
+                 "t^0.5*sin(x)"),
+    "harmonic_1e308": ("study", "roundtrip_drive",
+                       ("source", "r1", 0, "harmonic"), 1e308),
+    "length_1e308": ("study", "roundtrip_drive", ("basis", "lengths", 0),
+                     1e308),
+    "forward_f_exp_1000t": ("forward", "forward_closed_form",
+                            ("source", "f"), "exp(1000*t)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NONFINITE_SAMPLES))
+def test_nonfinite_samples_exit_2(tmp_path, capsys, case):
+    # f, r and the basis are refused where their samples are made (a
+    # t-derivative of f at 0 where it is taken), before any solver warns
+    command, name, path, value = _NONFINITE_SAMPLES[case]
+    d = json.loads((_CONFIGS / f"{name}.json").read_text())
+    leaf = d
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = value
+    d["output"]["dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(cfg)])
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("study", ["roundtrip2", "roundtrip3"])
 def test_observation_after_final_time_exits_2(tmp_path, capsys, study):
     cfg = _roundtrip_config(tmp_path, study,

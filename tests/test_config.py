@@ -166,7 +166,7 @@ def test_bad_amplitude_expression_rejected():
     bad = dict(GOOD, source={"f": "sin(x*t)", "r0": "1"})
     cfg = config_from_dict(bad)
     with pytest.raises(ConfigError):
-        make_source(cfg.source, uniform_grid(1.0, 10))
+        make_source(cfg.source, uniform_grid(1.0, 10), make_basis(cfg.basis))
 
 
 def test_load_config_file(tmp_path):
@@ -205,7 +205,7 @@ def test_make_source_split_form():
         "f": "sin(x)", "r0": "1 + t",
         "r1": [{"harmonic": 1, "kind": "cos", "coeff": "1 + t/2"}]}))
     grid = uniform_grid(3.0, 100).nodes
-    amp, src = make_source(cfg.source, grid)
+    amp, src = make_source(cfg.source, grid, make_basis(cfg.basis))
     np.testing.assert_allclose(src.r0.values, 1 + grid, atol=1e-14)
     np.testing.assert_allclose(src.r1.coefficient(1, "cos").values,
                                1 + grid / 2, atol=1e-14)

@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
 no module reaches into another's private names, sampled traces keep one
-stencil rule, callables are accepted only where a caller passes one, and
-only ``chebyshev`` knows the layout of a Chebyshev table."""
+stencil rule, callables are accepted only where a caller passes one,
+only ``chebyshev`` knows the layout of a Chebyshev table, and the free
+oscillations have one kernel."""
 
 import ast
 import importlib
@@ -126,3 +127,12 @@ def test_only_grid_knows_the_step_and_the_uniformity_check():
                            if isinstance(node, ast.Attribute)
                            and node.attr == "allclose"]
     assert checks == ["traces.py:Grid.of"]
+
+
+def test_free_oscillations_form_no_mode_time_tables():
+    # quadrature.mode_oscillations contracts u1 and u2 a block of times at
+    # a time; correction_coeffs, which built them as (M, N) tables, is gone
+    found = [f"{path.name}:{i}" for path in _sources()
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if "correction_coeffs" in line]
+    assert found == []

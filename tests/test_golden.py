@@ -163,7 +163,7 @@ def test_drive_roundtrip_error_by_drive(monkeypatch, r0, n_nodes):
     basis = make_basis(cfg.basis)
     T = cfg.grid.T
     dgrid = uniform_grid(T, int(round(T / cfg.grid.trace_h)))
-    amp, src = make_source(cfg.source, dgrid)
+    amp, src = make_source(cfg.source, dgrid, basis)
     data = _synthetic_data(basis, amp, src, dgrid, x0=cfg.observation.x0)
     picked = []
     real = inverse.solve_chebyshev

@@ -184,7 +184,7 @@ def truth32():
         "basis": {"domain": "interval", "lengths": [PI], "M": 32},
         "source": {"f": "exp(-t/2)*(sin(x) + 0.3*sin(3*x))", "r0": "1 + t",
                    "r1": [{"harmonic": 1, "kind": "cos", "coeff": "1 + t/2"}]},
-        "omega": [100.0]}).source, dgrid)
+        "omega": [100.0]}).source, dgrid, basis)
     return basis, dgrid, amp, src
 
 

@@ -217,7 +217,7 @@ def test_ip1_falls_back_to_the_march_past_the_largest_table(monkeypatch):
     cfg = _drive_config(source={"r0": "2 + cos(120*t)"})
     basis = make_basis(cfg.basis)
     grid = uniform_grid(3.0, 3000)
-    amp, src = make_source(cfg.source, grid)
+    amp, src = make_source(cfg.source, grid, basis)
     data = _synthetic_data(basis, amp, src, grid, x0=cfg.observation.x0)
     nodal = _spy(monkeypatch, "solve_chebyshev")
     marched = _spy(monkeypatch, "solve_second_kind")

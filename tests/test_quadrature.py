@@ -6,10 +6,11 @@ from scipy.integrate import quad
 
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
 from oscinv import chebyshev, quadrature
-from oscinv.forward import solve_direct
+from oscinv.forward import make_time_grid, solve_direct
 from oscinv.quadrature import (cumulative_oscillatory,
                                duhamel_batch, gauss_panel_rule,
-                               oscillatory_moments, slow_responses)
+                               mode_oscillations, oscillatory_moments,
+                               slow_responses)
 from oscinv.sources import split_source
 from oscinv.traces import TimeTrace, uniform_grid
 
@@ -162,6 +163,55 @@ def test_cis_table_matches_exact_products(count, t0):
     got = quadrature._cis_table(rates, times)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
+
+
+# -- mode_oscillations against the closed forms, summed from long double --
+
+
+def _oscillation_sums(roots, cos_w, sin_w, t):
+    """sum_m cos_w[m] cos(r_m t) + sin_w[m] sin(r_m t), shape (N, K), from
+    cos and sin of the products r_m t formed and evaluated in long double
+    and rounded once."""
+    ph = np.asarray(t, dtype=np.longdouble)[:, None] * roots
+    return np.cos(ph).astype(float) @ cos_w + np.sin(ph).astype(float) @ sin_w
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("K", [1, 64])
+def test_mode_oscillations_match_closed_forms(K):
+    # M = 64 rates up to 64.3 on the forward grid at omega = 1000 (15,281
+    # nodes, 15 blocks, the last one short): the order-1 form
+    # b1 sin(r t) / r and the order-2 form d cos(r t) + b2 sin(r t) / r,
+    # each contracted with K columns of weights
+    grid = make_time_grid(3.0, omega=1000.0)
+    roots = np.sqrt(1.0 + 1.01 * np.arange(64) ** 2)
+    rng = np.random.default_rng(5)
+    b1, d, b2 = rng.standard_normal((3, roots.size, 1))
+    w = rng.standard_normal((roots.size, K))
+    zero = np.zeros_like(w)
+    for cos_w, sin_w in ((zero, b1 / roots[:, None] * w),
+                         (d * w, b2 / roots[:, None] * w)):
+        got = mode_oscillations(roots, cos_w, sin_w, grid)
+        want = _oscillation_sums(roots, cos_w, sin_w, grid.nodes)
+        assert got.shape == (grid.n + 1, K)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_mode_oscillations_add_into_out():
+    grid = uniform_grid(2.0, 2500)  # 2,501 nodes: 2 blocks and a short one
+    roots = np.array([0.7, 3.0, 11.5])
+    cos_w = np.array([[1.0, 0.0], [0.5, -2.0], [0.0, 1.0]])
+    sin_w = cos_w[::-1].copy()
+    fresh = mode_oscillations(roots, cos_w, sin_w, grid)
+    out = np.full((grid.n + 1, 2), 3.0)
+    assert mode_oscillations(roots, cos_w, sin_w, grid, out=out) is out
+    np.testing.assert_allclose(out - 3.0, fresh, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        fresh, _oscillation_sums(roots, cos_w, sin_w, grid.nodes),
+        rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="out must be"):
+        mode_oscillations(roots, cos_w, sin_w, grid, out=out[1:])
 
 
 # -- duhamel_batch against one cumulative_oscillatory pass per row and part --
