@@ -79,15 +79,19 @@ class Table:
         w[[0, -1]] *= 0.5
         out = np.empty(t.shape + self.values.shape[1:],
                        dtype=self.values.dtype)
+        # the point each time would sit at, and the times that are points;
+        # their rows divide by zero below and are overwritten by unit rows
+        at = np.searchsorted(nodes, t).clip(max=self.n - 1)
+        hit = np.flatnonzero(nodes[at] == t)
         step = max(1, max(out.size, 1 << 16) // self.n)
         for lo in range(0, t.size, step):
             mat = t[lo:lo + step, None] - nodes[None, :]
-            exact = mat == 0.0
-            mat[exact] = 1.0
-            np.divide(w, mat, out=mat)
-            mat /= mat.sum(axis=1, keepdims=True)
-            hit = exact.any(axis=1)
-            mat[hit] = exact[hit]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(w, mat, out=mat)
+                mat /= mat.sum(axis=1, keepdims=True)
+            rows = hit[(lo <= hit) & (hit < lo + step)]
+            mat[rows - lo] = 0.0
+            mat[rows - lo, at[rows]] = 1.0
             np.matmul(mat, self.values, out=out[lo:lo + step])
         return out
 

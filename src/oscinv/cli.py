@@ -80,7 +80,7 @@ def _cmd_invert(cfg, which, data_path):
     if data.t0 is None:
         data.t0 = cfg.observation.t0
     if data.x0 is None:
-        data.x0 = parse_x0(cfg.observation.x0, basis.dim)
+        data.x0 = parse_x0(cfg.observation.x0, basis.lengths)
     t0, x0 = data.t0, data.x0
     for name, value, needed_by in (("x0", x0, (1, 3)), ("t0", t0, (2, 3))):
         if value is None and which in needed_by:

@@ -22,7 +22,8 @@ from .forward import MIN_POINTS_PER_PERIOD, make_time_grid
 from .inverse import ObservationData
 from .quadrature import PANEL_NODES
 from .sources import FastProfile, OscillatorySource, split_source
-from .traces import FD_ACCURACY, Grid, TimeTrace, uniform_grid
+from .traces import (FD_ACCURACY, Grid, TimeTrace, stencil_gain,
+                     uniform_grid)
 
 __all__ = ["ConfigError", "BasisConfig", "SourceConfig", "GridConfig",
            "ObservationConfig", "OutputConfig", "ExperimentConfig",
@@ -77,17 +78,24 @@ def _bad_data(what):
         raise ConfigError(f"bad {what}: {detail}") from None
 
 
-def parse_x0(x0, dim):
+def parse_x0(x0, lengths):
     """An observation point as a float, or a tuple of floats when given as a
-    list; None when absent.  dim is the domain dimension, None if unknown."""
+    list; None when absent.  lengths are the domain's, [0, L_1] x ...,
+    None if unknown; a point off the domain is refused."""
     if x0 is None:
         return None
+    dim = None if lengths is None else len(lengths)
     listed = isinstance(x0, (list, tuple))
     pts = tuple(float(v) for v in (x0 if listed else [x0]))
     if not pts or not all(map(math.isfinite, pts)) \
             or dim not in (None, len(pts)):
         raise ConfigError(f"observation point x0={x0!r} must be "
                           f"{dim or 'one or more'} finite number(s)")
+    if lengths is not None and not all(
+            0.0 <= v <= L for v, L in zip(pts, lengths)):
+        box = " x ".join(f"[0, {L:g}]" for L in lengths)
+        raise ConfigError(f"observation point x0={x0!r} lies outside the "
+                          f"domain {box}")
     return pts if listed else pts[0]
 
 
@@ -259,7 +267,7 @@ def config_from_dict(d):
     if study in ("roundtrip1", "roundtrip3") and observation.x0 is None:
         raise ConfigError(f"{study} needs observation.x0")
     if study != "order":
-        parse_x0(observation.x0, len(basis.lengths))
+        parse_x0(observation.x0, basis.lengths)
     # preflight: forward grid at the largest omega, observation trace grid,
     # and the basis's node table, all before anything is allocated.  A
     # rectangle's largest indices b1 b2 >= M give at least
@@ -356,8 +364,10 @@ def make_source(cfg: SourceConfig, grid, basis):
     samples, and a bound on f r and on r's first two phase derivatives,
     sum_i max_m |C[m, i]| max_t |g_i(t)| (max |r0| + sum_k k^2 max |a_k|)
     for the amplitude's projections C on the basis, its time factors g_i
-    and the drive's harmonics k with coefficients a_k.  numpy warns of
-    nothing on the way."""
+    and the drive's harmonics k with coefficients a_k, times
+    ``stencil_gain(2) / h**2`` for the grid's step h: what phi0'', a second
+    derivative of samples on this grid, multiplies them by.  numpy warns
+    of nothing on the way."""
     grid = Grid.of(grid)
     with _bad_data("amplitude"):
         amp = SeparableAmplitude.from_expr(cfg.f)
@@ -372,10 +382,12 @@ def make_source(cfg: SourceConfig, grid, basis):
         fmax = np.abs(amp.term_coefficients(basis)).max(axis=1) @ \
             np.abs(amp.time_factors(grid.nodes)).max(axis=1)
         bound = fmax * (src.r0.max_abs + sum(
-            np.float64(k) ** 2 * c.max_abs for k, _, c in src.r1.terms))
+            np.float64(k) ** 2 * c.max_abs for k, _, c in src.r1.terms)) \
+            * stencil_gain(2) / np.float64(grid.h) ** 2
     if not np.isfinite(bound):
         raise ConfigError(f"the forcing f*r or one of its first two phase "
-                          f"derivatives is not finite on "
+                          f"derivatives, or a second time derivative of "
+                          f"samples at step {grid.h:g}, is not finite on "
                           f"[{grid.start:g}, {grid.stop:g}] "
                           f"(bound {bound:g}) for f={cfg.f!r}")
     return amp, src
@@ -397,7 +409,8 @@ def load_observation(obj, basis=None):
             raise ConfigError(f"cannot read data file: {exc}") from None
     _take(obj, ("x0", "t0", "phi0", "chi", "psi", "chi_grid"), "data")
 
-    x0 = parse_x0(obj.get("x0"), basis.dim if basis is not None else None)
+    x0 = parse_x0(obj.get("x0"),
+                  basis.lengths if basis is not None else None)
     t0 = _parse_t0(obj.get("t0"))
 
     def _grid_from(spec, where):

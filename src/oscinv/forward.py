@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EigenBasis, SeparableAmplitude
+from .chebyshev import STOP_TOL
 from .quadrature import duhamel_batch
 from .sources import N_TAU, split_source
 from .traces import Grid, TimeTrace, uniform_grid
@@ -112,6 +113,13 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
     all integrated with the oscillatory product rule in one batched pass.
     The grid must resolve the fast period (at least MIN_POINTS_PER_PERIOD
     nodes per period).
+
+    Only the modes the forcing reaches are integrated: those with
+    fmax_m = max_t |f_m(t)| above chebyshev.STOP_TOL * max_m fmax_m.  A
+    skipped mode's coefficients are exact zeros; its true response obeys
+    |a_m| <= T fmax_m max|r| / r_m <= STOP_TOL T max|r| max_m fmax_m / r_1,
+    r_m = sqrt(lam_m) and r_1 the smallest.  When every mode is forced,
+    all of them go to ``duhamel_batch`` in one call, as they are.
     """
     omega = float(omega)
     if not math.isfinite(omega) or omega <= 0:
@@ -134,8 +142,6 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
         a = 0.5 if kind == "cos" else -0.5j
         drive += [(k * omega, a, c.values),
                   (-k * omega, a.conjugate(), c.values)]
-    coeffs = duhamel_batch(factors, basis.eigenvalues, grid, drive,
-                           coeffs=terms)
 
     # max_t |f_m(t)|, f_m = terms @ factors: for one time factor |terms|
     # max |g|, which rounds the same and skips numpy's slow matmul with an
@@ -145,6 +151,14 @@ def solve_direct(basis, f, r, omega, T=None, grid=None,
     else:
         fmax = np.max([np.abs(terms @ factors[:, lo:lo + 4096]).max(axis=1)
                        for lo in range(0, grid.n + 1, 4096)], axis=0)
+    live = fmax > STOP_TOL * fmax.max()
+    if live.all():
+        coeffs = duhamel_batch(factors, basis.eigenvalues, grid, drive,
+                               coeffs=terms)
+    else:
+        coeffs = np.zeros((basis.M, grid.n + 1))
+        coeffs[live] = duhamel_batch(factors, basis.eigenvalues[live], grid,
+                                     drive, coeffs=terms[live])
     tail = float(fmax[-1] / fmax.max()) if fmax.max() > 0 else 0.0
     meta = {"omega": omega, "points_per_period": points_per_period,
             "mode_tail_ratio": tail}

@@ -285,18 +285,21 @@ def split_source(r, grid, n_tau=N_TAU):
     samples, scale = _periodic(_sample(r, grid.nodes, taus) if found is None
                                else found.values)
     F = np.fft.rfft(samples, axis=1)
-    keys, cols = [(0, "mean")], [F[:, 0].real / n_tau]
-    for k in range(1, n_tau // 2):
-        for kind, c in (("cos", 2.0 * F[:, k].real / n_tau),
-                        ("sin", -2.0 * F[:, k].imag / n_tau)):
-            if np.max(np.abs(c)) > 1e-12 * scale:
-                keys.append((k, kind))
-                cols.append(c)
+    # harmonics 1 .. n_tau/2 - 1 as columns cos 1, sin 1, cos 2, ...; each
+    # kept when its largest value is above 1e-12 * scale
+    fast = F[:, 1:n_tau // 2]
+    trig = np.stack([2.0 * fast.real / n_tau, -2.0 * fast.imag / n_tau],
+                    axis=2).reshape(len(F), -1)
+    kept = np.flatnonzero(np.abs(trig).max(axis=0) > 1e-12 * scale)
+    keys = [(0, "mean")] + [(int(j) // 2 + 1, ("cos", "sin")[j % 2])
+                            for j in kept]
     nyq = F[:, n_tau // 2].real / n_tau
     if np.max(np.abs(nyq)) > 1e-9 * scale:
         raise ValueError("fast harmonics at or beyond the sampling limit; "
                          "raise n_tau")
-    cols = np.column_stack(cols)
+    # take, not trig[:, kept]: the columns stay in C order, which the
+    # table read's matrix product rounds by
+    cols = np.column_stack([F[:, 0].real / n_tau, trig.take(kept, axis=1)])
     if found is None:
         r0, *env = [TimeTrace(grid, v) for v in cols.T]
     else:

@@ -24,7 +24,8 @@ import sympy
 from . import chebyshev, expressions
 from .expressions import T
 
-__all__ = ["Grid", "TimeTrace", "uniform_grid", "fd_weights"]
+__all__ = ["Grid", "TimeTrace", "uniform_grid", "fd_weights",
+           "stencil_gain"]
 
 FD_ACCURACY = 4     # order of accuracy of every finite-difference stencil
 
@@ -122,6 +123,15 @@ def fd_weights(offsets, order):
         on = offsets == 0
         w = np.where(on.any(axis=-1, keepdims=True), on.astype(float), w)
     return w
+
+
+def stencil_gain(order):
+    """||w||_1 for the weights w of the widest stencil ``derivative_at``
+    takes for the order-th derivative (one-sided, order + FD_ACCURACY
+    nodes): a derivative read by that stencil is at most this times
+    max |values| / h**order."""
+    w = fd_weights(np.arange(order + FD_ACCURACY), order)
+    return float(np.abs(w).sum())
 
 
 @dataclass(eq=False)

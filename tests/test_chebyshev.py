@@ -27,6 +27,17 @@ def test_read_at_a_node_is_the_node_value(table):
     np.testing.assert_array_equal(table(t)[:table.n], table.values)
 
 
+def test_node_reads_in_later_row_blocks_are_the_node_values(table):
+    # 2**17 reads take several row blocks; the node reads sit in the last,
+    # and their divisions by zero warn of nothing
+    between = np.linspace(0.0005, 2.9995, 1 << 17)
+    t = np.concatenate([between, table.nodes[::-1]])
+    with np.errstate(all="raise"):
+        out = table(t)[:, 0]
+    np.testing.assert_array_equal(out[between.size:], table.values[::-1, 0])
+    assert np.all(np.isfinite(out))
+
+
 def test_derivative_matches_the_exact_derivative(table):
     t = np.random.default_rng(8).uniform(0.0, 3.0, 1000)
     exact = 3.0 * np.cos(3.0 * t) * _f(t)

@@ -144,6 +144,8 @@ _CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 _NONFINITE_SAMPLES = {
     "f_nan": ("study", "roundtrip_drive", ("source", "f"), math.nan),
     "f_1e308": ("study", "roundtrip_drive", ("source", "f"), 1e308),
+    # finite samples whose second derivative on the trace grid overflows
+    "f_1e307": ("study", "roundtrip_drive", ("source", "f"), "1e307*sin(x)"),
     "f_exp_1000t": ("study", "roundtrip_drive", ("source", "f"),
                     "exp(1000*t)"),
     "f_one_over_t": ("study", "roundtrip_drive", ("source", "f"), "1/t"),
@@ -240,6 +242,20 @@ _EXIT_2_INPUTS = {
     "roundtrip1_nan_x0": ("study", dict(
         study="roundtrip1", source=_DRIVE_SOURCE,
         observation={"x0": math.nan}), None),
+    **{f"roundtrip1_x0_{x0:g}_off_domain": ("study", dict(
+        study="roundtrip1", source=_DRIVE_SOURCE,
+        observation={"x0": x0}), None) for x0 in (5.0, -2.0)},
+    "roundtrip3_x0_off_rectangle": ("study", dict(
+        study="roundtrip3",
+        basis={"domain": "rectangle", "lengths": [PI, 1.0], "M": 2},
+        source={"f": "sin(x1)*sin(pi*x2)", "r0": "1 + t"},
+        observation={"x0": [1.0, 1.5], "t0": 3.0}), None),
+    "invert1_config_x0_off_domain": ("invert1", dict(
+        source=_DRIVE_SOURCE, observation={"x0": 5.0}),
+        {"phi0": {"expr": "t^2", "T": 1.0},
+         "chi": [{"harmonic": 1, "kind": "cos", "coeff": -1.0}]}),
+    "data_x0_off_domain": ("invert1", dict(source=_DRIVE_SOURCE),
+                           dict(_phi0_data(1e-3), x0=-2.0)),
     "invert1_without_x0": ("invert1", dict(source=_DRIVE_SOURCE),
                            {"phi0": {"expr": "t^2", "T": 1.0},
                             "chi": [{"harmonic": 1, "kind": "cos",
@@ -376,6 +392,11 @@ _EXIT_2_NAMES = {"roundtrip2_trace_h_zero": "trace_h",
                  "data_psi_coeffs_not_m": "psi.coeffs",
                  "invert1_t0_past_phi0": "t0",
                  "roundtrip2_t0_off_trace_grid": "t0=2.0004",
+                 "roundtrip1_x0_5_off_domain": "x0=5.0",
+                 "roundtrip1_x0_-2_off_domain": "x0=-2.0",
+                 "roundtrip3_x0_off_rectangle": "outside the domain",
+                 "invert1_config_x0_off_domain": "x0=5.0",
+                 "data_x0_off_domain": "x0=-2.0",
                  "data_phi0_h_zero": "phi0.h", "data_phi0_h_negative": "phi0.h",
                  "data_phi0_h_over_work_cap": "phi0.h",
                  "data_chi_grid_h_zero": "chi_grid.h",

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from oscinv import forward
 from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
 from oscinv.forward import (MIN_POINTS_PER_PERIOD, UnderResolvedError,
                             check_resolution, make_time_grid, solve_direct)
@@ -185,3 +188,71 @@ def test_mode_tail_ratio_reads_the_mode_traces():
     u = solve_direct(basis, amp, "1 + cos(tau)", 200.0, T=1.0)
     fmax = np.abs(amp.mode_traces(basis, u.grid)).max(axis=1)
     assert u.meta["mode_tail_ratio"] == float(fmax[-1] / fmax.max())
+
+
+# -- only forced modes are integrated ----------------------------------------
+
+
+@pytest.fixture()
+def duhamel_calls(monkeypatch):
+    """The arguments of every duhamel_batch call solve_direct makes."""
+    calls = []
+
+    def spy(factors, lams, grid, drive, coeffs=None):
+        calls.append(dict(factors=factors, lams=lams, grid=grid, drive=drive,
+                          coeffs=coeffs))
+        return duhamel_batch(factors, lams, grid, drive, coeffs=coeffs)
+
+    monkeypatch.setattr(forward, "duhamel_batch", spy)
+    return calls
+
+
+def _all_rows(call, basis, f):
+    """duhamel_batch over every mode, on the arguments of ``call``."""
+    terms = SeparableAmplitude.coerce(f).term_coefficients(basis).T
+    return duhamel_batch(call["factors"], basis.eigenvalues, call["grid"],
+                         call["drive"], coeffs=terms)
+
+
+def test_unforced_modes_are_exact_zeros_at_the_scale_case(duhamel_calls):
+    # the benchmark's scale case: f reaches modes 1 and 3 alone, and the
+    # other 62 rows of a full Duhamel pass integrate projection rounding
+    basis = build_dirichlet_interval_basis(PI, 64)
+    f = "exp(-t)*(sin(x) + 0.3*sin(3*x))"
+    u = solve_direct(basis, f, "1 + t + (1 + 0.5*t)*cos(tau) "
+                     "+ 0.4*sin(2*tau)", 1000.0, T=3.0)
+    assert len(duhamel_calls) == 1
+    assert duhamel_calls[0]["lams"].tolist() == [1.0, 9.0]
+    full = _all_rows(duhamel_calls[0], basis, f)
+    forced = [0, 2]
+    unforced = np.delete(np.arange(64), forced)
+    assert np.count_nonzero(full[unforced]) > 0
+    assert np.count_nonzero(u.coeffs[unforced]) == 0
+    scale = np.abs(full).max()
+    np.testing.assert_allclose(u.coeffs[forced], full[forced], rtol=0,
+                               atol=1e-14 * scale)
+    x0 = PI / 2 + 0.1
+    np.testing.assert_allclose(u.trace_at(x0).values,
+                               full.T @ basis.point_weights(x0), rtol=0,
+                               atol=1e-14 * scale)
+
+
+def test_every_mode_forced_takes_one_unchanged_call(duhamel_calls):
+    # (1 + t) x projects onto every sine mode: all rows go in one call, and
+    # the field is that call's output, to the last bit
+    basis = build_dirichlet_interval_basis(PI, 8)
+    f = "(1 + t)*x"
+    u = solve_direct(basis, f, "1 + cos(tau)", 50.0, T=1.0)
+    assert len(duhamel_calls) == 1
+    assert np.array_equal(duhamel_calls[0]["lams"], basis.eigenvalues)
+    assert np.array_equal(u.coeffs, _all_rows(duhamel_calls[0], basis, f))
+
+
+def test_zero_amplitude_gives_a_zero_field(duhamel_calls, interval_basis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = solve_direct(interval_basis, "0", "1 + cos(tau)", 50.0, T=1.0)
+    assert all(call["lams"].size == 0 for call in duhamel_calls)
+    assert u.coeffs.shape == (8, u.grid.size)
+    assert np.count_nonzero(u.coeffs) == 0
+    assert u.meta["mode_tail_ratio"] == 0.0
