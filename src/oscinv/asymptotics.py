@@ -91,11 +91,13 @@ class AsymptoticExpansion:
                 tgrid, amp.term_coefficients(self.basis).T)
         return resp
 
-    def evaluate(self, omega, points, tgrid, order=2):
+    def evaluate(self, omega, points, tgrid, order=2, modes=None):
         """Expansion values on (tgrid x points), truncated at the given
-        order; tgrid is a ``Grid`` or its nodes."""
+        order; tgrid is a ``Grid`` or its nodes.  modes, when given, are
+        the basis's ``eval_modes(points)``."""
         tgrid = Grid.of(tgrid)
-        modes = self.basis.eval_modes(points)
+        if modes is None:
+            modes = self.basis.eval_modes(points)
         u0 = self.u0_table(tgrid).row(modes, tgrid.nodes)
         if order == 0:
             return u0
@@ -155,14 +157,20 @@ def residual_norm(u_field, expansion, omega, order=2):
     Sampled on RESIDUAL_SPACE_POINTS interior points and a time subgrid with
     about RESIDUAL_SAMPLES_PER_PERIOD nodes per fast period (enough to see
     the fast phase without paying for every fine node); u0 is the
-    expansion's table (``u0_table``) read on that subgrid.
+    expansion's table (``u0_table``) read on that subgrid.  The mode
+    values at the sample points are the basis's ``modes_at_samples``, and
+    serve the expansion too when it shares the field's basis.
     """
     if not isinstance(u_field, SpaceTimeField):
         raise TypeError("u_field must be a SpaceTimeField")
     omega = float(omega)
     target = 2.0 * np.pi / (RESIDUAL_SAMPLES_PER_PERIOD * omega)
     sub = u_field.every(round(target / u_field.axis.h))
-    pts = u_field.basis.interior_sample_points(RESIDUAL_SPACE_POINTS)
-    u_vals = sub.coeffs.T @ u_field.basis.eval_modes(pts)
-    u_vals -= expansion.evaluate(omega, pts, sub.axis, order=order)
+    basis = u_field.basis
+    pts = basis.interior_sample_points(RESIDUAL_SPACE_POINTS)
+    modes = basis.modes_at_samples(RESIDUAL_SPACE_POINTS)
+    u_vals = sub.coeffs.T @ modes
+    u_vals -= expansion.evaluate(
+        omega, pts, sub.axis, order=order,
+        modes=modes if expansion.basis is basis else None)
     return float(np.max(np.abs(u_vals, out=u_vals)))

@@ -114,11 +114,23 @@ class EigenBasis:
         """
         return self.eval_modes(_observation_points(x0, self.dim)).ravel()
 
-    def modes_at_nodes(self):
-        mat = self._cache.get("modes_at_nodes")
+    def _kept_modes(self, key, points):
+        """eval_modes(points), formed once per basis and key; read-only."""
+        mat = self._cache.get(key)
         if mat is None:
-            mat = self._cache["modes_at_nodes"] = self.eval_modes(self.nodes)
+            mat = self._cache[key] = self.eval_modes(points)
+            mat.setflags(write=False)
         return mat
+
+    def modes_at_nodes(self):
+        """Mode values at the quadrature nodes, shape (M, n_nodes)."""
+        return self._kept_modes("nodes", self.nodes)
+
+    def modes_at_samples(self, n_total=64):
+        """Mode values at ``interior_sample_points(n_total)``, shape
+        (M, n_points)."""
+        return self._kept_modes(("samples", n_total),
+                                self.interior_sample_points(n_total))
 
     # -- projection / synthesis ----------------------------------------
 
@@ -137,9 +149,13 @@ class EigenBasis:
         return self.modes_at_nodes() @ (self.weights * vals)
 
     def synthesize(self, coeffs, points):
+        """sum_m coeffs[..., m] y_m at the points; the basis's own nodes
+        read the modes kept by ``modes_at_nodes``."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape[-1] != self.M:
             raise ValueError("coefficient vector length differs from M")
+        if points is self.nodes:
+            return coeffs @ self.modes_at_nodes()
         return coeffs @ self.eval_modes(points)
 
     def gram_matrix(self):

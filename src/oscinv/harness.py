@@ -225,7 +225,7 @@ def run_roundtrip(config: ExperimentConfig, which):
         rec_src = OscillatorySource(src.r0, r1_rec)
         rec_exp = build_expansion(basis, rec_amp, rec_src, dgrid)
         psi_errs = []
-        modes = basis.eval_modes(basis.interior_sample_points(64))
+        modes = basis.modes_at_samples(64)
         psi_pts = data.psi.coeffs @ modes
         for omega in config.omegas:
             u = solve_direct(basis, rec_amp, rec_src, omega, T=t_obs,

@@ -234,8 +234,7 @@ def ip3_recover(data, r0, basis):
 
     w = basis.point_weights(data.x0)
     fx0 = float(fld.coeffs @ w)
-    sample = basis.interior_sample_points(64)
-    fscale = float(np.max(np.abs(fld.evaluate(sample))))
+    fscale = float(np.max(np.abs(fld.coeffs @ basis.modes_at_samples(64))))
     if not _amplitude_floor(fx0, fscale)[1]:
         raise AdmissibilityError("recovered amplitude vanishes at the "
                                  "observation point")

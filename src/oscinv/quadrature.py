@@ -446,14 +446,21 @@ class SlowResponses:
     def row(self, weights, t):
         """sum_m weights[m] a_m at the times t, for (M,) weights (shape
         (N,)) or (M, K) weights (shape (N, K)): the table contracted at its
-        nodes, chopped and read.  On the fallback t are the nodes of the
-        table's own grid."""
+        nodes, chopped and read.  Weights wider than the M responses
+        (K > M) read the responses on the points the chopped contraction
+        keeps and contract after, so the read is M columns wide, not K.
+        On the fallback t are the nodes of the table's own grid."""
         weights = np.asarray(weights, dtype=float)
         if self.table is None:
             return (weights.T @ self.values).T
         tab = self.table
-        return chebyshev.Table(tab.a, tab.b, tab.values @ weights).chop()(
-            np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        chopped = chebyshev.Table(tab.a, tab.b, tab.values @ weights).chop()
+        if weights.ndim == 1 or weights.shape[1] <= weights.shape[0]:
+            return chopped(t)
+        stride = (tab.n - 1) // (chopped.n - 1)
+        return chebyshev.Table(tab.a, tab.b, tab.values[::stride])(t) \
+            @ weights
 
 
 def slow_responses(factors, r0, lams, grid, coeffs=None):

@@ -8,6 +8,8 @@ zero-mean antiderivatives in tau, and division by a time trace.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = ["FastProfile", "OscillatorySource", "split_source", "rho0"]
 
 _TWO_PI = 2.0 * np.pi
 N_TAU = 256     # phase samples per period when a callable drive is resolved
+_K_MAX = math.sqrt(sys.float_info.max)   # largest harmonic with a finite k**2
 
 
 @dataclass(eq=False)
@@ -40,6 +43,9 @@ class FastProfile:
             k = int(k)
             if k < 1:
                 raise ValueError("harmonic indices start at 1")
+            if k > _K_MAX:
+                raise ValueError("harmonic index too large: its square "
+                                 "overflows")
             if kind not in ("cos", "sin"):
                 raise ValueError(f"unknown term kind {kind!r}")
             key = (k, kind)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscinv import quadrature
+from oscinv import chebyshev, quadrature
 from oscinv.asymptotics import (build_expansion, expansion_coefficients,
                                 residual_norm)
 from oscinv.basis import (SeparableAmplitude, build_dirichlet_interval_basis,
@@ -250,6 +250,31 @@ def test_order_zero_residual_first_order(expansion):
         u = solve_direct(basis, FEXPR, REXPR, w, T=3.0)
         res.append(residual_norm(u, exp, w, order=0))
     assert res[1] < res[0] / 1.6
+
+
+def test_residual_norm_reads_the_sample_modes_once_per_basis(monkeypatch):
+    # residual_norm hands the basis's kept sample modes to the expansion;
+    # the result is bitwise that of reading the mode table at every use
+    basis = build_sturm_liouville_basis("1 + x/2", "x", PI, 4, grid_n=4000)
+    exp = build_expansion(basis, FEXPR, REXPR, make_time_grid(3.0, 100.0))
+    u = solve_direct(basis, FEXPR, REXPR, 100.0, T=3.0)
+    sub = u.every(round(2.0 * PI / (8 * 100.0) / u.axis.h))
+    pts = basis.interior_sample_points(64)
+    want = [float(np.max(np.abs(
+        sub.coeffs.T @ basis.eval_modes(pts)
+        - exp.evaluate(100.0, pts, sub.axis, order=o)))) for o in (0, 2)]
+    reads = []
+    read = chebyshev.Table.__call__
+
+    def spy(self, t):
+        if self is basis.sl_modes:
+            reads.append(len(t))
+        return read(self, t)
+
+    monkeypatch.setattr(chebyshev.Table, "__call__", spy)
+    got = [residual_norm(u, exp, 100.0, order=o) for o in (0, 2, 0, 2)]
+    assert got == want + want
+    assert reads == [64]
 
 
 def _order_residuals(basis, r, omegas, n_tau):

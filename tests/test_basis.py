@@ -210,6 +210,35 @@ def test_project_synthesize_inverse_on_span(interval_basis):
     np.testing.assert_allclose(rec, coeffs, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["interval", "rectangle",
+                                  "sturm_liouville"])
+def test_synthesis_at_the_nodes_reads_the_kept_mode_table(kind, monkeypatch):
+    basis = {"interval": lambda: build_dirichlet_interval_basis(PI, 6),
+             "rectangle": lambda: build_rectangle_basis((PI, 2.0), 5),
+             "sturm_liouville": lambda: build_sturm_liouville_basis(
+                 "1 + x/4", "x", 2.0, 4, grid_n=3000)}[kind]()
+    coeffs = np.linspace(1.0, -0.5, basis.M)
+    fresh = coeffs @ basis.eval_modes(basis.nodes)
+    kept = basis.modes_at_nodes()
+    assert not kept.flags.writeable
+    monkeypatch.setattr(basis, "eval_modes", None)   # no table is rebuilt
+    np.testing.assert_array_equal(basis.synthesize(coeffs, basis.nodes),
+                                  fresh)
+    fld = SpatialField(coeffs=coeffs, basis=basis)
+    np.testing.assert_array_equal(basis.values_at_nodes(fld), fresh)
+    assert basis.modes_at_nodes() is kept
+
+
+def test_modes_at_samples_are_formed_once_per_count(interval_basis):
+    kept = interval_basis.modes_at_samples(64)
+    np.testing.assert_array_equal(
+        kept, interval_basis.eval_modes(
+            interval_basis.interior_sample_points(64)))
+    assert interval_basis.modes_at_samples(64) is kept
+    assert not kept.flags.writeable
+    assert interval_basis.modes_at_samples(9).shape == (8, 9)
+
+
 @settings(max_examples=25, deadline=None)
 @given(coeffs=hnp.arrays(np.float64, 8, elements=st.floats(-10, 10)))
 def test_projection_identity_property(coeffs, interval_basis):

@@ -1,5 +1,7 @@
 """The Chebyshev table: reads, derivatives and the tail chop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,61 @@ def test_node_reads_in_later_row_blocks_are_the_node_values(table):
         out = table(t)[:, 0]
     np.testing.assert_array_equal(out[between.size:], table.values[::-1, 0])
     assert np.all(np.isfinite(out))
+
+
+def _dense_read(tab, t):
+    """The second barycentric formula entry by entry: each weight divided by
+    its time difference, each row normalised, then one matrix product."""
+    w = (-1.0) ** np.arange(tab.n)
+    w[[0, -1]] *= 0.5
+    mat = w / (t[:, None] - tab.nodes[None, :])
+    mat /= mat.sum(axis=1, keepdims=True)
+    return mat @ tab.values
+
+
+@pytest.mark.parametrize("shape, count", [
+    ((33,), 5000), ((33, 3), 5000), ((17, 3), 5000), ((33,), 0),
+    ((17, 3), 0)], ids=["1d", "3_columns", "17_points", "empty_1d",
+                       "empty_3_columns"])
+def test_read_matches_the_dense_formula(shape, count):
+    # smooth columns cos(x + k), k = 1, 2, ..., whose interpolants stay
+    # within their node values
+    rng = np.random.default_rng(11)
+    x = chebyshev.points(-1.0, 2.0, shape[0])
+    k = np.arange(1, (shape[1] if len(shape) > 1 else 1) + 1)
+    tab = chebyshev.Table(-1.0, 2.0, np.cos(np.add.outer(x, k))
+                          .reshape(shape))
+    # times between the nodes, so the dense formula has no zero division
+    t = np.sort(rng.uniform(-1.0, 2.0, count))
+    assert not np.isin(t, tab.nodes).any()
+    got = tab(t)
+    assert got.shape == (count,) + shape[1:]
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got - _dense_read(tab, t)), initial=0.0) <= \
+        4 * eps * np.max(np.abs(tab.values))
+
+
+@pytest.mark.parametrize("shape", [(33,), (33, 4)], ids=["1d", "4_columns"])
+def test_reads_at_nodes_and_both_ends_warn_of_nothing(shape):
+    tab = chebyshev.Table(
+        0.0, 3.0, np.random.default_rng(13).standard_normal(shape))
+    t = np.concatenate([[0.0, 3.0], tab.nodes[5:9], [1.234, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tab(t)
+    np.testing.assert_array_equal(out[[0, 1, -1]],
+                                  tab.values[[0, -1, 0]])
+    np.testing.assert_array_equal(out[2:6], tab.values[5:9])
+
+
+def test_read_near_a_start_from_rest_is_accurate_relative_to_the_values():
+    # t^2 (1 + t)^3 is of degree 5, so every miss is rounding; near t = 0
+    # the values fall to 4e-10, and the read keeps their relative accuracy
+    def f(t):
+        return t ** 2 * (1.0 + t) ** 3
+    tab = chebyshev.Table(0.0, 3.0, f(chebyshev.points(0.0, 3.0, 33)))
+    t = np.linspace(0.0, 0.02, 2001)[1:]
+    assert np.max(np.abs(tab(t) - f(t)) / f(t)) <= 2e-8
 
 
 def test_derivative_matches_the_exact_derivative(table):

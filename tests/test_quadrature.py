@@ -437,6 +437,33 @@ def test_slow_response_rows_read_a_chopped_contraction(basis32):
     assert np.max(np.abs(tab.row(w, grid) - full(grid))) <= tol
 
 
+def test_wide_rows_read_the_responses_on_the_chopped_point_count(
+        monkeypatch):
+    # (M, K) = (8, 64) weights, as residual_norm's sample points: the rows
+    # read the 8 responses on the points the chopped contraction keeps
+    basis = build_dirichlet_interval_basis(np.pi, 8)
+    grid = uniform_grid(3.0, 1500).nodes
+    tab = slow_responses(None, TimeTrace.from_expr("1 + t", grid),
+                         basis.eigenvalues, grid)
+    weights = basis.eval_modes(basis.interior_sample_points(64))
+    contracted = chebyshev.Table(tab.table.a, tab.table.b,
+                                 tab.table.values @ weights).chop()
+    assert contracted.n < tab.table.n
+    want = contracted(grid)
+    reads = []
+    call = chebyshev.Table.__call__
+
+    def spy(self, t):
+        reads.append(self.values.shape)
+        return call(self, t)
+
+    monkeypatch.setattr(chebyshev.Table, "__call__", spy)
+    got = tab.row(weights, grid)
+    assert reads == [(contracted.n, 8)]
+    assert got.shape == want.shape == (grid.size, 64)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("M, backed", [(8, "samples"), (64, "expression")])
 def test_slow_responses_fall_back_to_the_filon_rule_bitwise(M, backed):
     # a sample-backed r0, or r_M * T = 192, past what 257 nodes resolve

@@ -37,6 +37,18 @@ def test_from_specs_rejects_zero_harmonic(grid3):
         FastProfile.from_specs([(0, "cos", 1.0)], grid3)
 
 
+@pytest.mark.parametrize("k", [1e308, 2e154, 10 ** 400],
+                         ids=["1e308", "2e154", "10**400"])
+def test_a_harmonic_whose_square_overflows_is_refused(grid3, k):
+    # its phase derivatives would scale zero coefficients by inf, to NaN
+    zeros = TimeTrace.constant(0.0, grid3)
+    with pytest.raises(ValueError, match="square overflows"):
+        FastProfile([(k, "cos", zeros)], grid3)
+    big = FastProfile([(1e154, "sin", zeros)], grid3)
+    assert np.array_equal(big.tau_derivative(2).terms[0][2].values,
+                          np.zeros(grid3.size))
+
+
 def test_evaluate_broadcasts_time_and_phase(standard_r1, grid3):
     tau = np.linspace(0, 2 * np.pi, grid3.size)
     out = standard_r1.evaluate(grid3, tau)
