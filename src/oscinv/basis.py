@@ -13,14 +13,13 @@ the wave equation), so mode dynamics are cos(sqrt(lam) t) / sin(sqrt(lam) t).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import sympy
 
 from . import chebyshev, expressions
-from .expressions import SPACE_SYMBOLS, T, X
+from .expressions import SPACE_SYMBOLS, X
 from .quadrature import gauss_panel_rule
 from .traces import Grid, TimeTrace
 
@@ -415,11 +414,10 @@ class SeparableAmplitude:
         """d^order f_m / dt^order at t = 0, m = 1..M, shape (M,).
 
         Only the n_terms time factors are differentiated symbolically, each
-        once per order (``expressions.memo``); ExpressionError when one has
-        no finite derivative there (a factor like 1/t or t^0.5).
+        once per order (``expressions.t_derivative_at``), which refuses a
+        factor with no finite derivative there (1/t or t^0.5).
         """
-        dg = [expressions.memo(("t_derivative", g, order),
-                               lambda g=g: _derivative_at_start(g, order))
+        dg = [expressions.t_derivative_at(g, order, 0.0)
               for g, _ in self.terms]
         return np.array(dg) @ self.term_coefficients(basis)
 
@@ -452,20 +450,6 @@ class SeparableAmplitude:
         for gv, (_, xf) in zip(self.time_factors(t_grid), self.terms):
             out += np.outer(gv, xf.evaluate(pts))
         return out
-
-
-def _derivative_at_start(g, order):
-    """d^order g / dt^order at t = 0, a finite float or ExpressionError."""
-    value = sympy.diff(g, T, order).subs(T, 0)
-    try:
-        value = float(value)
-    except TypeError:           # complex infinity, or not real
-        value = math.nan
-    if not math.isfinite(value):
-        what = f"t-derivative of order {order}" if order else "value"
-        raise expressions.ExpressionError(
-            f"the amplitude's time factor {g} has no finite {what} at t = 0")
-    return value
 
 
 @dataclass(frozen=True)

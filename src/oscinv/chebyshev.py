@@ -66,7 +66,8 @@ class Table:
         """The interpolant at the times t of [a, b] (1-D), shape
         (len(t),) + values.shape[1:], by the second barycentric formula
         (Berrut & Trefethen, SIAM Rev. 46, 2004); a time that is a point
-        of the table reads its value exactly.
+        of the table reads its value exactly, and so does one so near a
+        point (within about 1e-308) that 1/(t - x_j) overflows.
 
         A row block of times forms R = 1/(t - x_j) once, and one matrix
         product of R with the columns [w_j v_j | w_j] (w the barycentric
@@ -85,16 +86,20 @@ class Table:
         stacked = np.concatenate([w * values, w], axis=1)
         out = np.empty((t.size, values.shape[1]), dtype=stacked.dtype)
         step = max(1, (1 << 16) // self.n)
-        # a time that is a point divides by zero, and its row is replaced
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a time that is a point divides by zero, and one within about
+        # 1e-308 of a point overflows 1/(t - x_j); either row sums to
+        # inf / inf, and is replaced by the point's value
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for lo in range(0, t.size, step):
                 recip = t[lo:lo + step, None] - nodes
                 np.reciprocal(recip, out=recip)
                 sums = recip @ stacked
                 np.divide(sums[:, :-1], sums[:, -1:], out=out[lo:lo + step])
-        at = np.searchsorted(nodes, t).clip(max=self.n - 1)
-        hit = np.flatnonzero(nodes[at] == t)
-        out[hit] = values[at[hit]]
+            rows = np.flatnonzero(~np.isfinite(out[:, :1]).all(axis=1))
+            at = np.searchsorted(nodes, t[rows]).clip(1, self.n - 1)
+            for near in (at - 1, at):
+                hit = np.isinf(1.0 / (t[rows] - nodes[near]))
+                out[rows[hit]] = values[near[hit]]
         return out.reshape(t.shape + self.values.shape[1:])
 
     def chop(self):

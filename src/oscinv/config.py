@@ -67,9 +67,11 @@ def _take(d, allowed, where):
 @contextlib.contextmanager
 def _bad_data(what):
     """Report a failure to convert outside data as a one-line ConfigError;
-    also a decorator for functions whose whole job is that conversion."""
+    also a decorator for functions whose whole job is that conversion.
+    numpy warns of nothing inside; a finiteness check refuses overflows."""
     try:
-        yield
+        with np.errstate(all="ignore"):
+            yield
     except ConfigError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError,
@@ -255,9 +257,10 @@ def config_from_dict(d):
         raise ConfigError("omega values must be strictly increasing")
     tol = d.get("tolerances", {})
     _take(tol, DEFAULT_TOLERANCES, "tolerances")
-    bad = sorted(k for k, v in tol.items() if not isinstance(v, (int, float)))
+    bad = sorted(k for k, v in tol.items()
+                 if not (isinstance(v, (int, float)) and math.isfinite(v)))
     if bad:
-        raise ConfigError(f"tolerance(s) {bad} must be numbers")
+        raise ConfigError(f"tolerance(s) {bad} must be finite numbers")
     study = d.get("study", "order")
     if study not in ("order", "roundtrip1", "roundtrip2", "roundtrip3"):
         raise ConfigError(f"unknown study kind {study!r}")
@@ -367,20 +370,19 @@ def make_source(cfg: SourceConfig, grid, basis):
     and the drive's harmonics k with coefficients a_k, times
     ``stencil_gain(2) / h**2`` for the grid's step h: what phi0'', a second
     derivative of samples on this grid, multiplies them by.  numpy warns
-    of nothing on the way."""
+    of nothing on the way (``_bad_data``)."""
     grid = Grid.of(grid)
     with _bad_data("amplitude"):
         amp = SeparableAmplitude.from_expr(cfg.f)
-    with np.errstate(all="ignore"):
-        with _bad_data("drive"):
-            if cfg.r is not None:
-                src = split_source(cfg.r, grid)
-            else:
-                r0 = TimeTrace.from_expr(cfg.r0, grid)
-                r1 = FastProfile.from_specs(cfg.r1, grid)
-                src = OscillatorySource(r0, r1)
         fmax = np.abs(amp.term_coefficients(basis)).max(axis=1) @ \
             np.abs(amp.time_factors(grid.nodes)).max(axis=1)
+    with _bad_data("drive"):
+        if cfg.r is not None:
+            src = split_source(cfg.r, grid)
+        else:
+            r0 = TimeTrace.from_expr(cfg.r0, grid)
+            r1 = FastProfile.from_specs(cfg.r1, grid)
+            src = OscillatorySource(r0, r1)
         bound = fmax * (src.r0.max_abs + sum(
             np.float64(k) ** 2 * c.max_abs for k, _, c in src.r1.terms)) \
             * stencil_gain(2) / np.float64(grid.h) ** 2
@@ -468,12 +470,16 @@ def load_observation(obj, basis=None):
         _take(spec, ("expr", "coeffs", "points", "values"), "data.psi")
         if "expr" in spec:
             psi = SpatialField.from_expr(spec["expr"])
+            if basis is not None and not np.all(
+                    np.isfinite(basis.values_at_nodes(psi))):
+                raise ConfigError(f"psi.expr={spec['expr']!r} is not finite "
+                                  "on the domain")
         elif "coeffs" in spec:
             if basis is None:
                 raise ConfigError("coefficient psi needs the basis")
             coeffs = np.asarray(spec["coeffs"], float)
-            if coeffs.shape != (basis.M,):
-                raise ConfigError(f"psi.coeffs must list M={basis.M} "
+            if coeffs.shape != (basis.M,) or not np.all(np.isfinite(coeffs)):
+                raise ConfigError(f"psi.coeffs must list M={basis.M} finite "
                                   "numbers")
             psi = SpatialField(coeffs=coeffs, basis=basis)
         else:

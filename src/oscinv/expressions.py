@@ -20,7 +20,7 @@ from sympy.parsing.sympy_parser import (
 
 __all__ = [
     "T", "X", "X1", "X2", "X3", "TAU",
-    "SPACE_SYMBOLS", "ExpressionError",
+    "SPACE_SYMBOLS", "ExpressionError", "t_derivative", "t_derivative_at",
     "parse", "memo", "lambdify_cached", "evaluate", "separable_terms",
 ]
 
@@ -99,8 +99,8 @@ def _lru(cache, cap, key, make):
     return value
 
 
-# most recently used texts and splits kept; a sample config's study adds
-# at most four, so an eviction never falls inside one run
+# most recently used texts, splits and t-derivatives kept; a sample config's
+# study adds at most thirteen, so an eviction never falls inside one run
 _MEMO_CAP = 256
 _MEMO: OrderedDict = OrderedDict()
 
@@ -156,6 +156,31 @@ def evaluate(expr, **values):
     if out.shape != shape:
         out = np.broadcast_to(out, shape).copy()
     return out
+
+
+def t_derivative(expr, order):
+    """d^order expr / dt^order, memoised (``memo``); order 0 is expr."""
+    return expr if order == 0 else memo(("t_derivative", expr, order),
+                                        lambda: sympy.diff(expr, T, order))
+
+
+def t_derivative_at(expr, order, t):
+    """d^order expr / dt^order at the time t, a finite float, memoised
+    (``memo``); ExpressionError when it is not finite there (1/t or t^0.5
+    at 0)."""
+    return memo(("t_derivative_at", expr, order, t),
+                lambda: _finite_value(expr, order, float(t)))
+
+
+def _finite_value(expr, order, t):
+    try:
+        value = float(t_derivative(expr, order).subs(T, t))
+    except TypeError:           # complex infinity, or not real
+        value = np.nan
+    if not np.isfinite(value):
+        raise ExpressionError(f"{expr} has no finite t-derivative of order "
+                              f"{order} at t = {t:g}")
+    return value
 
 
 def separable_terms(expr):

@@ -110,7 +110,9 @@ def run_order_study(config: ExperimentConfig):
 
     tol = config.tolerances
     criteria = []
-    slope0 = slope2 = float("nan")
+    columns = ("omega", "residual_order0", "residual_order2")
+    # a slope needs three frequencies: with fewer, no slope column is
+    # written and no slope criterion judged
     if len(config.omegas) >= 3:
         slope0 = fit_slope(config.omegas, res0)
         slope2 = fit_slope(config.omegas, res2)
@@ -118,17 +120,16 @@ def run_order_study(config: ExperimentConfig):
                              tol["slope_order0_max"], "<="))
         criteria.append(_cmp("slope_order2", slope2,
                              tol["slope_order2_max"], "<="))
+        columns += ("slope_order0", "slope_order2")
+        rows = [row + (slope0, slope2) for row in rows]
     if tol.get("scaled_residual_decreasing") and len(config.omegas) >= 2:
         scaled = np.array(config.omegas) ** 2 * np.array(res2)
         drops = np.diff(scaled)
         criteria.append(_cmp("omega2_residual_max_increase",
                              float(drops.max()), 0.0, "<"))
-    full_rows = tuple((w, a, b, slope0, slope2) for (w, a, b) in rows)
     return StudyReport(
-        kind="order",
-        columns=("omega", "residual_order0", "residual_order2",
-                 "slope_order0", "slope_order2"),
-        rows=full_rows, criteria=tuple(criteria),
+        kind="order", columns=columns, rows=tuple(rows),
+        criteria=tuple(criteria),
         meta={"M": basis.M, "T": config.grid.T})
 
 

@@ -20,6 +20,7 @@ and the amplitude may not vanish at the observation point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,15 @@ def _lambda_profiles(r0, basis, grid):
 
 
 def _lambda_at(r0, t0, basis):
-    """(M,) mode responses Lambda_m(t0)."""
+    """(M,) mode responses Lambda_m(t0); AdmissibilityError when one is
+    not finite (a t0 so large that the rule's moments overflow)."""
     grid = uniform_grid(float(t0), FALLBACK_INTERVALS)
-    return _lambda_profiles(r0, basis, grid).at(grid.stop)
+    with np.errstate(all="ignore"):
+        lamv = _lambda_profiles(r0, basis, grid).at(grid.stop)
+    if not np.all(np.isfinite(lamv)):
+        raise AdmissibilityError(f"the mode responses Lambda_m(t0) at "
+                                 f"t0={t0:g} are not finite")
+    return lamv
 
 
 def _dead_modes(lamv, basis):
@@ -123,6 +130,20 @@ def _amplitude_floor(values, scale):
     EPS_AMPLITUDE * max(1, scale)."""
     fmin = float(np.min(np.abs(values)))
     return fmin, fmin >= EPS_AMPLITUDE * max(1.0, scale)
+
+
+def _fast_drive(chi, f_x0):
+    """chi's second phase derivative, which r1 = chi_tau_tau / f(x0) divides
+    by the amplitude values f_x0 (nonzero); AdmissibilityError when the
+    bound max_k k^2 max |chi_k| / min |f_x0| on r1 overflows."""
+    peak = max((float(k) ** 2 * c.max_abs for k, _, c in chi.terms),
+               default=0.0)
+    fmin = float(np.min(np.abs(f_x0)))
+    if not peak / fmin < math.inf:
+        raise AdmissibilityError(
+            f"the fast drive chi''/f(x0) overflows: max |chi''| is "
+            f"{peak:g} and min |f(x0)| {fmin:g}")
+    return chi.tau_derivative(2)
 
 
 def check_admissibility(r0=None, t0=None, basis=None, f=None, x0=None,
@@ -187,7 +208,7 @@ def ip1_recover(data, f, basis):
         r0_trace = solve_second_kind(f_x0, kernel, phi0.derivative(2))
     else:
         r0_trace = TimeTrace(grid, found(grid.nodes), table=found)
-    r1 = data.chi.resample(grid).tau_derivative(2).divided_by(f_x0)
+    r1 = _fast_drive(data.chi.resample(grid), f_x0.values).divided_by(f_x0)
     return OscillatorySource(r0_trace, r1)
 
 
@@ -196,7 +217,8 @@ def ip2_recover(psi, r0, t0, basis, lambda_values=None):
 
     psi_m = f_m Lambda_m(t0), so f_m = psi_m / Lambda_m(t0); any mode response
     below the floor EPS_LAMBDA_FLOOR * max(1, 1/lam_m) aborts (data cannot
-    determine those modes; no regularization is applied by design).  The
+    determine those modes; no regularization is applied by design), and so
+    does an f whose sum_m |f_m| max(1, lam_m) overflows.  The
     responses, lambda_values when given, are kept in meta["lambda_values"].
     """
     lamv = lambda_values
@@ -206,7 +228,15 @@ def ip2_recover(psi, r0, t0, basis, lambda_values=None):
     if bad:
         raise AdmissibilityError(
             f"mode responses at t0 below the division floor for modes {bad}")
-    fld = SpatialField(coeffs=basis.project(psi) / lamv, basis=basis)
+    with np.errstate(over="ignore"):
+        coeffs = basis.project(psi) / lamv
+        # the boundary report and the amplitude floor sum f_m and lam_m f_m
+        size = np.abs(coeffs) @ np.maximum(1.0, basis.eigenvalues)
+    if not np.isfinite(size):
+        raise AdmissibilityError("the recovered amplitude psi_m / "
+                                 "Lambda_m(t0) or its operator image "
+                                 "overflows")
+    fld = SpatialField(coeffs=coeffs, basis=basis)
     fld.meta["lambda_values"] = lamv
     fld.meta["boundary_report"] = check_boundary_traces(fld, basis, orders=1)
     return fld
@@ -238,7 +268,7 @@ def ip3_recover(data, r0, basis):
     if not _amplitude_floor(fx0, fscale)[1]:
         raise AdmissibilityError("recovered amplitude vanishes at the "
                                  "observation point")
-    r1 = data.chi.tau_derivative(2).scaled(1.0 / fx0)
+    r1 = _fast_drive(data.chi, fx0).scaled(1.0 / fx0)
 
     if profiles is not None:
         phi0_derived = TimeTrace(grid,

@@ -69,7 +69,8 @@ def oscillatory_moments(theta, length, count=3):
     a quickly convergent power series below that, where the closed forms lose
     digits to cancellation.
     """
-    X = float(length)
+    # a numpy scalar, so a moment that overflows is inf, not OverflowError
+    X = np.float64(length)
     theta = np.asarray(theta, dtype=float)
     out = np.empty(theta.shape + (count,), dtype=complex)
     small = np.abs(theta * X) < _SERIES_SWITCH

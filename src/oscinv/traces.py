@@ -22,7 +22,7 @@ import numpy as np
 import sympy
 
 from . import chebyshev, expressions
-from .expressions import T
+from .expressions import T, t_derivative
 
 __all__ = ["Grid", "TimeTrace", "uniform_grid", "fd_weights",
            "stencil_gain"]
@@ -203,17 +203,15 @@ class TimeTrace:
 
     def sample(self, grid2):
         """Values at the times grid2, an array or a ``Grid``: the stored
-        values on the trace's own grid, else off the expression, or by
-        ``derivative_at`` of order 0 (the table or the stencils); without
-        an expression, ValueError off the span.
+        values on the trace's own grid, else ``derivative_at`` of order 0
+        (the expression, the table or the stencils); without an
+        expression, ValueError off the span.
         """
         if isinstance(grid2, Grid):
             if grid2 == self.axis:
                 return self.values.copy()
             grid2 = grid2.nodes
         grid2 = np.asarray(grid2, dtype=float)
-        if self.expr is not None:
-            return expressions.evaluate(self.expr, t=grid2)
         return self.derivative_at(grid2.ravel(), 0).reshape(grid2.shape)
 
     def resample(self, grid2):
@@ -224,15 +222,16 @@ class TimeTrace:
     # -- calculus -----------------------------------------------------
 
     def derivative(self, order=1):
+        """The order-th derivative on the grid, by ``derivative_at``."""
         if order == 0:
             return self
+        expr = table = None
         if self.expr is not None:
-            dexpr = sympy.diff(self.expr, T, order)
-            return TimeTrace.from_expr(dexpr, self.axis)
-        if self.table is not None:
-            d = self.table.derivative(order)
-            return TimeTrace(self.axis, d(self.grid), table=d)
-        return TimeTrace(self.axis, self.derivative_at(self.grid, order))
+            expr = t_derivative(self.expr, order)
+        elif self.table is not None:
+            table = self.table.derivative(order)
+        return TimeTrace(self.axis, self.derivative_at(self.grid, order),
+                         expr=expr, table=table)
 
     def derivative_at(self, t, order):
         """d^order/dt^order at the times t of the span, as an array.
@@ -242,12 +241,12 @@ class TimeTrace:
         reads the derivative of its table.  A purely sampled one reads each
         time by the stencil on the order + FD_ACCURACY grid nodes nearest it
         (of two equally near windows, the right one), one-sided at the ends.
-        A time equal to a grid node is read at integer offsets, so interior
-        node reads share one stencil, and order 0 there is the node's value.
+        A time equal to a grid node is read at integer offsets, so order 0
+        there is the node's value.
         """
         t = np.asarray(t, dtype=float)
         if self.expr is not None:
-            return expressions.evaluate(sympy.diff(self.expr, T, order), t=t)
+            return expressions.evaluate(t_derivative(self.expr, order), t=t)
         self._check_span(t)
         if self.table is not None:
             return self.table.derivative(order)(t)
@@ -256,29 +255,19 @@ class TimeTrace:
             raise ValueError(f"need at least {npe} samples")
         x = (t - self.axis.start) / self.h
         k = np.rint(x).clip(0, n - 1).astype(int)
-        on = self.grid[k] == t
-        # interior node reads share their window's middle-place stencil, row
-        # 0 of w (what each would solve); every other read solves its own
-        mid = (npe - 1) // 2
-        shared = on & (k >= mid) & (k <= n - npe + mid)
-        x = np.where(on, k, x)[~shared]
-        start = (np.floor(x + npe % 2 / 2).astype(int) - mid).clip(0, n - npe)
+        x = np.where(self.grid[k] == t, k, x)
+        start = (np.floor(x + npe % 2 / 2).astype(int)
+                 - (npe - 1) // 2).clip(0, n - npe)
         nodes = start[:, None] + np.arange(npe)
-        w = fd_weights(np.vstack([np.arange(npe) - mid, nodes - x[:, None]]),
-                       order)
-        out = np.empty(t.shape)
-        out[~shared] = np.einsum("ij,ij->i", w[1:], self.values[nodes])
-        windows = np.lib.stride_tricks.as_strided(
-            self.values, (n - npe + 1, npe), self.values.strides * 2)
-        out[shared] = np.einsum("ij,j->i", windows[k[shared] - mid], w[0])
-        return out / self.h ** order
+        w = fd_weights(nodes - x[:, None], order)
+        return np.einsum("ij,ij->i", w, self.values[nodes]) / self.h ** order
 
     def derivative_noise(self, order):
         """Bound on the error of derivative_at at any time: 0 when an
         expression or a table gives the derivative.  Otherwise, for the
         widest stencil (the one-sided one at the ends, weights w at offsets
         o = 0 .. p - 1, p = order + FD_ACCURACY), rounding in the values,
-        eps * ||w||_1 * max |values|, plus the truncation
+        eps * stencil_gain(order) * max |values|, plus the truncation
         |sum w o^p| / p! * h^p * max |f^(p)|, with h^p f^(p) read off the
         p-th differences of the values; all over h**order."""
         if self.exact_off_grid:
@@ -286,16 +275,16 @@ class TimeTrace:
         npe = order + FD_ACCURACY
         offsets = np.arange(npe)
         w = fd_weights(offsets, order)
-        rounding = np.finfo(float).eps * np.sum(np.abs(w)) * self.max_abs
+        rounding = np.finfo(float).eps * stencil_gain(order) * self.max_abs
         truncation = abs(w @ offsets ** npe) / math.factorial(npe) \
             * np.max(np.abs(np.diff(self.values, npe)), initial=0.0)
         return float((rounding + truncation) / self.h ** order)
 
     def value_at_start(self, order=0):
-        """d^order/dt^order at the left endpoint."""
+        """d^order/dt^order at the left endpoint, finite or ExpressionError."""
         if self.expr is not None:
-            d = sympy.diff(self.expr, T, order)
-            return float(d.subs(T, self.axis.start))
+            return expressions.t_derivative_at(self.expr, order,
+                                               self.axis.start)
         return float(self.derivative_at(self.grid[:1], order)[0])
 
     # -- arithmetic (grids match; expressions combine, tables take scalars) --

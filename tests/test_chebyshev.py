@@ -40,6 +40,18 @@ def test_node_reads_in_later_row_blocks_are_the_node_values(table):
     assert np.all(np.isfinite(out))
 
 
+def test_read_within_1e_308_of_a_node_is_the_node_value():
+    # 1/(t - x_j) overflows for these times, so the barycentric sums are
+    # inf / inf; such a time reads the node's value, with no warning
+    tab = chebyshev.Table(0.0, 3.0, np.cos(chebyshev.points(0.0, 3.0, 33)))
+    mid = chebyshev.Table(-1.0, 1.0, np.cos(chebyshev.points(-1.0, 1.0, 33)))
+    with np.errstate(all="raise"):
+        assert np.array_equal(tab(np.array([5e-324, 1e-310, 0.0])),
+                              tab.values[[0, 0, 0]])
+        assert np.array_equal(mid(np.array([-5e-324, 1e-310])),
+                              mid.values[[16, 16]])
+
+
 def _dense_read(tab, t):
     """The second barycentric formula entry by entry: each weight divided by
     its time difference, each row normalised, then one matrix product."""

@@ -41,6 +41,13 @@ def test_tolerance_override_merges():
     assert cfg.tolerances["fm_rel"] == DEFAULT_TOLERANCES["fm_rel"]
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_tolerance_must_be_finite(bad):
+    # an infinite threshold would pass its criterion and be written as inf
+    with pytest.raises(ConfigError, match="finite"):
+        config_from_dict(dict(GOOD, tolerances={"slope_order2_max": bad}))
+
+
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError):
         config_from_dict(dict(GOOD, omga=[50.0]))
@@ -240,6 +247,15 @@ def test_load_observation_psi_coeffs(interval_basis):
         "psi": {"coeffs": [1.0] + [0.0] * 7},
     }, basis=interval_basis)
     assert data.psi.coeffs[0] == 1.0
+
+
+@pytest.mark.parametrize("psi", [{"coeffs": [float("nan")] + [0.0] * 7},
+                                 {"coeffs": [float("inf")] + [0.0] * 7},
+                                 {"expr": "nan"}, {"expr": "1e308*10*sin(x)"}])
+def test_load_observation_psi_must_be_finite(interval_basis, psi):
+    with pytest.raises(ConfigError, match="finite"):
+        load_observation({"x0": 1.0, "t0": 3.0, "psi": psi},
+                         basis=interval_basis)
 
 
 def test_load_observation_psi_needs_basis():

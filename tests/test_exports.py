@@ -1,8 +1,9 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
 no module reaches into another's private names, sampled traces keep one
 stencil rule, callables are accepted only where a caller passes one,
-only ``chebyshev`` knows the layout of a Chebyshev table, and the free
-oscillations have one kernel."""
+only ``chebyshev`` knows the layout of a Chebyshev table, the free
+oscillations have one kernel, only ``expressions`` differentiates in t,
+and ``config`` sets numpy's error state in ``_bad_data`` alone."""
 
 import ast
 import importlib
@@ -136,3 +137,42 @@ def test_free_oscillations_form_no_mode_time_tables():
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if "correction_coeffs" in line]
     assert found == []
+
+
+def _calls(tree, attr):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == attr]
+
+
+def _names_t(node):
+    return isinstance(node, ast.Name) and node.id == "T"
+
+
+def test_only_expressions_differentiates_in_t():
+    # expressions.t_derivative and t_derivative_at are the one home of a
+    # symbolic t-derivative and of its value at a time, which is checked
+    # to be finite; a diff or subs in t elsewhere would skip that check
+    found = []
+    for path in _sources():
+        if path.name == "expressions.py":
+            continue
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{node.lineno} diff" for node in
+                  _calls(tree, "diff") if any(map(_names_t, node.args))]
+        found += [f"{path.name}:{node.lineno} subs" for node in
+                  _calls(tree, "subs") if node.args and _names_t(node.args[0])]
+    assert found == []
+
+
+def test_config_sets_numpy_error_state_only_in_bad_data():
+    # every conversion of outside data runs inside config._bad_data, which
+    # switches numpy's warnings off; a second errstate would be a copy
+    tree = ast.parse((pathlib.Path(oscinv.__file__).parent
+                      / "config.py").read_text())
+    home = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_bad_data")
+    inside = {id(node) for node in ast.walk(home)}
+    states = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "errstate"]
+    assert states and all(id(node) in inside for node in states)

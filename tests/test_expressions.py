@@ -185,3 +185,22 @@ def test_memoised_splits_are_not_shared_with_callers():
     table.clear()
     table[(5, "cos")] = T
     assert _harmonic_table(r) == (mean, want)
+
+
+def test_t_derivative_at_is_a_memoised_finite_float():
+    e = parse("exp(-0.8125*t)*(1 + t)", allowed=("t",))
+    assert expressions.t_derivative(e, 0) is e
+    assert expressions.t_derivative(e, 2) == sympy.diff(e, T, 2)
+    value = expressions.t_derivative_at(e, 1, 0.0)
+    assert type(value) is float and value == pytest.approx(0.1875, abs=1e-15)
+    assert ("t_derivative_at", e, 1, 0.0) in expressions._MEMO
+
+
+@pytest.mark.parametrize("text, order", [("1/t", 0), ("t^0.5", 1),
+                                         ("sin(t)/t", 0)])
+def test_t_derivative_at_refuses_a_nonfinite_value(text, order):
+    e = parse(text, allowed=("t",))
+    with pytest.raises(ExpressionError, match="no finite") as info:
+        expressions.t_derivative_at(e, order, 0.0)
+    assert "\n" not in str(info.value)
+    assert ("t_derivative_at", e, order, 0.0) not in expressions._MEMO

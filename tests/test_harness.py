@@ -44,10 +44,12 @@ def test_fit_slope_zero_residuals():
 
 
 def test_single_frequency_study_row(tmp_path):
-    # pure fast drive at omega=100: the order-2 expansion residual is tiny
+    # pure fast drive at omega=100: the order-2 expansion residual is tiny;
+    # no slope is fitted to one frequency, so no slope column is written
     rep = run_order_study(_order_config())
-    assert rep.columns[:3] == ("omega", "residual_order0", "residual_order2")
+    assert rep.columns == ("omega", "residual_order0", "residual_order2")
     (row,) = rep.rows
+    assert len(row) == 3
     assert row[0] == 100.0
     assert row[2] <= 1e-6
     assert rep.passed          # no slope criteria with fewer than 3 omegas
@@ -63,6 +65,18 @@ def test_three_frequency_study_has_criteria():
     assert names == {"slope_order0", "slope_order2",
                      "omega2_residual_max_increase"}
     assert rep.passed
+    assert rep.columns[3:] == ("slope_order0", "slope_order2")
+    assert all(len(row) == 5 and np.isfinite(row).all() for row in rep.rows)
+
+
+def test_two_frequency_study_writes_no_slope(tmp_path):
+    # a slope needs three frequencies: two give residuals and the
+    # omega**2 residual criterion, and no nan slope column
+    rep = run_order_study(_order_config(omegas=(50.0, 100.0)))
+    assert rep.columns == ("omega", "residual_order0", "residual_order2")
+    assert [c.name for c in rep.criteria] == ["omega2_residual_max_increase"]
+    text = Path(emit_report(rep, str(tmp_path / "study.csv"))).read_text()
+    assert "nan" not in text
 
 
 def test_report_bytes_deterministic():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscinv import chebyshev
+from oscinv import chebyshev, expressions
+from oscinv.expressions import ExpressionError
+from oscinv.sources import FastProfile
 from oscinv.traces import Grid, TimeTrace, fd_weights, uniform_grid
 
 
@@ -255,6 +258,18 @@ def test_derivative_symbolic_when_expr_backed():
     tr = TimeTrace.from_expr("sin(2*t)", g)
     d2 = tr.derivative(2)
     np.testing.assert_allclose(d2.values, -4 * np.sin(2 * g), atol=1e-13)
+    assert d2.expr == -4 * sympy.sin(2 * expressions.T)
+
+
+@pytest.mark.parametrize("coeff", ["t^0.5", "1/(t + 1) + t^1.5"])
+def test_value_at_start_refuses_a_nonfinite_derivative(coeff):
+    # an r1 coefficient or a phi0 of t^0.5: no finite derivative at 0
+    tr = TimeTrace.from_expr(coeff, uniform_grid(1.0, 10))
+    with pytest.raises(ExpressionError, match="no finite"):
+        tr.value_at_start(2)
+    profile = FastProfile([(1, "cos", tr)], tr.axis)
+    with pytest.raises(ExpressionError, match="no finite"):
+        profile.corner(2)
 
 
 def test_derivative_numeric_fallback():
