@@ -73,6 +73,7 @@ class AsymptoticExpansion:
     d: np.ndarray
     b2: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
+    _u0_last: tuple | None = field(default=None, repr=False)
 
     def u0_table(self, tgrid):
         """u0's mode responses, driven by f_m(t) r0(t) from zero data, as a
@@ -91,14 +92,30 @@ class AsymptoticExpansion:
                 tgrid, amp.term_coefficients(self.basis).T)
         return resp
 
+    def u0_on(self, tgrid, modes):
+        """u0 at the nodes of a ``Grid`` for (M, K) mode values: the
+        ``u0_table`` row, shape (N, K).  For read-only mode values (the
+        basis's kept sample modes) the row is kept, read-only, for the most
+        recent grid only, so that one residual grid reads the table once
+        for orders 0 and 2; the kept row is one (N, K) array."""
+        last = self._u0_last
+        if last is not None and last[0] is modes and last[1] == tgrid:
+            return last[2]
+        u0 = self.u0_table(tgrid).row(modes, tgrid.nodes)
+        if not modes.flags.writeable:
+            u0.setflags(write=False)
+            self._u0_last = (modes, tgrid, u0)
+        return u0
+
     def evaluate(self, omega, points, tgrid, order=2, modes=None):
         """Expansion values on (tgrid x points), truncated at the given
         order; tgrid is a ``Grid`` or its nodes.  modes, when given, are
-        the basis's ``eval_modes(points)``."""
+        the basis's ``eval_modes(points)``; order 0 returns ``u0_on``'s
+        row, which is read-only when it is kept."""
         tgrid = Grid.of(tgrid)
         if modes is None:
             modes = self.basis.eval_modes(points)
-        u0 = self.u0_table(tgrid).row(modes, tgrid.nodes)
+        u0 = self.u0_on(tgrid, modes)
         if order == 0:
             return u0
         if order != 2:
@@ -109,7 +126,7 @@ class AsymptoticExpansion:
         out = mode_oscillations(
             roots, (self.d / omega ** 2)[:, None] * modes,
             ((self.b1 / omega + self.b2 / omega ** 2) / roots)[:, None]
-            * modes, tgrid, out=u0)
+            * modes, tgrid, out=u0.copy())
         t = tgrid.nodes
         fvals = self.amplitude.evaluate(points, t)
         rho_vals = self.rho0_profile.evaluate(t, omega * t)

@@ -85,16 +85,23 @@ class Table:
         w = _barycentric_weights(self.n)[:, None]
         stacked = np.concatenate([w * values, w], axis=1)
         out = np.empty((t.size, values.shape[1]), dtype=stacked.dtype)
-        step = max(1, (1 << 16) // self.n)
+        step = max(1, min(t.size, (1 << 16) // self.n))
+        # one R and one sums buffer serve every block of the call: a new
+        # pair per block made glibc trim and re-fault the heap on every
+        # call of a fresh process
+        recip = np.empty((step, self.n))
+        sums = np.empty((step, stacked.shape[1]), dtype=stacked.dtype)
         # a time that is a point divides by zero, and one within about
         # 1e-308 of a point overflows 1/(t - x_j); either row sums to
         # inf / inf, and is replaced by the point's value
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for lo in range(0, t.size, step):
-                recip = t[lo:lo + step, None] - nodes
-                np.reciprocal(recip, out=recip)
-                sums = recip @ stacked
-                np.divide(sums[:, :-1], sums[:, -1:], out=out[lo:lo + step])
+                m = min(step, t.size - lo)
+                R, S = recip[:m], sums[:m]
+                np.subtract(t[lo:lo + m, None], nodes, out=R)
+                np.reciprocal(R, out=R)
+                np.matmul(R, stacked, out=S)
+                np.divide(S[:, :-1], S[:, -1:], out=out[lo:lo + m])
             rows = np.flatnonzero(~np.isfinite(out[:, :1]).all(axis=1))
             at = np.searchsorted(nodes, t[rows]).clip(1, self.n - 1)
             for near in (at - 1, at):

@@ -99,8 +99,10 @@ def _lru(cache, cap, key, make):
     return value
 
 
-# most recently used texts, splits and t-derivatives kept; a sample config's
-# study adds at most thirteen, so an eviction never falls inside one run
+# most recently used texts, splits, t-derivatives and callable drive tables
+# kept.  A sample config's run adds 4 to 13 entries (roundtrip_combined the
+# most), and the benchmark's callable order study 6, one of them its drive's
+# table, so an eviction never falls inside one run
 _MEMO_CAP = 256
 _MEMO: OrderedDict = OrderedDict()
 
@@ -108,7 +110,8 @@ _MEMO: OrderedDict = OrderedDict()
 def memo(key, make):
     """make() for a hashable key, kept with the parsed texts in one LRU of
     ``_MEMO_CAP`` entries.  make must return an immutable value (sympy
-    expressions, tuples), since every caller with the key shares it."""
+    expressions, tuples, tables of read-only values), since every caller
+    with the key shares it."""
     return _lru(_MEMO, _MEMO_CAP, key, make)
 
 

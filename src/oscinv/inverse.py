@@ -15,7 +15,8 @@ Three problems share the machinery:
 
 Admissibility gates all three: the slow drive must have more weight at t0
 than at 0, no mode response Lambda_m(t0) may sit under the division floor,
-and the amplitude may not vanish at the observation point.
+and neither the amplitude nor every mode may vanish at the observation
+point.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
 
 EPS_LAMBDA_FLOOR = 1e-10      # mode response floor: |Lambda_m(t0)| tested
 EPS_AMPLITUDE = 1e-8          # relative floor for |f| at the observation point
+EPS_MODES_AT_X0 = 1e-12       # floor for max_m |y_m(x0)|: below it x0 sits
+                              # where every mode vanishes (the boundary)
 ZERO_DATA_TOL = 1e-6          # |phi0(0)|, |phi0'(0)| allowed per unit sup |phi0|
 FALLBACK_INTERVALS = 4096     # uniform [0, t0] grid when Lambda_m(t0) falls
                               # back to the Filon rule
@@ -199,6 +202,10 @@ def ip1_recover(data, f, basis):
     f_x0 = amp.at_point(data.x0, grid)
     if not _amplitude_floor(f_x0.values, f_x0.max_abs)[1]:
         raise AdmissibilityError("amplitude vanishes at the observation point")
+    if np.max(np.abs(basis.point_weights(data.x0))) < EPS_MODES_AT_X0:
+        raise AdmissibilityError("every eigenfunction vanishes at the "
+                                 "observation point, so its trace carries "
+                                 "no information on the drive")
     kernel = build_kernel(basis, amp, data.x0)
     phi0 = data.phi0
     found = solve_chebyshev(lambda t: amp.values_at_point(data.x0, t), kernel,

@@ -64,33 +64,50 @@ PANEL_NODES = 16        # Gauss-Legendre nodes per panel of gauss_panel_rule
 def oscillatory_moments(theta, length, count=3):
     """Moments m_p = int_0^length sigma^p e^{i*theta*sigma} d*sigma, p < count.
 
-    theta may be an array of phase rates; the result has shape
-    theta.shape + (count,).  Closed forms by parts where |theta*length| >= 0.5;
-    a quickly convergent power series below that, where the closed forms lose
-    digits to cancellation.
+    theta may be an array of phase rates and length one length or a 1-D
+    array of them; the result has shape length.shape + theta.shape +
+    (count,), and each length's moments are bitwise those it gets alone.
+    Closed forms by parts where |theta*length| >= 0.5; a quickly convergent
+    power series below that, where the closed forms lose digits to
+    cancellation.
     """
-    # a numpy scalar, so a moment that overflows is inf, not OverflowError
-    X = np.float64(length)
     theta = np.asarray(theta, dtype=float)
-    out = np.empty(theta.shape + (count,), dtype=complex)
-    small = np.abs(theta * X) < _SERIES_SWITCH
+    lengths = np.asarray(length, dtype=float)
+    # the index of each entry's length, and the length itself
+    which = np.broadcast_to(
+        np.arange(lengths.size).reshape(lengths.shape + (1,) * theta.ndim),
+        lengths.shape + theta.shape)
+    X = lengths.ravel()[which]
+    theta = np.broadcast_to(theta, which.shape)
+    # each length's powers from its numpy scalar, so that a moment that
+    # overflows is inf, not OverflowError: x ** (p + 1) for the series,
+    # x ** q one at a time for the closed forms (pow rounds them apart)
     p = np.arange(count)
+    scalars = [np.float64(x) for x in lengths.ravel()]
+    series_powers = np.array([x ** (p + 1) for x in scalars])
+    powers = np.array([[x ** q for q in range(1, count)] for x in scalars])
+    out = np.empty(which.shape + (count,), dtype=complex)
+    small = np.abs(theta * X) < _SERIES_SWITCH
 
-    z = 1j * theta[small] * X
+    z = 1j * theta[small] * X[small]
     term = np.ones_like(z)
     acc = np.zeros(z.shape + (count,), dtype=complex)
+    part = np.empty_like(acc)
+    den = np.arange(1, _SERIES_TERMS + 1)[:, None] + p     # n + p + 1
     for n in range(_SERIES_TERMS):
-        acc += term[:, None] / (n + p + 1)
-        term = term * z / (n + 1)
-    out[small] = acc * X ** (p + 1)
+        acc += np.divide(term[:, None], den[n], out=part)
+        term *= z
+        term /= n + 1
+    out[small] = acc * series_powers[which[small]]
 
-    i_t = 1j * theta[~small]
-    e = np.exp(i_t * X)
-    big = np.empty(i_t.shape + (count,), dtype=complex)
-    big[:, 0] = (e - 1.0) / i_t
+    big = ~small
+    i_t = 1j * theta[big]
+    e = np.exp(i_t * X[big])
+    mom = np.empty(i_t.shape + (count,), dtype=complex)
+    mom[:, 0] = (e - 1.0) / i_t
     for q in range(1, count):
-        big[:, q] = (X ** q * e - q * big[:, q - 1]) / i_t
-    out[~small] = big
+        mom[:, q] = (powers[which[big], q - 1] * e - q * mom[:, q - 1]) / i_t
+    out[big] = mom
     return out
 
 
@@ -110,16 +127,16 @@ def _rule_weights(theta, h, n):
     """Product-rule weights for phase rates theta on n uniform intervals.
 
     Returns (pair, tail, start): pair holds the full-pair and first-half
-    weights of each node, shape (3, 2) + theta.shape.  An odd n leaves one
-    interval past the last pair, integrated from node ``start`` with the
-    ``tail`` weights: the quadratic through the last three nodes over its
-    second half, or the linear interpolant when n = 1.
+    weights of each node, shape (3, 2) + theta.shape, from the moments at
+    both lengths 2h and h in one pass.  An odd n leaves one interval past
+    the last pair, integrated from node ``start`` with the ``tail``
+    weights: the quadratic through the last three nodes over its second
+    half, or the linear interpolant when n = 1.
     """
-    pair = np.stack([
-        _pair_weights(oscillatory_moments(theta, 2.0 * h), h),
-        _pair_weights(oscillatory_moments(theta, h), h)], axis=1)
+    moments = oscillatory_moments(theta, [2.0 * h, h])
+    pair = _pair_weights(moments, h)
     if n == 1:
-        m0, m1 = np.moveaxis(oscillatory_moments(theta, h, count=2), -1, 0)
+        m0, m1 = moments[1, ..., 0], moments[1, ..., 1]
         return pair, np.stack([m0 - m1 / h, m1 / h]), 0
     if n % 2:
         return pair, pair[:, 0] - pair[:, 1], n - 2
@@ -211,10 +228,14 @@ def _node_products(env, factors, phase, first, stop, nk, width=None,
     else:
         Z = out.reshape(shape)
         Z[..., count:] = 0.0
+    # phase * env goes into factor 0's slice, and each factor's slice is
+    # that times the factor, factor 0's last and in place: no temporary
     for k in range(nk):
         at = slice(first + k, stop + k, 2)
-        np.multiply(factors[:, None, at], phase * env[:, at],
-                    out=Z[k, :, :, :count])
+        Zk = Z[k, :, :, :count]
+        np.multiply(phase, env[:, at], out=Zk[0])
+        for i in range(factors.shape[0] - 1, -1, -1):
+            np.multiply(Zk[0], factors[i, at], out=Zk[i])
     return Z.reshape(-1, Z.shape[-1])
 
 
@@ -255,7 +276,16 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid):
                    dtype=complex)
     pair, tail, start = _rule_weights(rates[None, :] - roots[:, None], h, n)
     W = _term_weights(pair, coeffs)
-    step = _cis_product(roots, h)
+    rows = max(1, min(roots.size, _BLOCK_ROWS))
+    size = max(1, _BLOCK_NODES // (W.shape[2] + 2 * rows))    # pairs
+    L = _SCAN_PAIRS
+    blocks = -(-min(size, n_pairs) // L)
+    # e^{i r_m t} from one exact product: t = h (the step), 2hi for i <= L
+    # (lam^i) and 2hLb for b < blocks (lam^{L b})
+    phases = _cis_product(roots[:, None], np.concatenate([
+        [h], (2.0 * h) * np.arange(L + 1), (2.0 * h * L) * np.arange(blocks)]))
+    step, power, jump = phases[:, 0], phases[:, 1:L + 2], phases[:, L + 2:]
+    inverse = power[:, :L].conj()
     if tail is not None:
         Zt = _node_products(env, factors,
                             _cis_product(rates[:, None], t[start]),
@@ -264,14 +294,6 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid):
             * _cis_product(roots, (n - start) * h)
         if not n_pairs:
             yield slice(None), slice(1, 2), seg[:, None]
-    rows = max(1, min(roots.size, _BLOCK_ROWS))
-    size = max(1, _BLOCK_NODES // (W.shape[2] + 2 * rows))    # pairs
-    L = _SCAN_PAIRS
-    blocks = -(-min(size, n_pairs) // L)
-    # lam^i for i <= L, and lam^{L b} for b < blocks
-    power = _cis_product(roots[:, None], (2.0 * h) * np.arange(L + 1))
-    inverse = power[:, :L].conj()
-    jump = _cis_product(roots[:, None], (2.0 * h * L) * np.arange(blocks))
     S0 = np.zeros(roots.size, dtype=complex)        # S at a chunk's start
     # one workspace per call holds a chunk's Z, a tile's pair sums and the
     # tile's S.  One block, not one per chunk and per tile: the first such

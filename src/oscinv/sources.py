@@ -81,14 +81,38 @@ class FastProfile:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, t, tau):
-        """Pointwise values; t and tau broadcast together."""
+        """Pointwise values; t and tau broadcast together.  Coefficients
+        read off tables of one point set are read as one (n, K) table."""
         t = np.asarray(t, dtype=float)
         tau = np.asarray(tau, dtype=float)
         out = np.zeros(np.broadcast_shapes(t.shape, tau.shape))
-        for k, kind, coeff in self.terms:
+        for (k, kind, _), vals in zip(self.terms, self._coefficients_at(t)):
             osc = np.cos(k * tau) if kind == "cos" else np.sin(k * tau)
-            out = out + coeff(t) * osc
+            out = out + vals * osc
         return float(out) if out.ndim == 0 else out
+
+    def _coefficients_at(self, t):
+        """Every coefficient's values at the times t, in term order.  The
+        table-backed ones (no expression) that share a point set and an
+        axis are read together, after one span check of that axis, as
+        ``TimeTrace.derivative_at`` checks each."""
+        vals = [None] * len(self.terms)
+        shared = {}
+        for j, (_, _, c) in enumerate(self.terms):
+            if c.expr is None and c.table is not None:
+                tab = c.table
+                shared.setdefault((tab.a, tab.b, tab.n, c.axis), []).append(j)
+            else:
+                vals[j] = c(t)
+        for (a, b, _, _), js in shared.items():
+            coeffs = [self.terms[j][2] for j in js]
+            coeffs[0]._check_span(t)
+            table = chebyshev.Table(a, b, np.column_stack(
+                [c.table.values for c in coeffs]))
+            read = table(t.ravel()).reshape(t.shape + (len(js),))
+            for i, j in enumerate(js):
+                vals[j] = read[..., i]
+        return vals
 
     def coefficient(self, k, kind):
         for kk, kd, c in self.terms:
@@ -259,6 +283,26 @@ def _periodic(table):
     return samples, scale
 
 
+def _converged(r, a, b, taus, n_max):
+    """The callable drive r sampled at the phases taus on a converged
+    Chebyshev table of [a, b] (``chebyshev.converge``), or None; memoised
+    (``expressions.memo``) on (r, a, b, n_tau, n_max) with read-only
+    values, so a drive is sampled once per span.  An unhashable r is
+    sampled on every call."""
+    def make():
+        found = chebyshev.converge(lambda t: _sample(r, t, taus), a, b, n_max)
+        if found is not None:
+            found.values.setflags(write=False)
+        return (found,)         # a tuple, so that None is kept too
+
+    key = ("split", r, a, b, len(taus) - 1, n_max)
+    try:
+        hash(key)
+    except TypeError:
+        return make()[0]
+    return expressions.memo(key, make)[0]
+
+
 def split_source(r, grid, n_tau=N_TAU):
     """Split a drive r(t, tau) into slow mean r0(t) and fast remainder r1.
 
@@ -267,7 +311,8 @@ def split_source(r, grid, n_tau=N_TAU):
     callables are resolved with an n_tau-point discrete Fourier transform
     along the phase and must be 2*pi-periodic.
     A callable is transformed on a converged Chebyshev table in slow time
-    (``chebyshev.converge``); the kept columns are read onto the grid
+    (``chebyshev.converge``), sampled once per (callable, span, n_tau), so
+    it must be a pure function; the kept columns are read onto each grid
     through one table, and each stays its trace's table.  A table needing
     more than chebyshev.N_MAX points or as many as the grid has nodes
     gives way to samples at every grid node.  The grid is a ``Grid`` or its
@@ -286,8 +331,8 @@ def split_source(r, grid, n_tau=N_TAU):
     if not callable(r):
         raise TypeError("drive must be a source, an expression, or a callable")
     taus = _phases(n_tau)
-    found = chebyshev.converge(lambda t: _sample(r, t, taus), grid.start,
-                               grid.stop, min(chebyshev.N_MAX, grid.n))
+    found = _converged(r, grid.start, grid.stop, taus,
+                       min(chebyshev.N_MAX, grid.n))
     samples, scale = _periodic(_sample(r, grid.nodes, taus) if found is None
                                else found.values)
     F = np.fft.rfft(samples, axis=1)

@@ -25,7 +25,6 @@ Math. 26 (2008)).  Drive recovery uses it, with the march as its fallback.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +70,9 @@ class VolterraKernel:
 def build_kernel(basis, f, x0):
     """Trace kernel of the slow-part equation at observation point x0.
 
-    ``f`` is a SeparableAmplitude.  A warning is issued when x0 sits where
-    every eigenfunction is negligible (e.g. on the boundary).
+    ``f`` is a SeparableAmplitude.
     """
     wts = basis.point_weights(x0)
-    if np.max(np.abs(wts)) < 1e-12:
-        warnings.warn("all eigenfunctions vanish at the observation point; "
-                      "the kernel and data carry no information", stacklevel=2)
     return VolterraKernel(basis.eigenvalues.copy(), wts,
                           f.term_coefficients(basis), f)
 

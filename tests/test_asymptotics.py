@@ -277,6 +277,38 @@ def test_residual_norm_reads_the_sample_modes_once_per_basis(monkeypatch):
     assert reads == [64]
 
 
+def test_residual_grid_reads_u0_once_for_both_orders(monkeypatch):
+    # orders 0 and 2 on one field read the u0 table once; every residual
+    # is bitwise that of an expansion with nothing kept
+    basis = build_sturm_liouville_basis("1 + x/2", "x", PI, 4, grid_n=4000)
+    ref = make_time_grid(3.0, 200.0)
+    exp = build_expansion(basis, FEXPR, REXPR, ref)
+    fields = [(w, solve_direct(basis, FEXPR, REXPR, w, T=3.0))
+              for w in (50.0, 100.0, 200.0)]
+    want = [residual_norm(u, build_expansion(basis, FEXPR, REXPR, ref), w,
+                          order=o) for w, u in fields for o in (0, 2)]
+    rows = []
+    real = quadrature.SlowResponses.row
+
+    def spy(self, weights, t):
+        rows.append(len(t))
+        return real(self, weights, t)
+
+    monkeypatch.setattr(quadrature.SlowResponses, "row", spy)
+    got = [residual_norm(u, exp, w, order=o) for w, u in fields
+           for o in (0, 2)]
+    assert got == want
+    assert len(rows) == len(fields)
+    # only the most recent grid is kept, read-only
+    modes = basis.modes_at_samples(64)
+    sub = fields[-1][1].every(round(2.0 * PI / (8 * 200.0) / ref.h)).axis
+    kept = exp.u0_on(sub, modes)
+    assert len(rows) == len(fields) and not kept.flags.writeable
+    exp.u0_on(uniform_grid(3.0, 1000), modes)
+    exp.u0_on(sub, modes)
+    assert len(rows) == len(fields) + 2
+
+
 def _order_residuals(basis, r, omegas, n_tau):
     """(order-0, order-2) residuals of the order study for the drive r."""
     ref = make_time_grid(3.0, max(omegas))

@@ -84,6 +84,35 @@ def test_read_matches_the_dense_formula(shape, count):
         4 * eps * np.max(np.abs(tab.values))
 
 
+def _per_block_read(tab, t):
+    """The read with a new R and a new sums array for every row block of
+    2**16 entries: the formula the read's two reused buffers keep."""
+    values = tab.values.reshape(tab.n, -1)
+    w = chebyshev._barycentric_weights(tab.n)[:, None]
+    stacked = np.concatenate([w * values, w], axis=1)
+    out = np.empty((t.size, values.shape[1]))
+    step = max(1, (1 << 16) // tab.n)
+    for lo in range(0, t.size, step):
+        recip = 1.0 / (t[lo:lo + step, None] - tab.nodes)
+        sums = recip @ stacked
+        out[lo:lo + step] = sums[:, :-1] / sums[:, -1:]
+    return out.reshape(t.shape + tab.values.shape[1:])
+
+
+@pytest.mark.parametrize("n, cols, count", [
+    (33, 3, 6113), (65, 8, 1529), (17, None, 5), (257, 2, 20000),
+    (129, 64, 765)])
+def test_buffered_read_is_bitwise_the_per_block_read(n, cols, count):
+    # one R and one sums buffer serve every row block of a call; the
+    # (257, 2) read takes 79 blocks, the last one short
+    rng = np.random.default_rng(n)
+    shape = (n,) if cols is None else (n, cols)
+    tab = chebyshev.Table(0.0, 3.0, rng.normal(size=shape))
+    t = rng.uniform(0.0, 3.0, count)
+    assert not np.isin(t, tab.nodes).any()
+    assert np.array_equal(tab(t), _per_block_read(tab, t))
+
+
 @pytest.mark.parametrize("shape", [(33,), (33, 4)], ids=["1d", "4_columns"])
 def test_reads_at_nodes_and_both_ends_warn_of_nothing(shape):
     tab = chebyshev.Table(

@@ -183,6 +183,24 @@ def test_nonfinite_samples_exit_2(tmp_path, capsys, case):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_observation_point_where_every_mode_vanishes_exits_2(tmp_path,
+                                                             capsys):
+    # lengths [pi/2] put the sample config's x0 = pi/2 on the boundary
+    d = json.loads((_CONFIGS / "roundtrip_drive.json").read_text())
+    d["basis"]["lengths"] = [PI / 2]
+    d["output"]["dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["study", "--config", str(cfg)])
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "every eigenfunction" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("study", ["roundtrip2", "roundtrip3"])
 def test_observation_after_final_time_exits_2(tmp_path, capsys, study):
     cfg = _roundtrip_config(tmp_path, study,

@@ -25,13 +25,14 @@ and a later one, with headroom:
   it matches it byte for byte.  Everything else moved by at most 3.2e-7
   rel (trace_expansion_error, 3.6e-15 abs) of values at or above 1e-8
   -> 1e-12 abs floor plus 1e-10 rel;
-- round trip 1: r0_sup_error is 2.5916e-08 since drive recovery solves
-  its Volterra equation on Chebyshev nodes (4.2750e-06 from the trapezoid
+- round trip 1: r0_sup_error is 3.4075e-08, stored since the one-product
+  Chebyshev table read (2.5916e-08 when drive recovery first solved its
+  Volterra equation on Chebyshev nodes, 4.2750e-06 from the trapezoid
   march before).  The value is the rounding noise of phi0'' divided by
   f(x0, t) = exp(-t), 20 times smaller at t = 3 than at 0, and the sup sits
   at the last nodes.  Multiplying phi0 by (1 + 2.2e-16 N(0, 1)) moved it
-  between 6.8e-09 and 1.41e-07 over 300 draws, 99% of them within
-  7.6e-08 of the unperturbed value -> 3.2 rel (8.3e-08 abs) for that
+  between 9.4e-09 and 1.58e-07 over 300 draws, 99% of them within
+  1.0e-07 of the unperturbed value -> 3.2 rel (1.09e-07 abs) for that
   criterion alone.  The recovery's accuracy on other drives is pinned by
   test_drive_roundtrip_error_by_drive.
 """

@@ -195,6 +195,19 @@ def test_ip1_rejects_amplitude_node(ip1_setup):
         ip1_recover(data, "sin(2*x)", basis)
 
 
+def test_ip1_refuses_an_observation_point_where_every_mode_vanishes():
+    # x0 on the boundary of [0, pi/2]: the trace carries nothing, while
+    # the amplitude exp(-t)*sin(x) is 1 there and passes its own floor
+    basis = build_dirichlet_interval_basis(PI / 2, 3)
+    grid = uniform_grid(3.0, 600)
+    fexpr = "exp(-t)*sin(x)"
+    exp = build_expansion(basis, fexpr, "1 + t + cos(tau)", grid)
+    phi0, chi = exp.observed_traces(PI / 2, grid)
+    data = ObservationData(phi0=phi0, chi=chi, x0=PI / 2)
+    with pytest.raises(AdmissibilityError, match="every eigenfunction"):
+        ip1_recover(data, fexpr, basis)
+
+
 def _spy(monkeypatch, name):
     """Record the results of every call of inverse.<name>."""
     results = []

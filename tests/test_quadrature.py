@@ -39,6 +39,39 @@ def test_moments_series_and_closed_form_agree_at_crossover():
             assert abs(m[p] - _moment_by_quad(theta, X, p)) < 1e-13
 
 
+def test_moments_at_several_lengths_are_each_lengths_own():
+    # rates on both sides of the series switch |theta * length| = 0.5 at
+    # both lengths 2h and h, in one pass and one at a time
+    h = 0.01
+    theta = np.outer([1.0, -1.0], np.geomspace(1e-3, 1e4, 40)).reshape(8, 10)
+    both = oscillatory_moments(theta, [2.0 * h, h])
+    assert both.shape == (2, 8, 10, 3)
+    small = np.abs(theta * h) < 0.5
+    assert small.any() and not small.all()
+    for j, length in enumerate([2.0 * h, h]):
+        assert np.array_equal(both[j], oscillatory_moments(theta, length))
+    assert np.array_equal(oscillatory_moments(theta, h, count=2),
+                          both[1, ..., :2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_rule_weights_from_one_moment_pass_are_the_per_length_weights(n):
+    h = 0.01
+    theta = np.outer([1.0, -1.0], np.geomspace(1e-3, 1e4, 40)).reshape(8, 10)
+    pair, tail, start = quadrature._rule_weights(theta, h, n)
+    full = quadrature._pair_weights(oscillatory_moments(theta, 2.0 * h), h)
+    half = quadrature._pair_weights(oscillatory_moments(theta, h), h)
+    assert np.array_equal(pair, np.stack([full, half], axis=1))
+    if n == 1:
+        m0, m1 = np.moveaxis(oscillatory_moments(theta, h, count=2), -1, 0)
+        assert start == 0
+        assert np.array_equal(tail, np.stack([m0 - m1 / h, m1 / h]))
+    elif n % 2:
+        assert start == n - 2 and np.array_equal(tail, full - half)
+    else:
+        assert tail is None and start is None
+
+
 def test_cumulative_constant_envelope_closed_form():
     grid = uniform_grid(3.0, 240).nodes
     theta = 41.0

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from oscinv import chebyshev, expressions
 from oscinv.expressions import T, TAU
 from oscinv.forward import make_time_grid
-from oscinv.sources import (N_TAU, FastProfile, _periodic, _phases, _sample,
-                            rho0, split_source)
+from oscinv.sources import (N_TAU, FastProfile, _converged, _periodic,
+                            _phases, _sample, rho0, split_source)
 from oscinv.traces import TimeTrace, uniform_grid
 
 TAUS = np.linspace(0.0, 2 * np.pi, 97)
@@ -339,3 +339,103 @@ def test_callable_split_calls_do_not_grow_with_omega(omega):
     split_source(r, grid)
     assert grid.size > 33
     assert calls[0] <= 33 * (N_TAU + 1)
+
+
+def _counted_drive():
+    """The benchmark drive, new on every call (its own memo entries), and
+    the list whose one entry counts its calls."""
+    calls = [0]
+
+    def r(t, tau):
+        calls[0] += 1
+        return _SMOOTH_DRIVES["benchmark"](t, tau)
+    return r, calls
+
+
+def test_a_callable_drive_is_sampled_once_per_span():
+    # an order study's five grids of [0, 3]: its reference grid and one
+    # per frequency; the drive converges on 33 points of 65 phases once
+    r, calls = _counted_drive()
+    grids = [make_time_grid(3.0, w) for w in (400.0, 50.0, 100.0, 200.0,
+                                               400.0)]
+    srcs = [split_source(r, g, n_tau=64) for g in grids]
+    assert calls[0] == 33 * 65
+    # each grid reads its own envelopes, those of a split sampled anew
+    for g, src in zip(grids, srcs):
+        fresh, _ = _counted_drive()
+        want = _envelopes(split_source(fresh, g, n_tau=64))
+        got = _envelopes(src)
+        assert [key for key, _ in got] == [key for key, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert np.array_equal(a, b)
+    kept = _converged(r, 0.0, 3.0, _phases(64), chebyshev.N_MAX)
+    assert kept.n == 33 and not kept.values.flags.writeable
+    assert calls[0] == 33 * 65
+
+
+def test_a_new_span_or_phase_count_samples_the_drive_again():
+    r, calls = _counted_drive()
+    split_source(r, uniform_grid(3.0, 600), n_tau=64)
+    split_source(r, uniform_grid(3.0, 900), n_tau=64)
+    assert calls[0] == 33 * 65
+    split_source(r, uniform_grid(2.0, 600), n_tau=64)
+    assert calls[0] == 2 * 33 * 65
+    split_source(r, uniform_grid(3.0, 600), n_tau=32)
+    assert calls[0] == 2 * 33 * 65 + 33 * 33
+
+
+class _UnhashableDrive:
+    """A callable drive that compares by value and so has no hash."""
+
+    __hash__ = None
+
+    def __init__(self):
+        self.calls = 0
+
+    def __eq__(self, other):
+        return isinstance(other, _UnhashableDrive)
+
+    def __call__(self, t, tau):
+        self.calls += 1
+        return _SMOOTH_DRIVES["benchmark"](t, tau)
+
+
+def test_an_unhashable_callable_drive_splits_on_every_call():
+    r = _UnhashableDrive()
+    grid = uniform_grid(3.0, 600)
+    srcs = [split_source(r, grid, n_tau=64) for _ in range(2)]
+    assert r.calls == 2 * 33 * 65
+    fresh, _ = _counted_drive()
+    want = _envelopes(split_source(fresh, grid, n_tau=64))
+    for src in srcs:
+        for (_, a), (_, b) in zip(_envelopes(src), want):
+            assert np.array_equal(a, b)
+
+
+def test_table_backed_coefficients_are_read_as_one_table(monkeypatch):
+    # rho0 of the benchmark drive has two envelopes on one 33-point set;
+    # with an expression term beside them, every value is bitwise that of
+    # reading each coefficient on its own
+    grid = make_time_grid(3.0, 400.0)
+    p0 = rho0(split_source(_SMOOTH_DRIVES["benchmark"], grid, n_tau=64).r1)
+    mixed = p0 + FastProfile.from_specs([(3, "cos", "t")], grid)
+    t = grid.nodes[::7]
+    tau = 400.0 * t
+    want = np.zeros(t.shape)
+    for k, kind, coeff in mixed.terms:
+        osc = np.cos(k * tau) if kind == "cos" else np.sin(k * tau)
+        want = want + coeff(t) * osc
+    reads = []
+    real = chebyshev.Table.__call__
+
+    def spy(table, times):
+        reads.append(table.values.shape)
+        return real(table, times)
+
+    monkeypatch.setattr(chebyshev.Table, "__call__", spy)
+    assert np.array_equal(mixed.evaluate(t, tau), want)
+    assert reads == [(33, 2)]
+    assert mixed.evaluate(1.5, 0.3) == \
+        mixed.evaluate(np.array([1.5]), np.array([0.3]))[0]
+    with pytest.raises(ValueError, match="outside"):
+        p0.evaluate(np.array([3.5]), np.array([0.0]))

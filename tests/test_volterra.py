@@ -233,11 +233,3 @@ def test_residual_checks_marched_solution(trace_kernel):
     # a corrupted solution must be flagged
     bad = TimeTrace(coarse, u.values + 1e-2 * np.sin(5 * coarse))
     assert volterra_residual(a, K, g, bad) > 1e-3
-
-
-def test_boundary_observation_warns():
-    basis = build_dirichlet_interval_basis(PI, 3)
-    amp = SeparableAmplitude.from_expr("sin(x)")
-    with pytest.warns(UserWarning):
-        build_kernel(basis, amp, 0.0)
-
