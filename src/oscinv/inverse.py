@@ -202,11 +202,11 @@ def ip1_recover(data, f, basis):
     f_x0 = amp.at_point(data.x0, grid)
     if not _amplitude_floor(f_x0.values, f_x0.max_abs)[1]:
         raise AdmissibilityError("amplitude vanishes at the observation point")
-    if np.max(np.abs(basis.point_weights(data.x0))) < EPS_MODES_AT_X0:
+    kernel = build_kernel(basis, amp, data.x0)
+    if np.max(np.abs(kernel.mode_weights)) < EPS_MODES_AT_X0:
         raise AdmissibilityError("every eigenfunction vanishes at the "
                                  "observation point, so its trace carries "
                                  "no information on the drive")
-    kernel = build_kernel(basis, amp, data.x0)
     phi0 = data.phi0
     found = solve_chebyshev(lambda t: amp.values_at_point(data.x0, t), kernel,
                             lambda t: phi0.derivative_at(t, 2),

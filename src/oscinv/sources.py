@@ -18,7 +18,7 @@ from sympy.simplify.fu import TR8
 
 from . import chebyshev, expressions
 from .expressions import T, TAU
-from .traces import Grid, TimeTrace
+from .traces import Grid, TimeTrace, derivatives_at
 
 __all__ = ["FastProfile", "OscillatorySource", "split_source", "rho0"]
 
@@ -81,38 +81,17 @@ class FastProfile:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, t, tau):
-        """Pointwise values; t and tau broadcast together.  Coefficients
-        read off tables of one point set are read as one (n, K) table."""
+        """Pointwise values; t and tau broadcast together.  The
+        coefficients are read together (``derivatives_at``), so those on
+        tables of one point set take one table read."""
         t = np.asarray(t, dtype=float)
         tau = np.asarray(tau, dtype=float)
         out = np.zeros(np.broadcast_shapes(t.shape, tau.shape))
-        for (k, kind, _), vals in zip(self.terms, self._coefficients_at(t)):
+        coeffs = derivatives_at([c for _, _, c in self.terms], t.ravel())
+        for (k, kind, _), vals in zip(self.terms, coeffs):
             osc = np.cos(k * tau) if kind == "cos" else np.sin(k * tau)
-            out = out + vals * osc
+            out = out + vals.reshape(t.shape) * osc
         return float(out) if out.ndim == 0 else out
-
-    def _coefficients_at(self, t):
-        """Every coefficient's values at the times t, in term order.  The
-        table-backed ones (no expression) that share a point set and an
-        axis are read together, after one span check of that axis, as
-        ``TimeTrace.derivative_at`` checks each."""
-        vals = [None] * len(self.terms)
-        shared = {}
-        for j, (_, _, c) in enumerate(self.terms):
-            if c.expr is None and c.table is not None:
-                tab = c.table
-                shared.setdefault((tab.a, tab.b, tab.n, c.axis), []).append(j)
-            else:
-                vals[j] = c(t)
-        for (a, b, _, _), js in shared.items():
-            coeffs = [self.terms[j][2] for j in js]
-            coeffs[0]._check_span(t)
-            table = chebyshev.Table(a, b, np.column_stack(
-                [c.table.values for c in coeffs]))
-            read = table(t.ravel()).reshape(t.shape + (len(js),))
-            for i, j in enumerate(js):
-                vals[j] = read[..., i]
-        return vals
 
     def coefficient(self, k, kind):
         for kk, kd, c in self.terms:

@@ -24,8 +24,8 @@ import sympy
 from . import chebyshev, expressions
 from .expressions import T, t_derivative
 
-__all__ = ["Grid", "TimeTrace", "uniform_grid", "fd_weights",
-           "stencil_gain"]
+__all__ = ["Grid", "TimeTrace", "derivatives_at", "uniform_grid",
+           "fd_weights", "stencil_gain"]
 
 FD_ACCURACY = 4     # order of accuracy of every finite-difference stencil
 
@@ -242,14 +242,12 @@ class TimeTrace:
         time by the stencil on the order + FD_ACCURACY grid nodes nearest it
         (of two equally near windows, the right one), one-sided at the ends.
         A time equal to a grid node is read at integer offsets, so order 0
-        there is the node's value.
+        there is the node's value.  The rules live in ``derivatives_at``.
         """
-        t = np.asarray(t, dtype=float)
-        if self.expr is not None:
-            return expressions.evaluate(t_derivative(self.expr, order), t=t)
-        self._check_span(t)
-        if self.table is not None:
-            return self.table.derivative(order)(t)
+        return derivatives_at([self], t, order)[0]
+
+    def _stencil_at(self, t, order):
+        """derivative_at of a purely sampled trace, at times of its span."""
         n, npe = self.axis.n + 1, order + FD_ACCURACY
         if n < npe:
             raise ValueError(f"need at least {npe} samples")
@@ -333,3 +331,31 @@ class TimeTrace:
 
     def __neg__(self):
         return self._binop(-1.0, np.multiply, lambda a, b: -a)
+
+
+def derivatives_at(traces, t, order=0):
+    """``TimeTrace.derivative_at`` of each trace at the times t, a list in
+    trace order.  An expression is exact at any time; any other trace
+    checks the span first, then reads its table, else its stencils.  The
+    derivative tables that share a point set are read as the columns of
+    one (n, K) ``chebyshev.Table``: one 1/(t - x_j) block serves them all,
+    and each column reads as its own table would."""
+    t = np.asarray(t, dtype=float)
+    out = [None] * len(traces)
+    shared = {}
+    for j, tr in enumerate(traces):
+        if tr.expr is not None:
+            out[j] = expressions.evaluate(t_derivative(tr.expr, order), t=t)
+            continue
+        tr._check_span(t)
+        if tr.table is not None:
+            tab = tr.table.derivative(order)
+            shared.setdefault((tab.a, tab.b, tab.n), []).append((j, tab))
+        else:
+            out[j] = tr._stencil_at(t, order)
+    for (a, b, _), group in shared.items():
+        read = chebyshev.Table(a, b, np.stack(
+            [tab.values for _, tab in group], axis=-1))(t)
+        for i, (j, _) in enumerate(group):
+            out[j] = read[..., i]
+    return out

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from oscinv import chebyshev, expressions
 from oscinv.expressions import ExpressionError
 from oscinv.sources import FastProfile
-from oscinv.traces import Grid, TimeTrace, fd_weights, uniform_grid
+from oscinv.traces import (Grid, TimeTrace, derivatives_at, fd_weights,
+                           uniform_grid)
 
 
 def test_uniform_grid_even_interval_count():
@@ -244,6 +245,40 @@ def test_table_trace_differentiates_off_its_table():
     assert tr.derivative_noise(2) == 0.0
     with pytest.raises(ValueError):
         tr.derivative_at(np.array([3.5]), 1)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_traces_read_together_are_each_traces_own_read(monkeypatch, order):
+    # two tables of one point set share a read; a table of another set, an
+    # expression and a sampled trace are read as they are alone, and every
+    # value is bitwise that trace's own path
+    g = uniform_grid(3.0, 60).nodes
+    a = _table_trace(_slow, g)
+    b = _table_trace(lambda t: np.exp(-t) * np.cos(3 * t), g)
+    c = _table_trace(lambda t: 1.0 + 0.5 * t, g)
+    assert a.table.n == b.table.n != c.table.n
+    traces = [a, TimeTrace.from_expr("t**3", g), b,
+              TimeTrace(g, np.exp(-g)), c]
+    t = np.linspace(0.0, 3.0, 23)
+    cube = sympy.diff(traces[1].expr, expressions.T, order)
+    want = [a.table.derivative(order)(t), expressions.evaluate(cube, t=t),
+            b.table.derivative(order)(t),
+            traces[3]._stencil_at(t, order),
+            c.table.derivative(order)(t)]
+    reads = []
+    real = chebyshev.Table.__call__
+
+    def spy(table, times):
+        reads.append(table.values.shape)
+        return real(table, times)
+
+    monkeypatch.setattr(chebyshev.Table, "__call__", spy)
+    got = derivatives_at(traces, t, order)
+    assert reads == [(a.table.n, 2), (c.table.n, 1)]
+    for have, expect in zip(got, want):
+        assert np.array_equal(have, expect)
+    with pytest.raises(ValueError, match="outside"):
+        derivatives_at(traces, np.array([3.5]), order)
 
 
 def test_expr_trace_extends_exactly():
