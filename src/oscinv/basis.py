@@ -372,6 +372,7 @@ class SeparableAmplitude:
     """Space-time amplitude written as a sum of g_i(t) * X_i(x) terms."""
 
     terms: list          # of (sympy expr in t, SpatialField)
+    _projections: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_expr(cls, text):
@@ -396,8 +397,14 @@ class SeparableAmplitude:
         return all(not g.free_symbols for g, _ in self.terms)
 
     def term_coefficients(self, basis):
-        """Projection of each space factor, shape (n_terms, M)."""
-        return np.vstack([basis.project(xf) for _, xf in self.terms])
+        """Projection of each space factor, shape (n_terms, M): formed once
+        per basis and kept on the amplitude, read-only."""
+        c = self._projections.get(basis)
+        if c is None:
+            c = self._projections[basis] = np.vstack(
+                [basis.project(xf) for _, xf in self.terms])
+            c.setflags(write=False)
+        return c
 
     def time_factors(self, t):
         """Sampled time factors g_i(t), shape (n_terms,) + t.shape."""

@@ -86,6 +86,11 @@ class Table:
         stacked = np.concatenate([w * values, w], axis=1)
         out = np.empty((t.size, values.shape[1]), dtype=stacked.dtype)
         step = max(1, min(t.size, (1 << 16) // self.n))
+        # t - x_j as the rank-2 product [t 1] @ [1; -x]: t 1 and 1 (-x_j)
+        # are exact, so each entry is the one rounding of the subtraction,
+        # as one matrix product, not a broadcast of short rows
+        times = np.stack([t, np.ones_like(t)], axis=1)
+        minus = np.stack([np.ones(self.n), -nodes])
         # one R and one sums buffer serve every block of the call: a new
         # pair per block made glibc trim and re-fault the heap on every
         # call of a fresh process
@@ -98,7 +103,7 @@ class Table:
             for lo in range(0, t.size, step):
                 m = min(step, t.size - lo)
                 R, S = recip[:m], sums[:m]
-                np.subtract(t[lo:lo + m, None], nodes, out=R)
+                np.matmul(times[lo:lo + m], minus, out=R)
                 np.reciprocal(R, out=R)
                 np.matmul(R, stacked, out=S)
                 np.divide(S[:, :-1], S[:, -1:], out=out[lo:lo + m])

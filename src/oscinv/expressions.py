@@ -8,6 +8,7 @@ constant ``pi``.  Everything is parsed into sympy so derivatives stay exact.
 
 from __future__ import annotations
 
+import builtins
 from collections import OrderedDict
 
 import numpy as np
@@ -17,6 +18,7 @@ from sympy.parsing.sympy_parser import (
     parse_expr,
     standard_transformations,
 )
+from sympy.printing.numpy import NumPyPrinter
 
 __all__ = [
     "T", "X", "X1", "X2", "X3", "TAU",
@@ -57,15 +59,22 @@ def parse(text, allowed=None):
 
     ``allowed`` restricts the permitted variables (an iterable of symbols or
     names); by default any of t, x, x1, x2, x3, tau may appear.  Parsed
-    texts are memoised (``memo``); the variable and function checks run on
-    every call.
+    texts are memoised (``memo``), and so is each (expression, allowed)
+    pair that passes the variable and function checks; a failing check is
+    not kept, so it fails again on every call.
     """
     if isinstance(text, sympy.Expr):
         expr = text
     else:
         text = str(text)
         expr = memo(("parse", text), lambda: _parse_text(text))
+    allowed = None if allowed is None else tuple(allowed)
+    return memo(("checked", expr, allowed), lambda: _check(expr, allowed))
 
+
+def _check(expr, allowed):
+    """expr when its variables are allowed and its functions are those of
+    the grammar, else ExpressionError."""
     if allowed is None:
         allowed_syms = set(_LOCALS.values())
     else:
@@ -99,10 +108,11 @@ def _lru(cache, cap, key, make):
     return value
 
 
-# most recently used texts, splits, t-derivatives and callable drive tables
-# kept.  A sample config's run adds 4 to 13 entries (roundtrip_combined the
-# most), and the benchmark's callable order study 6, one of them its drive's
-# table, so an eviction never falls inside one run
+# most recently used texts, passed checks, variable names, splits,
+# t-derivatives and callable drive tables kept.  A sample config's run adds
+# 11 to 23 entries (order_study the most), and the benchmark's callable
+# order study 15, one of them its drive's table, so an eviction never falls
+# inside one run
 _MEMO_CAP = 256
 _MEMO: OrderedDict = OrderedDict()
 
@@ -120,19 +130,47 @@ def memo(key, make):
 _LAMBDIFY_CAP = 256
 _LAMBDIFY_CACHE: OrderedDict = OrderedDict()
 
+# the globals of every compiled expression: numpy's names, shared, not
+# copied per function as sympy.lambdify copies them
+_NAMESPACE = dict(np.__dict__, builtins=builtins, range=range)
+
+
+def _source(expr, varnames):
+    """The source sympy.lambdify(syms, expr, modules=[numpy]) prints for
+    the named variables.  Every name it calls is one of numpy's."""
+    printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
+                            "allow_unknown_functions": True,
+                            "user_functions": {}})
+    body = printer.doprint(expr)
+    if "\n" in body:
+        body = f"({body})"
+    return f"def _lambdifygenerated({', '.join(varnames)}):\n" \
+        f"    return {body}\n"
+
+
+def _compile(expr, varnames):
+    stray = set(varnames) - _LOCALS.keys()
+    if stray:
+        raise ExpressionError("unknown variable(s): "
+                              + ", ".join(sorted(stray)))
+    made = {}
+    exec(compile(_source(expr, varnames), "<oscinv expression>", "exec"),
+         _NAMESPACE, made)
+    return made["_lambdifygenerated"]
+
 
 def lambdify_cached(expr, varnames):
     """Vectorized numpy callable for ``expr`` over the named variables.
 
+    The code is the one sympy.lambdify generates with modules=[numpy],
+    compiled directly and run in one namespace shared by every expression,
+    so the values are bit for bit those of sympy.lambdify's function.
     Compiles are cached up to ``_LAMBDIFY_CAP`` entries, least recently used
     first out, so a long process that keeps building new expressions stays
     bounded.
     """
-    syms = [_LOCALS[v] for v in varnames]
-    # the module, not the name "numpy": the same generated code, without a
-    # star import that loads numpy's lazy submodules in the first compile
     return _lru(_LAMBDIFY_CACHE, _LAMBDIFY_CAP, (expr, tuple(varnames)),
-                lambda: sympy.lambdify(syms, expr, modules=[np]))
+                lambda: _compile(expr, varnames))
 
 
 def evaluate(expr, **values):
@@ -142,13 +180,14 @@ def evaluate(expr, **values):
     the common shape of the used arguments, or of all given values when the
     expression is constant (a float if that shape is empty).
     """
-    syms = sorted(expr.free_symbols, key=lambda s: s.name)
-    missing = [s.name for s in syms if s.name not in values]
+    names = memo(("names", expr),
+                 lambda: tuple(sorted(s.name for s in expr.free_symbols)))
+    missing = [name for name in names if name not in values]
     if missing:
         raise ExpressionError(f"no value supplied for {', '.join(missing)}")
-    if syms:
-        args = [np.asarray(values[s.name], dtype=float) for s in syms]
-        out = lambdify_cached(expr, [s.name for s in syms])(*args)
+    if names:
+        args = [np.asarray(values[name], dtype=float) for name in names]
+        out = lambdify_cached(expr, names)(*args)
         shape = np.broadcast_shapes(*(a.shape for a in args))
     else:
         out = float(expr)

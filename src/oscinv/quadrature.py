@@ -21,7 +21,10 @@ obey S_{j+1} = lam_m (S_j + acc_j), lam_m = e^{2 i r_m h}, solved in blocks
 of pairs by cumsums against two small tables of powers of lam_m, so no
 phase table spans the grid.  The drive phases e^{i nu_c s} in Z are the
 outer product of a coarse and a fine table of exact products, about
-2 sqrt(N/2) cos and sin evaluations per component in place of N/2.
+2 sqrt(N/2) cos and sin evaluations per distinct nonzero rate in place of
+N/2.  A real drive comes as conjugate sidebands (nu, a, g), (-nu, conj(a),
+g): the second's rows of Z are the conjugates of the first's, and a
+rate-0 component's rows take no phase.
 
 ``slow_responses`` tabulates the zero-data responses to a slow forcing
 f_m(t) r0(t) (the expansion's u0, the inverse problems' Lambda_m) on nested
@@ -215,27 +218,64 @@ def _cis_table(rates, times):
     return out.reshape(out.shape[0], -1)[:, :count]
 
 
-def _node_products(env, factors, phase, first, stop, nk, width=None,
+def _drive_rows(drive, t):
+    """The drive's distinct nonzero rates, its envelopes a_c g_c on the
+    nodes t as (E, N) complex rows, and each component's row plan
+    (partner, envelope row, rate row).
+
+    A component (-nu, conj(a), g) whose envelope is the same object as an
+    earlier component's (nu, a, g) is that one's mirror: its node products
+    are the conjugates of its partner's, bit for bit (a negated rate
+    negates r t and its rounding error exactly, cos is even and sin odd),
+    so neither its envelope nor its phases are formed.  A rate-0
+    component's phase is 1 and is not formed either.
+    """
+    rates, env, plan, seen = {}, [], [], {}
+    for nu, a, g in drive:
+        nu = float(nu)
+        partner = seen.get((-nu, complex(a).conjugate(), id(g)))
+        if partner is not None:
+            plan.append((partner, None, None))
+            continue
+        seen.setdefault((nu, complex(a), id(g)), len(plan))
+        rate = None if nu == 0 else rates.setdefault(nu, len(rates))
+        plan.append((None, len(env), rate))
+        env.append(a * np.broadcast_to(g, t.shape))
+    return np.array(list(rates)), np.array(env, dtype=complex), plan
+
+
+def _node_products(env, plan, factors, phase, first, stop, nk, width=None,
                    out=None):
     """Z[(k, i, c), j] = phase[c, j] env[c, s_j + k] factors[i, s_j + k] for
-    the starts s_j = first, first + 2, ... below stop and k < nk; columns
-    past the last start, up to ``width``, are zero.  Z is written into
-    ``out`` when given, a buffer of its size."""
-    count = phase.shape[1]
-    shape = (nk, factors.shape[0], phase.shape[0], width or count)
+    the starts s_j = first, first + 2, ... below stop and k < nk, by the
+    row plan of ``_drive_rows`` (phase holds one row per distinct nonzero
+    rate); columns past the last start, up to ``width``, are zero.  Z is
+    written into ``out`` when given, a buffer of its size."""
+    count = len(range(first, stop, 2))
+    shape = (nk, factors.shape[0], len(plan), width or count)
     if out is None:
         Z = np.zeros(shape, dtype=complex)
     else:
         Z = out.reshape(shape)
         Z[..., count:] = 0.0
-    # phase * env goes into factor 0's slice, and each factor's slice is
-    # that times the factor, factor 0's last and in place: no temporary
+    # phase * env goes into factor 0's row, and each factor's row is that
+    # times the factor, factor 0's last and in place: no temporary
     for k in range(nk):
         at = slice(first + k, stop + k, 2)
         Zk = Z[k, :, :, :count]
-        np.multiply(phase, env[:, at], out=Zk[0])
-        for i in range(factors.shape[0] - 1, -1, -1):
-            np.multiply(Zk[0], factors[i, at], out=Zk[i])
+        for c, (partner, e, r) in enumerate(plan):
+            if partner is not None:
+                continue
+            row = Zk[0, c]
+            if r is None:
+                row[...] = env[e, at]
+            else:
+                np.multiply(phase[r], env[e, at], out=row)
+            for i in range(factors.shape[0] - 1, -1, -1):
+                np.multiply(row, factors[i, at], out=Zk[i, c])
+        for c, (partner, _, _) in enumerate(plan):
+            if partner is not None:
+                np.conjugate(Zk[:, partner], out=Zk[:, c])
     return Z.reshape(-1, Z.shape[-1])
 
 
@@ -265,16 +305,17 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid):
     lam_m^{-i} and a rotation by lam_m^i (i the place in the block); across
     blocks, the same at the block ends with lam_m^{L b}, L = _SCAN_PAIRS.
     Both tables of powers are small and come from exact products, so no
-    phase is larger than a chunk's span.  The pairs are taken in chunks,
-    S carried from one to the next, so that a chunk of Z and a tile of
+    phase is larger than a chunk's span.  Z is formed by the row plan of
+    ``_drive_rows``: one phase table per distinct nonzero rate, a mirror's
+    rows conjugated from its partner's.  The pairs are taken in chunks, S
+    carried from one to the next, so that a chunk of Z and a tile of
     _BLOCK_ROWS modes stay within _BLOCK_NODES complex values.
     """
     n, h, t = grid.n, grid.h, grid.nodes
     n_pairs = n // 2
-    rates = np.array([float(nu) for nu, _, _ in drive])
-    env = np.array([a * np.broadcast_to(g, t.shape) for _, a, g in drive],
-                   dtype=complex)
-    pair, tail, start = _rule_weights(rates[None, :] - roots[:, None], h, n)
+    nus = np.array([float(nu) for nu, _, _ in drive])
+    rates, env, plan = _drive_rows(drive, t)
+    pair, tail, start = _rule_weights(nus[None, :] - roots[:, None], h, n)
     W = _term_weights(pair, coeffs)
     rows = max(1, min(roots.size, _BLOCK_ROWS))
     size = max(1, _BLOCK_NODES // (W.shape[2] + 2 * rows))    # pairs
@@ -287,7 +328,7 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid):
     step, power, jump = phases[:, 0], phases[:, 1:L + 2], phases[:, L + 2:]
     inverse = power[:, :L].conj()
     if tail is not None:
-        Zt = _node_products(env, factors,
+        Zt = _node_products(env, plan, factors,
                             _cis_product(rates[:, None], t[start]),
                             start, start + 1, tail.shape[0])[:, 0]
         seg = (_term_weights(tail[:, None], coeffs)[:, 0] @ Zt) \
@@ -309,8 +350,9 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid):
         a, b = 2 * p0, 2 * min(n_pairs, p0 + size)
         pairs = (b - a) // 2
         nb = -(-pairs // L)
-        Z = _node_products(env, factors, _cis_table(rates, t[a:b:2]),
-                           a, b - 1, 3, nb * L, out=work[:W.shape[2] * nb * L])
+        phase = _cis_table(rates, t[a:b:2]) if rates.size else None
+        Z = _node_products(env, plan, factors, phase, a, b - 1, 3, nb * L,
+                           out=work[:W.shape[2] * nb * L])
         last = tail is not None and b == 2 * n_pairs
         for lo in range(0, roots.size, rows):
             blk = slice(lo, lo + rows)

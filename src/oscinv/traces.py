@@ -134,23 +134,61 @@ def stencil_gain(order):
     return float(np.abs(w).sum())
 
 
-@dataclass(eq=False)
+class _Product:
+    """op(a, b) of two expressions, either of them a _Product, formed on
+    the first ``form`` and kept: the expression of a trace product, which
+    most products never need."""
+
+    __slots__ = ("parts", "value")
+
+    def __init__(self, op, a, b):
+        self.parts, self.value = (op, a, b), None
+
+    def form(self):
+        # the operands first, by an explicit stack: a long chain of
+        # products would pass the recursion limit
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if node.parts is None:
+                stack.pop()
+                continue
+            op, a, b = node.parts
+            todo = [e for e in (a, b)
+                    if isinstance(e, _Product) and e.parts is not None]
+            if todo:
+                stack.extend(todo)
+                continue
+            node.value = op(*(e.value if isinstance(e, _Product) else e
+                              for e in (a, b)))
+            node.parts = None
+            stack.pop()
+        return self.value
+
+
 class TimeTrace:
     """Sampled scalar function of t on a uniform grid, the ``Grid`` axis;
-    ``grid`` is its node array."""
+    ``grid`` is its node array.  ``expr``, when given, is its sympy
+    expression, and ``table`` a ``chebyshev.Table`` of its 1-D values on
+    its span."""
 
-    axis: Grid
-    values: np.ndarray
-    expr: sympy.Expr | None = None
-    table: chebyshev.Table | None = None    # 1-D values on its span
-
-    def __post_init__(self):
-        self.axis = Grid.of(self.axis)
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(self, axis, values, expr=None, table=None):
+        self.axis = Grid.of(axis)
+        self.values = np.asarray(values, dtype=float)
         if self.values.shape != (self.axis.n + 1,):
             raise ValueError("values and grid shapes differ")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite trace values")
+        self._expr = expr           # a sympy expression, None or a _Product
+        self.table = table
+
+    @property
+    def expr(self):
+        """The sympy expression, or None.  The expression of a product of
+        traces is formed on its first read."""
+        if isinstance(self._expr, _Product):
+            self._expr = self._expr.form()
+        return self._expr
 
     # -- construction -------------------------------------------------
 
@@ -187,7 +225,7 @@ class TimeTrace:
     @property
     def exact_off_grid(self):
         """True when an expression or a Chebyshev table gives any time."""
-        return self.expr is not None or self.table is not None
+        return self._expr is not None or self.table is not None
 
     def _check_span(self, t):
         """ValueError unless every time of t is on the grid's span, to a pad
@@ -216,7 +254,7 @@ class TimeTrace:
 
     def resample(self, grid2):
         grid2 = Grid.of(grid2)
-        return TimeTrace(grid2, self.sample(grid2), expr=self.expr,
+        return TimeTrace(grid2, self.sample(grid2), expr=self._expr,
                          table=self.table)
 
     # -- calculus -----------------------------------------------------
@@ -285,13 +323,14 @@ class TimeTrace:
                                                self.axis.start)
         return float(self.derivative_at(self.grid[:1], order)[0])
 
-    # -- arithmetic (grids match; expressions combine, tables take scalars) --
+    # -- arithmetic (grids match; expressions combine, on the first read of
+    # the product's expr, and tables take scalars) --
 
     def _coerce(self, other):
         if isinstance(other, TimeTrace):
             if other.axis != self.axis:
                 raise ValueError("trace grids differ")
-            return other.values, other.expr
+            return other.values, other._expr
         if np.ndim(other) == 0:
             val = float(other)
             return val, sympy.Float(val)
@@ -302,8 +341,8 @@ class TimeTrace:
         if vals is NotImplemented:
             return NotImplemented
         expr = table = None
-        if self.expr is not None and oexpr is not None:
-            expr = sym_op(self.expr, oexpr)
+        if self._expr is not None and oexpr is not None:
+            expr = _Product(sym_op, self._expr, oexpr)
         if self.table is not None and not isinstance(other, TimeTrace):
             table = chebyshev.Table(self.table.a, self.table.b,
                                     np_op(self.table.values, vals))

@@ -11,6 +11,7 @@ from oscinv.basis import (SeparableAmplitude, SpatialField,
                           build_dirichlet_interval_basis,
                           build_rectangle_basis, build_sturm_liouville_basis,
                           check_boundary_traces, separable_sum)
+from oscinv import expressions
 from oscinv.expressions import ExpressionError
 from oscinv.traces import uniform_grid
 
@@ -311,18 +312,15 @@ def test_amplitude_at_point(grid3):
     np.testing.assert_allclose(tr.values, np.exp(-grid3), atol=1e-13)
 
 
-def test_amplitude_at_point_compiles_nothing_at_a_new_point(monkeypatch):
+def test_amplitude_at_point_compiles_nothing_at_a_new_point():
     # the values come from the compiled time factors; the attached
     # expression sum_i X_i(x0) g_i(t) still resamples the trace exactly
     amp = SeparableAmplitude.from_expr("exp(-t)*sin(x) + (1 + t^2/4)*sin(2*x)")
     grid = uniform_grid(2.0, 600).nodes
     amp.at_point(0.7, grid)            # compiles the time and space factors
-    compiles = []
-    real = sympy.lambdify
-    monkeypatch.setattr(sympy, "lambdify",
-                        lambda *a, **k: compiles.append(1) or real(*a, **k))
+    compiled = list(expressions._LAMBDIFY_CACHE)
     tr = amp.at_point(1.1, grid)
-    assert compiles == []
+    assert [k for k in expressions._LAMBDIFY_CACHE if k not in compiled] == []
     np.testing.assert_array_equal(tr.values, amp.evaluate([1.1], grid)[:, 0])
     fine = uniform_grid(2.0, 1000).nodes
     moved = tr.resample(fine)
@@ -424,3 +422,18 @@ def test_mode_derivatives_at_start_refuse_a_nonfinite_value(f, order):
     with pytest.raises(ExpressionError, match="no finite") as info:
         amp.mode_derivatives_at_start(basis, order)
     assert "\n" not in str(info.value)
+
+
+def test_term_coefficients_are_projected_once_per_basis(interval_basis,
+                                                        single_mode_basis):
+    amp = SeparableAmplitude.from_expr("exp(-t)*sin(x) + t*sin(2*x)")
+    c = amp.term_coefficients(interval_basis)
+    assert amp.term_coefficients(interval_basis) is c
+    assert not c.flags.writeable
+    np.testing.assert_array_equal(
+        c, np.vstack([interval_basis.project(xf) for _, xf in amp.terms]))
+    one = amp.term_coefficients(single_mode_basis)
+    assert one.shape == (2, 1)
+    # a new amplitude of the same text projects afresh
+    again = SeparableAmplitude.from_expr("exp(-t)*sin(x) + t*sin(2*x)")
+    assert again.term_coefficients(interval_basis) is not c

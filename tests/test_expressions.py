@@ -1,3 +1,7 @@
+import inspect
+import json
+import pathlib
+import types
 from collections import OrderedDict
 
 import numpy as np
@@ -204,3 +208,80 @@ def test_t_derivative_at_refuses_a_nonfinite_value(text, order):
         expressions.t_derivative_at(e, order, 0.0)
     assert "\n" not in str(info.value)
     assert ("t_derivative_at", e, order, 0.0) not in expressions._MEMO
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def _leaf_texts(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [s for v in obj for s in _leaf_texts(v)]
+    return [obj] if isinstance(obj, str) else []
+
+
+def _corpus():
+    """Every expression text of the sample configs and of the benchmark's
+    workloads, and texts with pi, rationals, negative and fractional
+    powers and long floats."""
+    texts = [s for path in sorted((ROOT / "configs").glob("*.json"))
+             for s in _leaf_texts(json.loads(path.read_text()))]
+    # the workloads module compiled from its text, as the benchmark's own
+    # tests load it
+    bench = types.ModuleType("perfbench_workloads")
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"),
+         bench.__dict__)
+    for seed in (7, 11):
+        for cfg in bench.roundtrip_configs(seed, 0):
+            texts += _leaf_texts(cfg)
+        fwd = bench.ForwardScale(seed)
+        texts += [fwd.f, fwd.r]
+    texts += ["1 + x/2", "x", "pi*t", "t/3 + 2/7", "t^-2", "t^(-0.5)",
+              "(1 + t)^(3/2)", "sqrt(1 + t^2)", "exp(-t)^(1/3)",
+              "0.12345678901234567*t - 3.141592653589793238*sin(pi*x)",
+              "x1*x2 - x3/7 + cos(tau)*t^(-1)"]
+    exprs = []
+    for text in texts:
+        try:
+            e = parse(text)
+        except ExpressionError:
+            continue            # a name or a kind, not an expression
+        exprs += [e, sympy.diff(e, T), sympy.diff(e, T, 2)]
+        if not e.free_symbols & {TAU}:
+            exprs += [p for pair in separable_terms(e) for p in pair]
+    return list(dict.fromkeys(exprs))
+
+
+def test_compiled_source_and_values_are_sympy_lambdify_s():
+    grid = np.linspace(0.25, 3.0, 97)
+    corpus = _corpus()
+    assert len(corpus) > 50
+    for e in corpus:
+        names = sorted(s.name for s in e.free_symbols)
+        syms = [expressions._LOCALS[n] for n in names]
+        reference = sympy.lambdify(syms, e, modules=[np])
+        source = expressions._source(e, names)
+        assert source == inspect.getsource(reference), e
+        args = [grid + 0.1 * k for k in range(len(names))]
+        got = np.asarray(lambdify_cached(e, names)(*args), dtype=float)
+        want = np.asarray(reference(*args), dtype=float)
+        assert got.tobytes() == want.tobytes(), e
+
+
+def test_compiled_expressions_share_one_namespace():
+    f = lambdify_cached(T ** 3 - 11 * T, ["t"])
+    g = lambdify_cached(sympy.sin(X) * sympy.exp(-T / 13), ["t", "x"])
+    assert f.__globals__ is g.__globals__ is expressions._NAMESPACE
+
+
+def test_a_passed_check_is_kept_per_allowed_set():
+    x = parse("x")
+    assert parse("x") is x
+    for _ in range(2):
+        with pytest.raises(ExpressionError):
+            parse("x", allowed=("t",))
+        with pytest.raises(ExpressionError):
+            parse(x, allowed=(T,))
+    assert parse("x", allowed=("x", "t")) is x

@@ -525,3 +525,44 @@ def test_fallback_responses_read_only_their_own_nodes():
     for bad in (grid[10] + 0.3 * h, grid[-1] + h, grid[0] - 0.6 * h):
         with pytest.raises(ValueError, match="not a node"):
             tab.at(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 600, 20001])
+def test_mirrored_sidebands_are_bitwise_the_unmirrored_call(n):
+    # (-nu, conj(a), g) after (nu, a, g) with the same envelope object is a
+    # mirror: its rows are the conjugates of its partner's.  With a copy of
+    # g it is formed like any other component, with its own phases
+    rng = np.random.default_rng(n)
+    grid = uniform_grid(3.0, n)
+    factors = rng.standard_normal((2, grid.n + 1))
+    coeffs = rng.standard_normal((5, 2))
+    lams = rng.uniform(0.5, 60.0, 5)
+    g1, g2 = rng.standard_normal((2, grid.n + 1))
+    mirrored = [(0.0, 1.0, rng.standard_normal(grid.n + 1)),
+                (1000.0, 0.5, g1), (-1000.0, 0.5, g1),
+                (2000.0, -0.5j, g2), (-2000.0, 0.5j, g2)]
+    copied = [(nu, a, g if c % 2 else g.copy())
+              for c, (nu, a, g) in enumerate(mirrored)]
+    partners = [p for p, _, _ in quadrature._drive_rows(mirrored,
+                                                        grid.nodes)[2]]
+    assert partners == [None, None, 1, None, 3]
+    assert all(p is None
+               for p, _, _ in quadrature._drive_rows(copied, grid.nodes)[2])
+    got = duhamel_batch(factors, lams, grid, mirrored, coeffs)
+    want = duhamel_batch(factors, lams, grid, copied, coeffs)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_rate_zero_rows_are_the_phase_multiplied_rows():
+    # a rate-0 component's node products skip the phase, which is 1 + 0i
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.3, 3.3, 2001)
+    env = rng.standard_normal((1, t.size)) \
+        + 1j * rng.standard_normal((1, t.size))
+    factors = rng.standard_normal((3, t.size))
+    phase = quadrature._cis_table(np.array([0.0]), t[0:1998:2])
+    plain = quadrature._node_products(env, [(None, 0, None)], factors,
+                                      None, 0, 1998, 3)
+    turned = quadrature._node_products(env, [(None, 0, 0)], factors,
+                                       phase, 0, 1998, 3)
+    assert plain.tobytes() == turned.tobytes()

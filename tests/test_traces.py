@@ -452,3 +452,61 @@ def test_a_grid_needs_finite_increasing_ends():
                  (math.nan, 1.0, 4), (0.0, 1.0, 0)):
         with pytest.raises(ValueError):
             Grid(*args)
+
+
+def test_a_lazy_product_once_read_is_the_eager_one():
+    # chains of + - * / and negation: each product's expression is formed
+    # on its first read, from its operands' as they are read then
+    from oscinv.traces import _Product
+    grid = uniform_grid(2.0, 40)
+    rng = np.random.default_rng(3)
+    ops = [(lambda a, b: a + b), (lambda a, b: a - b), (lambda a, b: a * b),
+           (lambda a, b: a / b)]
+    texts = ["1 + t", "exp(-t/2)", "cos(3*t) + 2", "t^2 + 1/4"]
+    for chain in range(20):
+        tr = TimeTrace.from_expr(texts[chain % 4], grid)
+        eager = tr.expr
+        for step in range(8):
+            op = ops[rng.integers(4)]
+            if rng.random() < 0.3:
+                other = float(rng.uniform(0.5, 2.0))
+                oexpr = sympy.Float(other)
+            else:
+                # a product itself, so that its own expression is lazy too
+                base = TimeTrace.from_expr(texts[rng.integers(4)], grid)
+                other, oexpr = base + 0.5, base.expr + sympy.Float(0.5)
+            tr, eager = op(tr, other), op(eager, oexpr)
+            assert not isinstance(other, TimeTrace) \
+                or isinstance(other._expr, _Product)
+            if rng.random() < 0.2:
+                tr, eager = -tr, -eager
+        # none of these reads the expression
+        assert tr.exact_off_grid
+        assert isinstance(tr._expr, _Product)
+        moved = tr.resample(grid)
+        assert isinstance(tr._expr, _Product)
+        assert isinstance(moved._expr, _Product)
+        tr, eager = moved * 1.0, eager * sympy.Float(1.0)
+        assert isinstance(moved._expr, _Product)
+        assert tr.expr == eager
+        assert tr.expr is tr.expr
+
+
+def test_a_product_without_two_expressions_has_none():
+    grid = uniform_grid(1.0, 10)
+    sampled = TimeTrace(grid, np.linspace(1.0, 2.0, 11))
+    tr = TimeTrace.from_expr("1 + t", grid)
+    assert (tr * sampled).expr is None
+    assert (sampled + 2.0).expr is None
+    assert not (tr * sampled).exact_off_grid
+
+
+def test_a_long_chain_of_products_forms_without_recursion():
+    # past the interpreter's recursion limit: the operands are formed by
+    # an explicit stack
+    grid = uniform_grid(1.0, 10)
+    tr = TimeTrace.from_expr("1 + t", grid)
+    eager = tr.expr
+    for _ in range(2000):
+        tr, eager = tr + 1.0, eager + sympy.Float(1.0)
+    assert tr.expr == eager
