@@ -1,15 +1,17 @@
 """Alternating benchmark pairs of two checkouts, metric by metric.
 
-    python scripts/bench_pairs.py PARENT CHANGE --workload forward_scale \\
+    python scripts/bench_pairs.py PARENT CHANGE [--workload W ...] \\
         --seed 7 --pairs 10 [--seconds 20] [--out BENCH.json]
 
-PARENT and CHANGE are checkout roots.  Each run is
+PARENT and CHANGE are checkout roots.  ``--workload`` may repeat; by
+default every workload of the parent's ``BENCHMARK.json`` is run, in its
+order, one series each.  Each run is
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
 
 from that root, one run at a time: the parent first on even pairs, the
 change first on odd ones.  For every end-to-end metric of the parent's
-``BENCHMARK.json`` the series reports each side's median and inclusive
+``BENCHMARK.json`` a series reports each side's median and inclusive
 quartiles, the pairs the change wins (ties count for neither) and a
 verdict:
 
@@ -24,7 +26,7 @@ verdict:
 - ``within bound``: otherwise.
 
 The failed and attempted op counts of both sides are kept with the series.
-The series is printed as JSON, and with ``--out`` appended to the file's
+Each series is printed as JSON, and with ``--out`` appended to the file's
 ``series`` list.
 """
 
@@ -84,32 +86,22 @@ def compare(parent, change, better, bound):
             "verdict": verdict}
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--out", type=Path)
-    args = ap.parse_args(argv)
-    metrics = json.loads((args.parent / "BENCHMARK.json").read_text())[
-        "end_to_end"]
-    sides = {"parent": args.parent, "change": args.change}
+def run_series(sides, workload, metrics, args):
+    """The series of one workload: args.pairs alternating pairs of runs of
+    the two sides, and every metric's summary."""
     results = {"parent": [], "change": []}
     order = []
     for i in range(args.pairs):
         first = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         order.append(first[0])
         for side in first:
-            results[side].append(run_once(sides[side], args.workload,
-                                          args.seed, args.seconds))
-        print(f"pair {i} op_s.p50: " + ", ".join(
+            results[side].append(run_once(sides[side], workload, args.seed,
+                                          args.seconds))
+        print(f"{workload} pair {i} op_s.p50: " + ", ".join(
             f"{s} {results[s][-1]['metrics']['op_s.p50']['value']:.6g} s"
             for s in first), file=sys.stderr)
     series = {
-        "workload": args.workload, "seed": args.seed,
+        "workload": workload, "seed": args.seed,
         "seconds": args.seconds, "pairs": args.pairs, "first": order,
         "failed_ops": {s: sum(r["failed"] for r in results[s])
                        for s in results},
@@ -124,11 +116,30 @@ def main(argv=None):
             unit=m["unit"], better=m["better"], bound=m["bound"],
             **compare(runs["parent"], runs["change"], m["better"],
                       m["bound"]))
-    print(json.dumps(series, indent=1))
-    if args.out is not None:
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-        doc.setdefault("series", []).append(series)
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return series
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", action="append")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--out", type=Path)
+    args = ap.parse_args(argv)
+    bench = json.loads((args.parent / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    sides = {"parent": args.parent, "change": args.change}
+    for workload in workloads:
+        series = run_series(sides, workload, bench["end_to_end"], args)
+        print(json.dumps(series, indent=1))
+        if args.out is not None:
+            doc = json.loads(args.out.read_text()) if args.out.exists() \
+                else {}
+            doc.setdefault("series", []).append(series)
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

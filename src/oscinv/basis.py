@@ -133,19 +133,9 @@ class EigenBasis:
 
     # -- projection / synthesis ----------------------------------------
 
-    def values_at_nodes(self, obj):
-        """A SpatialField's values at the quadrature nodes, or an array of
-        them checked for length."""
-        if isinstance(obj, SpatialField):
-            return obj.evaluate(self.nodes)
-        vals = np.asarray(obj, dtype=float)
-        if vals.shape[0] != self.nodes.shape[0]:
-            raise ValueError("node value array has the wrong length")
-        return vals
-
-    def project(self, obj):
-        vals = self.values_at_nodes(obj)
-        return self.modes_at_nodes() @ (self.weights * vals)
+    def project(self, fld):
+        """The coefficients of a SpatialField, by the quadrature rule."""
+        return self.modes_at_nodes() @ (self.weights * fld.evaluate(self.nodes))
 
     def synthesize(self, coeffs, points):
         """sum_m coeffs[..., m] y_m at the points; the basis's own nodes
@@ -410,12 +400,6 @@ class SeparableAmplitude:
         """Sampled time factors g_i(t), shape (n_terms,) + t.shape."""
         t = np.asarray(t, dtype=float)
         return np.stack([expressions.evaluate(g, t=t) for g, _ in self.terms])
-
-    def mode_traces(self, basis, grid):
-        """Mode amplitudes f_m(t) = sum_i c_im g_i(t) at the times of a 1-D
-        array, shape (M, N)."""
-        return separable_sum(self.term_coefficients(basis),
-                             self.time_factors(grid))
 
     def mode_derivatives_at_start(self, basis, order=0):
         """d^order f_m / dt^order at t = 0, m = 1..M, shape (M,).

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = ["ConfigError", "BasisConfig", "SourceConfig", "GridConfig",
 DEFAULT_TOLERANCES = {
     "slope_order2_max": -2.5,
     "slope_order0_max": -0.9,
-    "scaled_residual_decreasing": True,
     "r0_sup": 1e-4,
     "r1_coeff": 1e-10,
     "fm_rel": 1e-10,
@@ -64,6 +63,20 @@ def _take(d, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {sorted(extra)}")
 
 
+def _number(value, name, integral=False):
+    """A JSON number as a float, or as an int when integral; ConfigError
+    for a bool, for a value that is no number, and for a fraction where an
+    integer is wanted."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name}={value!r} must be a number")
+    if not integral:
+        return float(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"{name}={value!r} must be an integer")
+    return int(value)
+
+
 @contextlib.contextmanager
 def _bad_data(what):
     """Report a failure to convert outside data as a one-line ConfigError;
@@ -88,7 +101,7 @@ def parse_x0(x0, lengths):
         return None
     dim = None if lengths is None else len(lengths)
     listed = isinstance(x0, (list, tuple))
-    pts = tuple(float(v) for v in (x0 if listed else [x0]))
+    pts = tuple(_number(v, "x0") for v in (x0 if listed else [x0]))
     if not pts or not all(map(math.isfinite, pts)) \
             or dim not in (None, len(pts)):
         raise ConfigError(f"observation point x0={x0!r} must be "
@@ -105,7 +118,7 @@ def _parse_t0(t0):
     """An observation time as a positive finite float; None when absent."""
     if t0 is None:
         return None
-    value = float(t0)
+    value = _number(t0, "t0")
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"observation time t0={t0!r} must be positive "
                           "and finite")
@@ -118,36 +131,38 @@ class BasisConfig:
     lengths: tuple = (math.pi,)
     M: int = 8
     grid_n: int = 2000
-    a: str | None = None
-    c: str | None = None
+    a: object = 1.0     # Sturm-Liouville coefficients: numbers or
+    c: object = 0.0     # expressions in x
 
     @classmethod
     def from_dict(cls, d):
         _take(d, ("domain", "lengths", "M", "grid_n", "a", "c"), "basis")
-        domain = d.get("domain", "interval")
+        domain = d.get("domain", cls.domain)
         if domain not in ("interval", "rectangle", "sturm_liouville"):
             raise ConfigError(f"unknown domain {domain!r}")
         sl_only = sorted({"a", "c", "grid_n"} & set(d))
         if sl_only and domain != "sturm_liouville":
             raise ConfigError(f"basis key(s) {sl_only} apply only to a "
                               f"sturm_liouville domain, not {domain}")
-        lengths = tuple(float(v) for v in d.get("lengths", (math.pi,)))
+        lengths = tuple(_number(v, "lengths")
+                        for v in d.get("lengths", cls.lengths))
         dim = 2 if domain == "rectangle" else 1
         if len(lengths) != dim:
             raise ConfigError(f"basis lengths has {len(lengths)} entries; "
                               f"a {domain} domain needs {dim}")
         if not all(math.isfinite(v) and v > 0 for v in lengths):
             raise ConfigError("domain lengths must be positive and finite")
-        M = int(d.get("M", 8))
+        M = _number(d.get("M", cls.M), "M", integral=True)
         if M < 1:
             raise ConfigError("M must be at least 1")
-        return cls(domain, lengths, M, int(d.get("grid_n", 2000)),
-                   d.get("a"), d.get("c"))
+        grid_n = _number(d.get("grid_n", cls.grid_n), "grid_n", integral=True)
+        return cls(domain, lengths, M, grid_n, d.get("a", cls.a),
+                   d.get("c", cls.c))
 
 
 @dataclass(frozen=True)
 class SourceConfig:
-    f: str = "sin(x)"
+    f: str
     r: str | None = None                 # combined r(t, tau); or r0 + r1 parts
     r0: str | None = None
     r1: tuple = ()                       # of {"harmonic","kind","coeff"}
@@ -159,7 +174,7 @@ class SourceConfig:
             raise ConfigError("source needs an amplitude expression f")
         r = d.get("r")
         r0 = d.get("r0")
-        r1 = d.get("r1", [])
+        r1 = d.get("r1", cls.r1)
         if r is not None and (r0 is not None or r1):
             raise ConfigError("give either a combined r or the r0/r1 split, "
                               "not both")
@@ -168,7 +183,7 @@ class SourceConfig:
         terms = []
         for item in r1:
             _take(item, ("harmonic", "kind", "coeff"), "source.r1 term")
-            k = int(item["harmonic"])
+            k = _number(item["harmonic"], "harmonic", integral=True)
             kind = item["kind"]
             if k < 1 or kind not in ("cos", "sin"):
                 raise ConfigError(f"bad fast term {item}")
@@ -187,10 +202,11 @@ class GridConfig:
     @classmethod
     def from_dict(cls, d):
         _take(d, ("T", "points_per_period", "n_out", "trace_h"), "grid")
-        T = float(d.get("T", 3.0))
-        ppp = int(d.get("points_per_period", 32))
-        trace_h = float(d.get("trace_h", 1e-3))
-        n_out = int(d.get("n_out", 513))
+        T = _number(d.get("T", cls.T), "T")
+        ppp = _number(d.get("points_per_period", cls.points_per_period),
+                      "points_per_period", integral=True)
+        trace_h = _number(d.get("trace_h", cls.trace_h), "trace_h")
+        n_out = _number(d.get("n_out", cls.n_out), "n_out", integral=True)
         if not (math.isfinite(T) and T > 0):
             raise ConfigError("T must be positive and finite")
         if not (math.isfinite(trace_h) and trace_h > 0):
@@ -228,18 +244,22 @@ class OutputConfig:
     @classmethod
     def from_dict(cls, d):
         _take(d, ("dir", "prefix"), "output")
-        return cls(str(d.get("dir", ".")), str(d.get("prefix", "run")))
+        return cls(str(d.get("dir", cls.dir)),
+                   str(d.get("prefix", cls.prefix)))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    basis: BasisConfig = dc_field(default_factory=BasisConfig)
-    source: SourceConfig = dc_field(default_factory=SourceConfig)
+    """A whole config; each section's defaults are its class's, and the
+    tolerances' are DEFAULT_TOLERANCES."""
+
+    basis: BasisConfig
+    source: SourceConfig
+    grid: GridConfig
+    observation: ObservationConfig
+    output: OutputConfig
+    tolerances: dict
     omegas: tuple = (100.0,)
-    grid: GridConfig = dc_field(default_factory=GridConfig)
-    observation: ObservationConfig = dc_field(default_factory=ObservationConfig)
-    output: OutputConfig = dc_field(default_factory=OutputConfig)
-    tolerances: dict = dc_field(default_factory=dict)
     study: str = "order"
 
 
@@ -247,21 +267,21 @@ class ExperimentConfig:
 def config_from_dict(d):
     _take(d, ("basis", "source", "omega", "grid", "observation", "output",
               "tolerances", "study"), "config")
-    omegas = d.get("omega", [100.0])
+    omegas = d.get("omega", ExperimentConfig.omegas)
     if np.ndim(omegas) == 0:
         omegas = [omegas]
-    omegas = tuple(float(w) for w in omegas)
+    omegas = tuple(_number(w, "omega") for w in omegas)
     if not omegas or not all(math.isfinite(w) and w > 0 for w in omegas):
         raise ConfigError("omega values must be positive and finite")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ConfigError("omega values must be strictly increasing")
     tol = d.get("tolerances", {})
     _take(tol, DEFAULT_TOLERANCES, "tolerances")
-    bad = sorted(k for k, v in tol.items()
-                 if not (isinstance(v, (int, float)) and math.isfinite(v)))
+    tol = {k: _number(v, k) for k, v in tol.items()}
+    bad = sorted(k for k, v in tol.items() if not math.isfinite(v))
     if bad:
         raise ConfigError(f"tolerance(s) {bad} must be finite numbers")
-    study = d.get("study", "order")
+    study = d.get("study", ExperimentConfig.study)
     if study not in ("order", "roundtrip1", "roundtrip2", "roundtrip3"):
         raise ConfigError(f"unknown study kind {study!r}")
     basis = BasisConfig.from_dict(d.get("basis", {}))
@@ -345,10 +365,8 @@ def make_basis(cfg: BasisConfig):
     elif cfg.domain == "rectangle":
         basis = build_rectangle_basis(cfg.lengths, cfg.M)
     else:
-        a = cfg.a if cfg.a is not None else 1.0
-        c = cfg.c if cfg.c is not None else 0.0
-        basis = build_sturm_liouville_basis(a, c, cfg.lengths[0], cfg.M,
-                                            grid_n=cfg.grid_n)
+        basis = build_sturm_liouville_basis(cfg.a, cfg.c, cfg.lengths[0],
+                                            cfg.M, grid_n=cfg.grid_n)
     lam = basis.eigenvalues
     if not np.all(np.isfinite(lam) & (lam > 0)):
         raise ConfigError(f"the basis's eigenvalues must be finite and "
@@ -419,7 +437,8 @@ def load_observation(obj, basis=None):
         T = spec.get("T", t0)
         if T is None:
             raise ConfigError(f"{where} needs T (or a top-level t0)")
-        T, h = float(T), float(spec.get("h", 1e-3))
+        T = _number(T, f"{where}.T")
+        h = _number(spec.get("h", 1e-3), f"{where}.h")
         for key, value in (("T", T), ("h", h)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{where}.{key}={value!r} must be positive "
@@ -461,8 +480,8 @@ def load_observation(obj, basis=None):
         else:
             cgrid = _grid_from(obj.get("chi_grid", {}), "chi_grid")
         chi = FastProfile.from_specs(
-            [(term["harmonic"], term["kind"], term["coeff"])
-             for term in obj["chi"]], cgrid)
+            [(_number(term["harmonic"], "chi harmonic", integral=True),
+              term["kind"], term["coeff"]) for term in obj["chi"]], cgrid)
 
     psi = None
     if "psi" in obj:
@@ -471,7 +490,7 @@ def load_observation(obj, basis=None):
         if "expr" in spec:
             psi = SpatialField.from_expr(spec["expr"])
             if basis is not None and not np.all(
-                    np.isfinite(basis.values_at_nodes(psi))):
+                    np.isfinite(psi.evaluate(basis.nodes))):
                 raise ConfigError(f"psi.expr={spec['expr']!r} is not finite "
                                   "on the domain")
         elif "coeffs" in spec:

@@ -122,7 +122,7 @@ def run_order_study(config: ExperimentConfig):
                              tol["slope_order2_max"], "<="))
         columns += ("slope_order0", "slope_order2")
         rows = [row + (slope0, slope2) for row in rows]
-    if tol.get("scaled_residual_decreasing") and len(config.omegas) >= 2:
+    if len(config.omegas) >= 2:
         scaled = np.array(config.omegas) ** 2 * np.array(res2)
         drops = np.diff(scaled)
         criteria.append(_cmp("omega2_residual_max_increase",

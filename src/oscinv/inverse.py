@@ -102,10 +102,9 @@ class AdmissibilityReport:
 
 def _lambda_profiles(r0, basis, grid):
     """Lambda_m(t) of every mode over the span of the uniform grid: the
-    zero-data responses of a'' + lam_m a = r0, as a SlowResponses table
-    (Chebyshev nodes, or the grid itself on the Filon fallback)."""
-    if not isinstance(r0, TimeTrace):
-        r0 = TimeTrace.from_expr(r0, grid)
+    zero-data responses of a'' + lam_m a = r0 (a TimeTrace), as a
+    SlowResponses table (Chebyshev nodes, or the grid itself on the Filon
+    fallback)."""
     return slow_responses(None, r0, basis.eigenvalues, grid)
 
 
@@ -212,7 +211,8 @@ def ip1_recover(data, f, basis):
                             lambda t: phi0.derivative_at(t, 2),
                             grid.start, grid.stop, phi0.derivative_noise(2))
     if found is None:
-        r0_trace = solve_second_kind(f_x0, kernel, phi0.derivative(2))
+        r0_trace = solve_second_kind(f_x0, kernel, TimeTrace(
+            grid, phi0.derivative_at(grid.nodes, 2)))
     else:
         r0_trace = TimeTrace(grid, found(grid.nodes), table=found)
     r1 = _fast_drive(data.chi.resample(grid), f_x0.values).divided_by(f_x0)

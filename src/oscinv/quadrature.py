@@ -46,7 +46,6 @@ from .traces import Grid
 
 __all__ = [
     "oscillatory_moments",
-    "cumulative_oscillatory",
     "duhamel_batch",
     "mode_oscillations",
     "SlowResponses",
@@ -389,26 +388,6 @@ def _rotated_tiles(factors, coeffs, roots, drive, grid):
             if last:
                 S[:, -1] = step[blk] * S[:, -2] + seg[blk]
             yield blk, slice(a + 1, b + 1 + last), S
-
-
-def cumulative_oscillatory(values, grid, theta):
-    """Running integrals Q_i of values * e^{i*theta*s} from t_0 to t_i over
-    a uniform grid (a ``Grid`` or its nodes), values sampled at its nodes;
-    Q_0 = 0.
-
-    The phase factor uses absolute s.  theta = 0 is allowed and exact for
-    quadratic envelopes.
-    """
-    g = np.asarray(values, dtype=complex)
-    grid = Grid.of(grid)
-    if g.shape != (grid.n + 1,):
-        raise ValueError("need one sample per grid node")
-    Q = np.zeros(g.size, dtype=complex)
-    for _, nodes, S in _rotated_tiles(g[None, :], np.ones((1, 1)),
-                                      np.zeros(1), [(theta, 1.0, 1.0)],
-                                      grid):
-        Q[nodes] = S[0]
-    return Q
 
 
 def duhamel_batch(factors, lams, grid, drive=((0.0, 1.0, 1.0),), coeffs=None):

@@ -74,10 +74,6 @@ class FastProfile:
     def grid(self):
         return self.axis.nodes
 
-    @property
-    def max_abs(self):
-        return max((c.max_abs for _, _, c in self.terms), default=0.0)
-
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, t, tau):
@@ -139,19 +135,6 @@ class FastProfile:
     def divided_by(self, trace):
         return FastProfile([(k, kind, c / trace) for k, kind, c in self.terms],
                            self.axis)
-
-    def __add__(self, other):
-        if not isinstance(other, FastProfile):
-            return NotImplemented
-        return FastProfile(self.terms + other.terms, self.axis)
-
-    def __neg__(self):
-        return self.scaled(-1.0)
-
-    def __sub__(self, other):
-        if not isinstance(other, FastProfile):
-            return NotImplemented
-        return self + (-other)
 
     def resample(self, grid2):
         grid2 = Grid.of(grid2)

@@ -259,18 +259,6 @@ class TimeTrace:
 
     # -- calculus -----------------------------------------------------
 
-    def derivative(self, order=1):
-        """The order-th derivative on the grid, by ``derivative_at``."""
-        if order == 0:
-            return self
-        expr = table = None
-        if self.expr is not None:
-            expr = t_derivative(self.expr, order)
-        elif self.table is not None:
-            table = self.table.derivative(order)
-        return TimeTrace(self.axis, self.derivative_at(self.grid, order),
-                         expr=expr, table=table)
-
     def derivative_at(self, t, order):
         """d^order/dt^order at the times t of the span, as an array.
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import chebyshev
 from .basis import SeparableAmplitude, separable_sum
-from .traces import Grid, TimeTrace
+from .traces import TimeTrace
 
 __all__ = ["VolterraKernel", "build_kernel", "solve_second_kind",
            "solve_chebyshev", "volterra_residual"]
@@ -63,9 +63,6 @@ class VolterraKernel:
         return -(roots * self.mode_weights) @ (
             self.mode_amplitudes(s) * np.sin(np.outer(roots, float(t) - s)))
 
-    def __call__(self, t, s):
-        return self.evaluate(t, s)
-
 
 def build_kernel(basis, f, x0):
     """Trace kernel of the slow-part equation at observation point x0.
@@ -77,33 +74,19 @@ def build_kernel(basis, f, x0):
                           f.term_coefficients(basis), f)
 
 
-def _multiplier_values(a, grid):
-    if isinstance(a, TimeTrace):
-        return a.sample(grid)
-    if np.ndim(a) == 0:
-        return np.full(grid.n + 1, float(a))
-    vals = np.asarray(a, dtype=float)
-    if vals.shape != (grid.n + 1,):
-        raise ValueError("multiplier array does not match the grid")
-    return vals
+def solve_second_kind(a, K, g):
+    """March the product-trapezoid scheme on g's grid; returns the solution
+    trace.
 
-
-def solve_second_kind(a, K, g, grid=None):
-    """March the product-trapezoid scheme; returns the solution trace.
-
-    The grid (a ``Grid`` or its nodes) defaults to g's own.  The multiplier
-    must be uniformly nonzero: min |a| >= 1e-8 * max |a| is enforced, since
-    the equation degenerates to first kind where a vanishes.
+    a and g are TimeTraces on one grid; K is a ``VolterraKernel`` (the
+    blocked march) or a callable K(t, s) (the generic per-row march).  The
+    multiplier must be uniformly nonzero: min |a| >= 1e-8 * max |a| is
+    enforced, since the equation degenerates to first kind where a vanishes.
     """
-    if isinstance(g, TimeTrace):
-        grid = g.axis if grid is None else Grid.of(grid)
-        gv = g.sample(grid)
-    else:
-        if grid is None:
-            raise ValueError("grid required when g is a plain array")
-        grid = Grid.of(grid)
-        gv = np.asarray(g, dtype=float)
-    av = _multiplier_values(a, grid)
+    grid = g.axis
+    if a.axis != grid:
+        raise ValueError("the multiplier and the data need one grid")
+    av, gv = a.values, g.values
     amax = float(np.max(np.abs(av)))
     if amax == 0.0 or float(np.min(np.abs(av))) < 1e-8 * amax:
         raise ValueError("multiplier a(t) vanishes (or nearly) on the grid; "
@@ -226,14 +209,17 @@ def _simpson(y, h):
 
 
 def volterra_residual(a, K, g, u):
-    """Sup-norm residual of a candidate solution, with independent quadrature.
+    """Sup-norm residual of a candidate solution u, with independent
+    quadrature; a and g are TimeTraces on u's grid, K a callable K(t, s).
 
     The running integral is re-evaluated rowwise with Simpson weights, so the
     result measures the solution, not the marching rule.
     """
     grid = u.axis
-    gv = g.sample(grid) if isinstance(g, TimeTrace) else np.asarray(g, float)
-    av = _multiplier_values(a, grid)
+    if a.axis != grid or g.axis != grid:
+        raise ValueError("the multiplier, the data and the solution need "
+                         "one grid")
+    av, gv = a.values, g.values
     h, t = grid.h, grid.nodes
     uv = u.values
     res = np.empty(t.size)

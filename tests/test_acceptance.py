@@ -132,11 +132,10 @@ def test_ac6_volterra_marching_order():
     hs = (1e-2, 5e-3, 2.5e-3)
     errs = []
     for h in hs:
-        grid = uniform_grid(1.0, int(round(1.0 / h))).nodes
-        ones = np.ones_like(grid)
-        u = solve_second_kind(ones, lambda t, s: np.ones_like(s), ones,
-                              grid=grid)
-        errs.append(float(np.max(np.abs(u.values - np.exp(-grid)))))
+        grid = uniform_grid(1.0, int(round(1.0 / h)))
+        ones = TimeTrace.constant(1.0, grid)
+        u = solve_second_kind(ones, lambda t, s: np.ones_like(s), ones)
+        errs.append(float(np.max(np.abs(u.values - np.exp(-grid.nodes)))))
     order = -fit_slope([1.0 / h for h in hs], errs)
     ok = 1.9 <= order <= 2.1
     _report("AC6", ok, f"empirical convergence order {order:.3f} "

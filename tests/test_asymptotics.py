@@ -10,7 +10,7 @@ from oscinv import chebyshev, quadrature
 from oscinv.asymptotics import (build_expansion, expansion_coefficients,
                                 residual_norm)
 from oscinv.basis import (SeparableAmplitude, build_dirichlet_interval_basis,
-                          build_sturm_liouville_basis)
+                          build_sturm_liouville_basis, separable_sum)
 from oscinv.config import config_from_dict, make_basis, make_source
 from oscinv.forward import make_time_grid, solve_direct
 from oscinv.quadrature import duhamel_batch
@@ -90,7 +90,7 @@ def expansion():
 def test_leading_term_solves_slow_problem(expansion):
     exp, basis, grid = expansion
     amp = SeparableAmplitude.from_expr(FEXPR)
-    fm = amp.mode_traces(basis, grid)
+    fm = separable_sum(amp.term_coefficients(basis), amp.time_factors(grid))
     u0 = exp.u0_table(grid).row(np.eye(basis.M), grid)
     for m in range(basis.M):
         env = fm[m] * (1.0 + grid)

@@ -35,7 +35,7 @@ def test_interval_modes_normalized(interval_basis):
 def test_first_mode_coefficient_of_sine():
     basis = build_dirichlet_interval_basis(PI, 3)
     f = SpatialField.from_expr("sin(x)")
-    c = basis.project(f.evaluate(basis.nodes))
+    c = basis.project(f)
     assert c[0] == pytest.approx(np.sqrt(PI / 2), abs=1e-13)
     np.testing.assert_allclose(c[1:], 0.0, atol=1e-13)
 
@@ -81,8 +81,7 @@ def test_rectangle_gram_identity():
 def test_rectangle_projection_roundtrip():
     basis = build_rectangle_basis((PI, PI), 5)
     coeffs = np.array([0.3, -1.0, 2.0, 0.0, 0.7])
-    vals = basis.modes_at_nodes().T @ coeffs
-    rec = basis.project(vals)
+    rec = basis.project(SpatialField(coeffs=coeffs, basis=basis))
     np.testing.assert_allclose(rec, coeffs, atol=1e-11)
 
 
@@ -226,7 +225,7 @@ def test_synthesis_at_the_nodes_reads_the_kept_mode_table(kind, monkeypatch):
     np.testing.assert_array_equal(basis.synthesize(coeffs, basis.nodes),
                                   fresh)
     fld = SpatialField(coeffs=coeffs, basis=basis)
-    np.testing.assert_array_equal(basis.values_at_nodes(fld), fresh)
+    np.testing.assert_array_equal(fld.evaluate(basis.nodes), fresh)
     assert basis.modes_at_nodes() is kept
 
 
@@ -243,7 +242,8 @@ def test_modes_at_samples_are_formed_once_per_count(interval_basis):
 @settings(max_examples=25, deadline=None)
 @given(coeffs=hnp.arrays(np.float64, 8, elements=st.floats(-10, 10)))
 def test_projection_identity_property(coeffs, interval_basis):
-    rec = interval_basis.project(interval_basis.modes_at_nodes().T @ coeffs)
+    rec = interval_basis.project(
+        SpatialField(coeffs=coeffs, basis=interval_basis))
     np.testing.assert_allclose(rec, coeffs, atol=1e-10 * (1 + np.max(np.abs(coeffs))))
 
 
@@ -298,7 +298,8 @@ def test_boundary_traces_table_limited_to_order_zero():
 
 def test_amplitude_mode_traces_match_projection(interval_basis, grid3):
     amp = SeparableAmplitude.from_expr("exp(-t)*(sin(x) + 0.3*sin(3*x))")
-    traces = amp.mode_traces(interval_basis, grid3)
+    traces = separable_sum(amp.term_coefficients(interval_basis),
+                           amp.time_factors(grid3))
     c = np.sqrt(PI / 2)
     np.testing.assert_allclose(traces[0], c * np.exp(-grid3), atol=1e-12)
     np.testing.assert_allclose(traces[2], 0.3 * c * np.exp(-grid3),
@@ -378,7 +379,7 @@ def test_mode_traces_compile_per_term_not_per_mode():
         "exp(-0.8125*t)*sin(x) + (1 + 0.4375*t^2)*sin(3*x)")
     coeffs = amp.term_coefficients(basis)     # compiles the space factors
     before = len(expressions._LAMBDIFY_CACHE)
-    fm = amp.mode_traces(basis, grid)
+    fm = separable_sum(coeffs, amp.time_factors(grid))
     assert len(expressions._LAMBDIFY_CACHE) - before <= len(amp.terms)
     fm1 = amp.mode_derivatives_at_start(basis, 1)
     g = np.vstack([np.exp(-0.8125 * grid), 1 + 0.4375 * grid ** 2])

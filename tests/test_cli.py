@@ -295,6 +295,8 @@ _EXIT_2_INPUTS = {
     "tolerance_not_a_number": ("study", dict(
         tolerances={"slope_order2_max": "abc"}), None),
     "removed_output_format": ("study", dict(output={"format": "json"}), None),
+    "removed_scaled_residual_tolerance": ("study", dict(
+        tolerances={"scaled_residual_decreasing": True}), None),
     "removed_seed": ("study", dict(seed=0), None),
     "roundtrip2_trace_h_zero": ("study", dict(
         study="roundtrip2", source=_AMPLITUDE_SOURCE,
@@ -399,6 +401,9 @@ _EXIT_2_INPUTS = {
 
 # the cases whose message must name the offending key
 _EXIT_2_NAMES = {"roundtrip2_trace_h_zero": "trace_h",
+                 "removed_scaled_residual_tolerance":
+                     "unknown key(s) in tolerances: "
+                     "['scaled_residual_decreasing']",
                  "roundtrip2_negative_t0": "t0", "invert2_negative_t0": "t0",
                  "data_nan_t0": "t0", "removed_n_tau": "n_tau",
                  "omega_over_work_cap": "cap", "forward_n_out_zero": "n_out",
@@ -450,6 +455,37 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert _EXIT_2_NAMES.get(case, "") in err
+
+
+# a bool where the config reads a number, or a fraction where it reads an
+# integer, keyed by the name the one-line message gives
+_MISTYPED_NUMBERS = {
+    "M": dict(basis={"domain": "interval", "lengths": [PI], "M": 8.7}),
+    "grid_n": dict(basis={"domain": "sturm_liouville", "lengths": [PI],
+                          "M": 1, "grid_n": 64.5}),
+    "lengths": dict(basis={"domain": "interval", "lengths": [True], "M": 1}),
+    "points_per_period": dict(grid={"T": 3.0, "points_per_period": 40.9}),
+    "n_out": dict(grid={"T": 3.0, "n_out": 2.9}),
+    "T": dict(grid={"T": True}),
+    "trace_h": dict(grid={"T": 3.0, "trace_h": False}),
+    "omega": dict(omega=True),
+    "r0_sup": dict(tolerances={"r0_sup": True}),
+    "slope_order2_max": dict(tolerances={"slope_order2_max": False}),
+    "harmonic": dict(source={"f": "sin(x)", "r0": "1", "r1": [
+        {"harmonic": 1.5, "kind": "cos", "coeff": 1.0}]}),
+    "x0": dict(observation={"x0": True}),
+    "t0": dict(observation={"t0": True}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISTYPED_NUMBERS))
+def test_a_bool_or_a_fraction_for_a_number_exits_2_with_one_line(
+        tmp_path, capsys, name):
+    cfg = _write_config(tmp_path, **_MISTYPED_NUMBERS[name])
+    assert main(["study", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}=") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_forward_accepts_slow_trig_times_phase_harmonic(tmp_path):

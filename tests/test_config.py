@@ -34,6 +34,24 @@ def test_good_config_roundtrip():
     assert cfg.tolerances["slope_order2_max"] == DEFAULT_TOLERANCES["slope_order2_max"]
 
 
+def test_whole_numbers_are_read_as_ints_and_the_rest_as_floats():
+    cfg = config_from_dict(dict(
+        GOOD, basis={"domain": "interval", "lengths": [3], "M": 3.0},
+        grid={"T": 3, "points_per_period": 32.0, "n_out": 9.0},
+        omega=50, tolerances={"r0_sup": 1}))
+    assert (cfg.basis.M, cfg.grid.points_per_period, cfg.grid.n_out) \
+        == (3, 32, 9)
+    assert all(type(v) is int for v in (cfg.basis.M, cfg.grid.n_out,
+                                         cfg.grid.points_per_period))
+    assert all(type(v) is float for v in (
+        cfg.basis.lengths[0], cfg.grid.T, cfg.omegas[0],
+        cfg.tolerances["r0_sup"]))
+
+
+def test_every_tolerance_is_a_number():
+    assert all(type(v) is float for v in DEFAULT_TOLERANCES.values())
+
+
 def test_tolerance_override_merges():
     d = dict(GOOD, tolerances={"r0_sup": 1e-3})
     cfg = config_from_dict(d)

@@ -4,11 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oscinv.basis import SeparableAmplitude, build_dirichlet_interval_basis
+from oscinv.basis import (SeparableAmplitude, build_dirichlet_interval_basis,
+                          separable_sum)
 from oscinv import chebyshev, quadrature
 from oscinv.forward import make_time_grid, solve_direct
-from oscinv.quadrature import (cumulative_oscillatory,
-                               duhamel_batch, gauss_panel_rule,
+from oscinv.quadrature import (duhamel_batch, gauss_panel_rule,
                                mode_oscillations, oscillatory_moments,
                                slow_responses)
 from oscinv.sources import split_source
@@ -72,10 +72,21 @@ def test_rule_weights_from_one_moment_pass_are_the_per_length_weights(n):
         assert tail is None and start is None
 
 
+def _running_integral(values, grid, theta):
+    """Q_i = int_{t_0}^{t_i} g(s) e^{i theta s} ds by duhamel_batch's rule:
+    a mode of rate 1 driven at rate theta + 1 with weights 1 and -1j
+    responds by Im(e^{i t} Q) and -Re(e^{i t} Q)."""
+    grid = np.asarray(grid, dtype=float)
+    rate = theta + 1.0
+    im = duhamel_batch(values, [1.0], grid, [(rate, 1.0, 1.0)])[0]
+    re = -duhamel_batch(values, [1.0], grid, [(rate, -1j, 1.0)])[0]
+    return np.exp(-1j * grid) * (re + 1j * im)
+
+
 def test_cumulative_constant_envelope_closed_form():
     grid = uniform_grid(3.0, 240).nodes
     theta = 41.0
-    Q = cumulative_oscillatory(np.ones_like(grid), grid, theta)
+    Q = _running_integral(np.ones_like(grid), grid, theta)
     exact = (np.exp(1j * theta * grid) - 1.0) / (1j * theta)
     assert np.max(np.abs(Q - exact)) < 1e-13
 
@@ -85,7 +96,7 @@ def test_cumulative_quadratic_envelope_is_exact():
     grid = uniform_grid(2.0, 100).nodes
     g = 3.0 - 2.0 * grid + 0.5 * grid ** 2
     theta = 333.0
-    Q = cumulative_oscillatory(g, grid, theta)
+    Q = _running_integral(g, grid, theta)
     i0, i1, i2 = oscillatory_moments(theta, 2.0)
     exact_end = 3.0 * i0 - 2.0 * i1 + 0.5 * i2
     assert abs(Q[-1] - exact_end) < 1e-13
@@ -95,7 +106,7 @@ def test_cumulative_reduces_to_simpson_at_zero_phase():
     grid = uniform_grid(1.0, 64).nodes
     g = np.exp(grid)
     h = grid[1] - grid[0]
-    Q = cumulative_oscillatory(g, grid, 0.0)
+    Q = _running_integral(g, grid, 0.0)
     # composite Simpson, h/3 (g_2j + 4 g_2j+1 + g_2j+2) per pair, summed
     pairs = h / 3.0 * (g[0:-1:2] + 4.0 * g[1::2] + g[2::2])
     S = np.concatenate(([0.0], np.cumsum(pairs)))
@@ -109,7 +120,7 @@ def test_cumulative_smooth_envelope_fourth_order():
     for n in (100, 200):
         grid = uniform_grid(1.0, n).nodes
         g = np.exp(-grid) * np.sin(2 * grid)
-        Q = cumulative_oscillatory(g, grid, theta)
+        Q = _running_integral(g, grid, theta)
         ref = quad(lambda s: np.exp(-s) * np.sin(2 * s) * np.cos(theta * s),
                    0, 1, limit=800)[0] \
             + 1j * quad(lambda s: np.exp(-s) * np.sin(2 * s) * np.sin(theta * s),
@@ -122,7 +133,7 @@ def test_cumulative_odd_point_tail():
     # even node counts leave a half pair; the tail must stay consistent
     grid = np.linspace(0.0, 1.0, 8)
     theta = 9.0
-    Q = cumulative_oscillatory(np.cos(grid), grid, theta)
+    Q = _running_integral(np.cos(grid), grid, theta)
     ref = quad(lambda s: np.cos(s) * np.cos(theta * s), 0, 1)[0] \
         + 1j * quad(lambda s: np.cos(s) * np.sin(theta * s), 0, 1)[0]
     assert abs(Q[-1] - ref) < 1e-4
@@ -130,7 +141,7 @@ def test_cumulative_odd_point_tail():
 
 
 def test_cumulative_two_point_grid():
-    Q = cumulative_oscillatory(np.ones(2), np.array([0.0, 0.5]), 3.0)
+    Q = _running_integral(np.ones(2), np.array([0.0, 0.5]), 3.0)
     exact = (np.exp(1j * 3.0 * 0.5) - 1.0) / (3.0j)
     assert abs(Q[-1] - exact) < 5e-3
 
@@ -141,7 +152,7 @@ def test_quadratic_envelopes_exact_at_every_node(n, theta):
     # odd n ends in a half pair; the rule must stay exact there too
     grid = np.linspace(0.0, 1.0, n + 1)
     g = 0.5 - 1.5 * grid + 2.0 * grid ** 2
-    Q = cumulative_oscillatory(g, grid, theta)
+    Q = _running_integral(g, grid, theta)
     m = np.array([oscillatory_moments(theta, t) for t in grid[1:]])
     exact = m @ np.array([0.5, -1.5, 2.0])
     np.testing.assert_allclose(Q[1:], exact, rtol=0, atol=1e-13)
@@ -149,8 +160,8 @@ def test_quadratic_envelopes_exact_at_every_node(n, theta):
 
 @pytest.mark.parametrize("theta", [0.0, 0.8, -30.0])
 def test_linear_envelope_exact_on_one_interval(theta):
-    Q = cumulative_oscillatory(np.array([2.0, -1.0]),
-                               np.array([0.2, 0.2 + 0.7]), theta)
+    Q = _running_integral(np.array([2.0, -1.0]), np.array([0.2, 0.2 + 0.7]),
+                          theta)
     m0, m1 = oscillatory_moments(theta, 0.7, count=2)
     exact = np.exp(1j * theta * 0.2) * (2.0 * m0 - 3.0 / 0.7 * m1)
     assert abs(Q[1] - exact) < 1e-14
@@ -178,7 +189,7 @@ def test_gauss_panels_weight_sum():
 def test_quadratic_envelopes_exact_for_any_phase(theta, a, b, c):
     grid = uniform_grid(1.0, 20).nodes
     g = a + b * grid + c * grid ** 2
-    Q = cumulative_oscillatory(g, grid, theta)
+    Q = _running_integral(g, grid, theta)
     i0, i1, i2 = oscillatory_moments(theta, 1.0)
     exact = a * i0 + b * i1 + c * i2
     scale = 1.0 + abs(a) + abs(b) + abs(c)
@@ -247,30 +258,29 @@ def test_mode_oscillations_add_into_out():
         mode_oscillations(roots, cos_w, sin_w, grid, out=out[1:])
 
 
-# -- duhamel_batch against one cumulative_oscillatory pass per row and part --
+# -- duhamel_batch against one single-row call per mode and component --
 
 
 def _duhamel_loop(fm, lams, grid, drive):
-    """Reference: every mode and drive component integrated on its own."""
+    """Reference: every mode and drive component integrated on its own, by
+    one duhamel_batch call of one row and one component each."""
     fm = np.broadcast_to(fm, (len(lams), grid.size))
-    out = np.empty((len(lams), grid.size))
+    out = np.zeros((len(lams), grid.size))
     for m, lam in enumerate(lams):
-        root = np.sqrt(lam)
-        Q = 0.0
-        for nu, a, g in drive:
-            env = fm[m] * np.broadcast_to(g, grid.shape)
-            Q = Q + a * cumulative_oscillatory(env, grid, nu - root)
-        out[m] = np.imag(quadrature._cis_product(root, grid) * Q) / root
+        for component in drive:
+            out[m] += duhamel_batch(fm[m], [lam], grid, [component])[0]
     return out
 
 
-def _assert_close_to_loop(factors, coeffs, lams, grid, drive, rel=1e-13):
+def _assert_close_to_loop(factors, coeffs, lams, grid, drive, rel=1e-13,
+                          ref=None):
     # relative to the a-priori size of a response, |a_m| <= int |F_m| / r_m:
     # a strongly oscillating forcing can cancel to a response far below
     # that, and both sides then keep only their absolute rounding
     got = duhamel_batch(factors, lams, grid, drive, coeffs=coeffs)
     fm = factors if coeffs is None else coeffs @ factors
-    ref = _duhamel_loop(fm, lams, grid, drive)
+    if ref is None:
+        ref = _duhamel_loop(fm, lams, grid, drive)
     assert got.shape == ref.shape
     h = grid[1] - grid[0]
     drive_abs = sum(abs(a) * np.abs(np.broadcast_to(g, grid.shape))
@@ -332,13 +342,16 @@ def test_duhamel_batch_node_counts(n, shared, monkeypatch):
     # chunks of 1, 2 or 5 pairs (3 n_terms C node products and 2 x 3 tile
     # nodes per pair), scanned in blocks of 2 or 3 pairs or of the whole
     # chunk: one-pair chunks, partial blocks, carries from block to block
-    # and from chunk to chunk, and the odd-n tail
+    # and from chunk to chunk, and the odd-n tail; the reference is read
+    # at the default sizes
+    fm = factors if coeffs is None else coeffs @ factors
+    ref = _duhamel_loop(fm, lams, grid, drive)
     monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 3)
     per_pair = 15 * np.atleast_2d(factors).shape[0] + 6
     for pairs, scan in [(2, 64), (1, 2), (2, 3), (5, 2), (5, 3)]:
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", pairs * per_pair)
         monkeypatch.setattr(quadrature, "_SCAN_PAIRS", scan)
-        _assert_close_to_loop(factors, coeffs, lams, grid, drive)
+        _assert_close_to_loop(factors, coeffs, lams, grid, drive, ref=ref)
 
 
 def test_duhamel_batch_default_drive_is_unit_envelope():
@@ -363,9 +376,7 @@ def test_duhamel_batch_rejects_bad_input():
     with pytest.raises(ValueError):
         duhamel_batch(np.ones(1), [1.0], grid[:1])
     with pytest.raises(ValueError):
-        cumulative_oscillatory(np.ones(1), np.zeros(1), 1.0)
-    with pytest.raises(ValueError):
-        cumulative_oscillatory(np.ones(3), np.arange(4.0), 1.0)
+        duhamel_batch(np.ones(3), [1.0], np.arange(4.0))
 
 
 def test_solve_direct_matches_per_mode_sideband_loop():
@@ -377,7 +388,7 @@ def test_solve_direct_matches_per_mode_sideband_loop():
     u = solve_direct(basis, amp, r, omega, T=1.0)
     grid = u.grid
     src = split_source(r, grid)
-    fm = amp.mode_traces(basis, grid)
+    fm = separable_sum(amp.term_coefficients(basis), amp.time_factors(grid))
     ref = np.zeros_like(u.coeffs)
     ref += _duhamel_loop(fm, basis.eigenvalues, grid,
                          [(0.0, 1.0, src.r0.values)])

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -63,3 +64,50 @@ def test_bench_pairs_verdicts():
     noisy = [1.0, 2.0, 1.0, 2.0]
     assert pairs.compare(noisy, [1.1, 2.1, 1.1, 2.1], "lower", 0.1)[
         "verdict"] == "unresolved"
+
+
+def _fake_run(metrics):
+    """A stand-in for bench_pairs.run_once: each run of a side reads the
+    same value on every metric, 1.0 for the parent and 0.9 for the change,
+    and the calls are logged."""
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        calls.append((root.name, workload, seed, seconds))
+        value = 1.0 if root.name == "parent" else 0.9
+        return {"metrics": {m["name"]: {"value": value} for m in metrics},
+                "failed": 0, "attempted": 3}
+    return run_once, calls
+
+
+def test_bench_pairs_runs_every_workload_by_default(tmp_path, monkeypatch,
+                                                    capsys):
+    pairs = _load("bench_pairs")
+    bench = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+    run_once, calls = _fake_run(bench["end_to_end"])
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seed",
+            "7", "--pairs", "2", "--seconds", "1", "--out", str(out)]
+    assert pairs.main(argv) == 0
+    # two alternating pairs per workload, in BENCHMARK.json's order
+    assert calls == [(side, w, 7, 1) for w in names
+                     for side in ("parent", "change", "change", "parent")]
+    series = json.loads(out.read_text())["series"]
+    assert [s["workload"] for s in series] == names
+    for s in series:
+        assert s["first"] == ["parent", "change"]
+        assert s["attempted_ops"] == {"parent": 6, "change": 6}
+        assert set(s["metrics"]) == {m["name"] for m in bench["end_to_end"]}
+        assert s["metrics"]["op_s.p50"]["change_wins"] == 2
+    printed = capsys.readouterr().out
+    assert printed.count('"workload"') == len(names)
+    # --workload may repeat and picks the workloads it names
+    calls.clear()
+    assert pairs.main(argv[:-2] + ["--workload", names[-1],
+                                   "--workload", names[0]]) == 0
+    assert [c[1] for c in calls[::4]] == [names[-1], names[0]]

@@ -43,7 +43,7 @@ def test_fd_derivative_fourth_order_accuracy(order):
     errs = []
     for n in (200, 400):
         g = np.linspace(0.0, 2.0, n + 1)
-        d = TimeTrace(g, np.sin(3 * g)).derivative(order).values
+        d = TimeTrace(g, np.sin(3 * g)).derivative_at(g, order)
         exact = {1: 3 * np.cos(3 * g), 2: -9 * np.sin(3 * g)}[order]
         errs.append(np.max(np.abs(d - exact)))
     rate = np.log2(errs[0] / errs[1])
@@ -53,7 +53,7 @@ def test_fd_derivative_fourth_order_accuracy(order):
 def test_fd_derivative_edges_match_interior_quality():
     # the one-sided stencils must not degrade the boundary rows
     g = np.linspace(0.0, 1.0, 501)
-    d = TimeTrace(g, np.exp(g)).derivative(2).values
+    d = TimeTrace(g, np.exp(g)).derivative_at(g, 2)
     err = np.abs(d - np.exp(g))
     assert err[0] < 1e-8 and err[-1] < 1e-8
 
@@ -128,13 +128,6 @@ def _random_sampled_traces(count):
         t0 = float(rng.uniform(-2.0, 2.0))
         g = np.linspace(t0, t0 + float(rng.uniform(0.1, 5.0)), n)
         yield TimeTrace(g, rng.uniform(-1e3, 1e3, n))
-
-
-def test_whole_grid_derivative_is_the_node_read():
-    for tr in _random_sampled_traces(40):
-        for k in (1, 2):
-            assert np.array_equal(tr.derivative(k).values,
-                                  tr.derivative_at(tr.grid, k))
 
 
 def test_value_at_start_is_the_node_read():
@@ -238,9 +231,6 @@ def test_table_trace_differentiates_off_its_table():
     slope = np.exp(-t) * (2 * np.cos(2 * t) - np.sin(2 * t)) + 0.1
     np.testing.assert_allclose(tr.derivative_at(t, 1), slope, rtol=0,
                                atol=1e-11)
-    d = tr.derivative(1)
-    assert d.table is not None and d.exact_off_grid
-    np.testing.assert_allclose(d.sample(t), slope, rtol=0, atol=1e-11)
     assert tr.value_at_start(1) == pytest.approx(2.1, abs=1e-11)
     assert tr.derivative_noise(2) == 0.0
     with pytest.raises(ValueError):
@@ -291,9 +281,11 @@ def test_expr_trace_extends_exactly():
 def test_derivative_symbolic_when_expr_backed():
     g = uniform_grid(3.0, 30).nodes
     tr = TimeTrace.from_expr("sin(2*t)", g)
-    d2 = tr.derivative(2)
-    np.testing.assert_allclose(d2.values, -4 * np.sin(2 * g), atol=1e-13)
-    assert d2.expr == -4 * sympy.sin(2 * expressions.T)
+    np.testing.assert_allclose(tr.derivative_at(g, 2), -4 * np.sin(2 * g),
+                               atol=1e-13)
+    # the expression gives any time, off the span too
+    assert tr.derivative_at(np.array([3.5]), 2)[0] == \
+        pytest.approx(-4 * np.sin(7.0), abs=1e-13)
 
 
 @pytest.mark.parametrize("coeff", ["t^0.5", "1/(t + 1) + t^1.5"])
@@ -310,8 +302,8 @@ def test_value_at_start_refuses_a_nonfinite_derivative(coeff):
 def test_derivative_numeric_fallback():
     g = uniform_grid(3.0, 3000).nodes
     tr = TimeTrace(g, np.sin(2 * g))
-    d2 = tr.derivative(2)
-    assert np.max(np.abs(d2.values + 4 * np.sin(2 * g))) < 1e-7
+    d2 = tr.derivative_at(g, 2)
+    assert np.max(np.abs(d2 + 4 * np.sin(2 * g))) < 1e-7
 
 
 def test_value_at_start_orders():
@@ -350,8 +342,8 @@ def test_grid_must_be_uniform():
 def test_polynomial_derivative_is_exact(c0, c1, c2):
     g = uniform_grid(2.0, 40).nodes
     tr = TimeTrace.from_expr(f"{c0} + {c1}*t + {c2}*t^2", g)
-    d = tr.derivative(1)
-    np.testing.assert_allclose(d.values, c1 + 2 * c2 * g,
+    d = tr.derivative_at(g, 1)
+    np.testing.assert_allclose(d, c1 + 2 * c2 * g,
                                atol=1e-9 * (1 + abs(c1) + abs(c2)))
 
 

@@ -16,43 +16,50 @@ PI = np.pi
 
 def _exp_decay_setup(h):
     # a = 1, K = 1, g = 1  =>  u(t) = exp(-t)
-    grid = uniform_grid(1.0, int(round(1.0 / h))).nodes
-    ones = np.ones_like(grid)
-    return grid, ones
+    grid = uniform_grid(1.0, int(round(1.0 / h)))
+    return grid, TimeTrace.constant(1.0, grid)
 
 
 def test_unit_kernel_closed_form():
     grid, ones = _exp_decay_setup(1e-3)
-    u = solve_second_kind(ones, lambda t, s: np.ones_like(s), ones, grid=grid)
-    assert np.max(np.abs(u.values - np.exp(-grid))) < 5e-7
+    u = solve_second_kind(ones, lambda t, s: np.ones_like(s), ones)
+    assert np.max(np.abs(u.values - np.exp(-grid.nodes))) < 5e-7
 
 
 def test_marching_is_second_order():
     errs = []
     for h in (1e-2, 5e-3):
         grid, ones = _exp_decay_setup(h)
-        u = solve_second_kind(ones, lambda t, s: np.ones_like(s), ones,
-                              grid=grid)
-        errs.append(np.max(np.abs(u.values - np.exp(-grid))))
+        u = solve_second_kind(ones, lambda t, s: np.ones_like(s), ones)
+        errs.append(np.max(np.abs(u.values - np.exp(-grid.nodes))))
     assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.1)
 
 
 def test_variable_multiplier_and_kernel():
     # manufactured: u = cos t with a = 2 + t, K(t,s) = t - s
     # g(t) = (2+t) cos t + int_0^t (t-s) cos s ds = (2+t) cos t + 1 - cos t
-    grid = uniform_grid(2.0, 4000).nodes
-    a = 2.0 + grid
-    g = (2 + grid) * np.cos(grid) + 1.0 - np.cos(grid)
-    u = solve_second_kind(a, lambda t, s: t - s, g, grid=grid)
-    assert np.max(np.abs(u.values - np.cos(grid))) < 1e-6
+    grid = uniform_grid(2.0, 4000)
+    x = grid.nodes
+    a = TimeTrace(grid, 2.0 + x)
+    g = TimeTrace(grid, (2 + x) * np.cos(x) + 1.0 - np.cos(x))
+    u = solve_second_kind(a, lambda t, s: t - s, g)
+    assert np.max(np.abs(u.values - np.cos(x))) < 1e-6
 
 
 def test_vanishing_multiplier_rejected():
-    grid = uniform_grid(1.0, 100).nodes
-    a = grid.copy()          # a(0) = 0: first-kind degeneracy
+    grid = uniform_grid(1.0, 100)
+    a = TimeTrace(grid, grid.nodes)     # a(0) = 0: first-kind degeneracy
     with pytest.raises(ValueError):
         solve_second_kind(a, lambda t, s: np.zeros_like(s),
-                          np.ones_like(grid), grid=grid)
+                          TimeTrace.constant(1.0, grid))
+
+
+def test_multiplier_and_data_need_one_grid():
+    grid = uniform_grid(1.0, 100)
+    with pytest.raises(ValueError, match="one grid"):
+        solve_second_kind(TimeTrace.constant(1.0, uniform_grid(1.0, 50)),
+                          lambda t, s: np.zeros_like(s),
+                          TimeTrace.constant(1.0, grid))
 
 
 # -- spectral trace kernel ---------------------------------------------------
@@ -120,9 +127,9 @@ def _march_loop(a, K, g, grid):
 def test_separable_path_matches_generic(trace_kernel):
     K, basis, grid = trace_kernel
     g = TimeTrace.from_expr("1 + t/3", grid)
-    a = np.full(grid.size, 0.7)
-    fast = solve_second_kind(a, K, g, grid=grid)
-    slow = solve_second_kind(a, K.evaluate, g, grid=grid)
+    a = TimeTrace.constant(0.7, grid)
+    fast = solve_second_kind(a, K, g)
+    slow = solve_second_kind(a, K.evaluate, g)
     # same order-2 rule, different summation path: near-identical results
     assert np.max(np.abs(fast.values - slow.values)) < 1e-10
 
@@ -136,9 +143,9 @@ def test_separable_path_matches_generic_at_block_edges(two_term_kernel,
     K = two_term_kernel
     grid = np.linspace(0.0, 3.0, n_nodes)
     g = TimeTrace.from_expr("1 + t/3", grid)
-    a = 2 + np.sin(3 * grid)
-    fast = solve_second_kind(a, K, g, grid=grid)
-    slow = solve_second_kind(a, K.evaluate, g, grid=grid)
+    a = TimeTrace(grid, 2 + np.sin(3 * grid))
+    fast = solve_second_kind(a, K, g)
+    slow = solve_second_kind(a, K.evaluate, g)
     assert np.max(np.abs(fast.values - slow.values)) < 1e-12
 
 
@@ -147,7 +154,7 @@ def test_blocked_march_matches_node_loop(two_term_kernel):
     grid = uniform_grid(3.0, 3000).nodes
     g = 1 + grid / 3 + np.sin(2 * grid)
     a = 2 + np.sin(3 * grid)
-    u = solve_second_kind(a, K, g, grid=grid).values
+    u = solve_second_kind(TimeTrace(grid, a), K, TimeTrace(grid, g)).values
     ref = _march_loop(a, K, g, grid)
     assert np.max(np.abs(u - ref)) < 1e-13 * np.max(np.abs(ref))
 
@@ -193,8 +200,8 @@ def test_the_march_converges_to_the_chebyshev_solution(two_term_kernel):
     dists = []
     for n in (1500, 3000):
         grid = uniform_grid(3.0, n).nodes
-        march = solve_second_kind(2 + np.sin(3 * grid), K, 1 + grid / 3,
-                                  grid=grid)
+        march = solve_second_kind(TimeTrace(grid, 2 + np.sin(3 * grid)), K,
+                                  TimeTrace(grid, 1 + grid / 3))
         on_grid = u(grid)
         dists.append(np.max(np.abs(on_grid - march.values)))
     assert dists[1] < 1e-5
@@ -224,12 +231,12 @@ def test_simpson_matches_scipy(n):
 
 def test_residual_checks_marched_solution(trace_kernel):
     K, basis, grid = trace_kernel
-    coarse = uniform_grid(3.0, 600).nodes
+    coarse = uniform_grid(3.0, 600)
     g = TimeTrace.from_expr("1 + t/3", coarse)
-    a = np.ones(coarse.size)
-    u = solve_second_kind(a, K, g, grid=coarse)
-    res = volterra_residual(a, K, g, u)
+    a = TimeTrace.constant(1.0, coarse)
+    u = solve_second_kind(a, K, g)
+    res = volterra_residual(a, K.evaluate, g, u)
     assert res < 5e-5
     # a corrupted solution must be flagged
-    bad = TimeTrace(coarse, u.values + 1e-2 * np.sin(5 * coarse))
-    assert volterra_residual(a, K, g, bad) > 1e-3
+    bad = TimeTrace(coarse, u.values + 1e-2 * np.sin(5 * coarse.nodes))
+    assert volterra_residual(a, K.evaluate, g, bad) > 1e-3
